@@ -26,6 +26,17 @@ from .errors import ConfigInvalid, OpineqError
 from .functionals import HYPOTHESIS_NOT_MET, VIOLATED, InequalityReport, inverse_pair_hull
 from .functions import ScalarFunction, classify_synchrony, function_from_descriptor
 from .registry import (
+    _CUBE,
+    _EXP,
+    _ID,
+    _INV,
+    _LOG,
+    _ONE,
+    _SQ,
+    _SQRT,
+    DROP_CONTAINMENT,
+    DROP_NORMALIZATION,
+    DROP_SYNCHRONY,
     ENSEMBLE,
     REGISTRY,
     REGISTRY_ORDER,
@@ -62,15 +73,6 @@ DEFAULT_THEOREMS: tuple[str, ...] = tuple(e.theorem_id for e in REGISTRY_ORDER)
 
 FALSIFY_STREAM = 0x5EEDFA15
 
-_ID = {"kind": "identity"}
-_ONE = {"kind": "constant", "c": 1.0}
-_SQ = {"kind": "power", "p": 2.0}
-_CUBE = {"kind": "power", "p": 3.0}
-_SQRT = {"kind": "power", "p": 0.5}
-_INV = {"kind": "power", "p": -1.0}
-_EXP = {"kind": "exp"}
-_LOG = {"kind": "log"}
-
 DEFAULT_FUNCTION_POOL: tuple[dict, ...] = (_ID, _ONE, _SQ, _CUBE, _SQRT, _INV, _EXP, _LOG)
 
 # Triples (f, g, h) whose quotients f/h and g/h are monotone in the same
@@ -92,64 +94,7 @@ ASYNC_TRIPLE_POOL: tuple[tuple[dict, dict, dict], ...] = (
     (_ID, _INV, _SQRT),
 )
 
-_HULL_IDS = frozenset({"inverse-pair", "inverse-pair-square"})
-
-_DIRECTION_AWARE = frozenset(
-    {
-        "pc-sign",
-        "pc-sign-t",
-        "pc-moment",
-        "pc-moment-t",
-        "pc-two-op",
-        "mean-point",
-        "inverse-pair",
-        "ensemble-pc-sign",
-        "ensemble-mean-point",
-    }
-)
-
-DROP_SYNCHRONY = "synchrony"
-DROP_CONTAINMENT = "spectral-containment"
-DROP_NORMALIZATION = "normalization"
-
-_DROP_IDS = {
-    DROP_SYNCHRONY: frozenset(
-        {
-            "pc-sign",
-            "pc-sign-t",
-            "pc-moment",
-            "pc-moment-t",
-            "pc-two-op",
-            "mean-point",
-            "inverse-pair",
-            "ensemble-pc-sign",
-            "ensemble-mean-point",
-            "ensemble-chebyshev-link",
-            "discrete-chebyshev",
-        }
-    ),
-    DROP_CONTAINMENT: frozenset({"kantorovich-upper", "ensemble-kantorovich-upper"}),
-    DROP_NORMALIZATION: frozenset({"ensemble-product-lower"}),
-}
-
-# Certification-breaking triples per check with a free sign hypothesis; the
-# slot layout is always the full (f, g, h) with fixed slots already at their
-# forced values.
-_DROP_SYNC_POOLS = {
-    "pc-sign": ((_ONE, _ID, _SQRT), (_ID, _INV, _ONE), (_ID, _INV, _SQRT)),
-    "pc-sign-t": ((_ID, _INV, _ID), (_SQ, _SQRT, _ID)),
-    "pc-moment": ((_SQ, _ONE, _ID), (_CUBE, _ONE, _ID)),
-    "pc-moment-t": ((_SQ, _ONE, _ID), (_CUBE, _ONE, _ID), (_EXP, _ONE, _ID)),
-}
-_SCALAR_SIGN_IDS = frozenset(_DROP_SYNC_POOLS)
-
 _GENERIC_ASYNC_POOL = ((_ID, _INV, _ONE), (_ONE, _ID, _SQRT), (_ID, _INV, _SQRT))
-
-_CHAIN_INDEX = {
-    "ensemble-product-lower": 0,
-    "ensemble-chebyshev-link": 1,
-    "ensemble-kantorovich-upper": 2,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +345,7 @@ def _build_ctx(
         )
     hull_functions = None
     hull_triples = None
-    if any(tid in _HULL_IDS for tid in theorem_ids):
+    if any(REGISTRY[tid].hull for tid in theorem_ids):
         hull = inverse_pair_hull(interval)
         hull_functions = _valid_entries(function_pool, hull.lo, hull.hi)
         if not hull_functions:
@@ -434,12 +379,11 @@ def _draw_functions(
 ) -> dict[str, ScalarFunction]:
     if not entry.slots:
         return {}
-    hull = entry.theorem_id in _HULL_IDS
-    triples = ctx.hull_triples if hull else ctx.triples
+    triples = ctx.hull_triples if entry.hull else ctx.triples
     if triples is not None and set(entry.slots) == {"f", "g", "h"}:
         _, fns = triples[int(rng.integers(len(triples)))]
         return {"f": fns[0], "g": fns[1], "h": fns[2]}
-    pool = ctx.hull_functions if hull else ctx.functions
+    pool = ctx.hull_functions if entry.hull else ctx.functions
     return {slot: pool[int(rng.integers(len(pool)))][1] for slot in entry.slots}
 
 
@@ -690,10 +634,12 @@ def _batched_argmin(
     lo: float,
     hi: float,
     gap_fns: Sequence[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]],
-) -> tuple[int, Optional[tuple[float, float, float, float, int]]]:
+) -> tuple[int, tuple[float, float, float, float, int]]:
     """Random stage of the search over 2x2 diagonal instances (lam1, lam2, w).
 
-    Returns (examined, best) with best = (gap, lam1, lam2, w, gap_fn_index).
+    Examines exactly ``max(1, budget - reserve)`` candidates; the last batch is
+    drawn in full and only its first candidates are evaluated.  Returns
+    (examined, best) with best = (gap, lam1, lam2, w, gap_fn_index).
     """
     examined = 0
     best: Optional[tuple[float, float, float, float, int]] = None
@@ -704,12 +650,13 @@ def _batched_argmin(
         lam2 = rng.uniform(lo, hi, per_fn)
         w = rng.uniform(0.0, 1.0, per_fn)
         for idx, gap_fn in enumerate(gap_fns):
-            gaps = gap_fn(lam1, lam2, w)
+            n = min(per_fn, target - examined)
+            gaps = gap_fn(lam1[:n], lam2[:n], w[:n])
             gaps = np.where(np.isfinite(gaps), gaps, np.inf)
             j = int(np.argmin(gaps))
             if best is None or float(gaps[j]) < best[0]:
                 best = (float(gaps[j]), float(lam1[j]), float(lam2[j]), float(w[j]), idx)
-            examined += per_fn
+            examined += n
             if examined >= target:
                 break
     return examined, best
@@ -777,12 +724,11 @@ def falsify(
     """
     entry = lookup(theorem_id)
     if drop is not None:
-        if drop not in _DROP_IDS:
-            raise ConfigInvalid(
-                f"drop must be one of {sorted(_DROP_IDS)} or None, got {drop!r}"
-            )
-        if theorem_id not in _DROP_IDS[drop]:
-            applicable = ", ".join(sorted(_DROP_IDS[drop]))
+        known = sorted(set().union(*(e.drops for e in REGISTRY_ORDER)))
+        if drop not in known:
+            raise ConfigInvalid(f"drop must be one of {known} or None, got {drop!r}")
+        if drop not in entry.drops:
+            applicable = ", ".join(sorted(e.theorem_id for e in REGISTRY_ORDER if drop in e.drops))
             raise ConfigInvalid(
                 f"dropping {drop!r} does not apply to {theorem_id!r} (applies to: {applicable})"
             )
@@ -795,38 +741,54 @@ def falsify(
         )
     rng = _falsify_rng(seed, entry.ordinal)
 
-    if theorem_id in _SCALAR_SIGN_IDS:
-        return _falsify_scalar_sign(entry, drop, budget, seed, iv, grid_n, rng)
-    if theorem_id in ("kantorovich-lower", "kantorovich-upper") and drop in (
-        None,
-        DROP_CONTAINMENT,
-    ):
-        return _falsify_scalar_kantorovich(entry, drop, budget, seed, iv, grid_n, rng)
-    if theorem_id == "ensemble-product-lower" and drop == DROP_NORMALIZATION:
-        return _falsify_scalar_normalization(entry, budget, seed, iv, grid_n, rng)
-    return _falsify_generic(entry, drop, budget, seed, iv, grid_n, rng)
+    if entry.sync_pool:
+        search = _scalar_sign_search(entry, drop, iv, grid_n)
+    elif entry.checker == "kantorovich_chain":
+        search = _scalar_kantorovich_search(entry, drop, iv, grid_n)
+    elif drop == DROP_NORMALIZATION:
+        search = _scalar_normalization_search(entry, iv, grid_n)
+    else:
+        return _falsify_generic(entry, drop, budget, seed, iv, grid_n, rng)
+    hi, gap_fns, refine, doc_at = search
+    reserve = min(256, budget // 10) if refine else 0
+    examined, best = _batched_argmin(rng, budget, reserve, iv.lo, hi, gap_fns)
+    if reserve:
+        steps, best = _refine(rng, best, reserve, iv.lo, hi, gap_fns)
+        examined += steps
+    doc = doc_at(*best[1:])
+    report = _certify(doc)
+    return FalsifyResult(
+        theorem_id,
+        drop,
+        budget,
+        seed,
+        examined,
+        report.verdict == VIOLATED,
+        report.gap,
+        report.verdict,
+        doc,
+    )
 
 
-def _falsify_scalar_sign(
-    entry: TheoremEntry,
-    drop: Optional[str],
-    budget: int,
-    seed: int,
-    iv: SpectralInterval,
-    grid_n: int,
-    rng: np.random.Generator,
-) -> FalsifyResult:
+# A scalar search is (upper end of the eigenvalue draws, gap functions of
+# (lam1, lam2, w), whether to refine the incumbent locally, and the builder of
+# the scenario document at (lam1, lam2, w, gap_fn_index)).
+_ScalarSearch = tuple[float, list, bool, Callable[[float, float, float, int], dict]]
+
+
+def _scalar_sign_search(
+    entry: TheoremEntry, drop: Optional[str], iv: SpectralInterval, grid_n: int
+) -> _ScalarSearch:
     tid = entry.theorem_id
     if drop == DROP_SYNCHRONY:
-        raw_pool = _DROP_SYNC_POOLS[tid]
+        raw_pool = entry.sync_pool
     else:
-        # honor fixed slots: g collapses to 1, h to the identity, as the check does
+        # honor fixed slots: they collapse to their forced values, as the check does
         coerced = []
-        for f_d, g_d, h_d in SYNC_TRIPLE_POOL + ASYNC_TRIPLE_POOL + _DROP_SYNC_POOLS[tid]:
-            t = (
-                f_d,
-                g_d if "g" in entry.slots else _ONE,
-                h_d if "h" in entry.slots else _ID,
+        for triple in SYNC_TRIPLE_POOL + ASYNC_TRIPLE_POOL + entry.sync_pool:
+            t = tuple(
+                d if slot in entry.slots else entry.fixed[slot].descriptor()
+                for slot, d in zip(("f", "g", "h"), triple)
             )
             if t not in coerced:
                 coerced.append(t)
@@ -856,46 +818,22 @@ def _falsify_scalar_sign(
     if not gap_fns:
         raise ConfigInvalid("every search triple classified as mixed; nothing to search")
 
-    reserve = min(256, budget // 10) if drop == DROP_SYNCHRONY else 0
-    examined, best = _batched_argmin(rng, budget, reserve, iv.lo, iv.hi, gap_fns)
-    if best is not None and reserve:
-        steps, best = _refine(rng, best, reserve, iv.lo, iv.hi, gap_fns)
-        examined += steps
-    if best is None:  # pragma: no cover - pools are never empty here
-        return FalsifyResult(tid, drop, budget, seed, examined, False, None, None, None)
+    def doc_at(l1: float, l2: float, w: float, idx: int) -> dict:
+        doc = _diag_scenario(tid, [l1, l2], w, iv, grid_n)
+        doc["functions"] = {
+            slot: dict(d) for slot, d in zip(("f", "g", "h"), kept[idx]) if slot in entry.slots
+        }
+        if drop == DROP_SYNCHRONY:
+            doc["direction"] = ">="
+            doc["gate_hypothesis"] = False
+        return doc
 
-    _, l1, l2, w, idx = best
-    descs = kept[idx]
-    doc = _diag_scenario(tid, [l1, l2], w, iv, grid_n)
-    doc["functions"] = {
-        slot: dict(d) for slot, d in zip(("f", "g", "h"), descs) if slot in entry.slots
-    }
-    if drop == DROP_SYNCHRONY:
-        doc["direction"] = ">="
-        doc["gate_hypothesis"] = False
-    report = _certify(doc)
-    return FalsifyResult(
-        tid,
-        drop,
-        budget,
-        seed,
-        examined,
-        report.verdict == VIOLATED,
-        report.gap,
-        report.verdict,
-        doc,
-    )
+    return iv.hi, gap_fns, drop == DROP_SYNCHRONY, doc_at
 
 
-def _falsify_scalar_kantorovich(
-    entry: TheoremEntry,
-    drop: Optional[str],
-    budget: int,
-    seed: int,
-    iv: SpectralInterval,
-    grid_n: int,
-    rng: np.random.Generator,
-) -> FalsifyResult:
+def _scalar_kantorovich_search(
+    entry: TheoremEntry, drop: Optional[str], iv: SpectralInterval, grid_n: int
+) -> _ScalarSearch:
     tid = entry.theorem_id
     widen = drop == DROP_CONTAINMENT
     draw_hi = iv.hi + max(iv.hi - iv.lo, 1.0) if widen else iv.hi
@@ -907,84 +845,40 @@ def _falsify_scalar_kantorovich(
             return product - 1.0
         return bound - product
 
-    reserve = min(256, budget // 10) if widen else 0
-    examined, best = _batched_argmin(rng, budget, reserve, iv.lo, draw_hi, [gap_fn])
-    if best is not None and reserve:
-        steps, best = _refine(rng, best, reserve, iv.lo, draw_hi, [gap_fn])
-        examined += steps
-    if best is None:  # pragma: no cover
-        return FalsifyResult(tid, drop, budget, seed, examined, False, None, None, None)
-    _, l1, l2, w, _ = best
-    doc = _diag_scenario(tid, [l1, l2], w, SpectralInterval(iv.lo, draw_hi), grid_n)
-    if widen:
-        doc["bound_interval"] = [iv.lo, iv.hi]
-    report = _certify(doc)
-    return FalsifyResult(
-        tid,
-        drop,
-        budget,
-        seed,
-        examined,
-        report.verdict == VIOLATED,
-        report.gap,
-        report.verdict,
-        doc,
-    )
+    def doc_at(l1: float, l2: float, w: float, idx: int) -> dict:
+        doc = _diag_scenario(tid, [l1, l2], w, SpectralInterval(iv.lo, draw_hi), grid_n)
+        if widen:
+            doc["bound_interval"] = [iv.lo, iv.hi]
+        return doc
+
+    return draw_hi, [gap_fn], widen, doc_at
 
 
-def _falsify_scalar_normalization(
-    entry: TheoremEntry,
-    budget: int,
-    seed: int,
-    iv: SpectralInterval,
-    grid_n: int,
-    rng: np.random.Generator,
-) -> FalsifyResult:
-    tid = entry.theorem_id
-
+def _scalar_normalization_search(
+    entry: TheoremEntry, iv: SpectralInterval, grid_n: int
+) -> _ScalarSearch:
     def gap_fn(l1, l2, w):
         # two 1x1 blocks under sum-of-squares weights w and 1-w
         mean_a = (w * l1 + (1.0 - w) * l2) / 2.0
         mean_b = (w / l1 + (1.0 - w) / l2) / 2.0
         return mean_a * mean_b - 1.0
 
-    reserve = min(256, budget // 10)
-    examined, best = _batched_argmin(rng, budget, reserve, iv.lo, iv.hi, [gap_fn])
-    if best is not None and reserve:
-        steps, best = _refine(rng, best, reserve, iv.lo, iv.hi, [gap_fn])
-        examined += steps
-    if best is None:  # pragma: no cover
-        return FalsifyResult(
-            tid, DROP_NORMALIZATION, budget, seed, examined, False, None, None, None
-        )
-    _, l1, l2, w, _ = best
-    rw = math.sqrt(w)
-    rv = math.sqrt(1.0 - w)
-    doc = {
-        "theorem": tid,
-        "gate_hypothesis": False,
-        "grid_n": grid_n,
-        "ensemble": {
-            "operators": [
-                {"diagonal": [l1], "interval": [iv.lo, iv.hi]},
-                {"diagonal": [l2], "interval": [iv.lo, iv.hi]},
-            ],
-            "states": [{"components": [rw]}, {"components": [rv]}],
-            "normalization": "sum_of_squares",
-        },
-    }
-    report = _certify(doc)
-    return FalsifyResult(
-        tid,
-        DROP_NORMALIZATION,
-        budget,
-        seed,
-        examined,
-        report.verdict == VIOLATED,
-        report.gap,
-        report.verdict,
-        doc,
-    )
+    def doc_at(l1: float, l2: float, w: float, idx: int) -> dict:
+        return {
+            "theorem": entry.theorem_id,
+            "gate_hypothesis": False,
+            "grid_n": grid_n,
+            "ensemble": {
+                "operators": [
+                    {"diagonal": [l1], "interval": [iv.lo, iv.hi]},
+                    {"diagonal": [l2], "interval": [iv.lo, iv.hi]},
+                ],
+                "states": [{"components": [math.sqrt(w)]}, {"components": [math.sqrt(1.0 - w)]}],
+                "normalization": "sum_of_squares",
+            },
+        }
+
+    return iv.hi, [gap_fn], True, doc_at
 
 
 def _falsify_generic(
@@ -1003,7 +897,7 @@ def _falsify_generic(
     op_interval = iv
     if drop == DROP_SYNCHRONY:
         overrides["gate_hypothesis"] = False
-        if tid in _DIRECTION_AWARE:
+        if "direction" in entry.forwards:
             overrides["direction"] = ">="
         if set(entry.slots) == {"f", "g", "h"}:
             triple_pool = _GENERIC_ASYNC_POOL

@@ -1,4 +1,4 @@
-"""Registry of every checkable inequality: stable identifier, runner, input shape.
+"""Registry of every checkable inequality: stable identifier, checker, input shape.
 
 The registry order is canonical and never reordered: random suites derive
 per-theorem substreams from each entry's ordinal, so adding ids at the end (or
@@ -8,10 +8,12 @@ selecting subsets) leaves existing trial streams unchanged.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Mapping, Optional, Union
 
 from .errors import ConfigInvalid, UnknownTheorem
 from .functions import ScalarFunction, constant, identity
+
+# The checkers are called by name through this module's globals (TheoremEntry.checker).
 from .functionals import (
     InequalityReport,
     check_inverse_pair,
@@ -45,465 +47,339 @@ TWO_OP = "two_op"
 ENSEMBLE = "ensemble"
 TUPLES = "tuples"
 
+DROP_SYNCHRONY = "synchrony"
+DROP_CONTAINMENT = "spectral-containment"
+DROP_NORMALIZATION = "normalization"
+
 CONVEXITY_NOTE = "stated for convex weight functions; convexity is unused and not enforced"
 
+_ID = {"kind": "identity"}
+_ONE = {"kind": "constant", "c": 1.0}
+_SQ = {"kind": "power", "p": 2.0}
+_CUBE = {"kind": "power", "p": 3.0}
+_SQRT = {"kind": "power", "p": 0.5}
+_INV = {"kind": "power", "p": -1.0}
+_EXP = {"kind": "exp"}
+_LOG = {"kind": "log"}
 
-@dataclasses.dataclass(frozen=True)
+# Document key -> checker keyword, per checker family.
+_SIGN_KEYS = {
+    "theorem": "theorem_id",
+    "direction": "direction",
+    "grid_n": "grid_n",
+    "gate_hypothesis": "gate_hypothesis",
+}
+_SQUARE_KEYS = {"theorem": "theorem_id", "grid_n": "grid_n"}
+_KANTOROVICH_KEYS = {"bound_interval": "bound_interval", "grid_n": "grid_n"}
+_CHAIN_KEYS = {
+    "per_op_intervals": "per_op_intervals",
+    "grid_n": "grid_n",
+    "gate_hypothesis": "gate",
+}
+
+
+# eq=False: entries are singletons, hashed by identity (their dict fields are unhashable)
+@dataclasses.dataclass(frozen=True, eq=False)
 class TheoremEntry:
-    """One checkable inequality: its id, what inputs it takes, how to run it."""
+    """One checkable inequality: its id, what inputs it takes, how to run it.
+
+    ``run`` calls the checker with the function slots in f, g, h order (the
+    document's free ``slots`` plus the ``fixed`` ones), then the required
+    document ``inputs`` positionally, then every ``forwards`` key the
+    document carries as the keyword it maps to, then the constant
+    ``options``.  A chain checker returns several reports; ``link`` picks
+    this entry's.  The remaining fields steer sampling and ``falsify``.
+    """
 
     theorem_id: str
     ordinal: int
     summary: str
     inputs_kind: str
+    # free function slots a document supplies
     slots: tuple[str, ...]
     ensemble_mode: Optional[str]
     needs_positive: bool
-    run: Callable[..., InequalityReport]
+    # name of the checker in this module, looked up at call time so that a
+    # rebinding of the module attribute (a profiler's wrapper) is seen
+    checker: str
+    # slot -> the function it is fixed to, or the name of the slot it equals
+    fixed: Mapping[str, Union[ScalarFunction, str]]
+    # required document keys; "tuples.a" names a key inside one
+    inputs: tuple[str, ...]
+    forwards: Mapping[str, str]
+    options: Mapping[str, object]
+    link: Optional[int]
+    # hypotheses are certified on the hull of the interval and its inverse
+    hull: bool
+    # hypotheses a falsify search may drop
+    drops: frozenset[str]
+    # certification-breaking (f, g, h) descriptor triples for the scalar sign
+    # search, fixed slots already at their forced values; empty for checks
+    # that are not searched that way
+    sync_pool: tuple[tuple[dict, dict, dict], ...]
 
+    def __post_init__(self) -> None:
+        # Derived once, for run: each function slot in f, g, h order with what
+        # fills it (None: the document; an int: the argument at that index; else
+        # the fixed function), and each required input split at its dot.
+        filled = [s for s in ("f", "g", "h") if s in self.slots or s in self.fixed]
+        plan = []
+        for slot in filled:
+            fixed = self.fixed.get(slot)
+            plan.append((slot, filled.index(fixed) if isinstance(fixed, str) else fixed))
+        object.__setattr__(self, "_slot_plan", tuple(plan))
+        object.__setattr__(self, "_input_plan", tuple(k.partition(".")[::2] for k in self.inputs))
 
-def _fn(parsed: dict, name: str, theorem_id: str) -> ScalarFunction:
-    fn = parsed.get("functions", {}).get(name)
-    if fn is None:
-        raise ConfigInvalid(f"{theorem_id} scenario needs function '{name}'")
-    return fn
-
-
-def _get(parsed: dict, key: str, theorem_id: str):
-    value = parsed.get(key)
-    if value is None:
-        raise ConfigInvalid(f"{theorem_id} scenario needs '{key}'")
-    return value
-
-
-def _common(parsed: dict) -> dict:
-    return {
-        "grid_n": parsed.get("grid_n", 128),
-        "gate_hypothesis": parsed.get("gate_hypothesis", True),
-    }
-
-
-def _sign_runner(theorem_id: str, *, fixed_h: bool = False, one_g: bool = False):
-    def run(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        f = _fn(parsed, "f", theorem_id)
-        g = constant(1.0) if one_g else _fn(parsed, "g", theorem_id)
-        h = identity() if fixed_h else _fn(parsed, "h", theorem_id)
-        return check_sign_bound(
-            f,
-            g,
-            h,
-            _get(parsed, "operator", theorem_id),
-            _get(parsed, "state", theorem_id),
-            parsed.get("direction"),
-            theorem_id=theorem_id,
-            tol_factor=tol_factor,
-            **_common(parsed),
-        )
-
-    return run
-
-
-def _square_runner(theorem_id: str):
-    def run(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        return check_square_bound(
-            _fn(parsed, "f", theorem_id),
-            _fn(parsed, "h", theorem_id),
-            _get(parsed, "operator", theorem_id),
-            _get(parsed, "state", theorem_id),
-            theorem_id=theorem_id,
-            grid_n=parsed.get("grid_n", 128),
-            tol_factor=tol_factor,
-        )
-
-    return run
-
-
-def _kantorovich_runner(theorem_id: str, index: int):
-    def run(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        reports = kantorovich_chain(
-            _get(parsed, "operator", theorem_id),
-            _get(parsed, "state", theorem_id),
-            bound_interval=parsed.get("bound_interval"),
-            grid_n=parsed.get("grid_n", 128),
-            tol_factor=tol_factor,
-        )
-        return reports[index]
-
-    return run
-
-
-def _two_op_runner(theorem_id: str):
-    def run(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        return check_two_operator(
-            _fn(parsed, "f", theorem_id),
-            _fn(parsed, "g", theorem_id),
-            _fn(parsed, "h", theorem_id),
-            _get(parsed, "operator", theorem_id),
-            _get(parsed, "operator_b", theorem_id),
-            _get(parsed, "state", theorem_id),
-            _get(parsed, "state_b", theorem_id),
-            parsed.get("direction"),
-            theorem_id=theorem_id,
-            tol_factor=tol_factor,
-            **_common(parsed),
-        )
-
-    return run
-
-
-def _mean_point_runner(theorem_id: str, *, square: bool = False, fixed_h: bool = False):
-    def run(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        f = _fn(parsed, "f", theorem_id)
-        g = f if square else _fn(parsed, "g", theorem_id)
-        h = identity() if fixed_h else _fn(parsed, "h", theorem_id)
-        return check_mean_point(
-            f,
-            g,
-            h,
-            _get(parsed, "operator", theorem_id),
-            _get(parsed, "state", theorem_id),
-            parsed.get("direction"),
-            theorem_id=theorem_id,
-            tol_factor=tol_factor,
-            auto_hypothesis=square,
-            **_common(parsed),
-        )
-
-    return run
-
-
-def _inverse_pair_runner(theorem_id: str, *, square: bool = False):
-    def run(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        f = _fn(parsed, "f", theorem_id)
-        g = f if square else _fn(parsed, "g", theorem_id)
-        h = _fn(parsed, "h", theorem_id)
-        return check_inverse_pair(
-            f,
-            g,
-            h,
-            _get(parsed, "operator", theorem_id),
-            _get(parsed, "state", theorem_id),
-            parsed.get("direction"),
-            theorem_id=theorem_id,
-            tol_factor=tol_factor,
-            auto_hypothesis=square,
-            **_common(parsed),
-        )
-
-    return run
-
-
-def _ensemble_sign_runner(theorem_id: str):
-    def run(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        return check_ensemble_sign_bound(
-            _fn(parsed, "f", theorem_id),
-            _fn(parsed, "g", theorem_id),
-            _fn(parsed, "h", theorem_id),
-            _get(parsed, "ensemble", theorem_id),
-            parsed.get("direction"),
-            theorem_id=theorem_id,
-            tol_factor=tol_factor,
-            **_common(parsed),
-        )
-
-    return run
-
-
-def _ensemble_square_runner(theorem_id: str, *, fixed_h: bool = False):
-    def run(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        h = identity() if fixed_h else _fn(parsed, "h", theorem_id)
-        return check_ensemble_square_bound(
-            _fn(parsed, "f", theorem_id),
-            h,
-            _get(parsed, "ensemble", theorem_id),
-            theorem_id=theorem_id,
-            grid_n=parsed.get("grid_n", 128),
-            tol_factor=tol_factor,
-        )
-
-    return run
-
-
-def _ensemble_mean_runner(
-    theorem_id: str,
-    *,
-    square: bool = False,
-    fixed_h: bool = False,
-    extra_notes: tuple[str, ...] = (),
-):
-    def run(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        f = _fn(parsed, "f", theorem_id)
-        g = f if square else _fn(parsed, "g", theorem_id)
-        h = identity() if fixed_h else _fn(parsed, "h", theorem_id)
-        return check_ensemble_mean_point(
-            f,
-            g,
-            h,
-            _get(parsed, "ensemble", theorem_id),
-            parsed.get("direction"),
-            theorem_id=theorem_id,
-            tol_factor=tol_factor,
-            auto_hypothesis=square,
-            extra_notes=extra_notes,
-            **_common(parsed),
-        )
-
-    return run
-
-
-def _ensemble_chain_runner(theorem_id: str, index: int):
-    def run(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        reports = kantorovich_ensemble_chain(
-            _get(parsed, "ensemble", theorem_id),
-            parsed.get("per_op_intervals"),
-            grid_n=parsed.get("grid_n", 128),
-            tol_factor=tol_factor,
-            gate=parsed.get("gate_hypothesis", True),
-        )
-        return reports[index]
-
-    return run
-
-
-def _tuples_runner(theorem_id: str):
-    def run(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        pairs = _get(parsed, "tuples", theorem_id)
-        return discrete_chebyshev(
-            pairs["a"],
-            pairs["b"],
-            tol_factor=tol_factor,
-            gate=parsed.get("gate_hypothesis", True),
-        )
-
-    return run
+    def run(self, parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
+        """Run one parsed scenario or sampled trial through the checker."""
+        given = parsed.get("functions", {})
+        args = []
+        for slot, fixed in self._slot_plan:
+            if fixed is None:
+                fn = given.get(slot)
+                if fn is None:
+                    raise ConfigInvalid(f"{self.theorem_id} scenario needs function '{slot}'")
+            elif type(fixed) is int:
+                fn = args[fixed]
+            else:
+                fn = fixed
+            args.append(fn)
+        for name, part in self._input_plan:
+            value = parsed.get(name)
+            if value is None:
+                raise ConfigInvalid(f"{self.theorem_id} scenario needs '{name}'")
+            args.append(value[part] if part else value)
+        kwargs = {**self.options, "tol_factor": tol_factor}
+        for key, kw in self.forwards.items():
+            if key in parsed:
+                kwargs[kw] = parsed[key]
+        report = globals()[self.checker](*args, **kwargs)
+        return report if self.link is None else report[self.link]
 
 
 def _entries() -> tuple[TheoremEntry, ...]:
+    identity_h = {"h": identity()}
+    # defaults per checker family; each row overrides what differs
+    sign = dict(
+        inputs_kind=SINGLE,
+        ensemble_mode=None,
+        needs_positive=False,
+        checker="check_sign_bound",
+        fixed={},
+        inputs=("operator", "state"),
+        forwards=_SIGN_KEYS,
+        options={},
+        link=None,
+        hull=False,
+        drops=frozenset({DROP_SYNCHRONY}),
+        sync_pool=(),
+    )
+    square = dict(sign, checker="check_square_bound", forwards=_SQUARE_KEYS, drops=frozenset())
+    kantorovich = dict(
+        sign,
+        needs_positive=True,
+        checker="kantorovich_chain",
+        forwards=_KANTOROVICH_KEYS,
+        drops=frozenset(),
+    )
+    mean_point = dict(sign, checker="check_mean_point")
+    mean_point_square = dict(
+        mean_point, fixed={"g": "f"}, options={"auto_hypothesis": True}, drops=frozenset()
+    )
+    inverse_pair = dict(sign, needs_positive=True, checker="check_inverse_pair", hull=True)
+    ensemble = dict(
+        sign,
+        inputs_kind=ENSEMBLE,
+        ensemble_mode=SUM_OF_SQUARES,
+        checker="check_ensemble_sign_bound",
+        inputs=("ensemble",),
+    )
+    ensemble_square = dict(
+        ensemble, checker="check_ensemble_square_bound", forwards=_SQUARE_KEYS, drops=frozenset()
+    )
+    ensemble_mean = dict(ensemble, checker="check_ensemble_mean_point")
+    ensemble_mean_square = dict(
+        ensemble_mean, fixed={"g": "f"}, options={"auto_hypothesis": True}, drops=frozenset()
+    )
+    chain = dict(
+        ensemble,
+        ensemble_mode=PER_VECTOR,
+        needs_positive=True,
+        checker="kantorovich_ensemble_chain",
+        forwards=_CHAIN_KEYS,
+        drops=frozenset(),
+    )
     rows = [
-        # (id, summary, kind, slots, mode, positive, runner)
-        (
-            "pc-sign",
-            "weighted covariance product bound under grid-certified (a)synchrony",
-            SINGLE,
-            ("f", "g", "h"),
-            None,
-            False,
-            _sign_runner("pc-sign"),
+        dict(
+            sign,
+            theorem_id="pc-sign",
+            summary="weighted covariance product bound under grid-certified (a)synchrony",
+            slots=("f", "g", "h"),
+            sync_pool=((_ONE, _ID, _SQRT), (_ID, _INV, _ONE), (_ID, _INV, _SQRT)),
         ),
-        (
-            "pc-square",
-            "square case of the sign bound; holds for every continuous function",
-            SINGLE,
-            ("f", "h"),
-            None,
-            False,
-            _square_runner("pc-square"),
+        dict(
+            square,
+            theorem_id="pc-square",
+            summary="square case of the sign bound; holds for every continuous function",
+            slots=("f", "h"),
         ),
-        (
-            "pc-sign-t",
-            "sign bound with the identity weight",
-            SINGLE,
-            ("f", "g"),
-            None,
-            False,
-            _sign_runner("pc-sign-t", fixed_h=True),
+        dict(
+            sign,
+            theorem_id="pc-sign-t",
+            summary="sign bound with the identity weight",
+            slots=("f", "g"),
+            fixed=identity_h,
+            sync_pool=((_ID, _INV, _ID), (_SQ, _SQRT, _ID)),
         ),
-        (
-            "pc-moment",
-            "sign bound with the second factor fixed to one",
-            SINGLE,
-            ("f", "h"),
-            None,
-            False,
-            _sign_runner("pc-moment", one_g=True),
+        dict(
+            sign,
+            theorem_id="pc-moment",
+            summary="sign bound with the second factor fixed to one",
+            slots=("f", "h"),
+            fixed={"g": constant(1.0)},
+            sync_pool=((_SQ, _ONE, _ID), (_CUBE, _ONE, _ID)),
         ),
-        (
-            "pc-moment-t",
-            "sign bound with identity weight and second factor one",
-            SINGLE,
-            ("f",),
-            None,
-            False,
-            _sign_runner("pc-moment-t", fixed_h=True, one_g=True),
+        dict(
+            sign,
+            theorem_id="pc-moment-t",
+            summary="sign bound with identity weight and second factor one",
+            slots=("f",),
+            fixed={"g": constant(1.0), **identity_h},
+            sync_pool=((_SQ, _ONE, _ID), (_CUBE, _ONE, _ID), (_EXP, _ONE, _ID)),
         ),
-        (
-            "kantorovich-lower",
-            "product of mean and inverse mean is at least one",
-            SINGLE,
-            (),
-            None,
-            True,
-            _kantorovich_runner("kantorovich-lower", 0),
+        dict(
+            kantorovich,
+            theorem_id="kantorovich-lower",
+            summary="product of mean and inverse mean is at least one",
+            slots=(),
+            link=0,
         ),
-        (
-            "kantorovich-upper",
-            "product of mean and inverse mean at most the interval constant",
-            SINGLE,
-            (),
-            None,
-            True,
-            _kantorovich_runner("kantorovich-upper", 1),
+        dict(
+            kantorovich,
+            theorem_id="kantorovich-upper",
+            summary="product of mean and inverse mean at most the interval constant",
+            slots=(),
+            link=1,
+            drops=frozenset({DROP_CONTAINMENT}),
         ),
-        (
-            "pc-two-op",
-            "mixed bound over two operators and two states",
-            TWO_OP,
-            ("f", "g", "h"),
-            None,
-            False,
-            _two_op_runner("pc-two-op"),
+        dict(
+            sign,
+            theorem_id="pc-two-op",
+            summary="mixed bound over two operators and two states",
+            inputs_kind=TWO_OP,
+            slots=("f", "g", "h"),
+            checker="check_two_operator",
+            inputs=("operator", "operator_b", "state", "state_b"),
         ),
-        (
-            "mean-point",
-            "bound anchored at the operator mean with correction terms",
-            SINGLE,
-            ("f", "g", "h"),
-            None,
-            False,
-            _mean_point_runner("mean-point"),
+        dict(
+            mean_point,
+            theorem_id="mean-point",
+            summary="bound anchored at the operator mean with correction terms",
+            slots=("f", "g", "h"),
         ),
-        (
-            "mean-point-square",
-            "mean-point bound in its always-valid square case",
-            SINGLE,
-            ("f", "h"),
-            None,
-            False,
-            _mean_point_runner("mean-point-square", square=True),
+        dict(
+            mean_point_square,
+            theorem_id="mean-point-square",
+            summary="mean-point bound in its always-valid square case",
+            slots=("f", "h"),
         ),
-        (
-            "mean-point-square-t",
-            "square mean-point bound with the identity weight",
-            SINGLE,
-            ("f",),
-            None,
-            False,
-            _mean_point_runner("mean-point-square-t", square=True, fixed_h=True),
+        dict(
+            mean_point_square,
+            theorem_id="mean-point-square-t",
+            summary="square mean-point bound with the identity weight",
+            slots=("f",),
+            fixed={"g": "f", **identity_h},
         ),
-        (
-            "inverse-pair",
-            "two-point bound at the mean and the inverse mean",
-            SINGLE,
-            ("f", "g", "h"),
-            None,
-            True,
-            _inverse_pair_runner("inverse-pair"),
+        dict(
+            inverse_pair,
+            theorem_id="inverse-pair",
+            summary="two-point bound at the mean and the inverse mean",
+            slots=("f", "g", "h"),
         ),
-        (
-            "inverse-pair-square",
-            "inverse-pair bound in its always-valid square case",
-            SINGLE,
-            ("f", "h"),
-            None,
-            True,
-            _inverse_pair_runner("inverse-pair-square", square=True),
+        dict(
+            inverse_pair,
+            theorem_id="inverse-pair-square",
+            summary="inverse-pair bound in its always-valid square case",
+            slots=("f", "h"),
+            fixed={"g": "f"},
+            options={"auto_hypothesis": True},
+            drops=frozenset(),
         ),
-        (
-            "ensemble-pc-sign",
-            "summed covariance product bound over an operator family",
-            ENSEMBLE,
-            ("f", "g", "h"),
-            SUM_OF_SQUARES,
-            False,
-            _ensemble_sign_runner("ensemble-pc-sign"),
+        dict(
+            ensemble,
+            theorem_id="ensemble-pc-sign",
+            summary="summed covariance product bound over an operator family",
+            slots=("f", "g", "h"),
         ),
-        (
-            "ensemble-pc-square",
-            "summed square bound; holds for every continuous function",
-            ENSEMBLE,
-            ("f", "h"),
-            SUM_OF_SQUARES,
-            False,
-            _ensemble_square_runner("ensemble-pc-square"),
+        dict(
+            ensemble_square,
+            theorem_id="ensemble-pc-square",
+            summary="summed square bound; holds for every continuous function",
+            slots=("f", "h"),
         ),
-        (
-            "ensemble-pc-square-t",
-            "summed square bound with the identity weight",
-            ENSEMBLE,
-            ("f",),
-            SUM_OF_SQUARES,
-            False,
-            _ensemble_square_runner("ensemble-pc-square-t", fixed_h=True),
+        dict(
+            ensemble_square,
+            theorem_id="ensemble-pc-square-t",
+            summary="summed square bound with the identity weight",
+            slots=("f",),
+            fixed=identity_h,
         ),
-        (
-            "ensemble-mean-point",
-            "summed mean-point bound over an operator family",
-            ENSEMBLE,
-            ("f", "g", "h"),
-            SUM_OF_SQUARES,
-            False,
-            _ensemble_mean_runner("ensemble-mean-point"),
+        dict(
+            ensemble_mean,
+            theorem_id="ensemble-mean-point",
+            summary="summed mean-point bound over an operator family",
+            slots=("f", "g", "h"),
         ),
-        (
-            "ensemble-mean-point-square",
-            "summed mean-point bound in its square case",
-            ENSEMBLE,
-            ("f", "h"),
-            SUM_OF_SQUARES,
-            False,
-            _ensemble_mean_runner(
-                "ensemble-mean-point-square", square=True, extra_notes=(CONVEXITY_NOTE,)
-            ),
+        dict(
+            ensemble_mean_square,
+            theorem_id="ensemble-mean-point-square",
+            summary="summed mean-point bound in its square case",
+            slots=("f", "h"),
+            options={"auto_hypothesis": True, "extra_notes": (CONVEXITY_NOTE,)},
         ),
-        (
-            "ensemble-mean-point-square-t",
-            "summed square mean-point bound with the identity weight",
-            ENSEMBLE,
-            ("f",),
-            SUM_OF_SQUARES,
-            False,
-            _ensemble_mean_runner("ensemble-mean-point-square-t", square=True, fixed_h=True),
+        dict(
+            ensemble_mean_square,
+            theorem_id="ensemble-mean-point-square-t",
+            summary="summed square mean-point bound with the identity weight",
+            slots=("f",),
+            fixed={"g": "f", **identity_h},
         ),
-        (
-            "ensemble-product-lower",
-            "averaged mean/inverse-mean product is at least one (unit states)",
-            ENSEMBLE,
-            (),
-            PER_VECTOR,
-            True,
-            _ensemble_chain_runner("ensemble-product-lower", 0),
+        dict(
+            chain,
+            theorem_id="ensemble-product-lower",
+            summary="averaged mean/inverse-mean product is at least one (unit states)",
+            slots=(),
+            link=0,
+            drops=frozenset({DROP_NORMALIZATION}),
         ),
-        (
-            "ensemble-chebyshev-link",
-            "averaged pointwise products dominate the product of averages",
-            ENSEMBLE,
-            (),
-            PER_VECTOR,
-            True,
-            _ensemble_chain_runner("ensemble-chebyshev-link", 1),
+        dict(
+            chain,
+            theorem_id="ensemble-chebyshev-link",
+            summary="averaged pointwise products dominate the product of averages",
+            slots=(),
+            link=1,
+            drops=frozenset({DROP_SYNCHRONY}),
         ),
-        (
-            "ensemble-kantorovich-upper",
-            "averaged interval constants dominate the averaged products",
-            ENSEMBLE,
-            (),
-            PER_VECTOR,
-            True,
-            _ensemble_chain_runner("ensemble-kantorovich-upper", 2),
+        dict(
+            chain,
+            theorem_id="ensemble-kantorovich-upper",
+            summary="averaged interval constants dominate the averaged products",
+            slots=(),
+            link=2,
+            drops=frozenset({DROP_CONTAINMENT}),
         ),
-        (
-            "discrete-chebyshev",
-            "mean of products dominates product of means for similarly ordered tuples",
-            TUPLES,
-            (),
-            None,
-            False,
-            _tuples_runner("discrete-chebyshev"),
+        dict(
+            sign,
+            theorem_id="discrete-chebyshev",
+            summary="mean of products dominates product of means for similarly ordered tuples",
+            inputs_kind=TUPLES,
+            slots=(),
+            checker="discrete_chebyshev",
+            inputs=("tuples.a", "tuples.b"),
+            forwards={"gate_hypothesis": "gate"},
         ),
     ]
-    return tuple(
-        TheoremEntry(
-            theorem_id=tid,
-            ordinal=k,
-            summary=summary,
-            inputs_kind=kind,
-            slots=slots,
-            ensemble_mode=mode,
-            needs_positive=positive,
-            run=runner,
-        )
-        for k, (tid, summary, kind, slots, mode, positive, runner) in enumerate(rows)
-    )
+    return tuple(TheoremEntry(ordinal=k, **row) for k, row in enumerate(rows))
 
 
 REGISTRY_ORDER: tuple[TheoremEntry, ...] = _entries()
@@ -521,13 +397,20 @@ def lookup(theorem_id: str) -> TheoremEntry:
 def run_scenario(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
     """Run one parsed scenario document through its theorem's checker."""
     entry = lookup(parsed["theorem"])
-    provided = set(parsed.get("functions", {}))
-    allowed = set(entry.slots)
-    extra = provided - allowed
+    given = parsed.get("functions", {})
+
+    def fixed_value(slot: str):
+        value = entry.fixed.get(slot)
+        return given.get(value) if isinstance(value, str) else value
+
+    # a fixed slot may appear, as the checkers write it, but only at its value
+    extra = sorted(
+        slot for slot, fn in given.items() if slot not in entry.slots and fn != fixed_value(slot)
+    )
     if extra:
         raise ConfigInvalid(
-            f"{entry.theorem_id} takes function slots {sorted(allowed) or 'none'}; "
-            f"got unexpected {sorted(extra)}"
+            f"{entry.theorem_id} takes function slots {sorted(entry.slots) or 'none'}; "
+            f"got unexpected {extra}"
         )
     return entry.run(parsed, tol_factor=tol_factor)
 

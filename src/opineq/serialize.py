@@ -215,11 +215,14 @@ def scenario_from_doc(doc) -> dict:
     grid_raw = doc.get("grid_n", DEFAULT_GRID_N)
     if isinstance(grid_raw, bool) or not isinstance(grid_raw, int):
         raise ConfigInvalid(f"grid_n must be an integer, got {grid_raw!r}")
+    gate = doc.get("gate_hypothesis", True)
+    if not isinstance(gate, bool):
+        raise ConfigInvalid(f"gate_hypothesis must be true or false, got {gate!r}")
     parsed: dict = {
         "theorem": theorem,
         "direction": direction,
         "grid_n": grid_raw,
-        "gate_hypothesis": bool(doc.get("gate_hypothesis", True)),
+        "gate_hypothesis": gate,
         "functions": _functions_from_doc(doc.get("functions", {})),
     }
     known = {

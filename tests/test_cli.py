@@ -85,6 +85,13 @@ class TestCheck:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_boolean_gate_exits_two(self, tmp_path, capsys):
+        doc = dict(CHECK_DOC)
+        doc["gate_hypothesis"] = "no"
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        assert code == 2
+        assert "gate_hypothesis" in capsys.readouterr().err
+
     def test_unknown_scenario_field_exits_two(self, tmp_path, capsys):
         doc = dict(CHECK_DOC)
         doc["surprise"] = 1

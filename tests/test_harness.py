@@ -15,10 +15,12 @@ from opineq import (
     TOL_UNITARY,
     TrialConfig,
     UnknownTheorem,
+    VIOLATION_FACTOR,
     canonical_json,
     config_from_doc,
     expectation_failures,
     falsify,
+    load_json,
     random_ensemble,
     random_operator,
     random_state,
@@ -218,6 +220,21 @@ class TestRunSuite:
         replay = run_scenario(scenario_from_doc(worst["scenario"]))
         assert abs(replay.gap - worst["gap"]) <= tol_calc(abs(worst["gap"]))
 
+    def test_every_check_inputs_digest_replays(self):
+        reports = {}
+        run_suite(_small_config(trials=1), on_report=lambda tid, _k, r: reports.setdefault(tid, r))
+        assert list(reports) == [e.theorem_id for e in REGISTRY_ORDER]
+        unreplayable = []
+        for tid, report in reports.items():
+            doc = load_json(canonical_json(report.inputs_digest))
+            try:
+                replay = run_scenario(scenario_from_doc(doc), tol_factor=VIOLATION_FACTOR)
+            except ConfigInvalid:
+                unreplayable.append(tid)
+                continue
+            assert (replay.gap, replay.verdict) == (report.gap, report.verdict), tid
+        assert unreplayable == []
+
     def test_identity_pool_gives_gap_zero_holds(self):
         cfg = _small_config(
             trials=10,
@@ -327,6 +344,21 @@ class TestFalsify:
         assert result.gap == pytest.approx(-0.75, abs=1e-6)
         replay = run_scenario(scenario_from_doc(result.scenario), tol_factor=10.0)
         assert replay.verdict == "violated"
+
+    @pytest.mark.parametrize("budget", [1, 50, 1000])
+    @pytest.mark.parametrize(
+        "theorem_id, drop",
+        [
+            ("pc-sign", None),
+            ("pc-sign", DROP_SYNCHRONY),
+            ("pc-moment-t", None),
+            ("kantorovich-lower", None),
+            ("kantorovich-upper", DROP_CONTAINMENT),
+            ("ensemble-product-lower", DROP_NORMALIZATION),
+        ],
+    )
+    def test_vectorised_search_examines_exactly_the_budget(self, theorem_id, drop, budget):
+        assert falsify(theorem_id, drop, budget=budget, seed=0).examined == budget
 
     def test_deterministic_given_seed(self):
         a = falsify("pc-sign", DROP_SYNCHRONY, budget=3_000, seed=9)

@@ -246,6 +246,26 @@ class TestScenarioFromDoc:
         with pytest.raises(ConfigInvalid):
             scenario_from_doc(doc)
 
+    def test_fixed_slot_only_at_its_value(self):
+        # pc-moment fixes g = 1; mean-point-square fixes g = f
+        base = _scenario_doc(theorem="pc-moment")
+        base["functions"]["h"] = {"kind": "identity"}
+        base["functions"]["g"] = {"kind": "constant", "c": 1}
+        assert run_scenario(scenario_from_doc(base)).theorem_id == "pc-moment"
+        for theorem, g in (
+            ("pc-moment", {"kind": "power", "p": 2.0}),
+            ("mean-point-square", {"kind": "power", "p": 2.0}),
+        ):
+            doc = _scenario_doc(theorem=theorem)
+            doc["functions"]["h"] = {"kind": "identity"}
+            doc["functions"]["g"] = g
+            with pytest.raises(ConfigInvalid) as err:
+                run_scenario(scenario_from_doc(doc))
+            assert "unexpected ['g']" in str(err.value)
+        same = _scenario_doc(theorem="mean-point-square")
+        same["functions"]["h"] = {"kind": "identity"}
+        assert run_scenario(scenario_from_doc(same)).theorem_id == "mean-point-square"
+
     def test_bad_direction_rejected(self):
         with pytest.raises(ConfigInvalid):
             scenario_from_doc(_scenario_doc(direction="=>"))
