@@ -26,6 +26,7 @@ from .errors import (
 from .tolerances import (
     DEFAULT_GRID_N,
     MAX_DIM,
+    MAX_GRID_N,
     OPEN_INTERVAL_SHRINK,
     TOL_HERM,
     TOL_NORM,
@@ -39,6 +40,7 @@ from .tolerances import (
 from .spectral import (
     HermitianOperator,
     SpectralInterval,
+    SpectralMeasure,
     StateVector,
     apply_function,
     block_diagonal,

@@ -20,14 +20,14 @@ import sys
 import time
 from typing import Optional
 
-from .errors import ConfigInvalid, OpineqError
+from .errors import ConfigInvalid, OpineqError, read_integer, read_list, read_number
 from .functionals import VIOLATED
 from .functions import classify_monotonicity, classify_synchrony, function_from_descriptor
 from .functions import scan_tr_regions
 from .harness import config_from_doc, falsify, run_suite
 from .registry import expectation_failures, run_scenario
 from .scenarios import SCENARIOS, coverage_gaps
-from .serialize import canonical_json, load_json, rows_to_csv, scenario_from_doc
+from .serialize import canonical_json, interval_from_doc, load_json, rows_to_csv, scenario_from_doc
 from .spectral import SpectralInterval
 from .tolerances import DEFAULT_GRID_N
 
@@ -103,9 +103,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     if args.trials is not None:
         doc["trials"] = args.trials
     if args.dim_min is not None or args.dim_max is not None:
-        base = doc.get("dim_range", [1, 8])
-        lo = args.dim_min if args.dim_min is not None else int(base[0])
-        hi = args.dim_max if args.dim_max is not None else int(base[1])
+        base = read_list(doc.get("dim_range", [1, 8]), "dim_range [min, max]", 2)
+        lo = args.dim_min if args.dim_min is not None else base[0]
+        hi = args.dim_max if args.dim_max is not None else base[1]
         doc["dim_range"] = [lo, hi]
     if args.interval is not None:
         doc["interval"] = [args.interval[0], args.interval[1]]
@@ -179,11 +179,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise ConfigInvalid(f"unknown classify fields: {sorted(unknown)}")
     if "interval" not in doc or "f" not in doc:
         raise ConfigInvalid("classify needs at least 'f' and 'interval'")
-    iv_doc = doc["interval"]
-    if not isinstance(iv_doc, list) or len(iv_doc) != 2:
-        raise ConfigInvalid(f"interval must be [lo, hi], got {iv_doc!r}")
-    interval = SpectralInterval(float(iv_doc[0]), float(iv_doc[1]))
-    grid_n = int(doc.get("grid_n", DEFAULT_GRID_N))
+    interval = interval_from_doc(doc["interval"])
+    grid_n = read_integer(doc.get("grid_n", DEFAULT_GRID_N), "grid_n")
     mode = doc.get("mode", "synchrony")
     f = function_from_descriptor(doc["f"])
 
@@ -198,7 +195,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             raise ConfigInvalid("synchrony mode needs 'f' and 'g'")
         g = function_from_descriptor(doc["g"])
         if "r_values" in doc:
-            for r, verdict in scan_tr_regions(f, g, doc["r_values"], interval, grid_n):
+            entries = read_list(doc["r_values"], "r_values")
+            r_values = [read_number(r, "r_values entry") for r in entries]
+            for r, verdict in scan_tr_regions(f, g, r_values, interval, grid_n):
                 row = {"r": r}
                 row.update(verdict.summary())
                 rows.append(row)

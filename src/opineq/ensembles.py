@@ -1,8 +1,9 @@
 """Families of (operator, state) pairs: summed inequality checks, the discrete
 Chebyshev sum inequality, and the averaged Kantorovich chain.
 
-Every summed check must agree with the corresponding single-operator check on
-the block-diagonal lift; the test suite enforces that equivalence.
+A sum-of-squares ensemble's summed check is its single-operator check read off
+the concatenation of the members' spectral measures.  It must agree with that
+check on the block-diagonal lift; the test suite enforces that equivalence.
 """
 
 from __future__ import annotations
@@ -14,34 +15,32 @@ import numpy as np
 
 from .errors import (
     ConfigInvalid,
-    DimensionMismatch,
-    IntervalMismatch,
     NonPositiveSpectrum,
     NormalizationViolation,
     NotSimilarlyOrdered,
     SpectrumOutOfInterval,
 )
-from .functions import GE, LE, ScalarFunction, SynchronyVerdict, classify_synchrony
+from .functions import GE, ScalarFunction, SynchronyVerdict, identity, power
 from .functionals import (
-    AUTOMATIC_HYPOTHESIS,
-    REVERSED_NOTE,
     InequalityReport,
     _build_report,
+    _inputs_doc,
+    _mean_point_sides,
     _operator_doc,
-    _resolve_direction,
+    _sign_sides,
+    _square_bound,
     _state_doc,
+    _synchrony_bound,
     fmt,
-    mean_point_sides,
 )
 from .spectral import (
     HermitianOperator,
     SpectralInterval,
+    SpectralMeasure,
     StateVector,
+    _check_pairs,
     block_diagonal,
-    expectation,
-    expectation_product,
 )
-from .functions import identity, power
 from .tolerances import DEFAULT_GRID_N, TOL_NORM, TOL_SPEC, tol_sync
 
 __all__ = [
@@ -81,31 +80,12 @@ class OperatorEnsemble:
     def __post_init__(self) -> None:
         object.__setattr__(self, "operators", tuple(self.operators))
         object.__setattr__(self, "states", tuple(self.states))
-        if len(self.operators) == 0 or len(self.operators) != len(self.states):
-            raise ConfigInvalid("need equally many operators and states, at least one pair")
         if self.normalization not in _MODES:
             raise ConfigInvalid(
                 f"normalization must be one of {_MODES}, got {self.normalization!r}"
             )
-        interval = self.operators[0].interval
-        for op in self.operators[1:]:
-            if op.interval != interval:
-                raise IntervalMismatch(
-                    f"operators declare intervals {op.interval.as_pair()} "
-                    f"and {interval.as_pair()}"
-                )
-        for k, (op, st) in enumerate(zip(self.operators, self.states)):
-            if op.dim != st.dim:
-                raise DimensionMismatch(
-                    f"pair {k}: operator dim {op.dim} vs state dim {st.dim}"
-                )
-        if self.normalization == SUM_OF_SQUARES:
-            total = float(sum(st.norm**2 for st in self.states))
-            if abs(total - 1.0) > TOL_NORM:
-                raise NormalizationViolation(
-                    f"sum of squared state norms is {total!r}, expected 1"
-                )
-        else:
+        _check_pairs(self.operators, self.states, self.normalization == SUM_OF_SQUARES)
+        if self.normalization == PER_VECTOR:
             for k, st in enumerate(self.states):
                 if abs(st.norm - 1.0) > TOL_NORM:
                     raise NormalizationViolation(
@@ -120,19 +100,24 @@ class OperatorEnsemble:
     def interval(self) -> SpectralInterval:
         return self.operators[0].interval
 
+    def measures(self) -> list[SpectralMeasure]:
+        return [SpectralMeasure.of(op, st) for op, st in zip(self.operators, self.states)]
+
+    def measure(self) -> SpectralMeasure:
+        """The members' measures concatenated: its expectations are sums over the members."""
+        return SpectralMeasure.concat(self.measures())
+
 
 def ensemble_expectation(E: OperatorEnsemble, f: ScalarFunction) -> float:
     """sum_j <f(A_j) x_j, x_j>."""
-    return float(sum(expectation(op, f, st) for op, st in zip(E.operators, E.states)))
+    return E.measure().expect(f)
 
 
 def ensemble_expectation_product(
     E: OperatorEnsemble, f: ScalarFunction, g: ScalarFunction
 ) -> float:
     """sum_j <f(A_j) g(A_j) x_j, x_j>."""
-    return float(
-        sum(expectation_product(op, f, g, st) for op, st in zip(E.operators, E.states))
-    )
+    return E.measure().expect(f, g)
 
 
 def lift_ensemble(E: OperatorEnsemble) -> tuple[HermitianOperator, StateVector]:
@@ -145,31 +130,22 @@ def lift_ensemble(E: OperatorEnsemble) -> tuple[HermitianOperator, StateVector]:
     return block_diagonal(list(E.operators), list(E.states))
 
 
-def _ensemble_doc(
-    theorem_id: str,
-    direction: str,
-    E: OperatorEnsemble,
-    functions: dict[str, ScalarFunction],
-    grid_n: int,
-    gate_hypothesis: bool,
-    extra: Optional[dict] = None,
-) -> dict:
-    doc: dict = {
-        "theorem": theorem_id,
-        "direction": direction,
-        "grid_n": grid_n,
+def _ensemble_body(E: OperatorEnsemble) -> dict:
+    return {
         "ensemble": {
             "operators": [_operator_doc(op) for op in E.operators],
             "states": [_state_doc(st) for st in E.states],
             "normalization": E.normalization,
-        },
-        "functions": {name: fn.descriptor() for name, fn in functions.items()},
+        }
     }
-    if not gate_hypothesis:
-        doc["gate_hypothesis"] = False
-    if extra:
-        doc.update(extra)
-    return doc
+
+
+def _summed(E: OperatorEnsemble) -> tuple[SpectralMeasure, SpectralInterval, dict]:
+    """What a summed check reads of E, after checking its normalization: the
+    concatenated measure, the interval to certify on, the inputs body."""
+    if E.normalization != SUM_OF_SQUARES:
+        raise NormalizationViolation("summed checks need sum_of_squares normalization")
+    return E.measure(), E.interval, _ensemble_body(E)
 
 
 def check_ensemble_sign_bound(
@@ -186,25 +162,8 @@ def check_ensemble_sign_bound(
     gate_hypothesis: bool = True,
 ) -> InequalityReport:
     """Summed form of the sign bound: S[h^2]S[fg] vs S[hg]S[hf] over the ensemble."""
-    if E.normalization != SUM_OF_SQUARES:
-        raise NormalizationViolation("summed checks need sum_of_squares normalization")
-    if evidence is None:
-        evidence = classify_synchrony(f, g, h, E.interval, grid_n)
-    direction, hypothesis_ok = _resolve_direction(direction, evidence, gate_hypothesis)
-    main = ensemble_expectation_product(E, h, h) * ensemble_expectation_product(E, f, g)
-    cross = ensemble_expectation_product(E, h, g) * ensemble_expectation_product(E, h, f)
-    favored, other = (main, cross) if direction == GE else (cross, main)
-    inputs = _ensemble_doc(theorem_id, direction, E, {"f": f, "g": g, "h": h}, grid_n, gate_hypothesis)
-    return _build_report(
-        theorem_id,
-        direction,
-        favored,
-        other,
-        hypothesis=evidence.summary(),
-        hypothesis_ok=hypothesis_ok,
-        inputs=inputs,
-        tol_factor=tol_factor,
-    )
+    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis)
+    return _synchrony_bound(_sign_sides, *_summed(E), f, g, h, *args)
 
 
 def check_ensemble_square_bound(
@@ -217,22 +176,7 @@ def check_ensemble_square_bound(
     tol_factor: float = 1.0,
 ) -> InequalityReport:
     """Summed square bound S[hf]^2 <= S[h^2]S[f^2]; no synchrony gate needed."""
-    if E.normalization != SUM_OF_SQUARES:
-        raise NormalizationViolation("summed checks need sum_of_squares normalization")
-    term_hf = ensemble_expectation_product(E, h, f)
-    favored = ensemble_expectation_product(E, h, h) * ensemble_expectation_product(E, f, f)
-    other = term_hf**2
-    inputs = _ensemble_doc(theorem_id, LE, E, {"f": f, "h": h}, grid_n, True)
-    return _build_report(
-        theorem_id,
-        LE,
-        favored,
-        other,
-        hypothesis=AUTOMATIC_HYPOTHESIS,
-        hypothesis_ok=True,
-        inputs=inputs,
-        tol_factor=tol_factor,
-    )
+    return _square_bound(*_summed(E), f, h, theorem_id, grid_n, tol_factor)
 
 
 def check_ensemble_mean_point(
@@ -251,40 +195,8 @@ def check_ensemble_mean_point(
     extra_notes: tuple[str, ...] = (),
 ) -> InequalityReport:
     """Summed mean-point bound, anchored at sum_j <A_j x_j, x_j>."""
-    if E.normalization != SUM_OF_SQUARES:
-        raise NormalizationViolation("summed checks need sum_of_squares normalization")
-    if auto_hypothesis:
-        hypothesis: dict = AUTOMATIC_HYPOTHESIS
-        if direction is None:
-            direction = GE
-        hypothesis_ok = True
-        if direction not in (GE, LE):
-            raise ConfigInvalid(f"direction must be '>=' or '<=', got {direction!r}")
-    else:
-        if evidence is None:
-            evidence = classify_synchrony(f, g, h, E.interval, grid_n)
-        direction, hypothesis_ok = _resolve_direction(direction, evidence, gate_hypothesis)
-        hypothesis = evidence.summary()
-    mean = ensemble_expectation(E, identity())
-    e_h2 = ensemble_expectation_product(E, h, h)
-    e_hf = ensemble_expectation_product(E, h, f)
-    e_hg = ensemble_expectation_product(E, h, g)
-    e_fg = ensemble_expectation_product(E, f, g)
-    lhs_raw, rhs_raw = mean_point_sides(f, g, h, mean, e_h2, e_hf, e_hg, e_fg)
-    favored, other = (lhs_raw, rhs_raw) if direction == GE else (rhs_raw, lhs_raw)
-    notes = extra_notes if direction == GE else extra_notes + (REVERSED_NOTE,)
-    inputs = _ensemble_doc(theorem_id, direction, E, {"f": f, "g": g, "h": h}, grid_n, gate_hypothesis)
-    return _build_report(
-        theorem_id,
-        direction,
-        favored,
-        other,
-        hypothesis=hypothesis,
-        hypothesis_ok=hypothesis_ok,
-        inputs=inputs,
-        tol_factor=tol_factor,
-        notes=notes,
-    )
+    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis, auto_hypothesis)
+    return _synchrony_bound(_mean_point_sides, *_summed(E), f, g, h, *args, extra_notes)
 
 
 def similarly_ordered(
@@ -402,23 +314,21 @@ def kantorovich_ensemble_chain(
                     f"operator {k}: spectrum [{fmt(float(ev[0]))}, {fmt(float(ev[-1]))}] "
                     f"outside chain interval ({fmt(lo)}, {fmt(hi)})"
                 )
-    a = np.asarray(
-        [expectation(op, identity(), st) for op, st in zip(E.operators, E.states)]
-    )
-    b = np.asarray(
-        [expectation(op, power(-1.0), st) for op, st in zip(E.operators, E.states)]
-    )
+    measures = E.measures()
+    a = np.asarray([mu.expect(identity()) for mu in measures])
+    b = np.asarray([mu.expect(power(-1.0)) for mu in measures])
     constants = [kantorovich_constant(lo, hi) for lo, hi in pairs]
     mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
     mean_ab = float(np.mean(a * b))
     mean_k = float(np.mean(constants))
     ordered, witness, worst = similarly_ordered(a, b)
 
+    body = _ensemble_body(E)
+    if per_op_intervals is not None:
+        body["per_op_intervals"] = [[lo, hi] for lo, hi in pairs]
+
     def doc(theorem_id: str) -> dict:
-        extra: dict = {}
-        if per_op_intervals is not None:
-            extra["per_op_intervals"] = [[lo, hi] for lo, hi in pairs]
-        return _ensemble_doc(theorem_id, GE, E, {}, grid_n, gate, extra or None)
+        return _inputs_doc(theorem_id, GE, body, {}, grid_n, gate)
 
     lower = _build_report(
         "ensemble-product-lower",

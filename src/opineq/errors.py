@@ -1,6 +1,9 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the typed readers that
+raise ``ConfigInvalid`` for a malformed document field."""
 
 from __future__ import annotations
+
+import math
 
 __all__ = [
     "OpineqError",
@@ -69,3 +72,31 @@ class UnknownTheorem(OpineqError):
 
 class ConfigInvalid(OpineqError):
     """A configuration value or input document is malformed."""
+
+
+def read_number(value, what: str) -> float:
+    """A finite JSON number (not a boolean) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigInvalid(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def read_integer(value, what: str) -> int:
+    """A JSON integer (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigInvalid(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def read_list(value, what: str, length: int | None = None) -> list:
+    """A JSON list, of exactly ``length`` items when given."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise ConfigInvalid(f"{what} must be {shape}, got {value!r}")
+    return list(value)

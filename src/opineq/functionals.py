@@ -9,7 +9,7 @@ on the report as data.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import ConfigInvalid, IntervalMismatch, NonPositiveSpectrum
 from .functions import (
     GE,
     LE,
-    MIXED,
     ScalarFunction,
     SynchronyVerdict,
     classify_synchrony,
@@ -27,6 +26,7 @@ from .functions import (
 from .spectral import (
     HermitianOperator,
     SpectralInterval,
+    SpectralMeasure,
     StateVector,
     expectation,
     expectation_product,
@@ -149,28 +149,32 @@ def _state_doc(x: StateVector) -> dict:
     return {"components": [[float(z.real), float(z.imag)] for z in x.components]}
 
 
-def _single_doc(
+def _pair(
+    A: HermitianOperator, x: StateVector
+) -> tuple[SpectralMeasure, SpectralInterval, dict]:
+    """What a check reads of (A, x): mu_x, the interval to certify on, the inputs body."""
+    body = {"operator": _operator_doc(A), "state": _state_doc(x)}
+    return SpectralMeasure.of(A, x), A.interval, body
+
+
+def _inputs_doc(
     theorem_id: str,
     direction: str,
-    A: HermitianOperator,
-    x: StateVector,
+    body: dict,
     functions: dict[str, ScalarFunction],
     grid_n: int,
     gate_hypothesis: bool,
-    extra: Optional[dict] = None,
 ) -> dict:
+    """Scenario document of one check; ``body`` holds its operator, state or ensemble keys."""
     doc: dict = {
         "theorem": theorem_id,
         "direction": direction,
         "grid_n": grid_n,
-        "operator": _operator_doc(A),
-        "state": _state_doc(x),
+        **body,
         "functions": {name: fn.descriptor() for name, fn in functions.items()},
     }
     if not gate_hypothesis:
         doc["gate_hypothesis"] = False
-    if extra:
-        doc.update(extra)
     return doc
 
 
@@ -196,18 +200,67 @@ def pompeiu_cebysev(
     ) * expectation_product(A, h, f, x)
 
 
-def _resolve_direction(
-    direction: Optional[str], evidence: SynchronyVerdict, gate_hypothesis: bool
-) -> tuple[str, bool]:
-    """Pick the dispatch direction and whether the hypothesis gate passes."""
+def _synchrony_bound(
+    sides: Callable[[SpectralMeasure, ScalarFunction, ScalarFunction, ScalarFunction], tuple],
+    mu: SpectralMeasure,
+    interval: SpectralInterval,
+    body: dict,
+    f: ScalarFunction,
+    g: ScalarFunction,
+    h: ScalarFunction,
+    direction: Optional[str],
+    theorem_id: str,
+    grid_n: int,
+    tol_factor: float,
+    evidence: Optional[SynchronyVerdict],
+    gate_hypothesis: bool,
+    auto_hypothesis: bool = False,
+    notes: Optional[tuple[str, ...]] = None,
+) -> InequalityReport:
+    """A bound gated on h-synchrony of (f, g) over ``interval``, read off a measure.
+
+    ``sides(mu, f, g, h)`` gives its sides in the ``>=`` orientation.  With
+    ``direction=None`` the grid classification picks the direction; a mixed
+    verdict dispatches ``>=`` and fails the gate.  ``auto_hypothesis`` marks
+    the f = g parameterizations whose synchrony is structural, skipping the
+    classification.  ``notes`` is None for bounds whose ``<=`` form is part of
+    the theorem; otherwise ``<=`` adds the reversal note to it.
+    """
+    if not auto_hypothesis and evidence is None:
+        evidence = classify_synchrony(f, g, h, interval, grid_n)
     if direction is None:
-        implied = evidence.implied_direction()
-        if implied is None:
-            return GE, not gate_hypothesis
-        return implied, True
+        direction = GE if auto_hypothesis else evidence.implied_direction() or GE
     if direction not in (GE, LE):
         raise ConfigInvalid(f"direction must be '>=' or '<=', got {direction!r}")
-    return direction, (evidence.supports(direction) or not gate_hypothesis)
+    if auto_hypothesis:
+        hypothesis, hypothesis_ok = AUTOMATIC_HYPOTHESIS, True
+    else:
+        hypothesis = evidence.summary()
+        hypothesis_ok = evidence.supports(direction) or not gate_hypothesis
+    lhs_raw, rhs_raw = sides(mu, f, g, h)
+    favored, other = (lhs_raw, rhs_raw) if direction == GE else (rhs_raw, lhs_raw)
+    if notes is not None and direction == LE:
+        notes = notes + (REVERSED_NOTE,)
+    return _build_report(
+        theorem_id,
+        direction,
+        favored,
+        other,
+        hypothesis=hypothesis,
+        hypothesis_ok=hypothesis_ok,
+        inputs=_inputs_doc(
+            theorem_id, direction, body, {"f": f, "g": g, "h": h}, grid_n, gate_hypothesis
+        ),
+        tol_factor=tol_factor,
+        notes=notes or (),
+    )
+
+
+def _sign_sides(
+    mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
+) -> tuple[float, float]:
+    """E[h^2]E[fg] and E[hg]E[hf]."""
+    return mu.expect(h, h) * mu.expect(f, g), mu.expect(h, g) * mu.expect(h, f)
 
 
 def check_sign_bound(
@@ -230,27 +283,31 @@ def check_sign_bound(
     mixed verdict yields ``hypothesis-not-met``.
     """
     x.require_unit()
-    if evidence is None:
-        evidence = classify_synchrony(f, g, h, A.interval, grid_n)
-    direction, hypothesis_ok = _resolve_direction(direction, evidence, gate_hypothesis)
-    term_hh = expectation_product(A, h, h, x)
-    term_fg = expectation_product(A, f, g, x)
-    term_hg = expectation_product(A, h, g, x)
-    term_hf = expectation_product(A, h, f, x)
-    product_main = term_hh * term_fg
-    product_cross = term_hg * term_hf
-    favored, other = (product_main, product_cross) if direction == GE else (product_cross, product_main)
-    inputs = _single_doc(
-        theorem_id, direction, A, x, {"f": f, "g": g, "h": h}, grid_n, gate_hypothesis
-    )
+    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis)
+    return _synchrony_bound(_sign_sides, *_pair(A, x), f, g, h, *args)
+
+
+def _square_bound(
+    mu: SpectralMeasure,
+    interval: SpectralInterval,
+    body: dict,
+    f: ScalarFunction,
+    h: ScalarFunction,
+    theorem_id: str,
+    grid_n: int,
+    tol_factor: float,
+) -> InequalityReport:
+    """E[hf]^2 <= E[h^2]E[f^2] on a measure; nothing to certify, so ``interval`` is unused."""
+    favored = mu.expect(h, h) * mu.expect(f, f)
+    other = mu.expect(h, f) ** 2
     return _build_report(
         theorem_id,
-        direction,
+        LE,
         favored,
         other,
-        hypothesis=evidence.summary(),
-        hypothesis_ok=hypothesis_ok,
-        inputs=inputs,
+        hypothesis=AUTOMATIC_HYPOTHESIS,
+        hypothesis_ok=True,
+        inputs=_inputs_doc(theorem_id, LE, body, {"f": f, "h": h}, grid_n, True),
         tol_factor=tol_factor,
     )
 
@@ -267,22 +324,7 @@ def check_square_bound(
 ) -> InequalityReport:
     """E[hf]^2 <= E[h^2]E[f^2]; holds for every continuous f, no synchrony gate."""
     x.require_unit()
-    term_hf = expectation_product(A, h, f, x)
-    favored = expectation_product(A, h, h, x) * expectation_product(A, f, f, x)
-    other = term_hf**2
-    inputs = _single_doc(theorem_id, LE, A, x, {"f": f, "h": h}, grid_n, True)
-    return _build_report(
-        theorem_id,
-        LE,
-        favored,
-        other,
-        hypothesis=AUTOMATIC_HYPOTHESIS,
-        hypothesis_ok=True,
-        inputs=inputs,
-        tol_factor=tol_factor,
-    )
-
-
+    return _square_bound(*_pair(A, x), f, h, theorem_id, grid_n, tol_factor)
 def kantorovich_chain(
     A: HermitianOperator,
     x: StateVector,
@@ -302,12 +344,13 @@ def kantorovich_chain(
         raise NonPositiveSpectrum(
             f"inversion needs 0 < lo; intervals {A.interval.as_pair()}, {iv.as_pair()}"
         )
-    product = expectation(A, identity(), x) * expectation(A, power(-1.0), x)
+    mu, _, body = _pair(A, x)
+    product = mu.expect(identity()) * mu.expect(power(-1.0))
     bound = (iv.lo + iv.hi) ** 2 / (4.0 * iv.lo * iv.hi)
     difference_form = (iv.hi - iv.lo) ** 2 / (4.0 * iv.lo * iv.hi)
-    extra = None if bound_interval is None else {"bound_interval": [iv.lo, iv.hi]}
     containment = None
     if bound_interval is not None:
+        body["bound_interval"] = [iv.lo, iv.hi]
         lam = A.eigenvalues
         contained = bool(
             float(lam.min()) >= iv.lo - TOL_SPEC and float(lam.max()) <= iv.hi + TOL_SPEC
@@ -317,8 +360,6 @@ def kantorovich_chain(
             "declared": [iv.lo, iv.hi],
             "contained": contained,
         }
-    inputs_lower = _single_doc("kantorovich-lower", GE, A, x, {}, grid_n, True, extra)
-    inputs_upper = _single_doc("kantorovich-upper", GE, A, x, {}, grid_n, True, extra)
     lower = _build_report(
         "kantorovich-lower",
         GE,
@@ -326,7 +367,7 @@ def kantorovich_chain(
         1.0,
         hypothesis=None,
         hypothesis_ok=True,
-        inputs=inputs_lower,
+        inputs=_inputs_doc("kantorovich-lower", GE, body, {}, grid_n, True),
         tol_factor=tol_factor,
     )
     upper = _build_report(
@@ -336,7 +377,7 @@ def kantorovich_chain(
         product,
         hypothesis=containment,
         hypothesis_ok=True,
-        inputs=inputs_upper,
+        inputs=_inputs_doc("kantorovich-upper", GE, body, {}, grid_n, True),
         tol_factor=tol_factor,
         notes=(
             "upper constant (lo+hi)^2/(4*lo*hi) = " + fmt(bound),
@@ -346,6 +387,7 @@ def kantorovich_chain(
         ),
     )
     return lower, upper
+
 
 
 def check_two_operator(
@@ -371,36 +413,19 @@ def check_two_operator(
         raise IntervalMismatch(
             f"operators declare intervals {A.interval.as_pair()} and {B.interval.as_pair()}"
         )
-    if evidence is None:
-        evidence = classify_synchrony(f, g, h, A.interval, grid_n)
-    direction, hypothesis_ok = _resolve_direction(direction, evidence, gate_hypothesis)
-    main = expectation_product(B, h, h, y) * expectation_product(A, f, g, x) + expectation_product(
-        A, h, h, x
-    ) * expectation_product(B, f, g, y)
-    cross = expectation_product(B, h, g, y) * expectation_product(A, h, f, x) + expectation_product(
-        A, h, g, x
-    ) * expectation_product(B, h, f, y)
-    favored, other = (main, cross) if direction == GE else (cross, main)
-    inputs = _single_doc(
-        theorem_id,
-        direction,
-        A,
-        x,
-        {"f": f, "g": g, "h": h},
-        grid_n,
-        gate_hypothesis,
-        extra={"operator_b": _operator_doc(B), "state_b": _state_doc(y)},
-    )
-    return _build_report(
-        theorem_id,
-        direction,
-        favored,
-        other,
-        hypothesis=evidence.summary(),
-        hypothesis_ok=hypothesis_ok,
-        inputs=inputs,
-        tol_factor=tol_factor,
-    )
+    nu = SpectralMeasure.of(B, y)
+
+    def sides(
+        mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
+    ) -> tuple[float, float]:
+        main = nu.expect(h, h) * mu.expect(f, g) + mu.expect(h, h) * nu.expect(f, g)
+        cross = nu.expect(h, g) * mu.expect(h, f) + mu.expect(h, g) * nu.expect(h, f)
+        return main, cross
+
+    mu, interval, body = _pair(A, x)
+    body.update(operator_b=_operator_doc(B), state_b=_state_doc(y))
+    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis)
+    return _synchrony_bound(sides, mu, interval, body, f, g, h, *args)
 
 
 def mean_point_sides(
@@ -418,6 +443,14 @@ def mean_point_sides(
     lhs_raw = ha**2 * e_fg - e_hf * e_hg
     rhs_raw = (ha * e_hf - e_h2 * fa) * ga + (ha * fa - e_hf) * e_hg
     return lhs_raw, rhs_raw
+
+
+def _mean_point_sides(
+    mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
+) -> tuple[float, float]:
+    """mean_point_sides at the measure's mean, from its four product expectations."""
+    terms = (mu.expect(h, h), mu.expect(h, f), mu.expect(h, g), mu.expect(f, g))
+    return mean_point_sides(f, g, h, mu.expect(identity()), *terms)
 
 
 def check_mean_point(
@@ -441,40 +474,8 @@ def check_mean_point(
     structural, skipping the grid classification.
     """
     x.require_unit()
-    if auto_hypothesis:
-        hypothesis: dict = AUTOMATIC_HYPOTHESIS
-        if direction is None:
-            direction = GE
-        hypothesis_ok = True
-        if direction not in (GE, LE):
-            raise ConfigInvalid(f"direction must be '>=' or '<=', got {direction!r}")
-    else:
-        if evidence is None:
-            evidence = classify_synchrony(f, g, h, A.interval, grid_n)
-        direction, hypothesis_ok = _resolve_direction(direction, evidence, gate_hypothesis)
-        hypothesis = evidence.summary()
-    mean = expectation(A, identity(), x)
-    e_h2 = expectation_product(A, h, h, x)
-    e_hf = expectation_product(A, h, f, x)
-    e_hg = expectation_product(A, h, g, x)
-    e_fg = expectation_product(A, f, g, x)
-    lhs_raw, rhs_raw = mean_point_sides(f, g, h, mean, e_h2, e_hf, e_hg, e_fg)
-    favored, other = (lhs_raw, rhs_raw) if direction == GE else (rhs_raw, lhs_raw)
-    notes = () if direction == GE else (REVERSED_NOTE,)
-    inputs = _single_doc(
-        theorem_id, direction, A, x, {"f": f, "g": g, "h": h}, grid_n, gate_hypothesis
-    )
-    return _build_report(
-        theorem_id,
-        direction,
-        favored,
-        other,
-        hypothesis=hypothesis,
-        hypothesis_ok=hypothesis_ok,
-        inputs=inputs,
-        tol_factor=tol_factor,
-        notes=notes,
-    )
+    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis, auto_hypothesis)
+    return _synchrony_bound(_mean_point_sides, *_pair(A, x), f, g, h, *args, ())
 
 
 def inverse_pair_hull(interval: SpectralInterval) -> SpectralInterval:
@@ -486,6 +487,17 @@ def inverse_pair_hull(interval: SpectralInterval) -> SpectralInterval:
     if interval.lo <= 0.0:
         raise NonPositiveSpectrum(f"inversion needs 0 < lo, interval is {interval.as_pair()}")
     return interval.hull(SpectralInterval(1.0 / interval.hi, 1.0 / interval.lo))
+
+
+def _inverse_pair_sides(
+    mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
+) -> tuple[float, float]:
+    """The two-point sides at the measure's mean and inverse mean."""
+    pts = np.asarray([mu.expect(identity()), mu.expect(power(-1.0))])
+    fv, gv, hv = f.evaluate(pts), g.evaluate(pts), h.evaluate(pts)
+    lhs_raw = hv[0] ** 2 * fv[1] * gv[1] + hv[1] ** 2 * fv[0] * gv[0]
+    rhs_raw = hv[0] * hv[1] * (fv[1] * gv[0] + fv[0] * gv[1])
+    return lhs_raw, rhs_raw
 
 
 def check_inverse_pair(
@@ -506,42 +518,10 @@ def check_inverse_pair(
     """Two-point bound at the pair (<Ax,x>, <A^{-1}x,x>) for a positive spectrum."""
     x.require_unit()
     hull = inverse_pair_hull(A.interval)
-    notes: tuple[str, ...] = (
+    notes = (
         "synchrony certified on the hull of the interval and its inverse "
         f"[{fmt(hull.lo)}, {fmt(hull.hi)}]",
     )
-    if auto_hypothesis:
-        hypothesis: dict = AUTOMATIC_HYPOTHESIS
-        if direction is None:
-            direction = GE
-        hypothesis_ok = True
-        if direction not in (GE, LE):
-            raise ConfigInvalid(f"direction must be '>=' or '<=', got {direction!r}")
-    else:
-        if evidence is None:
-            evidence = classify_synchrony(f, g, h, hull, grid_n)
-        direction, hypothesis_ok = _resolve_direction(direction, evidence, gate_hypothesis)
-        hypothesis = evidence.summary()
-    mean = expectation(A, identity(), x)
-    inverse_mean = expectation(A, power(-1.0), x)
-    pts = np.asarray([mean, inverse_mean])
-    fv, gv, hv = f.evaluate(pts), g.evaluate(pts), h.evaluate(pts)
-    lhs_raw = hv[0] ** 2 * fv[1] * gv[1] + hv[1] ** 2 * fv[0] * gv[0]
-    rhs_raw = hv[0] * hv[1] * (fv[1] * gv[0] + fv[0] * gv[1])
-    favored, other = (lhs_raw, rhs_raw) if direction == GE else (rhs_raw, lhs_raw)
-    if direction == LE:
-        notes = notes + (REVERSED_NOTE,)
-    inputs = _single_doc(
-        theorem_id, direction, A, x, {"f": f, "g": g, "h": h}, grid_n, gate_hypothesis
-    )
-    return _build_report(
-        theorem_id,
-        direction,
-        favored,
-        other,
-        hypothesis=hypothesis,
-        hypothesis_ok=hypothesis_ok,
-        inputs=inputs,
-        tol_factor=tol_factor,
-        notes=notes,
-    )
+    mu, _, body = _pair(A, x)
+    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis, auto_hypothesis)
+    return _synchrony_bound(_inverse_pair_sides, mu, hull, body, f, g, h, *args, notes)

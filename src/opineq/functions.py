@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ArgumentOrder, ConfigInvalid, DomainViolation
+from .errors import ArgumentOrder, ConfigInvalid, DomainViolation, read_list, read_number
 from .spectral import SpectralInterval
 from .tolerances import DEFAULT_GRID_N, tol_sync
 
@@ -177,13 +177,6 @@ class ScalarFunction:
         return doc
 
 
-def _domain_of(doc: dict) -> Optional[SpectralInterval]:
-    if "domain" in doc:
-        lo, hi = doc["domain"]
-        return SpectralInterval(float(lo), float(hi))
-    return None
-
-
 def constant(c: float) -> ScalarFunction:
     return ScalarFunction("constant", (float(c),), label=f"{float(c):g}")
 
@@ -245,35 +238,41 @@ def function_from_descriptor(doc: dict) -> ScalarFunction:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigInvalid(f"function literal must be an object with a 'kind', got {doc!r}")
     kind = doc["kind"]
-    domain = _domain_of(doc)
+
+    def number(key: str) -> float:
+        return read_number(doc[key], f"{kind} field {key!r}")
+
+    def numbers(key: str, length: Optional[int] = None) -> list[float]:
+        entries = read_list(doc[key], f"{kind} field {key!r}", length)
+        return [read_number(v, f"entry of {kind} field {key!r}") for v in entries]
+
+    domain = SpectralInterval(*numbers("domain", 2)) if "domain" in doc else None
     try:
         if kind == "constant":
-            fn = constant(doc["c"])
+            fn = constant(number("c"))
         elif kind == "identity":
             fn = identity()
         elif kind == "power":
-            fn = power(doc["p"])
+            fn = power(number("p"))
         elif kind == "log":
             fn = log_fn()
         elif kind == "exp":
             fn = exp_fn()
         elif kind == "affine":
-            fn = affine(doc["a"], doc["b"])
+            fn = affine(number("a"), number("b"))
         elif kind == "neg_parabola":
             fn = neg_parabola()
         elif kind == "tabulated":
-            return tabulated(doc["knots"], doc["values"], domain=domain)
+            return tabulated(numbers("knots"), numbers("values"), domain=domain)
         elif kind == "product":
-            factors = doc["factors"]
-            if len(factors) != 2:
-                raise ConfigInvalid("product literal needs exactly 2 factors")
-            fn = pointwise_product(
-                function_from_descriptor(factors[0]), function_from_descriptor(factors[1])
-            )
+            factors = read_list(doc["factors"], "product field 'factors'", 2)
+            fn = pointwise_product(*(function_from_descriptor(f) for f in factors))
         elif kind == "sum":
-            fn = linear_combination(
-                *((term["coef"], function_from_descriptor(term["fn"])) for term in doc["terms"])
-            )
+            terms = read_list(doc["terms"], "sum field 'terms'")
+            if not all(isinstance(term, dict) for term in terms):
+                raise ConfigInvalid(f"sum terms must be {{'coef', 'fn'}} objects, got {terms!r}")
+            coefs = [read_number(t["coef"], "sum term 'coef'") for t in terms]
+            fn = linear_combination(*zip(coefs, (function_from_descriptor(t["fn"]) for t in terms)))
         else:
             raise ConfigInvalid(f"unknown function kind {kind!r}")
     except KeyError as exc:

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ensembles import PER_VECTOR, OperatorEnsemble
-from .errors import ConfigInvalid, OpineqError
+from .errors import ConfigInvalid, OpineqError, read_integer, read_list
 from .functionals import HYPOTHESIS_NOT_MET, VIOLATED, InequalityReport, inverse_pair_hull
 from .functions import ScalarFunction, classify_synchrony, function_from_descriptor
 from .registry import (
@@ -47,9 +47,9 @@ from .registry import (
     lookup,
     run_scenario,
 )
-from .serialize import scenario_from_doc
+from .serialize import interval_from_doc, scenario_from_doc
 from .spectral import HermitianOperator, SpectralInterval, StateVector
-from .tolerances import DEFAULT_GRID_N, MAX_DIM, VIOLATION_FACTOR
+from .tolerances import DEFAULT_GRID_N, MAX_DIM, MAX_GRID_N, VIOLATION_FACTOR
 
 __all__ = [
     "ASYNC_TRIPLE_POOL",
@@ -207,8 +207,10 @@ class TrialConfig:
                 for desc in t:
                     function_from_descriptor(desc)
             object.__setattr__(self, "triple_pool", triples)
-        if not isinstance(self.grid_n, int) or self.grid_n < 2:
-            raise ConfigInvalid(f"grid_n must be an integer >= 2, got {self.grid_n!r}")
+        if not isinstance(self.grid_n, int) or not 2 <= self.grid_n <= MAX_GRID_N:
+            raise ConfigInvalid(
+                f"grid_n must be an integer from 2 to {MAX_GRID_N}, got {self.grid_n!r}"
+            )
         ids = tuple(self.theorem_ids)
         if not ids:
             raise ConfigInvalid("theorem_ids must not be empty")
@@ -250,32 +252,24 @@ def config_from_doc(doc: dict) -> TrialConfig:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
-    kwargs: dict = {}
-    if "seed" in doc:
-        kwargs["seed"] = int(doc["seed"])
-    if "trials" in doc:
-        kwargs["trials"] = int(doc["trials"])
+    kwargs: dict = {
+        key: read_integer(doc[key], key) for key in ("seed", "trials", "grid_n") if key in doc
+    }
     if "dim_range" in doc:
-        dr = doc["dim_range"]
-        if not isinstance(dr, list) or len(dr) != 2:
-            raise ConfigInvalid(f"dim_range must be [min, max], got {dr!r}")
-        kwargs["dim_range"] = (int(dr[0]), int(dr[1]))
+        dr = read_list(doc["dim_range"], "dim_range [min, max]", 2)
+        kwargs["dim_range"] = tuple(read_integer(v, "dim_range entry") for v in dr)
     if "interval" in doc:
-        iv = doc["interval"]
-        if not isinstance(iv, list) or len(iv) != 2:
-            raise ConfigInvalid(f"interval must be [lo, hi], got {iv!r}")
-        kwargs["interval"] = SpectralInterval(float(iv[0]), float(iv[1]))
+        kwargs["interval"] = interval_from_doc(doc["interval"])
     if "function_pool" in doc:
-        kwargs["function_pool"] = tuple(doc["function_pool"])
+        kwargs["function_pool"] = tuple(read_list(doc["function_pool"], "function_pool"))
     if "triple_pool" in doc and doc["triple_pool"] is not None:
-        kwargs["triple_pool"] = tuple(tuple(t) for t in doc["triple_pool"])
-    if "grid_n" in doc:
-        kwargs["grid_n"] = int(doc["grid_n"])
+        triples = read_list(doc["triple_pool"], "triple_pool")
+        kwargs["triple_pool"] = tuple(tuple(read_list(t, "triple_pool entry", 3)) for t in triples)
     if "theorems" in doc:
         ids = doc["theorems"]
         if isinstance(ids, str):
             ids = [s.strip() for s in ids.split(",") if s.strip()]
-        kwargs["theorem_ids"] = tuple(ids)
+        kwargs["theorem_ids"] = tuple(read_list(ids, "theorems"))
     return TrialConfig(**kwargs)
 
 

@@ -387,7 +387,7 @@ REGISTRY: dict[str, TheoremEntry] = {e.theorem_id: e for e in REGISTRY_ORDER}
 
 
 def lookup(theorem_id: str) -> TheoremEntry:
-    entry = REGISTRY.get(theorem_id)
+    entry = REGISTRY.get(theorem_id) if isinstance(theorem_id, str) else None
     if entry is None:
         known = ", ".join(e.theorem_id for e in REGISTRY_ORDER)
         raise UnknownTheorem(f"unknown theorem id {theorem_id!r}; known ids: {known}")

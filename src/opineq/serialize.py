@@ -14,11 +14,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, read_integer, read_list, read_number
 from .functions import GE, LE, ScalarFunction, function_from_descriptor
 from .functionals import fmt
-from .ensembles import PER_VECTOR, SUM_OF_SQUARES, OperatorEnsemble
-from .spectral import HermitianOperator, SpectralInterval, StateVector
+from .ensembles import OperatorEnsemble
+from .spectral import HermitianOperator, SpectralInterval, StateVector, from_dense
 from .tolerances import DEFAULT_GRID_N
 
 __all__ = [
@@ -83,28 +83,32 @@ def canonical_json(obj) -> str:
 def load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigInvalid(f"not valid JSON: {exc}") from None
-
-
-def _real(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 def _complex_entry(value, what: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(float(value), 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_real(value[0], what), _real(value[1], what))
+        return complex(read_number(value[0], what), read_number(value[1], what))
     raise ConfigInvalid(f"{what} must be a number or an [re, im] pair, got {value!r}")
 
 
 def interval_from_doc(doc, what: str = "interval") -> SpectralInterval:
-    if not isinstance(doc, (list, tuple)) or len(doc) != 2:
-        raise ConfigInvalid(f"{what} must be an [lo, hi] pair")
-    return SpectralInterval(_real(doc[0], f"{what} lo"), _real(doc[1], f"{what} hi"))
+    lo, hi = read_list(doc, f"{what} [lo, hi]", 2)
+    return SpectralInterval(read_number(lo, f"{what} lo"), read_number(hi, f"{what} hi"))
+
+
+def _matrix(doc, what: str) -> np.ndarray:
+    """A nonempty square list of rows of numbers or [re, im] pairs."""
+    rows = read_list(doc, what)
+    if not rows:
+        raise ConfigInvalid(f"{what} must be a nonempty list of rows")
+    entries = [read_list(row, f"{what} row", len(rows)) for row in rows]
+    return np.asarray(
+        [[_complex_entry(v, f"{what} entry") for v in row] for row in entries], dtype=np.complex128
+    )
 
 
 def operator_from_doc(doc) -> HermitianOperator:
@@ -113,25 +117,16 @@ def operator_from_doc(doc) -> HermitianOperator:
         raise ConfigInvalid("operator document needs an 'interval'")
     interval = interval_from_doc(doc["interval"])
     if "diagonal" in doc:
-        values = [_real(v, "diagonal entry") for v in doc["diagonal"]]
+        values = [read_number(v, "diagonal entry") for v in read_list(doc["diagonal"], "diagonal")]
         return HermitianOperator.diagonal(values, interval)
     if "matrix" in doc:
-        rows = doc["matrix"]
-        if not isinstance(rows, (list, tuple)) or not rows:
-            raise ConfigInvalid("'matrix' must be a nonempty list of rows")
-        m = [[_complex_entry(v, "matrix entry") for v in row] for row in rows]
-        from .spectral import from_dense
-
-        return from_dense(m, interval)
+        return from_dense(_matrix(doc["matrix"], "matrix"), interval)
     if "eigenvalues" in doc and "eigenvectors" in doc:
-        values = [_real(v, "eigenvalue") for v in doc["eigenvalues"]]
-        rows = doc["eigenvectors"]
-        if not isinstance(rows, (list, tuple)) or len(rows) != len(values):
+        eigenvalues = read_list(doc["eigenvalues"], "eigenvalues")
+        values = [read_number(v, "eigenvalue") for v in eigenvalues]
+        u = _matrix(doc["eigenvectors"], "eigenvectors")
+        if len(u) != len(values):
             raise ConfigInvalid("'eigenvectors' must list one row per eigenvalue")
-        u = np.asarray(
-            [[_complex_entry(v, "eigenvector entry") for v in row] for row in rows],
-            dtype=np.complex128,
-        )
         return HermitianOperator(np.asarray(values, dtype=np.float64), u, interval)
     raise ConfigInvalid(
         "operator document needs 'diagonal', 'matrix', or 'eigenvalues'+'eigenvectors'"
@@ -156,16 +151,9 @@ def ensemble_from_doc(doc) -> OperatorEnsemble:
         normalization = doc["normalization"]
     except KeyError as exc:
         raise ConfigInvalid(f"ensemble document needs {exc.args[0]!r}") from None
-    if normalization not in (SUM_OF_SQUARES, PER_VECTOR):
-        raise ConfigInvalid(
-            f"normalization must be '{SUM_OF_SQUARES}' or '{PER_VECTOR}', "
-            f"got {normalization!r}"
-        )
-    if not isinstance(operators, (list, tuple)) or not isinstance(states, (list, tuple)):
-        raise ConfigInvalid("ensemble 'operators' and 'states' must be lists")
     return OperatorEnsemble(
-        tuple(operator_from_doc(d) for d in operators),
-        tuple(state_from_doc(d) for d in states),
+        tuple(operator_from_doc(d) for d in read_list(operators, "ensemble 'operators'")),
+        tuple(state_from_doc(d) for d in read_list(states, "ensemble 'states'")),
         normalization,
     )
 
@@ -191,7 +179,7 @@ def _expect_from_doc(doc) -> dict:
                 raise ConfigInvalid(f"unknown expected verdict {value!r}")
             out[key] = value
         elif key in ("lhs", "rhs", "gap", "atol"):
-            out[key] = _real(value, f"expect {key}")
+            out[key] = read_number(value, f"expect {key}")
         else:
             raise ConfigInvalid(f"unknown expect field {key!r}")
     return out
@@ -212,16 +200,13 @@ def scenario_from_doc(doc) -> dict:
     direction = doc.get("direction")
     if direction is not None and direction not in (GE, LE):
         raise ConfigInvalid(f"direction must be '>=' or '<=', got {direction!r}")
-    grid_raw = doc.get("grid_n", DEFAULT_GRID_N)
-    if isinstance(grid_raw, bool) or not isinstance(grid_raw, int):
-        raise ConfigInvalid(f"grid_n must be an integer, got {grid_raw!r}")
     gate = doc.get("gate_hypothesis", True)
     if not isinstance(gate, bool):
         raise ConfigInvalid(f"gate_hypothesis must be true or false, got {gate!r}")
     parsed: dict = {
         "theorem": theorem,
         "direction": direction,
-        "grid_n": grid_raw,
+        "grid_n": read_integer(doc.get("grid_n", DEFAULT_GRID_N), "grid_n"),
         "gate_hypothesis": gate,
         "functions": _functions_from_doc(doc.get("functions", {})),
     }
@@ -256,9 +241,7 @@ def scenario_from_doc(doc) -> dict:
     if "ensemble" in doc:
         parsed["ensemble"] = ensemble_from_doc(doc["ensemble"])
     if "per_op_intervals" in doc:
-        rows = doc["per_op_intervals"]
-        if not isinstance(rows, (list, tuple)):
-            raise ConfigInvalid("'per_op_intervals' must be a list of [lo, hi] pairs")
+        rows = read_list(doc["per_op_intervals"], "'per_op_intervals'")
         parsed["per_op_intervals"] = [
             (iv.lo, iv.hi)
             for iv in (interval_from_doc(r, "per-operator interval") for r in rows)
@@ -268,8 +251,8 @@ def scenario_from_doc(doc) -> dict:
         if not isinstance(pairs, dict) or "a" not in pairs or "b" not in pairs:
             raise ConfigInvalid("'tuples' must be an object with lists 'a' and 'b'")
         parsed["tuples"] = {
-            "a": [_real(v, "tuple entry") for v in pairs["a"]],
-            "b": [_real(v, "tuple entry") for v in pairs["b"]],
+            key: [read_number(v, "tuple entry") for v in read_list(pairs[key], f"tuple {key!r}")]
+            for key in ("a", "b")
         }
     if "bound_interval" in doc:
         parsed["bound_interval"] = interval_from_doc(doc["bound_interval"], "bound_interval")

@@ -1,8 +1,11 @@
 """Hermitian operators, states, and the eigendecomposition functional calculus.
 
-An operator is stored by its eigendecomposition ``U diag(lam) U*`` so that
-``f(A) = U diag(f(lam)) U*`` is the single evaluation pathway for every
-matrix function in the package.
+An operator is stored by its eigendecomposition ``U diag(lam) U*``.  The
+checkers read a pair ``(A, x)`` only through its spectral measure
+``mu_x = sum_k |<u_k, x>|^2 delta_{lam_k}``, so ``<f(A)x, x> = w @ f(lam)``
+is their single evaluation pathway.  The dense ``f(A) = U diag(f(lam)) U*``
+(``apply_function``, ``expectation``, ``block_diagonal``) is kept as the
+independent oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import (
 from .tolerances import (
     DEFAULT_GRID_N,
     MAX_DIM,
+    MAX_GRID_N,
     OPEN_INTERVAL_SHRINK,
     TOL_HERM,
     TOL_NORM,
@@ -45,6 +49,7 @@ __all__ = [
     "expectation_product",
     "block_diagonal",
     "eigenbasis_weights",
+    "SpectralMeasure",
 ]
 
 
@@ -78,8 +83,8 @@ class SpectralInterval:
     def grid(self, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
         """Uniform grid including both endpoints."""
         n = int(grid_n)
-        if n < 2:
-            raise ConfigInvalid(f"grid needs at least 2 points, got {grid_n}")
+        if not 2 <= n <= MAX_GRID_N:
+            raise ConfigInvalid(f"grid needs 2 to {MAX_GRID_N} points, got {grid_n}")
         return np.linspace(self.lo, self.hi, n)
 
     def shrunk(self, frac: float = OPEN_INTERVAL_SHRINK) -> "SpectralInterval":
@@ -144,7 +149,8 @@ class HermitianOperator:
 
     def __post_init__(self) -> None:
         lam = np.array(self.eigenvalues, dtype=np.float64)
-        vec = np.array(self.eigenvectors, dtype=np.complex128)
+        # C order whatever the source, so products with the basis take one BLAS path
+        vec = np.array(self.eigenvectors, dtype=np.complex128, order="C")
         if lam.ndim != 1 or lam.size == 0:
             raise ConfigInvalid(f"eigenvalues must be a nonempty 1-d array, got shape {lam.shape}")
         d = lam.size
@@ -157,9 +163,9 @@ class HermitianOperator:
         if np.any(np.diff(lam) < 0.0):
             order = np.argsort(lam, kind="stable")
             lam = lam[order]
-            vec = vec[:, order]
+            vec = np.ascontiguousarray(vec[:, order])
         residue = float(np.max(np.abs(vec.conj().T @ vec - np.eye(d))))
-        if residue > TOL_UNITARY:
+        if not residue <= TOL_UNITARY:  # NaN entries fail too
             raise ConfigInvalid(f"eigenvector matrix is not unitary: max |U*U - I| = {residue:.3e}")
         lo, hi = self.interval.lo, self.interval.hi
         beyond = (lam < lo - TOL_SPEC) | (lam > hi + TOL_SPEC)
@@ -199,7 +205,7 @@ def from_dense(matrix: Sequence[Sequence[complex]], interval: SpectralInterval) 
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ConfigInvalid(f"expected a nonempty square matrix, got shape {m.shape}")
     deviation = float(np.max(np.abs(m - m.conj().T)))
-    if deviation > TOL_HERM:
+    if not deviation <= TOL_HERM:  # NaN entries fail too
         raise NotHermitian(f"max |M - M*| = {deviation:.3e} exceeds {TOL_HERM}")
     lam, vec = np.linalg.eigh(0.5 * (m + m.conj().T))
     return HermitianOperator(lam, vec, interval)
@@ -246,14 +252,42 @@ def eigenbasis_weights(A: HermitianOperator, x: StateVector) -> np.ndarray:
     return (y.conj() * y).real
 
 
-def block_diagonal(
-    ops: Sequence[HermitianOperator], states: Sequence[StateVector]
-) -> tuple[HermitianOperator, StateVector]:
-    """Stack (A_j, x_j) pairs into one operator on the direct sum.
+@dataclasses.dataclass(frozen=True, eq=False)
+class SpectralMeasure:
+    """Point masses ``weights[k]`` at ``atoms[k]``: all a check reads of (A, x).
 
-    Requires a shared spectral interval and sum_j ||x_j||^2 = 1, so the stacked
-    state is a unit vector and quadratic forms add up block by block.
+    For a unit state the weights sum to 1; an ensemble's measure is its
+    members' measures concatenated, so sums over members are one ``expect``.
     """
+
+    atoms: np.ndarray
+    weights: np.ndarray
+
+    @staticmethod
+    def of(A: HermitianOperator, x: StateVector) -> "SpectralMeasure":
+        """mu_x of A: its eigenvalues weighted by |<u_k, x>|^2."""
+        return SpectralMeasure(A.eigenvalues, eigenbasis_weights(A, x))
+
+    @staticmethod
+    def concat(measures: Sequence["SpectralMeasure"]) -> "SpectralMeasure":
+        return SpectralMeasure(
+            np.concatenate([m.atoms for m in measures]),
+            np.concatenate([m.weights for m in measures]),
+        )
+
+    def expect(self, *fns: "ScalarFunction") -> float:
+        """sum_k w_k prod_i fn_i(lam_k), i.e. <fn_1(A)...fn_m(A)x, x>."""
+        vals = np.ones_like(self.weights)
+        for fn in fns:
+            vals = vals * np.asarray(fn.evaluate(self.atoms), dtype=np.float64)
+        return float(self.weights @ vals)
+
+
+def _check_pairs(
+    ops: Sequence[HermitianOperator], states: Sequence[StateVector], sum_of_squares: bool
+) -> None:
+    """At least one (A_j, x_j) pair, one shared interval, matching dimensions and,
+    with ``sum_of_squares``, sum_j ||x_j||^2 = 1."""
     if len(ops) == 0 or len(ops) != len(states):
         raise ConfigInvalid("need equally many operators and states, at least one pair")
     interval = ops[0].interval
@@ -264,10 +298,22 @@ def block_diagonal(
             )
     for k, (op, st) in enumerate(zip(ops, states)):
         if op.dim != st.dim:
-            raise DimensionMismatch(f"block {k}: operator dim {op.dim} vs state dim {st.dim}")
+            raise DimensionMismatch(f"pair {k}: operator dim {op.dim} vs state dim {st.dim}")
     total = float(sum(st.norm**2 for st in states))
-    if abs(total - 1.0) > TOL_NORM:
+    if sum_of_squares and abs(total - 1.0) > TOL_NORM:
         raise NormalizationViolation(f"sum of squared state norms is {total!r}, expected 1")
+
+
+def block_diagonal(
+    ops: Sequence[HermitianOperator], states: Sequence[StateVector]
+) -> tuple[HermitianOperator, StateVector]:
+    """Stack (A_j, x_j) pairs into one operator on the direct sum.
+
+    Requires a shared spectral interval and sum_j ||x_j||^2 = 1, so the stacked
+    state is a unit vector and quadratic forms add up block by block.
+    """
+    _check_pairs(ops, states, sum_of_squares=True)
+    interval = ops[0].interval
     dims = [op.dim for op in ops]
     n = int(sum(dims))
     if n > MAX_DIM:

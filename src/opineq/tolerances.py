@@ -13,6 +13,7 @@ __all__ = [
     "TOL_NORM",
     "TOL_SPEC",
     "DEFAULT_GRID_N",
+    "MAX_GRID_N",
     "MAX_DIM",
     "VIOLATION_FACTOR",
     "OPEN_INTERVAL_SHRINK",
@@ -31,6 +32,8 @@ TOL_NORM = 1e-10
 TOL_SPEC = 1e-8
 # resolution of classification grids
 DEFAULT_GRID_N = 128
+# certification evaluates grid_n^2/2 pairs; 1024 points is about 0.5M pairs
+MAX_GRID_N = 1024
 # desk scale; the inequalities are dimension-free
 MAX_DIM = 16
 # a gap below -VIOLATION_FACTOR * tol_ineq counts as a genuine violation

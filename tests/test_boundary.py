@@ -1,0 +1,140 @@
+"""Input boundary: a malformed document fails with an OpineqError, never a raw exception.
+
+Hypothesis draws function literals and scenario documents whose fields are
+either well formed or arbitrary JSON, and feeds them through the path
+``opineq check`` takes: ``scenario_from_doc`` then ``run_scenario``.
+"""
+
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from opineq import REGISTRY_ORDER, OpineqError, function_from_descriptor, run_scenario
+from opineq import scenario_from_doc
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=4)
+)
+JSON = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBERS = st.floats(min_value=-4.0, max_value=4.0) | st.integers(min_value=-3, max_value=3)
+
+KINDS = ("constant", "identity", "power", "log", "exp", "affine", "neg_parabola", "tabulated")
+
+
+def _literal(children):
+    """A literal of any kind, each field well formed or arbitrary JSON."""
+    field = NUMBERS | JSON
+    knots = st.lists(NUMBERS, min_size=2, max_size=4).map(sorted) | JSON
+    plain = st.fixed_dictionaries(
+        {"kind": st.sampled_from(KINDS) | JSON},
+        optional={
+            "c": field,
+            "p": field,
+            "a": field,
+            "b": field,
+            "knots": knots,
+            "values": knots,
+            "domain": st.lists(NUMBERS, min_size=2, max_size=2).map(sorted) | JSON,
+        },
+    )
+    product = st.fixed_dictionaries(
+        {"kind": st.just("product"), "factors": st.lists(children, min_size=2, max_size=2) | JSON}
+    )
+    term = st.fixed_dictionaries({"coef": field, "fn": children}) | JSON
+    total = st.fixed_dictionaries(
+        {"kind": st.just("sum"), "terms": st.lists(term, min_size=1, max_size=3) | JSON}
+    )
+    return plain | product | total
+
+
+LITERALS = st.recursive(st.just({"kind": "identity"}), _literal, max_leaves=4)
+
+OPERATORS = st.fixed_dictionaries(
+    {
+        "diagonal": st.lists(st.floats(min_value=1.0, max_value=2.0), min_size=1, max_size=2)
+        | JSON,
+        "interval": st.just([1.0, 2.0]) | JSON,
+    }
+) | st.fixed_dictionaries(
+    {"matrix": st.just([[1.5, [0.0, 0.25]], [[0.0, -0.25], 1.5]]) | JSON, "interval": JSON}
+) | st.fixed_dictionaries(
+    {
+        "eigenvalues": st.just([1.0, 2.0]) | JSON,
+        "eigenvectors": st.just([[1.0, 0.0], [0.0, 1.0]]) | JSON,
+        "interval": st.just([1.0, 2.0]),
+    }
+)
+STATES = st.just([math.sqrt(0.5), math.sqrt(0.5)]) | st.just({"components": [1.0]}) | JSON
+ENSEMBLES = st.fixed_dictionaries(
+    {
+        "operators": st.lists(OPERATORS, min_size=1, max_size=2) | JSON,
+        "states": st.lists(STATES, min_size=1, max_size=2) | JSON,
+        "normalization": st.sampled_from(["sum_of_squares", "per_vector"]) | JSON,
+    }
+)
+SCENARIOS = st.fixed_dictionaries(
+    {"theorem": st.sampled_from([e.theorem_id for e in REGISTRY_ORDER]) | JSON},
+    optional={
+        "operator": OPERATORS | JSON,
+        "operator_b": OPERATORS,
+        "state": STATES,
+        "state_b": STATES,
+        "ensemble": ENSEMBLES | JSON,
+        "functions": st.dictionaries(st.sampled_from("fgh"), LITERALS, max_size=3) | JSON,
+        "direction": st.sampled_from([">=", "<="]) | JSON,
+        "grid_n": st.integers(min_value=-2, max_value=40) | JSON,
+        "gate_hypothesis": st.booleans() | JSON,
+        "per_op_intervals": st.lists(st.just([1.0, 2.0]) | JSON, max_size=2) | JSON,
+        "tuples": st.fixed_dictionaries({"a": st.lists(NUMBERS) | JSON, "b": st.lists(NUMBERS)})
+        | JSON,
+        "bound_interval": st.just([1.0, 3.0]) | JSON,
+        "expect": st.fixed_dictionaries({}, optional={"verdict": JSON, "gap": JSON}) | JSON,
+    },
+)
+
+
+def _only_opineq_errors(doc) -> None:
+    try:
+        run_scenario(scenario_from_doc(doc))
+    except OpineqError:
+        pass
+
+
+@FUZZ
+@given(LITERALS)
+def test_function_literals_fail_only_with_opineq_errors(literal):
+    doc = {
+        "theorem": "pc-square",
+        "operator": {"diagonal": [1.0, 2.0], "interval": [1.0, 2.0]},
+        "state": [math.sqrt(0.5), math.sqrt(0.5)],
+        "functions": {"f": literal, "h": {"kind": "identity"}},
+    }
+    try:
+        function_from_descriptor(literal)
+    except OpineqError:
+        pass
+    _only_opineq_errors(doc)
+
+
+@FUZZ
+@given(SCENARIOS)
+def test_scenario_documents_fail_only_with_opineq_errors(doc):
+    _only_opineq_errors(doc)

@@ -92,6 +92,36 @@ class TestCheck:
         assert code == 2
         assert "gate_hypothesis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            {"kind": "power", "p": "x"},
+            {"kind": "constant", "c": "q"},
+            {"kind": "affine", "a": "q", "b": 1},
+            {"kind": "tabulated", "knots": ["a", "b"], "values": [1.0, 2.0]},
+            {"kind": "product", "factors": 3},
+            {"kind": "sum", "terms": [1]},
+            {"kind": "power", "p": 10**400},
+            {"kind": "identity", "domain": 5},
+        ],
+    )
+    def test_malformed_function_literal_exits_two(self, tmp_path, capsys, literal):
+        doc = {
+            "theorem": "pc-square",
+            "operator": CHECK_DOC["operator"],
+            "state": CHECK_DOC["state"],
+            "functions": {"f": literal, "h": {"kind": "identity"}},
+        }
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_oversized_grid_exits_two(self, tmp_path, capsys):
+        doc = dict(CHECK_DOC, grid_n=1_000_000)
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        assert code == 2
+        assert "grid" in capsys.readouterr().err
+
     def test_unknown_scenario_field_exits_two(self, tmp_path, capsys):
         doc = dict(CHECK_DOC)
         doc["surprise"] = 1
@@ -169,6 +199,14 @@ class TestSuite:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc", [{"seed": "x"}, {"interval": ["a", 2]}, {"grid_n": "9"}, {"trials": True}]
+    )
+    def test_mistyped_config_exits_two(self, tmp_path, capsys, doc):
+        code = main(["suite", _write(tmp_path, "cfg.json", {"trials": 1, **doc})])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # classify
@@ -224,6 +262,15 @@ class TestClassify:
         doc = {"f": {"kind": "identity"}, "interval": [1.0, 2.0], "h": {"kind": "identity"}}
         del doc["h"]
         code = main(["classify", _write(tmp_path, "fns.json", doc)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field", [{"r_values": 2.0}, {"r_values": ["a"]}, {"interval": ["a", 2]}, {"grid_n": "9"}]
+    )
+    def test_mistyped_field_exits_two(self, tmp_path, capsys, field):
+        doc = {"f": {"kind": "identity"}, "g": {"kind": "identity"}, "interval": [1.0, 2.0]}
+        code = main(["classify", _write(tmp_path, "fns.json", {"r_values": [1.0], **doc, **field})])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 

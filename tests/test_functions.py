@@ -1,5 +1,7 @@
 """Scalar function library, synchrony/monotonicity classification, r-scans."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -430,6 +432,19 @@ class TestScanTrRegions:
     def test_equal_functions_synchronous_everywhere(self):
         out = scan_tr_regions(power(2.0), power(2.0), [-2.0, -0.5, 1.0, 3.0], IV12, 32)
         assert all(v.classification == SYNCHRONOUS for _, v in out)
+
+    @pytest.mark.parametrize("interval", [IV12, SpectralInterval(0.5, 3.0)])
+    def test_power_triples_match_closed_form(self, interval):
+        # (s^p, s^q, s^r) is synchronous iff (p - r)(q - r) >= 0, since
+        # h(y)f(x) - h(x)f(y) = (xy)^r (x^(p-r) - y^(p-r)); otherwise asynchronous
+        exponents = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+        for p, q in itertools.product(exponents, repeat=2):
+            scanned = scan_tr_regions(power(p), power(q), exponents, interval)
+            for r, verdict in scanned:
+                expected = SYNCHRONOUS if (p - r) * (q - r) >= 0 else ASYNCHRONOUS
+                direct = classify_synchrony(power(p), power(q), power(r), interval)
+                got = (direct.classification, verdict.classification)
+                assert got == (expected, expected), (p, q, r)
 
     def test_zero_exponent_matches_unit_weight(self):
         f, g = identity(), power(-1.0)

@@ -7,6 +7,7 @@ from opineq import (
     ConfigInvalid,
     DEFAULT_THEOREMS,
     HOLDS,
+    MAX_GRID_N,
     PER_VECTOR,
     REGISTRY_ORDER,
     SUM_OF_SQUARES,
@@ -161,6 +162,32 @@ class TestTrialConfig:
     def test_unknown_theorem_rejected(self):
         with pytest.raises((ConfigInvalid, UnknownTheorem)):
             TrialConfig(theorem_ids=("not-a-check",))
+
+    def test_grid_n_bounded(self):
+        TrialConfig(grid_n=MAX_GRID_N)
+        with pytest.raises(ConfigInvalid):
+            TrialConfig(grid_n=MAX_GRID_N + 1)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"seed": "x"},
+            {"seed": True},
+            {"trials": 2.0},
+            {"grid_n": "9"},
+            {"grid_n": 9.0},
+            {"dim_range": [1, "4"]},
+            {"dim_range": 4},
+            {"interval": ["a", 2]},
+            {"interval": [1, True]},
+            {"theorems": 5},
+            {"function_pool": 3},
+            {"triple_pool": [5]},
+        ],
+    )
+    def test_mistyped_doc_fields_rejected(self, doc):
+        with pytest.raises(ConfigInvalid):
+            config_from_doc(doc)
 
     def test_doc_round_trip(self):
         cfg = TrialConfig(seed=5, trials=17, dim_range=(2, 4), theorem_ids=("pc-sign",))

@@ -12,6 +12,7 @@ from opineq import (
     NotHermitian,
     NotUnitState,
     SpectralInterval,
+    SpectralMeasure,
     SpectrumOutOfInterval,
     StateVector,
     apply_function,
@@ -285,6 +286,46 @@ class TestEigenbasisWeights:
         w = eigenbasis_weights(A, x)
         via_weights = float(np.sum(w * np.exp(A.eigenvalues)))
         assert expectation(A, exp_fn(), x) == pytest.approx(via_weights, abs=1e-12)
+
+
+class TestSpectralMeasure:
+    FNS = (identity(), power(2.0), power(-1.0), power(0.5), exp_fn(), log_fn())
+
+    @pytest.mark.parametrize("dim", range(1, MAX_DIM + 1))
+    def test_expect_matches_dense_expectation_product(self, dim):
+        for trial in range(3):
+            rng = trial_rng(11, dim, trial)
+            A = random_operator(rng, dim, SpectralInterval(0.5, 3.0))
+            x = random_state(rng, dim)
+            mu = SpectralMeasure.of(A, x)
+            for f in self.FNS:
+                for g in self.FNS:
+                    dense = expectation_product(A, f, g, x)
+                    assert mu.expect(f, g) == pytest.approx(dense, rel=1e-12, abs=0.0)
+                assert mu.expect(f) == pytest.approx(expectation(A, f, x), rel=1e-12, abs=0.0)
+
+    def test_total_mass_is_squared_norm(self):
+        rng = trial_rng(11, 0, 0)
+        A = random_operator(rng, 6, SpectralInterval(1.0, 2.0))
+        x = StateVector(0.5 * random_state(rng, 6).components)
+        assert SpectralMeasure.of(A, x).expect() == pytest.approx(0.25, abs=1e-15)
+
+    def test_concatenation_matches_block_diagonal_lift(self):
+        rng = trial_rng(11, 0, 1)
+        ops = [random_operator(rng, d, SpectralInterval(1.0, 2.0)) for d in (2, 3, 1)]
+        states = [StateVector(random_state(rng, d).components / np.sqrt(3.0)) for d in (2, 3, 1)]
+        joint = SpectralMeasure.concat([SpectralMeasure.of(A, x) for A, x in zip(ops, states)])
+        stacked, sx = block_diagonal(ops, states)
+        for f in self.FNS:
+            parts = sum(expectation(A, f, x) for A, x in zip(ops, states))
+            assert joint.expect(f) == pytest.approx(parts, rel=1e-12)
+            lifted = expectation_product(stacked, f, f, sx)
+            assert joint.expect(f, f) == pytest.approx(lifted, rel=1e-12)
+
+    def test_dimension_mismatch(self):
+        A = HermitianOperator.diagonal([1.0, 2.0], SpectralInterval(1.0, 2.0))
+        with pytest.raises(DimensionMismatch):
+            SpectralMeasure.of(A, StateVector(np.asarray([1.0, 0.0, 0.0])))
 
 
 # ---------------------------------------------------------------------------
