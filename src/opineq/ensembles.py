@@ -20,7 +20,7 @@ from .errors import (
     NotSimilarlyOrdered,
     SpectrumOutOfInterval,
 )
-from .functions import GE, ScalarFunction, SynchronyVerdict, identity, power
+from .functions import GE, ScalarFunction, identity, power
 from .functionals import (
     InequalityReport,
     _build_report,
@@ -28,10 +28,12 @@ from .functionals import (
     _mean_point_sides,
     _operator_doc,
     _sign_sides,
+    _square,
     _square_bound,
     _state_doc,
     _synchrony_bound,
     fmt,
+    kantorovich_constant,
 )
 from .spectral import (
     HermitianOperator,
@@ -158,11 +160,10 @@ def check_ensemble_sign_bound(
     theorem_id: str = "ensemble-pc-sign",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
-    evidence: Optional[SynchronyVerdict] = None,
     gate_hypothesis: bool = True,
 ) -> InequalityReport:
     """Summed form of the sign bound: S[h^2]S[fg] vs S[hg]S[hf] over the ensemble."""
-    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis)
+    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis)
     return _synchrony_bound(_sign_sides, *_summed(E), f, g, h, *args)
 
 
@@ -189,13 +190,12 @@ def check_ensemble_mean_point(
     theorem_id: str = "ensemble-mean-point",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
-    evidence: Optional[SynchronyVerdict] = None,
     gate_hypothesis: bool = True,
     auto_hypothesis: bool = False,
     extra_notes: tuple[str, ...] = (),
 ) -> InequalityReport:
     """Summed mean-point bound, anchored at sum_j <A_j x_j, x_j>."""
-    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis, auto_hypothesis)
+    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
     return _synchrony_bound(_mean_point_sides, *_summed(E), f, g, h, *args, extra_notes)
 
 
@@ -260,13 +260,6 @@ def discrete_chebyshev(
         inputs=inputs,
         tol_factor=tol_factor,
     )
-
-
-def kantorovich_constant(lo: float, hi: float) -> float:
-    """(lo + hi)^2 / (4 lo hi) for 0 < lo <= hi."""
-    if lo <= 0.0:
-        raise NonPositiveSpectrum(f"constant needs 0 < lo, got ({lo!r}, {hi!r})")
-    return (lo + hi) ** 2 / (4.0 * lo * hi)
 
 
 def kantorovich_ensemble_chain(
@@ -363,7 +356,7 @@ def kantorovich_ensemble_chain(
         inputs=doc("ensemble-chebyshev-link"),
         tol_factor=tol_factor,
     )
-    diff_constants = [(hi - lo) ** 2 / (4.0 * lo * hi) for lo, hi in pairs]
+    diff_constants = [_square(hi - lo) / (4.0 * lo * hi) for lo, hi in pairs]
     upper = _build_report(
         "ensemble-kantorovich-upper",
         GE,

@@ -87,10 +87,13 @@ def read_number(value, what: str) -> float:
     return number
 
 
-def read_integer(value, what: str) -> int:
-    """A JSON integer (not a boolean)."""
+def read_integer(value, what: str, bounds: tuple[int, int] | None = None) -> int:
+    """A JSON integer (not a boolean), within the closed ``bounds`` when given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigInvalid(f"{what} must be an integer, got {value!r}")
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        lo, hi = bounds
+        raise ConfigInvalid(f"{what} must be an integer from {lo} to {hi}, got {value!r}")
     return value
 
 

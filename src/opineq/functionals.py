@@ -9,16 +9,16 @@ on the report as data.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, IntervalMismatch, NonPositiveSpectrum
+from .errors import ConfigInvalid, DomainViolation, IntervalMismatch, NonPositiveSpectrum
 from .functions import (
     GE,
     LE,
     ScalarFunction,
-    SynchronyVerdict,
     classify_synchrony,
     identity,
     power,
@@ -43,6 +43,7 @@ __all__ = [
     "check_sign_bound",
     "check_square_bound",
     "kantorovich_chain",
+    "kantorovich_constant",
     "check_two_operator",
     "check_mean_point",
     "check_inverse_pair",
@@ -64,6 +65,11 @@ REVERSED_NOTE = "direction '<=' evaluates the fully sign-reversed bound"
 def fmt(x: float) -> str:
     """Decimal with 17 significant digits; used everywhere numbers reach text."""
     return format(float(x), ".17g")
+
+
+def _square(x: float) -> float:
+    """x**2 with the bits of Python's, but inf on overflow where Python's raises."""
+    return float(np.float64(x) ** 2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,6 +118,10 @@ def _build_report(
     tol_factor: float = 1.0,
     notes: tuple[str, ...] = (),
 ) -> InequalityReport:
+    if not (math.isfinite(favored) and math.isfinite(other)):
+        raise DomainViolation(
+            f"{theorem_id}: sides {fmt(favored)} and {fmt(other)} are not both finite"
+        )
     gap = favored - other
     tolerance = tol_factor * tol_ineq(favored, other)
     if not hypothesis_ok:
@@ -212,7 +222,6 @@ def _synchrony_bound(
     theorem_id: str,
     grid_n: int,
     tol_factor: float,
-    evidence: Optional[SynchronyVerdict],
     gate_hypothesis: bool,
     auto_hypothesis: bool = False,
     notes: Optional[tuple[str, ...]] = None,
@@ -226,8 +235,7 @@ def _synchrony_bound(
     classification.  ``notes`` is None for bounds whose ``<=`` form is part of
     the theorem; otherwise ``<=`` adds the reversal note to it.
     """
-    if not auto_hypothesis and evidence is None:
-        evidence = classify_synchrony(f, g, h, interval, grid_n)
+    evidence = None if auto_hypothesis else classify_synchrony(f, g, h, interval, grid_n)
     if direction is None:
         direction = GE if auto_hypothesis else evidence.implied_direction() or GE
     if direction not in (GE, LE):
@@ -274,7 +282,6 @@ def check_sign_bound(
     theorem_id: str = "pc-sign",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
-    evidence: Optional[SynchronyVerdict] = None,
     gate_hypothesis: bool = True,
 ) -> InequalityReport:
     """E[h^2]E[fg] vs E[hg]E[hf]: >= under h-synchrony of (f, g), <= under h-asynchrony.
@@ -283,7 +290,7 @@ def check_sign_bound(
     mixed verdict yields ``hypothesis-not-met``.
     """
     x.require_unit()
-    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis)
+    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis)
     return _synchrony_bound(_sign_sides, *_pair(A, x), f, g, h, *args)
 
 
@@ -299,7 +306,7 @@ def _square_bound(
 ) -> InequalityReport:
     """E[hf]^2 <= E[h^2]E[f^2] on a measure; nothing to certify, so ``interval`` is unused."""
     favored = mu.expect(h, h) * mu.expect(f, f)
-    other = mu.expect(h, f) ** 2
+    other = _square(mu.expect(h, f))
     return _build_report(
         theorem_id,
         LE,
@@ -325,6 +332,15 @@ def check_square_bound(
     """E[hf]^2 <= E[h^2]E[f^2]; holds for every continuous f, no synchrony gate."""
     x.require_unit()
     return _square_bound(*_pair(A, x), f, h, theorem_id, grid_n, tol_factor)
+
+
+def kantorovich_constant(lo: float, hi: float) -> float:
+    """(lo + hi)^2 / (4 lo hi) for 0 < lo <= hi."""
+    if lo <= 0.0:
+        raise NonPositiveSpectrum(f"constant needs 0 < lo, got ({lo!r}, {hi!r})")
+    return _square(lo + hi) / (4.0 * lo * hi)
+
+
 def kantorovich_chain(
     A: HermitianOperator,
     x: StateVector,
@@ -346,8 +362,8 @@ def kantorovich_chain(
         )
     mu, _, body = _pair(A, x)
     product = mu.expect(identity()) * mu.expect(power(-1.0))
-    bound = (iv.lo + iv.hi) ** 2 / (4.0 * iv.lo * iv.hi)
-    difference_form = (iv.hi - iv.lo) ** 2 / (4.0 * iv.lo * iv.hi)
+    bound = kantorovich_constant(iv.lo, iv.hi)
+    difference_form = _square(iv.hi - iv.lo) / (4.0 * iv.lo * iv.hi)
     containment = None
     if bound_interval is not None:
         body["bound_interval"] = [iv.lo, iv.hi]
@@ -389,7 +405,6 @@ def kantorovich_chain(
     return lower, upper
 
 
-
 def check_two_operator(
     f: ScalarFunction,
     g: ScalarFunction,
@@ -403,7 +418,6 @@ def check_two_operator(
     theorem_id: str = "pc-two-op",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
-    evidence: Optional[SynchronyVerdict] = None,
     gate_hypothesis: bool = True,
 ) -> InequalityReport:
     """Mixed two-operator bound: cross products of expectations over (A, x) and (B, y)."""
@@ -424,7 +438,7 @@ def check_two_operator(
 
     mu, interval, body = _pair(A, x)
     body.update(operator_b=_operator_doc(B), state_b=_state_doc(y))
-    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis)
+    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis)
     return _synchrony_bound(sides, mu, interval, body, f, g, h, *args)
 
 
@@ -440,7 +454,7 @@ def mean_point_sides(
 ) -> tuple[float, float]:
     """Raw (>= orientation) sides of the mean-point bound from its scalar ingredients."""
     ha, fa, ga = h.at(mean), f.at(mean), g.at(mean)
-    lhs_raw = ha**2 * e_fg - e_hf * e_hg
+    lhs_raw = _square(ha) * e_fg - e_hf * e_hg
     rhs_raw = (ha * e_hf - e_h2 * fa) * ga + (ha * fa - e_hf) * e_hg
     return lhs_raw, rhs_raw
 
@@ -464,7 +478,6 @@ def check_mean_point(
     theorem_id: str = "mean-point",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
-    evidence: Optional[SynchronyVerdict] = None,
     gate_hypothesis: bool = True,
     auto_hypothesis: bool = False,
 ) -> InequalityReport:
@@ -474,7 +487,7 @@ def check_mean_point(
     structural, skipping the grid classification.
     """
     x.require_unit()
-    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis, auto_hypothesis)
+    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
     return _synchrony_bound(_mean_point_sides, *_pair(A, x), f, g, h, *args, ())
 
 
@@ -511,7 +524,6 @@ def check_inverse_pair(
     theorem_id: str = "inverse-pair",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
-    evidence: Optional[SynchronyVerdict] = None,
     gate_hypothesis: bool = True,
     auto_hypothesis: bool = False,
 ) -> InequalityReport:
@@ -523,5 +535,5 @@ def check_inverse_pair(
         f"[{fmt(hull.lo)}, {fmt(hull.hi)}]",
     )
     mu, _, body = _pair(A, x)
-    args = (direction, theorem_id, grid_n, tol_factor, evidence, gate_hypothesis, auto_hypothesis)
+    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
     return _synchrony_bound(_inverse_pair_sides, mu, hull, body, f, g, h, *args, notes)

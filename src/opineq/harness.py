@@ -23,7 +23,14 @@ import numpy as np
 
 from .ensembles import PER_VECTOR, OperatorEnsemble
 from .errors import ConfigInvalid, OpineqError, read_integer, read_list
-from .functionals import HYPOTHESIS_NOT_MET, VIOLATED, InequalityReport, inverse_pair_hull
+from .functionals import (
+    HYPOTHESIS_NOT_MET,
+    VIOLATED,
+    InequalityReport,
+    _sign_sides,
+    inverse_pair_hull,
+    kantorovich_constant,
+)
 from .functions import ScalarFunction, classify_synchrony, function_from_descriptor
 from .registry import (
     _CUBE,
@@ -48,8 +55,15 @@ from .registry import (
     run_scenario,
 )
 from .serialize import interval_from_doc, scenario_from_doc
-from .spectral import HermitianOperator, SpectralInterval, StateVector
-from .tolerances import DEFAULT_GRID_N, MAX_DIM, MAX_GRID_N, VIOLATION_FACTOR
+from .spectral import HermitianOperator, SpectralInterval, SpectralMeasure, StateVector
+from .tolerances import (
+    DEFAULT_GRID_N,
+    MAX_BUDGET,
+    MAX_DIM,
+    MAX_GRID_N,
+    MAX_TRIALS,
+    VIOLATION_FACTOR,
+)
 
 __all__ = [
     "ASYNC_TRIPLE_POOL",
@@ -72,6 +86,9 @@ __all__ = [
 DEFAULT_THEOREMS: tuple[str, ...] = tuple(e.theorem_id for e in REGISTRY_ORDER)
 
 FALSIFY_STREAM = 0x5EEDFA15
+
+# seeds are 64-bit unsigned, as numpy's SeedSequence needs
+_SEED_RANGE = (0, 2**64 - 1)
 
 DEFAULT_FUNCTION_POOL: tuple[dict, ...] = (_ID, _ONE, _SQ, _CUBE, _SQRT, _INV, _EXP, _LOG)
 
@@ -126,15 +143,21 @@ def random_operator(
     return HermitianOperator(lam, _haar_unitary(rng, dim), interval)
 
 
-def random_state(rng: np.random.Generator, dim: int) -> StateVector:
-    """Unit vector with complex-Gaussian direction."""
-    if dim < 1:
-        raise ConfigInvalid(f"dim must be >= 1, got {dim}")
+def _gaussian_vector(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, float]:
+    """Complex-Gaussian vector and its norm, redrawn until the norm is clear of 0."""
     while True:
         z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         norm = float(np.linalg.norm(z))
         if norm > 1e-6:
-            return StateVector(z / norm)
+            return z, norm
+
+
+def random_state(rng: np.random.Generator, dim: int) -> StateVector:
+    """Unit vector with complex-Gaussian direction."""
+    if dim < 1:
+        raise ConfigInvalid(f"dim must be >= 1, got {dim}")
+    z, norm = _gaussian_vector(rng, dim)
+    return StateVector(z / norm)
 
 
 def random_ensemble(
@@ -148,18 +171,12 @@ def random_ensemble(
     if n < 1 or len(dims) != n:
         raise ConfigInvalid(f"need n >= 1 block dims, got n={n}, dims={list(dims)!r}")
     ops = tuple(random_operator(rng, d, interval) for d in dims)
-    raw = []
-    for d in dims:
-        while True:
-            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            if float(np.linalg.norm(z)) > 1e-6:
-                raw.append(z)
-                break
+    raw = [_gaussian_vector(rng, d) for d in dims]
     if mode == PER_VECTOR:
-        states = tuple(StateVector(z / np.linalg.norm(z)) for z in raw)
+        states = tuple(StateVector(z / norm) for z, norm in raw)
     else:
-        total = math.sqrt(sum(float(np.linalg.norm(z)) ** 2 for z in raw))
-        states = tuple(StateVector(z / total) for z in raw)
+        total = math.sqrt(sum(norm**2 for _, norm in raw))
+        states = tuple(StateVector(z / total) for z, _ in raw)
     return OperatorEnsemble(ops, states, mode)
 
 
@@ -181,37 +198,34 @@ class TrialConfig:
     theorem_ids: tuple[str, ...] = DEFAULT_THEOREMS
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ConfigInvalid(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigInvalid(f"trials must be a positive integer, got {self.trials!r}")
-        dr = tuple(int(v) for v in self.dim_range)
-        if len(dr) != 2 or not 1 <= dr[0] <= dr[1] <= MAX_DIM:
+        read_integer(self.seed, "seed", _SEED_RANGE)
+        read_integer(self.trials, "trials", (1, MAX_TRIALS))
+        dr = read_list(self.dim_range, "dim_range [min, max]", 2)
+        dr = tuple(read_integer(v, "dim_range entry") for v in dr)
+        if not 1 <= dr[0] <= dr[1] <= MAX_DIM:
             raise ConfigInvalid(
                 f"dim_range must satisfy 1 <= min <= max <= {MAX_DIM}, got {self.dim_range!r}"
             )
         object.__setattr__(self, "dim_range", dr)
         if not isinstance(self.interval, SpectralInterval):
             raise ConfigInvalid("interval must be a SpectralInterval")
-        pool = tuple(self.function_pool)
+        pool = tuple(read_list(self.function_pool, "function_pool"))
         if not pool:
             raise ConfigInvalid("function_pool must not be empty")
         for desc in pool:
             function_from_descriptor(desc)
         object.__setattr__(self, "function_pool", pool)
         if self.triple_pool is not None:
-            triples = tuple(tuple(t) for t in self.triple_pool)
-            if not triples or any(len(t) != 3 for t in triples):
+            triples = read_list(self.triple_pool, "triple_pool")
+            triples = tuple(tuple(read_list(t, "triple_pool entry", 3)) for t in triples)
+            if not triples:
                 raise ConfigInvalid("triple_pool must be a nonempty list of (f, g, h) triples")
             for t in triples:
                 for desc in t:
                     function_from_descriptor(desc)
             object.__setattr__(self, "triple_pool", triples)
-        if not isinstance(self.grid_n, int) or not 2 <= self.grid_n <= MAX_GRID_N:
-            raise ConfigInvalid(
-                f"grid_n must be an integer from 2 to {MAX_GRID_N}, got {self.grid_n!r}"
-            )
-        ids = tuple(self.theorem_ids)
+        read_integer(self.grid_n, "grid_n", (2, MAX_GRID_N))
+        ids = tuple(read_list(self.theorem_ids, "theorems"))
         if not ids:
             raise ConfigInvalid("theorem_ids must not be empty")
         for tid in ids:
@@ -233,15 +247,16 @@ class TrialConfig:
         return doc
 
 
-_CONFIG_KEYS = {
-    "seed",
-    "trials",
-    "dim_range",
-    "interval",
-    "function_pool",
-    "triple_pool",
-    "grid_n",
-    "theorems",
+# Suite-config field -> the TrialConfig field it sets; TrialConfig checks every value.
+_CONFIG_FIELDS = {
+    "seed": "seed",
+    "trials": "trials",
+    "dim_range": "dim_range",
+    "interval": "interval",
+    "function_pool": "function_pool",
+    "triple_pool": "triple_pool",
+    "grid_n": "grid_n",
+    "theorems": "theorem_ids",
 }
 
 
@@ -249,27 +264,14 @@ def config_from_doc(doc: dict) -> TrialConfig:
     """Parse a suite-configuration document (the file ``opineq suite`` reads)."""
     if not isinstance(doc, dict):
         raise ConfigInvalid("suite config must be an object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
-    kwargs: dict = {
-        key: read_integer(doc[key], key) for key in ("seed", "trials", "grid_n") if key in doc
-    }
-    if "dim_range" in doc:
-        dr = read_list(doc["dim_range"], "dim_range [min, max]", 2)
-        kwargs["dim_range"] = tuple(read_integer(v, "dim_range entry") for v in dr)
+    kwargs = {_CONFIG_FIELDS[key]: value for key, value in doc.items()}
     if "interval" in doc:
         kwargs["interval"] = interval_from_doc(doc["interval"])
-    if "function_pool" in doc:
-        kwargs["function_pool"] = tuple(read_list(doc["function_pool"], "function_pool"))
-    if "triple_pool" in doc and doc["triple_pool"] is not None:
-        triples = read_list(doc["triple_pool"], "triple_pool")
-        kwargs["triple_pool"] = tuple(tuple(read_list(t, "triple_pool entry", 3)) for t in triples)
-    if "theorems" in doc:
-        ids = doc["theorems"]
-        if isinstance(ids, str):
-            ids = [s.strip() for s in ids.split(",") if s.strip()]
-        kwargs["theorem_ids"] = tuple(read_list(ids, "theorems"))
+    if isinstance(doc.get("theorems"), str):
+        kwargs["theorem_ids"] = [s.strip() for s in doc["theorems"].split(",") if s.strip()]
     return TrialConfig(**kwargs)
 
 
@@ -306,6 +308,28 @@ def _valid_triples(
     return out
 
 
+# The function pool and the triple pool (None when the config has none) resolved
+# on one interval.
+_Pools = tuple[list[tuple[dict, ScalarFunction]], Optional[list]]
+
+
+def _resolve_pools(
+    function_pool: Sequence[dict],
+    triple_pool: Optional[Sequence[tuple[dict, dict, dict]]],
+    interval: SpectralInterval,
+    where: str,
+) -> _Pools:
+    functions = _valid_entries(function_pool, interval.lo, interval.hi)
+    if not functions:
+        raise ConfigInvalid(f"no pool function is defined everywhere on {where}")
+    triples = None
+    if triple_pool is not None:
+        triples = _valid_triples(triple_pool, interval.lo, interval.hi)
+        if not triples:
+            raise ConfigInvalid(f"no pool triple is defined everywhere on {where}")
+    return functions, triples
+
+
 @dataclasses.dataclass
 class _SamplerCtx:
     """Resolved pools shared by every trial of one suite or search."""
@@ -313,10 +337,9 @@ class _SamplerCtx:
     dim_range: tuple[int, int]
     interval: SpectralInterval
     grid_n: int
-    functions: list[tuple[dict, ScalarFunction]]
-    hull_functions: Optional[list[tuple[dict, ScalarFunction]]]
-    triples: Optional[list]
-    hull_triples: Optional[list]
+    pools: _Pools
+    # the pools on inverse_pair_hull(interval), resolved only for a hull check
+    hull_pools: Optional[_Pools]
 
 
 def _build_ctx(
@@ -332,40 +355,12 @@ def _build_ctx(
         raise ConfigInvalid(
             f"checks {needs_positive} need a positive interval, got {interval.as_pair()}"
         )
-    functions = _valid_entries(function_pool, interval.lo, interval.hi)
-    if not functions:
-        raise ConfigInvalid(
-            f"no pool function is defined everywhere on {interval.as_pair()}"
-        )
-    hull_functions = None
-    hull_triples = None
+    pools = _resolve_pools(function_pool, triple_pool, interval, str(interval.as_pair()))
+    hull_pools = None
     if any(REGISTRY[tid].hull for tid in theorem_ids):
         hull = inverse_pair_hull(interval)
-        hull_functions = _valid_entries(function_pool, hull.lo, hull.hi)
-        if not hull_functions:
-            raise ConfigInvalid(
-                f"no pool function is defined everywhere on the hull {hull.as_pair()}"
-            )
-        if triple_pool is not None:
-            hull_triples = _valid_triples(triple_pool, hull.lo, hull.hi)
-            if not hull_triples:
-                raise ConfigInvalid("no pool triple is defined everywhere on the hull")
-    triples = None
-    if triple_pool is not None:
-        triples = _valid_triples(triple_pool, interval.lo, interval.hi)
-        if not triples:
-            raise ConfigInvalid(
-                f"no pool triple is defined everywhere on {interval.as_pair()}"
-            )
-    return _SamplerCtx(
-        dim_range=dim_range,
-        interval=interval,
-        grid_n=grid_n,
-        functions=functions,
-        hull_functions=hull_functions,
-        triples=triples,
-        hull_triples=hull_triples,
-    )
+        hull_pools = _resolve_pools(function_pool, triple_pool, hull, f"the hull {hull.as_pair()}")
+    return _SamplerCtx(dim_range, interval, grid_n, pools, hull_pools)
 
 
 def _draw_functions(
@@ -373,12 +368,11 @@ def _draw_functions(
 ) -> dict[str, ScalarFunction]:
     if not entry.slots:
         return {}
-    triples = ctx.hull_triples if entry.hull else ctx.triples
+    functions, triples = ctx.hull_pools if entry.hull else ctx.pools
     if triples is not None and set(entry.slots) == {"f", "g", "h"}:
         _, fns = triples[int(rng.integers(len(triples)))]
         return {"f": fns[0], "g": fns[1], "h": fns[2]}
-    pool = ctx.hull_functions if entry.hull else ctx.functions
-    return {slot: pool[int(rng.integers(len(pool)))][1] for slot in entry.slots}
+    return {slot: functions[int(rng.integers(len(functions)))][1] for slot in entry.slots}
 
 
 def _trial_parsed(
@@ -386,7 +380,6 @@ def _trial_parsed(
     ctx: _SamplerCtx,
     rng: np.random.Generator,
     *,
-    overrides: Optional[dict] = None,
     tuples_opposite: bool = False,
 ) -> dict:
     """Draw one random instance as a parsed scenario for the entry's runner."""
@@ -421,8 +414,6 @@ def _trial_parsed(
         parsed["tuples"] = {"a": a[perm], "b": b[perm]}
     else:  # pragma: no cover - registry enforces the kinds
         raise ConfigInvalid(f"unknown inputs kind {entry.inputs_kind!r}")
-    if overrides:
-        parsed.update(overrides)
     return parsed
 
 
@@ -597,30 +588,6 @@ def _certify(doc: dict) -> InequalityReport:
     return run_scenario(scenario_from_doc(doc), tol_factor=VIOLATION_FACTOR)
 
 
-def _scalar_expectations(
-    fns: Sequence[ScalarFunction],
-    lam1: np.ndarray,
-    lam2: np.ndarray,
-    w: np.ndarray,
-) -> list[np.ndarray]:
-    return [w * fn(lam1) + (1.0 - w) * fn(lam2) for fn in fns]
-
-
-def _scalar_sign_gap(
-    fg_h: tuple[ScalarFunction, ScalarFunction, ScalarFunction],
-    lam1: np.ndarray,
-    lam2: np.ndarray,
-    w: np.ndarray,
-) -> np.ndarray:
-    f, g, h = fg_h
-    with np.errstate(all="ignore"):
-        e_h2 = w * h(lam1) ** 2 + (1.0 - w) * h(lam2) ** 2
-        e_fg = w * f(lam1) * g(lam1) + (1.0 - w) * f(lam2) * g(lam2)
-        e_hf = w * h(lam1) * f(lam1) + (1.0 - w) * h(lam2) * f(lam2)
-        e_hg = w * h(lam1) * g(lam1) + (1.0 - w) * h(lam2) * g(lam2)
-    return e_h2 * e_fg - e_hf * e_hg
-
-
 def _batched_argmin(
     rng: np.random.Generator,
     budget: int,
@@ -726,8 +693,8 @@ def falsify(
             raise ConfigInvalid(
                 f"dropping {drop!r} does not apply to {theorem_id!r} (applies to: {applicable})"
             )
-    if not isinstance(budget, int) or budget < 1:
-        raise ConfigInvalid(f"budget must be a positive integer, got {budget!r}")
+    read_integer(budget, "budget", (1, MAX_BUDGET))
+    read_integer(seed, "seed", _SEED_RANGE)
     iv = interval if interval is not None else SpectralInterval(1.0, 4.0)
     if entry.needs_positive and iv.lo <= 0.0:
         raise ConfigInvalid(
@@ -802,10 +769,13 @@ def _scalar_sign_search(
             if implied is None:
                 continue  # mixed pairs are gated out when hypotheses are intact
             sign = 1.0 if implied == ">=" else -1.0
-        fg_h = fns
 
-        def gap_fn(l1, l2, w, fg_h=fg_h, sign=sign):
-            return sign * _scalar_sign_gap(fg_h, l1, l2, w)
+        def gap_fn(l1, l2, w, fg_h=fns, sign=sign):
+            # the batch of measures of diag(l1, l2) seen from (sqrt(w), sqrt(1 - w))
+            mu = SpectralMeasure(np.stack([l1, l2], axis=-1), np.stack([w, 1.0 - w], axis=-1))
+            with np.errstate(all="ignore"):
+                lhs, rhs = _sign_sides(mu, *fg_h)
+                return sign * (lhs - rhs)
 
         gap_fns.append(gap_fn)
         kept.append(descs)
@@ -831,7 +801,7 @@ def _scalar_kantorovich_search(
     tid = entry.theorem_id
     widen = drop == DROP_CONTAINMENT
     draw_hi = iv.hi + max(iv.hi - iv.lo, 1.0) if widen else iv.hi
-    bound = (iv.lo + iv.hi) ** 2 / (4.0 * iv.lo * iv.hi)
+    bound = kantorovich_constant(iv.lo, iv.hi)
 
     def gap_fn(l1, l2, w):
         product = (w * l1 + (1.0 - w) * l2) * (w / l1 + (1.0 - w) / l2)
@@ -911,7 +881,7 @@ def _falsify_generic(
     best_violated: Optional[InequalityReport] = None
     examined = 0
     for _ in range(budget):
-        parsed = _trial_parsed(entry, ctx, rng, overrides=None, tuples_opposite=tuples_opposite)
+        parsed = _trial_parsed(entry, ctx, rng, tuples_opposite=tuples_opposite)
         if drop == DROP_CONTAINMENT and entry.inputs_kind == ENSEMBLE:
             n = parsed["ensemble"].n
             parsed["per_op_intervals"] = [(iv.lo, iv.hi)] * n

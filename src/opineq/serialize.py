@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -185,6 +185,58 @@ def _expect_from_doc(doc) -> dict:
     return out
 
 
+def _direction_from_doc(value) -> Optional[str]:
+    if value is not None and value not in (GE, LE):
+        raise ConfigInvalid(f"direction must be '>=' or '<=', got {value!r}")
+    return value
+
+
+def _gate_from_doc(value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigInvalid(f"gate_hypothesis must be true or false, got {value!r}")
+    return value
+
+
+def _per_op_intervals_from_doc(doc) -> list[tuple[float, float]]:
+    rows = read_list(doc, "'per_op_intervals'")
+    return [(iv.lo, iv.hi) for iv in (interval_from_doc(r, "per-operator interval") for r in rows)]
+
+
+def _tuples_from_doc(doc) -> dict[str, list[float]]:
+    if not isinstance(doc, dict) or "a" not in doc or "b" not in doc:
+        raise ConfigInvalid("'tuples' must be an object with lists 'a' and 'b'")
+    return {
+        key: [read_number(v, "tuple entry") for v in read_list(doc[key], f"tuple {key!r}")]
+        for key in ("a", "b")
+    }
+
+
+# Scenario field -> reader of its value; a field without one is accepted and not kept.
+_SCENARIO_READERS: dict[str, Optional[Callable]] = {
+    "theorem": None,
+    "name": None,
+    "direction": _direction_from_doc,
+    "grid_n": lambda v: read_integer(v, "grid_n"),
+    "gate_hypothesis": _gate_from_doc,
+    "functions": _functions_from_doc,
+    "operator": operator_from_doc,
+    "operator_b": operator_from_doc,
+    "state": state_from_doc,
+    "state_b": state_from_doc,
+    "ensemble": ensemble_from_doc,
+    "per_op_intervals": _per_op_intervals_from_doc,
+    "tuples": _tuples_from_doc,
+    "bound_interval": lambda v: interval_from_doc(v, "bound_interval"),
+    "expect": _expect_from_doc,
+}
+_SCENARIO_DEFAULTS = {
+    "direction": None,
+    "grid_n": DEFAULT_GRID_N,
+    "gate_hypothesis": True,
+    "functions": {},
+}
+
+
 def scenario_from_doc(doc) -> dict:
     """Validate a scenario document and build the typed objects it describes.
 
@@ -197,67 +249,14 @@ def scenario_from_doc(doc) -> dict:
     theorem = doc.get("theorem")
     if not isinstance(theorem, str):
         raise ConfigInvalid("scenario needs a 'theorem' identifier string")
-    direction = doc.get("direction")
-    if direction is not None and direction not in (GE, LE):
-        raise ConfigInvalid(f"direction must be '>=' or '<=', got {direction!r}")
-    gate = doc.get("gate_hypothesis", True)
-    if not isinstance(gate, bool):
-        raise ConfigInvalid(f"gate_hypothesis must be true or false, got {gate!r}")
-    parsed: dict = {
-        "theorem": theorem,
-        "direction": direction,
-        "grid_n": read_integer(doc.get("grid_n", DEFAULT_GRID_N), "grid_n"),
-        "gate_hypothesis": gate,
-        "functions": _functions_from_doc(doc.get("functions", {})),
-    }
-    known = {
-        "theorem",
-        "direction",
-        "grid_n",
-        "gate_hypothesis",
-        "functions",
-        "operator",
-        "operator_b",
-        "state",
-        "state_b",
-        "ensemble",
-        "per_op_intervals",
-        "tuples",
-        "bound_interval",
-        "expect",
-        "name",
-    }
     for key in doc:
-        if key not in known:
+        if key not in _SCENARIO_READERS:
             raise ConfigInvalid(f"unknown scenario field {key!r}")
-    if "operator" in doc:
-        parsed["operator"] = operator_from_doc(doc["operator"])
-    if "operator_b" in doc:
-        parsed["operator_b"] = operator_from_doc(doc["operator_b"])
-    if "state" in doc:
-        parsed["state"] = state_from_doc(doc["state"])
-    if "state_b" in doc:
-        parsed["state_b"] = state_from_doc(doc["state_b"])
-    if "ensemble" in doc:
-        parsed["ensemble"] = ensemble_from_doc(doc["ensemble"])
-    if "per_op_intervals" in doc:
-        rows = read_list(doc["per_op_intervals"], "'per_op_intervals'")
-        parsed["per_op_intervals"] = [
-            (iv.lo, iv.hi)
-            for iv in (interval_from_doc(r, "per-operator interval") for r in rows)
-        ]
-    if "tuples" in doc:
-        pairs = doc["tuples"]
-        if not isinstance(pairs, dict) or "a" not in pairs or "b" not in pairs:
-            raise ConfigInvalid("'tuples' must be an object with lists 'a' and 'b'")
-        parsed["tuples"] = {
-            key: [read_number(v, "tuple entry") for v in read_list(pairs[key], f"tuple {key!r}")]
-            for key in ("a", "b")
-        }
-    if "bound_interval" in doc:
-        parsed["bound_interval"] = interval_from_doc(doc["bound_interval"], "bound_interval")
-    if "expect" in doc:
-        parsed["expect"] = _expect_from_doc(doc["expect"])
+    parsed: dict = {"theorem": theorem}
+    for key, value in {**_SCENARIO_DEFAULTS, **doc}.items():
+        read = _SCENARIO_READERS[key]
+        if read is not None:
+            parsed[key] = read(value)
     return parsed
 
 

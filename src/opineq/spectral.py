@@ -254,10 +254,12 @@ def eigenbasis_weights(A: HermitianOperator, x: StateVector) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralMeasure:
-    """Point masses ``weights[k]`` at ``atoms[k]``: all a check reads of (A, x).
+    """Point masses ``weights[..., k]`` at ``atoms[..., k]``: all a check reads of (A, x).
 
     For a unit state the weights sum to 1; an ensemble's measure is its
     members' measures concatenated, so sums over members are one ``expect``.
+    Leading axes, when present, index a batch of measures with equally many
+    atoms, and ``expect`` then returns one value per measure.
     """
 
     atoms: np.ndarray
@@ -271,16 +273,18 @@ class SpectralMeasure:
     @staticmethod
     def concat(measures: Sequence["SpectralMeasure"]) -> "SpectralMeasure":
         return SpectralMeasure(
-            np.concatenate([m.atoms for m in measures]),
-            np.concatenate([m.weights for m in measures]),
+            np.concatenate([m.atoms for m in measures], axis=-1),
+            np.concatenate([m.weights for m in measures], axis=-1),
         )
 
-    def expect(self, *fns: "ScalarFunction") -> float:
-        """sum_k w_k prod_i fn_i(lam_k), i.e. <fn_1(A)...fn_m(A)x, x>."""
+    def expect(self, *fns: "ScalarFunction") -> "float | np.ndarray":
+        """sum_k w_k prod_i fn_i(lam_k), i.e. <fn_1(A)...fn_m(A)x, x>; an array for a batch."""
         vals = np.ones_like(self.weights)
         for fn in fns:
             vals = vals * np.asarray(fn.evaluate(self.atoms), dtype=np.float64)
-        return float(self.weights @ vals)
+        if self.weights.ndim == 1:
+            return float(self.weights @ vals)
+        return (self.weights * vals).sum(axis=-1)
 
 
 def _check_pairs(
@@ -299,7 +303,8 @@ def _check_pairs(
     for k, (op, st) in enumerate(zip(ops, states)):
         if op.dim != st.dim:
             raise DimensionMismatch(f"pair {k}: operator dim {op.dim} vs state dim {st.dim}")
-    total = float(sum(st.norm**2 for st in states))
+    # numpy's square: a huge norm gives inf, where a Python float's ** raises
+    total = float(sum(np.float64(st.norm) ** 2 for st in states))
     if sum_of_squares and abs(total - 1.0) > TOL_NORM:
         raise NormalizationViolation(f"sum of squared state norms is {total!r}, expected 1")
 

@@ -14,6 +14,8 @@ __all__ = [
     "TOL_SPEC",
     "DEFAULT_GRID_N",
     "MAX_GRID_N",
+    "MAX_TRIALS",
+    "MAX_BUDGET",
     "MAX_DIM",
     "VIOLATION_FACTOR",
     "OPEN_INTERVAL_SHRINK",
@@ -34,6 +36,10 @@ TOL_SPEC = 1e-8
 DEFAULT_GRID_N = 128
 # certification evaluates grid_n^2/2 pairs; 1024 points is about 0.5M pairs
 MAX_GRID_N = 1024
+# suite trials per check id; all 23 ids at the cap already run for hours
+MAX_TRIALS = 1_000_000
+# candidates one falsify search examines
+MAX_BUDGET = 10_000_000
 # desk scale; the inequalities are dimension-free
 MAX_DIM = 16
 # a gap below -VIOLATION_FACTOR * tol_ineq counts as a genuine violation

@@ -1,17 +1,23 @@
 """Input boundary: a malformed document fails with an OpineqError, never a raw exception.
 
-Hypothesis draws function literals and scenario documents whose fields are
-either well formed or arbitrary JSON, and feeds them through the path
-``opineq check`` takes: ``scenario_from_doc`` then ``run_scenario``.
+Hypothesis draws function literals, scenario documents, suite configs and
+``classify`` documents whose fields are either well formed or arbitrary JSON,
+and feeds them through the path the CLI takes: ``scenario_from_doc`` then
+``run_scenario`` for ``opineq check``, ``config_from_doc`` then ``run_suite``
+for ``opineq suite``, and ``main`` itself for ``opineq classify``.
 """
 
+import dataclasses
 import math
+import pathlib
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from opineq import REGISTRY_ORDER, OpineqError, function_from_descriptor, run_scenario
-from opineq import scenario_from_doc
+from opineq import REGISTRY_ORDER, OpineqError, canonical_json, config_from_doc
+from opineq import function_from_descriptor, run_scenario, run_suite, scenario_from_doc
+from opineq.cli import main
 
 FUZZ = settings(
     derandomize=True,
@@ -138,3 +144,55 @@ def test_function_literals_fail_only_with_opineq_errors(literal):
 @given(SCENARIOS)
 def test_scenario_documents_fail_only_with_opineq_errors(doc):
     _only_opineq_errors(doc)
+
+
+THEOREM_IDS = [e.theorem_id for e in REGISTRY_ORDER]
+# interval ends from negative through the ranges where squares and exp overflow
+ENDS = st.floats(min_value=-2.0, max_value=500.0) | st.sampled_from([0.0, 1.0, 465.0, 1e200])
+INTERVALS = st.lists(ENDS, min_size=2, max_size=2).map(sorted) | JSON
+CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "seed": st.integers(min_value=-1, max_value=2**64) | JSON,
+        "trials": st.integers(min_value=-1, max_value=3) | JSON,
+        "dim_range": st.lists(st.integers(min_value=0, max_value=17), min_size=2, max_size=2)
+        | JSON,
+        "interval": INTERVALS,
+        "function_pool": st.lists(LITERALS, max_size=3) | JSON,
+        "triple_pool": st.lists(st.lists(LITERALS, min_size=3, max_size=3), max_size=2) | JSON,
+        "grid_n": st.integers(min_value=0, max_value=40) | JSON,
+        "theorems": st.lists(st.sampled_from(THEOREM_IDS), max_size=3)
+        | st.sampled_from(THEOREM_IDS)
+        | JSON,
+    },
+)
+CLASSIFY_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "f": LITERALS | JSON,
+        "g": LITERALS | JSON,
+        "h": LITERALS | JSON,
+        "r_values": st.lists(NUMBERS, max_size=3) | JSON,
+        "interval": INTERVALS,
+        "grid_n": st.integers(min_value=0, max_value=40) | JSON,
+        "mode": st.sampled_from(["synchrony", "monotonicity"]) | JSON,
+    },
+)
+
+
+@FUZZ
+@given(CONFIGS)
+def test_suite_configs_fail_only_with_opineq_errors(doc):
+    try:
+        run_suite(dataclasses.replace(config_from_doc(doc), trials=1))
+    except OpineqError:
+        pass
+
+
+@settings(FUZZ, max_examples=100)
+@given(CLASSIFY_DOCS)
+def test_classify_documents_exit_zero_or_two(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "functions.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        assert main(["classify", str(path)]) in (0, 2)

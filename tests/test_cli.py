@@ -207,6 +207,28 @@ class TestSuite:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # exp * exp overflows on the atoms: both sides inf, the gap nan
+            ["--interval", "1", "465", "--theorems", "pc-square"],
+            # a square of a Python float beyond 1e154 overflows
+            ["--interval", "300", "400", "--theorems", "pc-square"],
+            ["--interval", "300", "400", "--theorems", "mean-point-square"],
+            ["--interval", "300", "400", "--theorems", "ensemble-pc-square"],
+            ["--interval", "1e200", "2e200", "--theorems", "kantorovich-upper"],
+        ],
+    )
+    def test_non_finite_sides_exit_two(self, capsys, args):
+        code = main(["suite", "--trials", "10", *args])
+        assert code == 2
+        assert "not both finite" in capsys.readouterr().err
+
+    def test_oversized_trials_exit_two(self, capsys):
+        code = main(["suite", "--trials", "1000001"])
+        assert code == 2
+        assert "trials" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # classify
@@ -324,6 +346,22 @@ class TestFalsifyCommand:
         code = main(["falsify", "pc-square", "--drop", "synchrony", "--budget", "10"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exits_two(self, capsys, seed):
+        code = main(["falsify", "pc-sign", "--budget", "10", "--seed", seed])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_oversized_budget_exits_two(self, capsys):
+        code = main(["falsify", "pc-sign", "--budget", "10000001"])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_non_finite_constant_exits_two(self, capsys):
+        args = ["falsify", "kantorovich-lower", "--interval", "1e200", "2e200", "--budget", "50"]
+        assert main(args) == 2
+        assert "not both finite" in capsys.readouterr().err
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "result.json"

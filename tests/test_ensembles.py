@@ -88,6 +88,11 @@ class TestOperatorEnsemble:
         with pytest.raises(NormalizationViolation):
             OperatorEnsemble((DIAG12, DIAG12), (HALF2, HALF2), PER_VECTOR)
 
+    def test_huge_state_norm_is_a_normalization_violation(self):
+        huge = StateVector(np.asarray([1e200, 0.0]))
+        with pytest.raises(NormalizationViolation):
+            OperatorEnsemble((DIAG12,), (huge,), SUM_OF_SQUARES)
+
     def test_properties(self):
         assert TWO_BLOCKS.n == 2
         assert TWO_BLOCKS.interval == IV12
@@ -279,6 +284,10 @@ class TestKantorovichConstant:
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositiveSpectrum):
             kantorovich_constant(0.0, 1.0)
+
+    def test_constant_overflows_to_inf_instead_of_raising(self):
+        assert np.isnan(kantorovich_constant(1e200, 2e200))  # inf / inf
+        assert kantorovich_constant(1.0, 1e160) == np.inf
 
 
 def _pv(op_list, state_list):

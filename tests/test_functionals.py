@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opineq import (
+    DomainViolation,
     GE,
     HOLDS,
     HYPOTHESIS_NOT_MET,
@@ -225,6 +226,12 @@ class TestCheckSquareBound:
     def test_hypothesis_is_automatic(self):
         r = check_square_bound(exp_fn(), log_fn(), DIAG12, EQ2)
         assert r.hypothesis_evidence["kind"] == "automatic"
+
+    @pytest.mark.parametrize("lam", [[460.0, 465.0], [300.0, 400.0]])
+    def test_non_finite_sides_raise_domain_violation(self, lam):
+        A = HermitianOperator.diagonal(lam, SpectralInterval(lam[0], lam[1]))
+        with pytest.raises(DomainViolation):
+            check_square_bound(exp_fn(), exp_fn(), A, EQ2)
 
     def test_always_holds_on_random_draws(self):
         fns = [ID, SQ, INV, exp_fn(), log_fn(), power(0.5)]

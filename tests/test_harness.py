@@ -32,6 +32,7 @@ from opineq import (
     trial_rng,
 )
 from opineq.harness import DROP_CONTAINMENT, DROP_NORMALIZATION, DROP_SYNCHRONY
+from opineq.tolerances import MAX_BUDGET, MAX_TRIALS
 
 IV12 = SpectralInterval(1.0, 2.0)
 
@@ -167,6 +168,28 @@ class TestTrialConfig:
         TrialConfig(grid_n=MAX_GRID_N)
         with pytest.raises(ConfigInvalid):
             TrialConfig(grid_n=MAX_GRID_N + 1)
+
+    def test_trials_and_seed_bounded(self):
+        TrialConfig(trials=MAX_TRIALS, seed=2**64 - 1)
+        with pytest.raises(ConfigInvalid):
+            TrialConfig(trials=MAX_TRIALS + 1)
+        with pytest.raises(ConfigInvalid):
+            TrialConfig(seed=2**64)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": True},
+            {"trials": True},
+            {"grid_n": True},
+            {"dim_range": (1.5, 3.7)},
+            {"dim_range": (True, 3)},
+            {"dim_range": (1, 2, 3)},
+        ],
+    )
+    def test_mistyped_fields_rejected_in_code(self, kwargs):
+        with pytest.raises(ConfigInvalid):
+            TrialConfig(**kwargs)
 
     @pytest.mark.parametrize(
         "doc",
@@ -334,6 +357,20 @@ class TestFalsify:
     def test_unknown_drop_rejected(self):
         with pytest.raises(ConfigInvalid):
             falsify("pc-sign", "unitarity", budget=10)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"budget": True},
+            {"budget": MAX_BUDGET + 1},
+            {"seed": -1},
+            {"seed": 2**64},
+            {"seed": True},
+        ],
+    )
+    def test_bad_budget_or_seed_rejected(self, kwargs):
+        with pytest.raises(ConfigInvalid):
+            falsify("pc-sign", **{"budget": 10, **kwargs})
 
     def test_bad_budget_rejected(self):
         with pytest.raises(ConfigInvalid):

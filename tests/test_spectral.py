@@ -327,6 +327,20 @@ class TestSpectralMeasure:
         with pytest.raises(DimensionMismatch):
             SpectralMeasure.of(A, StateVector(np.asarray([1.0, 0.0, 0.0])))
 
+    @pytest.mark.parametrize("atoms", [2, 5])
+    def test_batch_expect_matches_each_measure(self, atoms):
+        rng = trial_rng(11, 1, atoms)
+        lam = rng.uniform(0.5, 3.0, (7, atoms))
+        w = rng.uniform(0.0, 1.0, (7, atoms))
+        batch = SpectralMeasure(lam, w)
+        for f in self.FNS:
+            for g in self.FNS:
+                got = batch.expect(f, g)
+                assert isinstance(got, np.ndarray) and got.shape == (7,)
+                each = [SpectralMeasure(lam[k], w[k]).expect(f, g) for k in range(7)]
+                assert got == pytest.approx(each, rel=1e-12, abs=0.0)
+        assert isinstance(SpectralMeasure(lam[0], w[0]).expect(), float)
+
 
 # ---------------------------------------------------------------------------
 # block-diagonal stacking
