@@ -142,12 +142,12 @@ def _ensemble_body(E: OperatorEnsemble) -> dict:
     }
 
 
-def _summed(E: OperatorEnsemble) -> tuple[SpectralMeasure, SpectralInterval, dict]:
+def _summed(E: OperatorEnsemble) -> tuple[tuple[SpectralMeasure], SpectralInterval, dict]:
     """What a summed check reads of E, after checking its normalization: the
-    concatenated measure, the interval to certify on, the inputs body."""
+    concatenated measure (alone in a tuple), the interval to certify on, the inputs body."""
     if E.normalization != SUM_OF_SQUARES:
         raise NormalizationViolation("summed checks need sum_of_squares normalization")
-    return E.measure(), E.interval, _ensemble_body(E)
+    return (E.measure(),), E.interval, _ensemble_body(E)
 
 
 def check_ensemble_sign_bound(
@@ -222,6 +222,11 @@ def similarly_ordered(
     return True, None, worst
 
 
+def _chebyshev_sides(a, b) -> tuple:
+    """mean(a*b) and mean(a)*mean(b), the means taken along the last axis."""
+    return np.mean(a * b, axis=-1), np.mean(a, axis=-1) * np.mean(b, axis=-1)
+
+
 def discrete_chebyshev(
     a: Sequence[float], b: Sequence[float], *, tol_factor: float = 1.0, gate: bool = True
 ) -> InequalityReport:
@@ -238,8 +243,7 @@ def discrete_chebyshev(
         raise NotSimilarlyOrdered(
             f"pair (i={i}, j={j}) has (a_i-a_j)(b_i-b_j) = {fmt(worst)} < 0"
         )
-    favored = float(np.mean(av * bv))
-    other = float(np.mean(av)) * float(np.mean(bv))
+    favored, other = _chebyshev_sides(av, bv)
     inputs = {
         "theorem": "discrete-chebyshev",
         "direction": GE,
@@ -260,6 +264,20 @@ def discrete_chebyshev(
         inputs=inputs,
         tol_factor=tol_factor,
     )
+
+
+def _member_means(measures: Sequence[SpectralMeasure]) -> tuple[np.ndarray, np.ndarray]:
+    """a_j = E_j[s] and b_j = E_j[1/s] of each member, along the last axis."""
+    a = np.asarray([mu.expect(identity()) for mu in measures]).T
+    b = np.asarray([mu.expect(power(-1.0)) for mu in measures]).T
+    return a, b
+
+
+def _chain_sides(a: np.ndarray, b: np.ndarray, constants: Sequence[float]) -> tuple:
+    """The three links' sides from the members' means and their interval constants:
+    (mean(a)mean(b), 1), (mean(ab), mean(a)mean(b)) and (mean(K), mean(ab))."""
+    mean_ab, product = _chebyshev_sides(a, b)
+    return (product, 1.0), (mean_ab, product), (np.mean(constants), mean_ab)
 
 
 def kantorovich_ensemble_chain(
@@ -307,13 +325,9 @@ def kantorovich_ensemble_chain(
                     f"operator {k}: spectrum [{fmt(float(ev[0]))}, {fmt(float(ev[-1]))}] "
                     f"outside chain interval ({fmt(lo)}, {fmt(hi)})"
                 )
-    measures = E.measures()
-    a = np.asarray([mu.expect(identity()) for mu in measures])
-    b = np.asarray([mu.expect(power(-1.0)) for mu in measures])
+    a, b = _member_means(E.measures())
     constants = [kantorovich_constant(lo, hi) for lo, hi in pairs]
-    mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
-    mean_ab = float(np.mean(a * b))
-    mean_k = float(np.mean(constants))
+    lower_sides, middle_sides, upper_sides = _chain_sides(a, b, constants)
     ordered, witness, worst = similarly_ordered(a, b)
 
     body = _ensemble_body(E)
@@ -326,15 +340,14 @@ def kantorovich_ensemble_chain(
     lower = _build_report(
         "ensemble-product-lower",
         GE,
-        mean_a * mean_b,
-        1.0,
+        *lower_sides,
         hypothesis={"kind": "normalization", "mode": E.normalization, "required": PER_VECTOR},
         hypothesis_ok=True,
         inputs=doc("ensemble-product-lower"),
         tol_factor=tol_factor,
         notes=(
             "sum form: (sum a)(sum b) = "
-            + fmt(mean_a * mean_b * n * n)
+            + fmt(lower_sides[0] * n * n)
             + " vs n^2 = "
             + fmt(float(n * n)),
             "stated for sum-of-squares normalization, where it fails; "
@@ -349,8 +362,7 @@ def kantorovich_ensemble_chain(
     middle = _build_report(
         "ensemble-chebyshev-link",
         GE,
-        mean_ab,
-        mean_a * mean_b,
+        *middle_sides,
         hypothesis=ordering_evidence,
         hypothesis_ok=ordered or not gate,
         inputs=doc("ensemble-chebyshev-link"),
@@ -360,8 +372,7 @@ def kantorovich_ensemble_chain(
     upper = _build_report(
         "ensemble-kantorovich-upper",
         GE,
-        mean_k,
-        mean_ab,
+        *upper_sides,
         hypothesis=None,
         hypothesis_ok=True,
         inputs=doc("ensemble-kantorovich-upper"),

@@ -67,9 +67,11 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _square(x: float) -> float:
-    """x**2 with the bits of Python's, but inf on overflow where Python's raises."""
-    return float(np.float64(x) ** 2)
+def _square(x):
+    """x**2 with the bits of Python's, but inf on overflow where Python's raises;
+    elementwise for an array."""
+    sq = np.float64(x) ** 2
+    return sq if isinstance(sq, np.ndarray) else float(sq)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,6 +120,7 @@ def _build_report(
     tol_factor: float = 1.0,
     notes: tuple[str, ...] = (),
 ) -> InequalityReport:
+    favored, other = float(favored), float(other)
     if not (math.isfinite(favored) and math.isfinite(other)):
         raise DomainViolation(
             f"{theorem_id}: sides {fmt(favored)} and {fmt(other)} are not both finite"
@@ -161,10 +164,10 @@ def _state_doc(x: StateVector) -> dict:
 
 def _pair(
     A: HermitianOperator, x: StateVector
-) -> tuple[SpectralMeasure, SpectralInterval, dict]:
-    """What a check reads of (A, x): mu_x, the interval to certify on, the inputs body."""
+) -> tuple[tuple[SpectralMeasure], SpectralInterval, dict]:
+    """What a check reads of (A, x): (mu_x,), the interval to certify on, the inputs body."""
     body = {"operator": _operator_doc(A), "state": _state_doc(x)}
-    return SpectralMeasure.of(A, x), A.interval, body
+    return (SpectralMeasure.of(A, x),), A.interval, body
 
 
 def _inputs_doc(
@@ -211,8 +214,8 @@ def pompeiu_cebysev(
 
 
 def _synchrony_bound(
-    sides: Callable[[SpectralMeasure, ScalarFunction, ScalarFunction, ScalarFunction], tuple],
-    mu: SpectralMeasure,
+    sides: Callable[..., tuple],
+    measures: tuple[SpectralMeasure, ...],
     interval: SpectralInterval,
     body: dict,
     f: ScalarFunction,
@@ -226,9 +229,9 @@ def _synchrony_bound(
     auto_hypothesis: bool = False,
     notes: Optional[tuple[str, ...]] = None,
 ) -> InequalityReport:
-    """A bound gated on h-synchrony of (f, g) over ``interval``, read off a measure.
+    """A bound gated on h-synchrony of (f, g) over ``interval``, read off its measures.
 
-    ``sides(mu, f, g, h)`` gives its sides in the ``>=`` orientation.  With
+    ``sides(*measures, f, g, h)`` gives its sides in the ``>=`` orientation.  With
     ``direction=None`` the grid classification picks the direction; a mixed
     verdict dispatches ``>=`` and fails the gate.  ``auto_hypothesis`` marks
     the f = g parameterizations whose synchrony is structural, skipping the
@@ -245,7 +248,7 @@ def _synchrony_bound(
     else:
         hypothesis = evidence.summary()
         hypothesis_ok = evidence.supports(direction) or not gate_hypothesis
-    lhs_raw, rhs_raw = sides(mu, f, g, h)
+    lhs_raw, rhs_raw = sides(*measures, f, g, h)
     favored, other = (lhs_raw, rhs_raw) if direction == GE else (rhs_raw, lhs_raw)
     if notes is not None and direction == LE:
         notes = notes + (REVERSED_NOTE,)
@@ -266,8 +269,8 @@ def _synchrony_bound(
 
 def _sign_sides(
     mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
-) -> tuple[float, float]:
-    """E[h^2]E[fg] and E[hg]E[hf]."""
+) -> tuple:
+    """E[h^2]E[fg] and E[hg]E[hf]; arrays for a batch of measures, as every ``*_sides``."""
     return mu.expect(h, h) * mu.expect(f, g), mu.expect(h, g) * mu.expect(h, f)
 
 
@@ -294,8 +297,13 @@ def check_sign_bound(
     return _synchrony_bound(_sign_sides, *_pair(A, x), f, g, h, *args)
 
 
+def _square_sides(mu: SpectralMeasure, f: ScalarFunction, h: ScalarFunction) -> tuple:
+    """E[h^2]E[f^2] and E[hf]^2."""
+    return mu.expect(h, h) * mu.expect(f, f), _square(mu.expect(h, f))
+
+
 def _square_bound(
-    mu: SpectralMeasure,
+    measures: tuple[SpectralMeasure],
     interval: SpectralInterval,
     body: dict,
     f: ScalarFunction,
@@ -305,8 +313,7 @@ def _square_bound(
     tol_factor: float,
 ) -> InequalityReport:
     """E[hf]^2 <= E[h^2]E[f^2] on a measure; nothing to certify, so ``interval`` is unused."""
-    favored = mu.expect(h, h) * mu.expect(f, f)
-    other = _square(mu.expect(h, f))
+    favored, other = _square_sides(*measures, f, h)
     return _build_report(
         theorem_id,
         LE,
@@ -341,6 +348,12 @@ def kantorovich_constant(lo: float, hi: float) -> float:
     return _square(lo + hi) / (4.0 * lo * hi)
 
 
+def _kantorovich_sides(mu: SpectralMeasure, bound: float) -> tuple[tuple, tuple]:
+    """The lower and upper links' sides: (E[s]E[1/s], 1) and (bound, E[s]E[1/s])."""
+    product = mu.expect(identity()) * mu.expect(power(-1.0))
+    return (product, 1.0), (bound, product)
+
+
 def kantorovich_chain(
     A: HermitianOperator,
     x: StateVector,
@@ -360,9 +373,9 @@ def kantorovich_chain(
         raise NonPositiveSpectrum(
             f"inversion needs 0 < lo; intervals {A.interval.as_pair()}, {iv.as_pair()}"
         )
-    mu, _, body = _pair(A, x)
-    product = mu.expect(identity()) * mu.expect(power(-1.0))
+    measures, _, body = _pair(A, x)
     bound = kantorovich_constant(iv.lo, iv.hi)
+    lower_sides, upper_sides = _kantorovich_sides(*measures, bound)
     difference_form = _square(iv.hi - iv.lo) / (4.0 * iv.lo * iv.hi)
     containment = None
     if bound_interval is not None:
@@ -379,8 +392,7 @@ def kantorovich_chain(
     lower = _build_report(
         "kantorovich-lower",
         GE,
-        product,
-        1.0,
+        *lower_sides,
         hypothesis=None,
         hypothesis_ok=True,
         inputs=_inputs_doc("kantorovich-lower", GE, body, {}, grid_n, True),
@@ -389,8 +401,7 @@ def kantorovich_chain(
     upper = _build_report(
         "kantorovich-upper",
         GE,
-        bound,
-        product,
+        *upper_sides,
         hypothesis=containment,
         hypothesis_ok=True,
         inputs=_inputs_doc("kantorovich-upper", GE, body, {}, grid_n, True),
@@ -403,6 +414,13 @@ def kantorovich_chain(
         ),
     )
     return lower, upper
+
+
+def _two_operator_sides(mu: SpectralMeasure, nu: SpectralMeasure, f, g, h) -> tuple:
+    """The mixed bound's sides: cross products of the two measures' expectations."""
+    main = nu.expect(h, h) * mu.expect(f, g) + mu.expect(h, h) * nu.expect(f, g)
+    cross = nu.expect(h, g) * mu.expect(h, f) + mu.expect(h, g) * nu.expect(h, f)
+    return main, cross
 
 
 def check_two_operator(
@@ -427,33 +445,26 @@ def check_two_operator(
         raise IntervalMismatch(
             f"operators declare intervals {A.interval.as_pair()} and {B.interval.as_pair()}"
         )
-    nu = SpectralMeasure.of(B, y)
-
-    def sides(
-        mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
-    ) -> tuple[float, float]:
-        main = nu.expect(h, h) * mu.expect(f, g) + mu.expect(h, h) * nu.expect(f, g)
-        cross = nu.expect(h, g) * mu.expect(h, f) + mu.expect(h, g) * nu.expect(h, f)
-        return main, cross
-
-    mu, interval, body = _pair(A, x)
+    (mu,), interval, body = _pair(A, x)
     body.update(operator_b=_operator_doc(B), state_b=_state_doc(y))
+    measures = (mu, SpectralMeasure.of(B, y))
     args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis)
-    return _synchrony_bound(sides, mu, interval, body, f, g, h, *args)
+    return _synchrony_bound(_two_operator_sides, measures, interval, body, f, g, h, *args)
 
 
 def mean_point_sides(
     f: ScalarFunction,
     g: ScalarFunction,
     h: ScalarFunction,
-    mean: float,
-    e_h2: float,
-    e_hf: float,
-    e_hg: float,
-    e_fg: float,
-) -> tuple[float, float]:
-    """Raw (>= orientation) sides of the mean-point bound from its scalar ingredients."""
-    ha, fa, ga = h.at(mean), f.at(mean), g.at(mean)
+    mean,
+    e_h2,
+    e_hf,
+    e_hg,
+    e_fg,
+) -> tuple:
+    """Raw (>= orientation) sides of the mean-point bound from its ingredients,
+    scalars or equally shaped arrays."""
+    ha, fa, ga = h.evaluate(mean), f.evaluate(mean), g.evaluate(mean)
     lhs_raw = _square(ha) * e_fg - e_hf * e_hg
     rhs_raw = (ha * e_hf - e_h2 * fa) * ga + (ha * fa - e_hf) * e_hg
     return lhs_raw, rhs_raw
@@ -461,7 +472,7 @@ def mean_point_sides(
 
 def _mean_point_sides(
     mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
-) -> tuple[float, float]:
+) -> tuple:
     """mean_point_sides at the measure's mean, from its four product expectations."""
     terms = (mu.expect(h, h), mu.expect(h, f), mu.expect(h, g), mu.expect(f, g))
     return mean_point_sides(f, g, h, mu.expect(identity()), *terms)
@@ -504,7 +515,7 @@ def inverse_pair_hull(interval: SpectralInterval) -> SpectralInterval:
 
 def _inverse_pair_sides(
     mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
-) -> tuple[float, float]:
+) -> tuple:
     """The two-point sides at the measure's mean and inverse mean."""
     pts = np.asarray([mu.expect(identity()), mu.expect(power(-1.0))])
     fv, gv, hv = f.evaluate(pts), g.evaluate(pts), h.evaluate(pts)
@@ -534,6 +545,6 @@ def check_inverse_pair(
         "synchrony certified on the hull of the interval and its inverse "
         f"[{fmt(hull.lo)}, {fmt(hull.hi)}]",
     )
-    mu, _, body = _pair(A, x)
+    measures, _, body = _pair(A, x)
     args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
-    return _synchrony_bound(_inverse_pair_sides, mu, hull, body, f, g, h, *args, notes)
+    return _synchrony_bound(_inverse_pair_sides, measures, hull, body, f, g, h, *args, notes)

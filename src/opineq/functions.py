@@ -8,6 +8,7 @@ a verdict is evidence "on this grid", not a proof over the continuum.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -366,11 +367,19 @@ def mono_defect(f: ScalarFunction, h: ScalarFunction, x: float, t: float) -> flo
 
 
 def _pair_extremes(pts: np.ndarray, values: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Extremes of the pair values, where they occur, and the tolerance: set by
+    the largest finite value, as an overflowing one carries no scale."""
     mn_idx = int(np.argmin(values))
     mx_idx = int(np.argmax(values))
     mn = float(values[mn_idx])
     mx = float(values[mx_idx])
-    tol = tol_sync(max(abs(mn), abs(mx)))
+    if math.isnan(mn):  # argmin stops at the first NaN
+        raise DomainViolation("a pair product on the grid is NaN; its sign is undefined")
+    scale = max(abs(mn), abs(mx))
+    if math.isinf(scale):
+        finite = np.abs(values[np.isfinite(values)])
+        scale = float(finite.max()) if finite.size else 0.0
+    tol = tol_sync(scale)
     pos = (float(pts[i[mx_idx]]), float(pts[j[mx_idx]])) if mx > tol else None
     neg = (float(pts[i[mn_idx]]), float(pts[j[mn_idx]])) if mn < -tol else None
     return mn, mx, pos, neg, tol

@@ -21,17 +21,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ensembles import PER_VECTOR, OperatorEnsemble
+from .ensembles import PER_VECTOR, SUM_OF_SQUARES, OperatorEnsemble, _member_means
 from .errors import ConfigInvalid, OpineqError, read_integer, read_list
 from .functionals import (
     HYPOTHESIS_NOT_MET,
     VIOLATED,
     InequalityReport,
-    _sign_sides,
     inverse_pair_hull,
     kantorovich_constant,
 )
-from .functions import ScalarFunction, classify_synchrony, function_from_descriptor
+from .functions import GE, ScalarFunction, classify_synchrony, function_from_descriptor
 from .registry import (
     _CUBE,
     _EXP,
@@ -63,6 +62,7 @@ from .tolerances import (
     MAX_GRID_N,
     MAX_TRIALS,
     VIOLATION_FACTOR,
+    tol_ineq,
 )
 
 __all__ = [
@@ -110,8 +110,6 @@ ASYNC_TRIPLE_POOL: tuple[tuple[dict, dict, dict], ...] = (
     (_ONE, _INV, {"kind": "power", "p": -0.5}),
     (_ID, _INV, _SQRT),
 )
-
-_GENERIC_ASYNC_POOL = ((_ID, _INV, _ONE), (_ONE, _ID, _SQRT), (_ID, _INV, _SQRT))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +373,7 @@ def _draw_functions(
     return {slot: functions[int(rng.integers(len(functions)))][1] for slot in entry.slots}
 
 
-def _trial_parsed(
-    entry: TheoremEntry,
-    ctx: _SamplerCtx,
-    rng: np.random.Generator,
-    *,
-    tuples_opposite: bool = False,
-) -> dict:
+def _trial_parsed(entry: TheoremEntry, ctx: _SamplerCtx, rng: np.random.Generator) -> dict:
     """Draw one random instance as a parsed scenario for the entry's runner."""
     dmin, dmax = ctx.dim_range
     parsed: dict = {"theorem": entry.theorem_id, "grid_n": ctx.grid_n}
@@ -408,8 +400,6 @@ def _trial_parsed(
         lo, hi = ctx.interval.lo, ctx.interval.hi
         a = np.sort(rng.uniform(lo, hi, n))
         b = np.sort(rng.uniform(lo, hi, n))
-        if tuples_opposite:
-            b = b[::-1]
         perm = rng.permutation(n)
         parsed["tuples"] = {"a": a[perm], "b": b[perm]}
     else:  # pragma: no cover - registry enforces the kinds
@@ -583,84 +573,161 @@ def _falsify_rng(seed: int, ordinal: int) -> np.random.Generator:
     )
 
 
-def _certify(doc: dict) -> InequalityReport:
-    """Replay a candidate through the real checker at violation tolerance."""
-    return run_scenario(scenario_from_doc(doc), tol_factor=VIOLATION_FACTOR)
+# Most candidates one batch scores per function tuple, and most perturbation
+# rounds, among which the refining candidates are split evenly.
+_BATCH = 4096
+_ROUNDS = 8
 
 
-def _batched_argmin(
-    rng: np.random.Generator,
-    budget: int,
-    reserve: int,
-    lo: float,
-    hi: float,
-    gap_fns: Sequence[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]],
-) -> tuple[int, tuple[float, float, float, float, int]]:
-    """Random stage of the search over 2x2 diagonal instances (lam1, lam2, w).
+def _search_functions(
+    entry: TheoremEntry, drop: Optional[str], interval: SpectralInterval, grid_n: int
+) -> list[tuple[dict, list[ScalarFunction], float]]:
+    """The function tuples a search scores: (free-slot descriptors, the checker's
+    function arguments, the sign that orients its sides as the checker will).
 
-    Examines exactly ``max(1, budget - reserve)`` candidates; the last batch is
-    drawn in full and only its first candidates are evaluated.  Returns
-    (examined, best) with best = (gap, lam1, lam2, w, gap_fn_index).
+    With synchrony dropped they come from the entry's asynchronous pool under
+    the forced ``>=``; otherwise from both triple pools and that pool, each
+    reduced to the slots the check takes.  A check that dispatches its
+    direction from the grid classification is oriented the same way, and
+    skips a mixed triple, which it would gate out.
     """
-    examined = 0
-    best: Optional[tuple[float, float, float, float, int]] = None
-    target = max(1, budget - reserve)
-    while examined < target:
-        per_fn = max(1, min(4096, -(-(target - examined) // len(gap_fns))))
-        lam1 = rng.uniform(lo, hi, per_fn)
-        lam2 = rng.uniform(lo, hi, per_fn)
-        w = rng.uniform(0.0, 1.0, per_fn)
-        for idx, gap_fn in enumerate(gap_fns):
-            n = min(per_fn, target - examined)
-            gaps = gap_fn(lam1[:n], lam2[:n], w[:n])
-            gaps = np.where(np.isfinite(gaps), gaps, np.inf)
-            j = int(np.argmin(gaps))
-            if best is None or float(gaps[j]) < best[0]:
-                best = (float(gaps[j]), float(lam1[j]), float(lam2[j]), float(w[j]), idx)
-            examined += n
-            if examined >= target:
-                break
-    return examined, best
+    pool = entry.sync_pool
+    if drop != DROP_SYNCHRONY:
+        pool = SYNC_TRIPLE_POOL + ASYNC_TRIPLE_POOL + pool
+    domain = inverse_pair_hull(interval) if entry.hull else interval
+    classify = drop != DROP_SYNCHRONY and DROP_SYNCHRONY in entry.drops
+    classify = classify and "direction" in entry.forwards
+    out: list[tuple[dict, list[ScalarFunction], float]] = []
+    seen: list[dict] = []
+    for triple in pool:
+        free = {slot: d for slot, d in zip(("f", "g", "h"), triple) if slot in entry.slots}
+        if free in seen:
+            continue
+        seen.append(free)
+        resolved = _valid_entries(list(free.values()), domain.lo, domain.hi)
+        if len(resolved) != len(free):
+            continue
+        fns = entry.functions({slot: fn for slot, (_, fn) in zip(free, resolved)})
+        sign = 1.0
+        if classify:
+            implied = classify_synchrony(*fns, domain, grid_n).implied_direction()
+            if implied is None:
+                continue
+            sign = 1.0 if implied == GE else -1.0
+        out.append((free, fns, sign))
+    if not out:
+        where = domain.as_pair()
+        raise ConfigInvalid(f"no search triple on {where} is defined everywhere and not mixed")
+    return out
 
 
-def _refine(
-    rng: np.random.Generator,
-    best: tuple[float, float, float, float, int],
-    steps: int,
-    lo: float,
-    hi: float,
-    gap_fns: Sequence[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]],
-) -> tuple[int, tuple[float, float, float, float, int]]:
-    """Local perturbation stage: shrinking Gaussian steps around the incumbent."""
-    gap, l1, l2, w, idx = best
-    gap_fn = gap_fns[idx]
-    span = max(hi - lo, 1e-9)
-    for k in range(steps):
-        scale = 0.1 * (0.985**k)
-        c1 = float(np.clip(l1 + rng.normal() * scale * span, lo, hi))
-        c2 = float(np.clip(l2 + rng.normal() * scale * span, lo, hi))
-        cw = float(np.clip(w + rng.normal() * scale, 1e-9, 1.0 - 1e-9))
-        val = float(gap_fn(np.array([c1]), np.array([c2]), np.array([cw]))[0])
-        if math.isfinite(val) and val < gap:
-            gap, l1, l2, w = val, c1, c2, cw
-    return steps, (gap, l1, l2, w, idx)
+def _split(entry: TheoremEntry, drop: Optional[str], l1, l2, w) -> list:
+    """A candidate, or a batch of them, split into the entry's members.
+
+    Tuples are (a, b), each sorted, b against a with synchrony dropped.  Any
+    other member is (atoms, weights): the two-atom measure (l1, l2; w, 1 - w),
+    or one atom each, as unit states (two operators, per-vector ensembles) or
+    with the weights w and 1 - w.
+    """
+    if entry.inputs_kind == TUPLES:
+        a = np.sort(np.stack([l1, l2], axis=-1), axis=-1)
+        b = np.sort(np.stack([w, 1.0 - w], axis=-1), axis=-1)
+        return [a, b[..., ::-1] if drop == DROP_SYNCHRONY else b]
+    if entry.members == 1:
+        return [([l1, l2], [w, 1.0 - w])]
+    if entry.inputs_kind == TWO_OP or _mode(entry, drop) == PER_VECTOR:
+        return [([l1], [np.ones_like(w)]), ([l2], [np.ones_like(w)])]
+    return [([l1], [w]), ([l2], [1.0 - w])]
 
 
-def _diag_scenario(
-    tid: str,
-    lam: Sequence[float],
-    w: Optional[float],
+def _mode(entry: TheoremEntry, drop: Optional[str]) -> Optional[str]:
+    """The ensemble normalization a candidate document declares."""
+    return SUM_OF_SQUARES if drop == DROP_NORMALIZATION else entry.ensemble_mode
+
+
+def _sides_args(entry: TheoremEntry, members: list, constant: Optional[float]) -> tuple:
+    """What the entry's sides function reads of a batch, before its functions,
+    as the checker passes it."""
+    if entry.inputs_kind == TUPLES:
+        return tuple(members)
+    measures = [
+        SpectralMeasure(np.stack(atoms, axis=-1), np.stack(weights, axis=-1))
+        for atoms, weights in members
+    ]
+    if entry.inputs_kind == TWO_OP:
+        return tuple(measures)
+    if entry.ensemble_mode == PER_VECTOR:
+        return (*_member_means(measures), [constant] * len(measures))
+    mu = SpectralMeasure.concat(measures)
+    return (mu,) if entry.link is None else (mu, constant)
+
+
+def _candidate_doc(
+    entry: TheoremEntry,
+    drop: Optional[str],
     interval: SpectralInterval,
+    draw: SpectralInterval,
     grid_n: int,
+    free: dict,
+    l1: float,
+    l2: float,
+    w: float,
 ) -> dict:
-    doc: dict = {
-        "theorem": tid,
-        "operator": {"diagonal": [float(v) for v in lam], "interval": [interval.lo, interval.hi]},
-        "grid_n": grid_n,
-    }
-    if w is not None:
-        doc["state"] = {"components": [math.sqrt(w), math.sqrt(1.0 - w)]}
+    """The scenario document of one candidate, all its operators diagonal."""
+    doc: dict = {"theorem": entry.theorem_id, "grid_n": grid_n}
+    members = _split(entry, drop, l1, l2, w)
+    if entry.inputs_kind == TUPLES:
+        doc["tuples"] = {"a": [float(v) for v in members[0]], "b": [float(v) for v in members[1]]}
+    else:
+        ops = [{"diagonal": [float(v) for v in atoms], "interval": [draw.lo, draw.hi]}
+               for atoms, _ in members]
+        states = [{"components": [math.sqrt(float(v)) for v in weights]} for _, weights in members]
+        if entry.inputs_kind == SINGLE:
+            doc.update(operator=ops[0], state=states[0])
+        elif entry.inputs_kind == TWO_OP:
+            doc.update(operator=ops[0], operator_b=ops[1], state=states[0], state_b=states[1])
+        else:
+            mode = _mode(entry, drop)
+            doc["ensemble"] = {"operators": ops, "states": states, "normalization": mode}
+    if free:
+        doc["functions"] = {slot: dict(d) for slot, d in free.items()}
+    if drop is not None and "gate_hypothesis" in entry.forwards:
+        doc["gate_hypothesis"] = False
+    if drop == DROP_SYNCHRONY and "direction" in entry.forwards:
+        doc["direction"] = GE
+    if drop == DROP_CONTAINMENT:
+        if "bound_interval" in entry.forwards:
+            doc["bound_interval"] = [interval.lo, interval.hi]
+        else:
+            doc["per_op_intervals"] = [[interval.lo, interval.hi]] * len(members)
     return doc
+
+
+class _NearestMiss:
+    """The candidate a search keeps: the first examined among those whose score
+    lies within tol_ineq of the least score, so summation noise between near
+    ties never moves it.
+
+    A candidate qualifies when score - tol <= least.  The least score only
+    falls, so the first qualifier always has a threshold score - tol below
+    every earlier candidate's; only those records are kept.
+    """
+
+    def __init__(self) -> None:
+        self.least = math.inf
+        self.records: list[tuple[float, tuple]] = []
+
+    def offer(self, scores: np.ndarray, thresholds: np.ndarray, candidate: Callable) -> None:
+        last = self.records[-1][0] if self.records else math.inf
+        before = np.minimum.accumulate(np.concatenate(([last], thresholds)))[:-1]
+        rows = np.flatnonzero(thresholds < before)
+        if not self.records and (rows.size == 0 or rows[0] != 0):
+            rows = np.concatenate(([0], rows))  # the first candidate stands until one qualifies
+        self.records.extend((float(thresholds[j]), candidate(j)) for j in rows)
+        self.least = min(self.least, float(scores.min()))
+
+    def best(self) -> tuple:
+        return next(c for threshold, c in self.records if threshold <= self.least)
 
 
 def falsify(
@@ -675,13 +742,19 @@ def falsify(
     """Search for the most negative oriented gap, optionally dropping a hypothesis.
 
     ``drop`` disables exactly one precondition: "synchrony" forces the >=
-    orientation with the grid gate off, "spectral-containment" lets the
-    declared interval lie about the spectrum, "normalization" feeds the
-    averaged chain a sum-of-squares ensemble.  The best candidate is always
-    replayed through the real checker at violation tolerance, and ``found`` is
-    true only when that replay says "violated".  2x2-diagonal families run a
-    vectorized random + local-perturbation search; other checks fall back to
-    full random instance checking, which is slower per candidate.
+    orientation with the gate off (tuples oppositely ordered),
+    "spectral-containment" draws the spectrum from [lo/2, 2 hi] while the
+    bound keeps [lo, hi], "normalization" feeds the averaged chain a
+    sum-of-squares ensemble.
+
+    Every check is searched one way.  A candidate is a two-atom measure
+    (lam1, lam2; w, 1 - w), read as the entry's members and scored in batches
+    under each function tuple by the checker's own sides function (+inf when
+    not finite).  Batched perturbation rounds around the kept candidate
+    spend the last tenth of the budget, at most 256; exactly ``budget``
+    candidates are examined.  The kept candidate's diagonal document is
+    certified through the checker at violation tolerance and returned as
+    ``scenario``; ``found`` is true only when that replay says "violated".
     """
     entry = lookup(theorem_id)
     if drop is not None:
@@ -697,216 +770,58 @@ def falsify(
     read_integer(seed, "seed", _SEED_RANGE)
     iv = interval if interval is not None else SpectralInterval(1.0, 4.0)
     if entry.needs_positive and iv.lo <= 0.0:
-        raise ConfigInvalid(
-            f"{theorem_id!r} needs a positive interval, got {iv.as_pair()}"
-        )
+        raise ConfigInvalid(f"{theorem_id!r} needs a positive interval, got {iv.as_pair()}")
+    # the Kantorovich constant depends on hi/lo only, so containment widens by a ratio
+    draw = SpectralInterval(iv.lo / 2.0, 2.0 * iv.hi) if drop == DROP_CONTAINMENT else iv
+    tuples = _search_functions(entry, drop, draw, grid_n)
+    constant = kantorovich_constant(iv.lo, iv.hi) if entry.link is not None else None
     rng = _falsify_rng(seed, entry.ordinal)
+    nearest = _NearestMiss()
 
-    if entry.sync_pool:
-        search = _scalar_sign_search(entry, drop, iv, grid_n)
-    elif entry.checker == "kantorovich_chain":
-        search = _scalar_kantorovich_search(entry, drop, iv, grid_n)
-    elif drop == DROP_NORMALIZATION:
-        search = _scalar_normalization_search(entry, iv, grid_n)
-    else:
-        return _falsify_generic(entry, drop, budget, seed, iv, grid_n, rng)
-    hi, gap_fns, refine, doc_at = search
-    reserve = min(256, budget // 10) if refine else 0
-    examined, best = _batched_argmin(rng, budget, reserve, iv.lo, hi, gap_fns)
-    if reserve:
-        steps, best = _refine(rng, best, reserve, iv.lo, hi, gap_fns)
-        examined += steps
-    doc = doc_at(*best[1:])
-    report = _certify(doc)
+    def offer(k: int, l1: np.ndarray, l2: np.ndarray, w: np.ndarray) -> None:
+        _, fns, sign = tuples[k]
+        with np.errstate(all="ignore"):
+            sides = entry.sides(*_sides_args(entry, _split(entry, drop, l1, l2, w), constant), *fns)
+            favored, other = sides if entry.link is None else sides[entry.link]
+            scores = sign * (favored - other)
+            thresholds = scores - tol_ineq(favored, other)
+        finite = np.isfinite(scores)
+        nearest.offer(
+            np.where(finite, scores, np.inf),
+            np.where(finite, thresholds, np.inf),
+            lambda j: (float(l1[j]), float(l2[j]), float(w[j]), k),
+        )
+
+    reserve = min(256, budget // 10)
+    examined, target = 0, budget - reserve
+    while examined < target:
+        per = max(1, min(_BATCH, -(-(target - examined) // len(tuples))))
+        l1 = rng.uniform(draw.lo, draw.hi, per)
+        l2 = rng.uniform(draw.lo, draw.hi, per)
+        w = rng.uniform(0.0, 1.0, per)
+        for k in range(len(tuples)):
+            n = min(per, target - examined)
+            offer(k, l1[:n], l2[:n], w[:n])
+            examined += n
+            if examined >= target:
+                break
+    span = max(draw.width, 1e-9)
+    rounds = min(reserve, _ROUNDS)
+    for r in range(rounds):
+        n = (reserve * (r + 1)) // rounds - (reserve * r) // rounds
+        c1, c2, cw, k = nearest.best()
+        step = 0.1 * 0.6**r * rng.standard_normal((3, n))
+        offer(
+            k,
+            np.clip(c1 + step[0] * span, draw.lo, draw.hi),
+            np.clip(c2 + step[1] * span, draw.lo, draw.hi),
+            np.clip(cw + step[2], 1e-9, 1.0 - 1e-9),
+        )
+        examined += n
+    l1, l2, w, k = nearest.best()
+    doc = _candidate_doc(entry, drop, iv, draw, grid_n, tuples[k][0], l1, l2, w)
+    report = run_scenario(scenario_from_doc(doc), tol_factor=VIOLATION_FACTOR)
+    found = report.verdict == VIOLATED
     return FalsifyResult(
-        theorem_id,
-        drop,
-        budget,
-        seed,
-        examined,
-        report.verdict == VIOLATED,
-        report.gap,
-        report.verdict,
-        doc,
-    )
-
-
-# A scalar search is (upper end of the eigenvalue draws, gap functions of
-# (lam1, lam2, w), whether to refine the incumbent locally, and the builder of
-# the scenario document at (lam1, lam2, w, gap_fn_index)).
-_ScalarSearch = tuple[float, list, bool, Callable[[float, float, float, int], dict]]
-
-
-def _scalar_sign_search(
-    entry: TheoremEntry, drop: Optional[str], iv: SpectralInterval, grid_n: int
-) -> _ScalarSearch:
-    tid = entry.theorem_id
-    if drop == DROP_SYNCHRONY:
-        raw_pool = entry.sync_pool
-    else:
-        # honor fixed slots: they collapse to their forced values, as the check does
-        coerced = []
-        for triple in SYNC_TRIPLE_POOL + ASYNC_TRIPLE_POOL + entry.sync_pool:
-            t = tuple(
-                d if slot in entry.slots else entry.fixed[slot].descriptor()
-                for slot, d in zip(("f", "g", "h"), triple)
-            )
-            if t not in coerced:
-                coerced.append(t)
-        raw_pool = tuple(coerced)
-    triples = _valid_triples(raw_pool, iv.lo, iv.hi)
-    if not triples:
-        raise ConfigInvalid(f"no search triple is defined everywhere on {iv.as_pair()}")
-
-    gap_fns = []
-    kept: list[tuple[dict, dict, dict]] = []
-    for descs, fns in triples:
-        if drop == DROP_SYNCHRONY:
-            sign = 1.0
-        else:
-            ev = classify_synchrony(fns[0], fns[1], fns[2], iv, grid_n)
-            implied = ev.implied_direction()
-            if implied is None:
-                continue  # mixed pairs are gated out when hypotheses are intact
-            sign = 1.0 if implied == ">=" else -1.0
-
-        def gap_fn(l1, l2, w, fg_h=fns, sign=sign):
-            # the batch of measures of diag(l1, l2) seen from (sqrt(w), sqrt(1 - w))
-            mu = SpectralMeasure(np.stack([l1, l2], axis=-1), np.stack([w, 1.0 - w], axis=-1))
-            with np.errstate(all="ignore"):
-                lhs, rhs = _sign_sides(mu, *fg_h)
-                return sign * (lhs - rhs)
-
-        gap_fns.append(gap_fn)
-        kept.append(descs)
-    if not gap_fns:
-        raise ConfigInvalid("every search triple classified as mixed; nothing to search")
-
-    def doc_at(l1: float, l2: float, w: float, idx: int) -> dict:
-        doc = _diag_scenario(tid, [l1, l2], w, iv, grid_n)
-        doc["functions"] = {
-            slot: dict(d) for slot, d in zip(("f", "g", "h"), kept[idx]) if slot in entry.slots
-        }
-        if drop == DROP_SYNCHRONY:
-            doc["direction"] = ">="
-            doc["gate_hypothesis"] = False
-        return doc
-
-    return iv.hi, gap_fns, drop == DROP_SYNCHRONY, doc_at
-
-
-def _scalar_kantorovich_search(
-    entry: TheoremEntry, drop: Optional[str], iv: SpectralInterval, grid_n: int
-) -> _ScalarSearch:
-    tid = entry.theorem_id
-    widen = drop == DROP_CONTAINMENT
-    draw_hi = iv.hi + max(iv.hi - iv.lo, 1.0) if widen else iv.hi
-    bound = kantorovich_constant(iv.lo, iv.hi)
-
-    def gap_fn(l1, l2, w):
-        product = (w * l1 + (1.0 - w) * l2) * (w / l1 + (1.0 - w) / l2)
-        if tid == "kantorovich-lower":
-            return product - 1.0
-        return bound - product
-
-    def doc_at(l1: float, l2: float, w: float, idx: int) -> dict:
-        doc = _diag_scenario(tid, [l1, l2], w, SpectralInterval(iv.lo, draw_hi), grid_n)
-        if widen:
-            doc["bound_interval"] = [iv.lo, iv.hi]
-        return doc
-
-    return draw_hi, [gap_fn], widen, doc_at
-
-
-def _scalar_normalization_search(
-    entry: TheoremEntry, iv: SpectralInterval, grid_n: int
-) -> _ScalarSearch:
-    def gap_fn(l1, l2, w):
-        # two 1x1 blocks under sum-of-squares weights w and 1-w
-        mean_a = (w * l1 + (1.0 - w) * l2) / 2.0
-        mean_b = (w / l1 + (1.0 - w) / l2) / 2.0
-        return mean_a * mean_b - 1.0
-
-    def doc_at(l1: float, l2: float, w: float, idx: int) -> dict:
-        return {
-            "theorem": entry.theorem_id,
-            "gate_hypothesis": False,
-            "grid_n": grid_n,
-            "ensemble": {
-                "operators": [
-                    {"diagonal": [l1], "interval": [iv.lo, iv.hi]},
-                    {"diagonal": [l2], "interval": [iv.lo, iv.hi]},
-                ],
-                "states": [{"components": [math.sqrt(w)]}, {"components": [math.sqrt(1.0 - w)]}],
-                "normalization": "sum_of_squares",
-            },
-        }
-
-    return iv.hi, [gap_fn], True, doc_at
-
-
-def _falsify_generic(
-    entry: TheoremEntry,
-    drop: Optional[str],
-    budget: int,
-    seed: int,
-    iv: SpectralInterval,
-    grid_n: int,
-    rng: np.random.Generator,
-) -> FalsifyResult:
-    tid = entry.theorem_id
-    overrides: dict = {}
-    triple_pool = None
-    tuples_opposite = False
-    op_interval = iv
-    if drop == DROP_SYNCHRONY:
-        overrides["gate_hypothesis"] = False
-        if "direction" in entry.forwards:
-            overrides["direction"] = ">="
-        if set(entry.slots) == {"f", "g", "h"}:
-            triple_pool = _GENERIC_ASYNC_POOL
-        tuples_opposite = entry.inputs_kind == TUPLES
-    elif drop == DROP_CONTAINMENT:
-        overrides["gate_hypothesis"] = False
-        op_interval = SpectralInterval(iv.lo, iv.hi + max(iv.hi - iv.lo, 1.0))
-    ctx = _build_ctx(
-        (1, min(4, MAX_DIM)),
-        op_interval,
-        grid_n,
-        DEFAULT_FUNCTION_POOL,
-        triple_pool,
-        [tid],
-    )
-    best_any: Optional[InequalityReport] = None
-    best_violated: Optional[InequalityReport] = None
-    examined = 0
-    for _ in range(budget):
-        parsed = _trial_parsed(entry, ctx, rng, tuples_opposite=tuples_opposite)
-        if drop == DROP_CONTAINMENT and entry.inputs_kind == ENSEMBLE:
-            n = parsed["ensemble"].n
-            parsed["per_op_intervals"] = [(iv.lo, iv.hi)] * n
-        parsed.update(overrides)
-        report = entry.run(parsed, tol_factor=VIOLATION_FACTOR)
-        examined += 1
-        if report.verdict == VIOLATED and (
-            best_violated is None or report.gap < best_violated.gap
-        ):
-            best_violated = report
-        if report.verdict != HYPOTHESIS_NOT_MET and (
-            best_any is None or report.gap < best_any.gap
-        ):
-            best_any = report
-    best = best_violated if best_violated is not None else best_any
-    if best is None:
-        return FalsifyResult(tid, drop, budget, seed, examined, False, None, None, None)
-    return FalsifyResult(
-        tid,
-        drop,
-        budget,
-        seed,
-        examined,
-        best_violated is not None,
-        best.gap,
-        best.verdict,
-        best.inputs_digest,
+        theorem_id, drop, budget, seed, examined, found, report.gap, report.verdict, doc
     )

@@ -8,7 +8,7 @@ selecting subsets) leaves existing trial streams unchanged.
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .errors import ConfigInvalid, UnknownTheorem
 from .functions import ScalarFunction, constant, identity
@@ -16,6 +16,12 @@ from .functions import ScalarFunction, constant, identity
 # The checkers are called by name through this module's globals (TheoremEntry.checker).
 from .functionals import (
     InequalityReport,
+    _inverse_pair_sides,
+    _kantorovich_sides,
+    _mean_point_sides,
+    _sign_sides,
+    _square_sides,
+    _two_operator_sides,
     check_inverse_pair,
     check_mean_point,
     check_sign_bound,
@@ -26,6 +32,8 @@ from .functionals import (
 from .ensembles import (
     PER_VECTOR,
     SUM_OF_SQUARES,
+    _chain_sides,
+    _chebyshev_sides,
     check_ensemble_mean_point,
     check_ensemble_sign_bound,
     check_ensemble_square_bound,
@@ -113,10 +121,16 @@ class TheoremEntry:
     hull: bool
     # hypotheses a falsify search may drop
     drops: frozenset[str]
-    # certification-breaking (f, g, h) descriptor triples for the scalar sign
-    # search, fixed slots already at their forced values; empty for checks
-    # that are not searched that way
+    # (f, g, h) descriptor triples a falsify search scores with synchrony
+    # dropped: asynchronous on every positive interval, so the forced >=
+    # orientation fails (a check keeps only the slots it takes)
     sync_pool: tuple[tuple[dict, dict, dict], ...]
+    # the *_sides function the checker computes its sides with; falsify
+    # scores batches of candidates with it
+    sides: Callable[..., tuple]
+    # how many members a falsify candidate, a two-atom measure, splits into:
+    # 2 is one atom per operator or ensemble member, or the two tuples
+    members: int
 
     def __post_init__(self) -> None:
         # Derived once, for run: each function slot in f, g, h order with what
@@ -130,9 +144,9 @@ class TheoremEntry:
         object.__setattr__(self, "_slot_plan", tuple(plan))
         object.__setattr__(self, "_input_plan", tuple(k.partition(".")[::2] for k in self.inputs))
 
-    def run(self, parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        """Run one parsed scenario or sampled trial through the checker."""
-        given = parsed.get("functions", {})
+    def functions(self, given: Mapping[str, ScalarFunction]) -> list[ScalarFunction]:
+        """The checker's function arguments in f, g, h order: the free slots
+        from ``given``, the fixed ones filled in."""
         args = []
         for slot, fixed in self._slot_plan:
             if fixed is None:
@@ -144,6 +158,11 @@ class TheoremEntry:
             else:
                 fn = fixed
             args.append(fn)
+        return args
+
+    def run(self, parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
+        """Run one parsed scenario or sampled trial through the checker."""
+        args = self.functions(parsed.get("functions", {}))
         for name, part in self._input_plan:
             value = parsed.get(name)
             if value is None:
@@ -172,32 +191,41 @@ def _entries() -> tuple[TheoremEntry, ...]:
         link=None,
         hull=False,
         drops=frozenset({DROP_SYNCHRONY}),
-        sync_pool=(),
+        sync_pool=((_ONE, _ID, _SQRT), (_ID, _INV, _ONE), (_ID, _INV, _SQRT)),
+        sides=_sign_sides,
+        members=1,
     )
-    square = dict(sign, checker="check_square_bound", forwards=_SQUARE_KEYS, drops=frozenset())
+    square_case = dict(forwards=_SQUARE_KEYS, drops=frozenset(), sides=_square_sides)
+    square = dict(sign, checker="check_square_bound", **square_case)
     kantorovich = dict(
         sign,
         needs_positive=True,
         checker="kantorovich_chain",
         forwards=_KANTOROVICH_KEYS,
         drops=frozenset(),
+        sides=_kantorovich_sides,
     )
-    mean_point = dict(sign, checker="check_mean_point")
+    mean_point = dict(sign, checker="check_mean_point", sides=_mean_point_sides)
     mean_point_square = dict(
         mean_point, fixed={"g": "f"}, options={"auto_hypothesis": True}, drops=frozenset()
     )
-    inverse_pair = dict(sign, needs_positive=True, checker="check_inverse_pair", hull=True)
+    inverse_pair = dict(
+        sign,
+        needs_positive=True,
+        checker="check_inverse_pair",
+        hull=True,
+        sides=_inverse_pair_sides,
+    )
     ensemble = dict(
         sign,
         inputs_kind=ENSEMBLE,
         ensemble_mode=SUM_OF_SQUARES,
         checker="check_ensemble_sign_bound",
         inputs=("ensemble",),
+        members=2,
     )
-    ensemble_square = dict(
-        ensemble, checker="check_ensemble_square_bound", forwards=_SQUARE_KEYS, drops=frozenset()
-    )
-    ensemble_mean = dict(ensemble, checker="check_ensemble_mean_point")
+    ensemble_square = dict(ensemble, checker="check_ensemble_square_bound", **square_case)
+    ensemble_mean = dict(ensemble, checker="check_ensemble_mean_point", sides=_mean_point_sides)
     ensemble_mean_square = dict(
         ensemble_mean, fixed={"g": "f"}, options={"auto_hypothesis": True}, drops=frozenset()
     )
@@ -208,6 +236,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         checker="kantorovich_ensemble_chain",
         forwards=_CHAIN_KEYS,
         drops=frozenset(),
+        sides=_chain_sides,
     )
     rows = [
         dict(
@@ -215,7 +244,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
             theorem_id="pc-sign",
             summary="weighted covariance product bound under grid-certified (a)synchrony",
             slots=("f", "g", "h"),
-            sync_pool=((_ONE, _ID, _SQRT), (_ID, _INV, _ONE), (_ID, _INV, _SQRT)),
         ),
         dict(
             square,
@@ -270,6 +298,8 @@ def _entries() -> tuple[TheoremEntry, ...]:
             slots=("f", "g", "h"),
             checker="check_two_operator",
             inputs=("operator", "operator_b", "state", "state_b"),
+            sides=_two_operator_sides,
+            members=2,
         ),
         dict(
             mean_point,
@@ -367,6 +397,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
             slots=(),
             link=2,
             drops=frozenset({DROP_CONTAINMENT}),
+            members=1,
         ),
         dict(
             sign,
@@ -377,6 +408,8 @@ def _entries() -> tuple[TheoremEntry, ...]:
             checker="discrete_chebyshev",
             inputs=("tuples.a", "tuples.b"),
             forwards={"gate_hypothesis": "gate"},
+            sides=_chebyshev_sides,
+            members=2,
         ),
     ]
     return tuple(TheoremEntry(ordinal=k, **row) for k, row in enumerate(rows))

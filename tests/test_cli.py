@@ -363,6 +363,16 @@ class TestFalsifyCommand:
         assert main(args) == 2
         assert "not both finite" in capsys.readouterr().err
 
+    def test_non_finite_candidates_are_skipped(self, capsys):
+        # exp overflows in the sides on [1, 465]; those candidates score +inf
+        args = ["falsify", "pc-square", "--interval", "1", "465", "--budget", "50"]
+        assert main(args) == 0
+        doc = load_json(capsys.readouterr().out)
+        assert doc["examined"] == 50
+        assert doc["found"] is False
+        assert doc["verdict"] == "holds"
+        assert abs(doc["gap"]) < float("inf")
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "result.json"
         main(

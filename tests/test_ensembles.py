@@ -44,6 +44,8 @@ from opineq import (
     tol_calc,
     trial_rng,
 )
+from opineq.ensembles import _chain_sides, _member_means
+from opineq.spectral import SpectralMeasure
 
 IV12 = SpectralInterval(1.0, 2.0)
 DIAG12 = HermitianOperator.diagonal([1.0, 2.0], IV12)
@@ -274,6 +276,23 @@ class TestDiscreteChebyshev:
 
 # ---------------------------------------------------------------------------
 # averaged Kantorovich chain
+
+
+def test_chain_sides_of_a_batch_are_each_rows():
+    # members' means of a batch of measures, as the falsifier scores candidates
+    rng = np.random.default_rng(1)
+    measures = [
+        SpectralMeasure(rng.uniform(1.0, 2.0, (6, 2)), rng.dirichlet(np.ones(2), 6))
+        for _ in range(3)
+    ]
+    constants = [1.2, 1.5, 1.1]
+    batch = _chain_sides(*_member_means(measures), constants)
+    for k in range(6):
+        rows = [SpectralMeasure(m.atoms[k], m.weights[k]) for m in measures]
+        single = _chain_sides(*_member_means(rows), constants)
+        for got, want in zip(batch, single):
+            got = [float(np.broadcast_to(v, (6,))[k]) for v in got]
+            assert got == pytest.approx(list(want), rel=1e-12)
 
 
 class TestKantorovichConstant:

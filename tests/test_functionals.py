@@ -40,6 +40,15 @@ from opineq import (
     trial_rng,
 )
 from opineq import StateVector as SV
+from opineq.functionals import (
+    _inverse_pair_sides,
+    _kantorovich_sides,
+    _mean_point_sides,
+    _sign_sides,
+    _square_sides,
+    _two_operator_sides,
+)
+from opineq.spectral import SpectralMeasure
 
 IR2 = 1.0 / np.sqrt(2.0)
 IV12 = SpectralInterval(1.0, 2.0)
@@ -54,6 +63,38 @@ INV = power(-1.0)
 def _unit_state(rng, dim):
     x = random_state(rng, dim)
     return StateVector(x.components / x.norm)
+
+
+# ---------------------------------------------------------------------------
+# sides on a batch of measures, as the falsifier scores candidates
+
+
+def _leaves(sides) -> list:
+    return [v for item in sides for v in (_leaves(item) if isinstance(item, tuple) else [item])]
+
+
+@pytest.mark.parametrize(
+    "sides, n_measures, args",
+    [
+        (_sign_sides, 1, (SQ, exp_fn(), ID)),
+        (_square_sides, 1, (SQ, ID)),
+        (_mean_point_sides, 1, (SQ, exp_fn(), ID)),
+        (_inverse_pair_sides, 1, (SQ, log_fn(), exp_fn())),
+        (_kantorovich_sides, 1, (2.0,)),
+        (_two_operator_sides, 2, (SQ, exp_fn(), ID)),
+    ],
+)
+def test_sides_of_a_batch_are_each_measures_sides(sides, n_measures, args):
+    rng = np.random.default_rng(0)
+    measures = [
+        SpectralMeasure(rng.uniform(1.0, 2.0, (6, 3)), rng.dirichlet(np.ones(3), 6))
+        for _ in range(n_measures)
+    ]
+    batch = [np.broadcast_to(v, (6,)) for v in _leaves(sides(*measures, *args))]
+    for k in range(6):
+        rows = [SpectralMeasure(m.atoms[k], m.weights[k]) for m in measures]
+        single = _leaves(sides(*rows, *args))
+        assert [float(v[k]) for v in batch] == pytest.approx(single, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +232,15 @@ class TestCheckSignBound:
         replay = run_scenario(scenario_from_doc(r.inputs_digest))
         assert replay.verdict == r.verdict
         assert abs(replay.gap - r.gap) <= tol_calc(abs(r.gap))
+
+    def test_overflowing_grid_still_dispatches_le(self):
+        # exp and -exp are asynchronous; their grid products overflow on [1, 465]
+        neg_exp = linear_combination((-1.0, exp_fn()))
+        A = HermitianOperator.diagonal([1.0, 2.0], SpectralInterval(1.0, 465.0))
+        with np.errstate(over="ignore"):
+            r = check_sign_bound(exp_fn(), neg_exp, ONE, A, EQ2, grid_n=32)
+        assert r.direction == LE
+        assert r.verdict == HOLDS
 
     def test_weight_scaling_keeps_verdict(self):
         base = check_sign_bound(SQ, log_fn(), ID, DIAG12, EQ2)

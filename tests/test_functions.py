@@ -323,6 +323,23 @@ class TestClassifySynchrony:
         assert w.classification == ASYNCHRONOUS
 
 
+    def test_overflowing_products_keep_a_finite_tolerance(self):
+        # -(e^a - e^b)^2 overflows on [1, 465]; the tolerance comes from the finite products
+        neg_exp = linear_combination((-1.0, exp_fn()))
+        iv = SpectralInterval(1.0, 465.0)
+        with np.errstate(over="ignore"):
+            v = classify_synchrony(exp_fn(), neg_exp, constant(1.0), iv, 32)
+        assert v.classification == ASYNCHRONOUS
+        assert np.isfinite(v.tol)
+        assert v.min_product == -np.inf
+
+    def test_nan_product_is_a_domain_violation(self):
+        # e^a e^b - e^b e^a is inf - inf once both factors are large
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainViolation):
+                classify_synchrony(exp_fn(), exp_fn(), exp_fn(), SpectralInterval(1.0, 465.0), 32)
+
+
 class TestClassifyMonotonicity:
     def test_constant_vs_square_weight(self):
         v = classify_monotonicity(constant(1.0), power(2.0), IV12, 64)

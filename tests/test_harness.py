@@ -31,7 +31,7 @@ from opineq import (
     tol_calc,
     trial_rng,
 )
-from opineq.harness import DROP_CONTAINMENT, DROP_NORMALIZATION, DROP_SYNCHRONY
+from opineq.harness import DROP_CONTAINMENT, DROP_NORMALIZATION, DROP_SYNCHRONY, _NearestMiss
 from opineq.tolerances import MAX_BUDGET, MAX_TRIALS
 
 IV12 = SpectralInterval(1.0, 2.0)
@@ -412,17 +412,41 @@ class TestFalsify:
     @pytest.mark.parametrize("budget", [1, 50, 1000])
     @pytest.mark.parametrize(
         "theorem_id, drop",
-        [
-            ("pc-sign", None),
-            ("pc-sign", DROP_SYNCHRONY),
-            ("pc-moment-t", None),
-            ("kantorovich-lower", None),
-            ("kantorovich-upper", DROP_CONTAINMENT),
-            ("ensemble-product-lower", DROP_NORMALIZATION),
-        ],
+        [(e.theorem_id, drop) for e in REGISTRY_ORDER for drop in [None, *sorted(e.drops)]],
     )
     def test_vectorised_search_examines_exactly_the_budget(self, theorem_id, drop, budget):
-        assert falsify(theorem_id, drop, budget=budget, seed=0).examined == budget
+        seeds = range(5) if budget == 50 else range(1)
+        for seed in seeds:
+            result = falsify(theorem_id, drop, budget=budget, seed=seed)
+            assert result.examined == budget
+            if budget == 50:
+                # a dropped hypothesis always yields a counterexample, an intact one never
+                assert result.found == (drop is not None)
+            # the scenario is the document certified: it replays to the same gap and verdict
+            doc = load_json(canonical_json(result.scenario))
+            replay = run_scenario(scenario_from_doc(doc), tol_factor=VIOLATION_FACTOR)
+            assert (replay.gap, replay.verdict) == (result.gap, result.verdict)
+
+    def test_nearest_miss_is_the_first_within_tolerance_of_the_least(self):
+        kept = _NearestMiss()
+        tol = 1e-9
+        scores = np.array([0.0, 0.5 * tol, 3.0])
+        kept.offer(scores, scores - tol, lambda j: ("a", j))
+        assert kept.best() == ("a", 0)
+        # a later score lower by less than the tolerance does not displace it
+        scores = np.array([-0.5 * tol])
+        kept.offer(scores, scores - tol, lambda j: ("b", j))
+        assert kept.best() == ("a", 0)
+        # one lower by more does, and the first examined within tolerance of it wins
+        scores = np.array([7.0, -2.0 * tol, -2.5 * tol])
+        kept.offer(scores, scores - tol, lambda j: ("c", j))
+        assert kept.best() == ("c", 1)
+
+    def test_nearest_miss_keeps_the_first_candidate_when_none_is_finite(self):
+        kept = _NearestMiss()
+        kept.offer(np.full(3, np.inf), np.full(3, np.inf), lambda j: j)
+        kept.offer(np.full(2, np.inf), np.full(2, np.inf), lambda j: 10 + j)
+        assert kept.best() == 0
 
     def test_deterministic_given_seed(self):
         a = falsify("pc-sign", DROP_SYNCHRONY, budget=3_000, seed=9)
