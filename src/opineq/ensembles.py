@@ -20,13 +20,14 @@ from .errors import (
     NotSimilarlyOrdered,
     SpectrumOutOfInterval,
 )
-from .functions import GE, ScalarFunction, identity, power
+from .functions import GE, SYNCHRONOUS, ScalarFunction, _evidence_doc, _synchrony, identity, power
 from .functionals import (
     InequalityReport,
     _build_report,
     _inputs_doc,
     _mean_point_sides,
     _operator_doc,
+    _quiet,
     _sign_sides,
     _square,
     _square_bound,
@@ -43,7 +44,7 @@ from .spectral import (
     _check_pairs,
     block_diagonal,
 )
-from .tolerances import DEFAULT_GRID_N, TOL_NORM, TOL_SPEC, tol_sync
+from .tolerances import DEFAULT_GRID_N, TOL_NORM, TOL_SPEC
 
 __all__ = [
     "SUM_OF_SQUARES",
@@ -202,7 +203,8 @@ def check_ensemble_mean_point(
 def similarly_ordered(
     a: Sequence[float], b: Sequence[float]
 ) -> tuple[bool, Optional[tuple[int, int]], float]:
-    """Whether (a_i - a_j)(b_i - b_j) >= 0 for every pair.
+    """Whether (a_i - a_j)(b_i - b_j) >= 0 for every pair: synchrony with h = 1
+    on the indices, certified as classify_synchrony certifies it.
 
     Returns (ordered, witness pair or None, most negative pair product).
     """
@@ -210,16 +212,8 @@ def similarly_ordered(
     bv = np.asarray(b, dtype=np.float64)
     if av.shape != bv.shape or av.ndim != 1 or av.size == 0:
         raise ConfigInvalid("need two equal-length nonempty tuples")
-    ii, jj = np.triu_indices(av.size, k=1)
-    if ii.size == 0:
-        return True, None, 0.0
-    prod = (av[ii] - av[jj]) * (bv[ii] - bv[jj])
-    k = int(np.argmin(prod))
-    worst = float(prod[k])
-    tol = tol_sync(float(np.max(np.abs(prod))))
-    if worst < -tol:
-        return False, (int(ii[k]), int(jj[k])), worst
-    return True, None, worst
+    v = _synchrony(np.arange(av.size), av, bv, np.ones_like(av))
+    return v.classification == SYNCHRONOUS, v.witness_neg, v.min_product
 
 
 def _chebyshev_sides(a, b) -> tuple:
@@ -227,6 +221,7 @@ def _chebyshev_sides(a, b) -> tuple:
     return np.mean(a * b, axis=-1), np.mean(a, axis=-1) * np.mean(b, axis=-1)
 
 
+@_quiet
 def discrete_chebyshev(
     a: Sequence[float], b: Sequence[float], *, tol_factor: float = 1.0, gate: bool = True
 ) -> InequalityReport:
@@ -251,9 +246,9 @@ def discrete_chebyshev(
     }
     if not gate:
         inputs["gate_hypothesis"] = False
-    hypothesis = {"kind": "similarly-ordered", "ordered": ordered, "min_pair_product": worst}
+    hypothesis = _evidence_doc("similarly-ordered", ordered=ordered, min_pair_product=worst)
     if witness is not None:
-        hypothesis["witness"] = [int(witness[0]), int(witness[1])]
+        hypothesis["witness"] = list(witness)
     return _build_report(
         "discrete-chebyshev",
         GE,
@@ -280,6 +275,7 @@ def _chain_sides(a: np.ndarray, b: np.ndarray, constants: Sequence[float]) -> tu
     return (product, 1.0), (mean_ab, product), (np.mean(constants), mean_ab)
 
 
+@_quiet
 def kantorovich_ensemble_chain(
     E: OperatorEnsemble,
     per_op_intervals: Optional[Sequence[tuple[float, float]]] = None,
@@ -354,11 +350,7 @@ def kantorovich_ensemble_chain(
             "checked under per-vector normalization",
         ),
     )
-    ordering_evidence = {
-        "kind": "similarly-ordered",
-        "min_pair_product": worst,
-        "witness": None if witness is None else [witness[0], witness[1]],
-    }
+    ordering_evidence = _evidence_doc("similarly-ordered", min_pair_product=worst, witness=witness)
     middle = _build_report(
         "ensemble-chebyshev-link",
         GE,

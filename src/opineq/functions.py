@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -283,9 +283,25 @@ def function_from_descriptor(doc: dict) -> ScalarFunction:
     return fn
 
 
+def _evidence_doc(kind: str, **fields) -> dict:
+    """A hypothesis-evidence document: tuples become lists and an overflowed
+    extreme becomes null, as a canonical document holds finite numbers only."""
+    doc: dict = {"kind": kind}
+    for key, value in fields.items():
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, float) and not math.isfinite(value):
+            value = None
+        doc[key] = value
+    return doc
+
+
 @dataclasses.dataclass(frozen=True)
 class SynchronyVerdict:
     """Grid evidence for the pairwise sign of sync_product over an interval."""
+
+    kind: ClassVar[str] = "synchrony"
+    signs: ClassVar[tuple[str, str]] = (SYNCHRONOUS, ASYNCHRONOUS)
 
     classification: str
     min_product: float
@@ -311,21 +327,15 @@ class SynchronyVerdict:
         return None
 
     def summary(self) -> dict:
-        return {
-            "kind": "synchrony",
-            "classification": self.classification,
-            "min_product": self.min_product,
-            "max_product": self.max_product,
-            "witness_pos": list(self.witness_pos) if self.witness_pos else None,
-            "witness_neg": list(self.witness_neg) if self.witness_neg else None,
-            "grid_size": self.grid_size,
-            "tol": self.tol,
-        }
+        return _evidence_doc(self.kind, **vars(self))
 
 
 @dataclasses.dataclass(frozen=True)
 class MonotonicityVerdict:
     """Grid evidence for the sign of mono_defect over ordered pairs of an interval."""
+
+    kind: ClassVar[str] = "monotonicity"
+    signs: ClassVar[tuple[str, str]] = (H_INCREASING, H_DECREASING)
 
     classification: str
     min_defect: float
@@ -335,26 +345,22 @@ class MonotonicityVerdict:
     grid_size: int
     tol: float
 
-    def summary(self) -> dict:
-        return {
-            "kind": "monotonicity",
-            "classification": self.classification,
-            "min_defect": self.min_defect,
-            "max_defect": self.max_defect,
-            "witness_pos": list(self.witness_pos) if self.witness_pos else None,
-            "witness_neg": list(self.witness_neg) if self.witness_neg else None,
-            "grid_size": self.grid_size,
-            "tol": self.tol,
-        }
+    summary = SynchronyVerdict.summary
+
+
+def _defect(fv, hv, i, j):
+    """h(x_i)f(x_j) - h(x_j)f(x_i), the relative-monotonicity defect of f/h at the
+    index pairs (i, j), from the values fv of f and hv of h at the points x."""
+    return hv[i] * fv[j] - hv[j] * fv[i]
 
 
 def sync_product(
     f: ScalarFunction, g: ScalarFunction, h: ScalarFunction, x: float, y: float
 ) -> float:
-    """(h(y)f(x) - h(x)f(y)) * (h(y)g(x) - h(x)g(y))."""
+    """(h(y)f(x) - h(x)f(y)) * (h(y)g(x) - h(x)g(y)): the defects of f/h and g/h at (y, x)."""
     pts = np.asarray([float(x), float(y)])
     fv, gv, hv = f.evaluate(pts), g.evaluate(pts), h.evaluate(pts)
-    return float((hv[1] * fv[0] - hv[0] * fv[1]) * (hv[1] * gv[0] - hv[0] * gv[1]))
+    return float(_defect(fv, hv, 1, 0) * _defect(gv, hv, 1, 0))
 
 
 def mono_defect(f: ScalarFunction, h: ScalarFunction, x: float, t: float) -> float:
@@ -362,27 +368,44 @@ def mono_defect(f: ScalarFunction, h: ScalarFunction, x: float, t: float) -> flo
     if x > t:
         raise ArgumentOrder(f"expected x <= t, got x={x!r} > t={t!r}")
     pts = np.asarray([float(x), float(t)])
-    fv, hv = f.evaluate(pts), h.evaluate(pts)
-    return float(hv[0] * fv[1] - hv[1] * fv[0])
+    return float(_defect(f.evaluate(pts), h.evaluate(pts), 0, 1))
 
 
-def _pair_extremes(pts: np.ndarray, values: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """Extremes of the pair values, where they occur, and the tolerance: set by
-    the largest finite value, as an overflowing one carries no scale."""
+def _certify(verdict: type, pts: np.ndarray, pair_values: Callable):
+    """The one pair-sign certificate: ``pair_values(i, j)`` over the index pairs
+    i < j of ``pts``, classified as ``verdict.signs`` (nonnegative, nonpositive)
+    or MIXED, with the points of the pairs where the extremes occur.  The
+    tolerance is set by the largest finite value, as an overflowing one carries
+    no scale; a NaN value has no sign."""
+    i, j = np.triu_indices(pts.size, k=1)
+    if i.size == 0:
+        return verdict(verdict.signs[0], 0.0, 0.0, None, None, int(pts.size), tol_sync(0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = pair_values(i, j)
     mn_idx = int(np.argmin(values))
     mx_idx = int(np.argmax(values))
     mn = float(values[mn_idx])
     mx = float(values[mx_idx])
     if math.isnan(mn):  # argmin stops at the first NaN
-        raise DomainViolation("a pair product on the grid is NaN; its sign is undefined")
+        raise DomainViolation("a pair value on the grid is NaN; its sign is undefined")
     scale = max(abs(mn), abs(mx))
     if math.isinf(scale):
         finite = np.abs(values[np.isfinite(values)])
         scale = float(finite.max()) if finite.size else 0.0
     tol = tol_sync(scale)
-    pos = (float(pts[i[mx_idx]]), float(pts[j[mx_idx]])) if mx > tol else None
-    neg = (float(pts[i[mn_idx]]), float(pts[j[mn_idx]])) if mn < -tol else None
-    return mn, mx, pos, neg, tol
+    first, second = verdict.signs
+    cls = first if mn >= -tol else second if mx <= tol else MIXED
+    pos = (pts[i[mx_idx]].item(), pts[j[mx_idx]].item()) if mx > tol else None
+    neg = (pts[i[mn_idx]].item(), pts[j[mn_idx]].item()) if mn < -tol else None
+    return verdict(cls, mn, mx, pos, neg, int(pts.size), tol)
+
+
+def _synchrony(pts: np.ndarray, fv, gv, hv) -> SynchronyVerdict:
+    """Certify the product of the defects of f/h and g/h from their values at pts,
+    each at the swapped pair (j, i) as sync_product writes it: a zero keeps its sign."""
+    return _certify(
+        SynchronyVerdict, pts, lambda i, j: _defect(fv, hv, j, i) * _defect(gv, hv, j, i)
+    )
 
 
 def classify_synchrony(
@@ -394,17 +417,7 @@ def classify_synchrony(
 ) -> SynchronyVerdict:
     """Evaluate sync_product on all grid pairs (i < j) and classify the sign pattern."""
     pts = interval.grid(grid_n)
-    fv, gv, hv = f.evaluate(pts), g.evaluate(pts), h.evaluate(pts)
-    i, j = np.triu_indices(pts.size, k=1)
-    prod = (hv[j] * fv[i] - hv[i] * fv[j]) * (hv[j] * gv[i] - hv[i] * gv[j])
-    mn, mx, pos, neg, tol = _pair_extremes(pts, prod, i, j)
-    if mn >= -tol:
-        cls = SYNCHRONOUS
-    elif mx <= tol:
-        cls = ASYNCHRONOUS
-    else:
-        cls = MIXED
-    return SynchronyVerdict(cls, mn, mx, pos, neg, int(pts.size), tol)
+    return _synchrony(pts, f.evaluate(pts), g.evaluate(pts), h.evaluate(pts))
 
 
 def classify_monotonicity(
@@ -421,16 +434,7 @@ def classify_monotonicity(
         raise DomainViolation(
             f"relative monotonicity needs h > 0 on the interval; h({bad!r}) <= 0"
         )
-    i, j = np.triu_indices(pts.size, k=1)
-    defect = hv[i] * fv[j] - hv[j] * fv[i]
-    mn, mx, pos, neg, tol = _pair_extremes(pts, defect, i, j)
-    if mn >= -tol:
-        cls = H_INCREASING
-    elif mx <= tol:
-        cls = H_DECREASING
-    else:
-        cls = MIXED
-    return MonotonicityVerdict(cls, mn, mx, pos, neg, int(pts.size), tol)
+    return _certify(MonotonicityVerdict, pts, lambda i, j: _defect(fv, hv, i, j))
 
 
 def scan_tr_regions(

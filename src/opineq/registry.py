@@ -55,6 +55,17 @@ TWO_OP = "two_op"
 ENSEMBLE = "ensemble"
 TUPLES = "tuples"
 
+# Inputs kind -> the document keys a check of that kind requires; "tuples.a"
+# names a key inside one.
+_INPUTS = {
+    SINGLE: ("operator", "state"),
+    TWO_OP: ("operator", "operator_b", "state", "state_b"),
+    ENSEMBLE: ("ensemble",),
+    TUPLES: ("tuples.a", "tuples.b"),
+}
+# Document keys every check accepts beside its inputs and forwarded keys.
+_UNIVERSAL = frozenset({"theorem", "name", "expect", "grid_n", "functions"})
+
 DROP_SYNCHRONY = "synchrony"
 DROP_CONTAINMENT = "spectral-containment"
 DROP_NORMALIZATION = "normalization"
@@ -92,8 +103,8 @@ class TheoremEntry:
     """One checkable inequality: its id, what inputs it takes, how to run it.
 
     ``run`` calls the checker with the function slots in f, g, h order (the
-    document's free ``slots`` plus the ``fixed`` ones), then the required
-    document ``inputs`` positionally, then every ``forwards`` key the
+    document's free ``slots`` plus the ``fixed`` ones), then the inputs its
+    ``inputs_kind`` requires, positionally, then every ``forwards`` key the
     document carries as the keyword it maps to, then the constant
     ``options``.  A chain checker returns several reports; ``link`` picks
     this entry's.  The remaining fields steer sampling and ``falsify``.
@@ -112,8 +123,6 @@ class TheoremEntry:
     checker: str
     # slot -> the function it is fixed to, or the name of the slot it equals
     fixed: Mapping[str, Union[ScalarFunction, str]]
-    # required document keys; "tuples.a" names a key inside one
-    inputs: tuple[str, ...]
     forwards: Mapping[str, str]
     options: Mapping[str, object]
     link: Optional[int]
@@ -142,7 +151,8 @@ class TheoremEntry:
             fixed = self.fixed.get(slot)
             plan.append((slot, filled.index(fixed) if isinstance(fixed, str) else fixed))
         object.__setattr__(self, "_slot_plan", tuple(plan))
-        object.__setattr__(self, "_input_plan", tuple(k.partition(".")[::2] for k in self.inputs))
+        inputs = tuple(k.partition(".")[::2] for k in _INPUTS[self.inputs_kind])
+        object.__setattr__(self, "_input_plan", inputs)
 
     def functions(self, given: Mapping[str, ScalarFunction]) -> list[ScalarFunction]:
         """The checker's function arguments in f, g, h order: the free slots
@@ -185,7 +195,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
         needs_positive=False,
         checker="check_sign_bound",
         fixed={},
-        inputs=("operator", "state"),
         forwards=_SIGN_KEYS,
         options={},
         link=None,
@@ -221,7 +230,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
         inputs_kind=ENSEMBLE,
         ensemble_mode=SUM_OF_SQUARES,
         checker="check_ensemble_sign_bound",
-        inputs=("ensemble",),
         members=2,
     )
     ensemble_square = dict(ensemble, checker="check_ensemble_square_bound", **square_case)
@@ -297,7 +305,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
             inputs_kind=TWO_OP,
             slots=("f", "g", "h"),
             checker="check_two_operator",
-            inputs=("operator", "operator_b", "state", "state_b"),
             sides=_two_operator_sides,
             members=2,
         ),
@@ -406,7 +413,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
             inputs_kind=TUPLES,
             slots=(),
             checker="discrete_chebyshev",
-            inputs=("tuples.a", "tuples.b"),
             forwards={"gate_hypothesis": "gate"},
             sides=_chebyshev_sides,
             members=2,
@@ -445,7 +451,23 @@ def run_scenario(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
             f"{entry.theorem_id} takes function slots {sorted(entry.slots) or 'none'}; "
             f"got unexpected {extra}"
         )
-    return entry.run(parsed, tol_factor=tol_factor)
+    # a field the check does not read may appear only at the value it uses anyway:
+    # gate_hypothesis at true, direction at the one it reports (as its inputs document)
+    takes = _UNIVERSAL | {name for name, _ in entry._input_plan} | set(entry.forwards)
+    unread = sorted(
+        key
+        for key, value in parsed.items()
+        if not (key in takes or key == "direction" or key == "gate_hypothesis" and value is True)
+    )
+    if unread:
+        raise ConfigInvalid(f"{entry.theorem_id} does not take the fields {unread}")
+    report = entry.run(parsed, tol_factor=tol_factor)
+    if parsed.get("direction") not in (None, report.direction):
+        raise ConfigInvalid(
+            f"{entry.theorem_id} reports direction {report.direction!r}, "
+            f"not {parsed['direction']!r}"
+        )
+    return report
 
 
 def expectation_failures(report: InequalityReport, expect: dict) -> list[str]:

@@ -114,7 +114,8 @@ class StateVector:
             raise ConfigInvalid("state components must be finite")
         comp.setflags(write=False)
         object.__setattr__(self, "components", comp)
-        object.__setattr__(self, "norm", float(np.linalg.norm(comp)))
+        with np.errstate(over="ignore"):  # a huge state's norm is inf, which no check accepts
+            object.__setattr__(self, "norm", float(np.linalg.norm(comp)))
 
     @property
     def dim(self) -> int:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from opineq import SCENARIOS, canonical_json, load_json
+from opineq import SCENARIOS, SCENARIOS_BY_NAME, canonical_json, load_json
 from opineq.cli import main
 
 CHECK_DOC = {
@@ -18,6 +18,12 @@ CHECK_DOC = {
     },
     "expect": {"verdict": "holds", "gap": 0.25, "atol": 1e-9},
 }
+
+# f = exp against g = -exp under h = 1: asynchronous, and on [1, 465] the
+# pair products -(e^x - e^y)^2 overflow to -inf
+EXP = {"kind": "exp"}
+NEG_EXP = {"kind": "sum", "terms": [{"coef": -1.0, "fn": EXP}]}
+ONE = {"kind": "constant", "c": 1.0}
 
 
 def _write(tmp_path, name, doc):
@@ -128,6 +134,49 @@ class TestCheck:
         code = main(["check", _write(tmp_path, "s.json", doc)])
         assert code == 2
         assert "surprise" in capsys.readouterr().err
+
+    def test_overflowed_evidence_is_written_as_null(self, tmp_path, capsys):
+        doc = {
+            "theorem": "pc-sign",
+            "operator": {"diagonal": [1.0, 2.0], "interval": [1.0, 465.0]},
+            "state": CHECK_DOC["state"],
+            "grid_n": 32,
+            "functions": {"f": EXP, "g": NEG_EXP, "h": ONE},
+        }
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        record = load_json(capsys.readouterr().out)
+        assert code == 0
+        assert (record["direction"], record["verdict"]) == ("<=", "holds")
+        assert record["hypothesis_evidence"]["min_product"] is None
+
+    def test_overflowing_opposite_tuples_are_not_similarly_ordered(self, tmp_path, capsys):
+        # (a_0 - a_1)(b_0 - b_1) = -(1.6e154)^2 overflows; it is still a negative pair
+        tuples = {"a": [8e153, -8e153], "b": [-8e153, 8e153]}
+        doc = {"theorem": "discrete-chebyshev", "tuples": tuples}
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        assert code == 2
+        assert "(a_i-a_j)(b_i-b_j) = -inf < 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,field",
+        [
+            ("pc-square/equal", {"direction": ">="}),
+            ("ensemble-kantorovich-upper/shared", {"bound_interval": [1.0, 1.5]}),
+            ("kantorovich-upper/equal-weight", {"per_op_intervals": [[1.0, 3.0]]}),
+        ],
+        ids=["direction", "bound_interval", "per_op_intervals"],
+    )
+    def test_field_the_check_does_not_take_exits_two(self, tmp_path, capsys, name, field):
+        doc = {**SCENARIOS_BY_NAME[name], **field}
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        assert code == 2
+        assert next(iter(field)) in capsys.readouterr().err
+
+    def test_field_at_the_value_the_check_uses_is_accepted(self, tmp_path, capsys):
+        doc = {**SCENARIOS_BY_NAME["pc-square/equal"], "direction": "<=", "gate_hypothesis": True}
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        capsys.readouterr()
+        assert code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +368,14 @@ class TestClassify:
         assert lines[0].startswith("r,kind,classification")
         assert "mixed" in lines[1]
         assert "(" in lines[1]  # witness tuples are stringified
+
+    def test_overflowed_extreme_is_null(self, tmp_path, capsys):
+        doc = {"f": EXP, "g": NEG_EXP, "h": ONE, "interval": [1.0, 465.0], "grid_n": 32}
+        code = main(["classify", _write(tmp_path, "fns.json", doc)])
+        rows = [load_json(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert rows[0]["classification"] == "asynchronous"
+        assert rows[0]["min_product"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from opineq import (
     ConfigInvalid,
     DimensionMismatch,
+    DomainViolation,
     GE,
     HOLDS,
     HYPOTHESIS_NOT_MET,
@@ -247,6 +248,17 @@ class TestDiscreteChebyshev:
         with pytest.raises(NotSimilarlyOrdered) as err:
             discrete_chebyshev([1.0, 2.0], [2.0, 1.0])
         assert "i=0" in str(err.value) and "j=1" in str(err.value)
+
+    def test_overflowing_opposite_pair_rejected_with_witness(self):
+        # (a_0 - a_1)(b_0 - b_1) = -(1.6e154)^2 overflows; it is still negative
+        with pytest.raises(NotSimilarlyOrdered) as err:
+            discrete_chebyshev([8e153, -8e153], [-8e153, 8e153])
+        assert "i=0" in str(err.value) and "j=1" in str(err.value)
+
+    def test_gate_off_overflowing_sides_are_a_domain_violation(self):
+        # a_j b_j = -1e400 overflows in the sides as in the pair products; neither warns
+        with pytest.raises(DomainViolation):
+            discrete_chebyshev([1e200, -1e200], [-1e200, 1e200], gate=False)
 
     def test_gate_off_evaluates_anyway(self):
         r = discrete_chebyshev([1.0, 2.0], [2.0, 1.0], gate=False)

@@ -1,6 +1,8 @@
 """Scalar function library, synchrony/monotonicity classification, r-scans."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -33,8 +35,10 @@ from opineq import (
     pointwise_product,
     power,
     scan_tr_regions,
+    similarly_ordered,
     sync_product,
     tabulated,
+    tol_sync,
 )
 
 IV12 = SpectralInterval(1.0, 2.0)
@@ -468,3 +472,136 @@ class TestScanTrRegions:
         (_, via_scan), = scan_tr_regions(f, g, [0.0], IV12, 64)
         direct = classify_synchrony(f, g, constant(1.0), IV12, 64)
         assert via_scan.classification == direct.classification
+
+
+# ---------------------------------------------------------------------------
+# the pair-sign certificate against a plain double loop over pairs
+
+# finite values whose products overflow, signed zeros and small integers
+VALUES = st.one_of(
+    st.floats(min_value=-1e250, max_value=1e250, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+)
+# a degenerate interval puts x == y in every pair, where the defects are signed zeros
+ENDS = st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), min_size=2, max_size=2).map(sorted)
+CERTIFY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+# exp overflows a product of two values on [1, 465]
+IV1_465 = SpectralInterval(1.0, 465.0)
+
+
+def _loop_certificate(pts, pair_value, signs):
+    """The certificate written out: every pair i < j in order, the first extreme
+    wins a tie, and the tolerance comes from the largest finite value."""
+    values = [
+        (pair_value(i, j), (pts[i], pts[j]))
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+    ]
+    if not values:
+        return signs[0], "0x0.0p+0", "0x0.0p+0", None, None, len(pts), tol_sync(0.0)
+    if any(math.isnan(v) for v, _ in values):
+        return DomainViolation
+    mn, at_mn = min(values, key=lambda item: item[0])
+    mx, at_mx = max(values, key=lambda item: item[0])
+    tol = tol_sync(max([abs(v) for v, _ in values if math.isfinite(v)], default=0.0))
+    if all(v >= -tol for v, _ in values):
+        cls = signs[0]
+    elif all(v <= tol for v, _ in values):
+        cls = signs[1]
+    else:
+        cls = MIXED
+    witness_pos = at_mx if mx > tol else None
+    witness_neg = at_mn if mn < -tol else None
+    return cls, mn.hex(), mx.hex(), witness_pos, witness_neg, len(pts), tol
+
+
+def _fields(verdict):
+    fields = [getattr(verdict, f.name) for f in dataclasses.fields(verdict)]
+    fields[1], fields[2] = fields[1].hex(), fields[2].hex()  # keeps the sign of a zero
+    return tuple(fields)
+
+
+def _outcome(certify):
+    try:
+        return certify()
+    except DomainViolation:
+        return DomainViolation
+
+
+class TestPairSignCertificate:
+    @CERTIFY
+    @given(ends=ENDS, n=st.integers(2, 6), coefs=st.lists(VALUES, min_size=6, max_size=6))
+    def test_synchrony_is_the_written_product(self, ends, n, coefs):
+        f, g, h = (affine(a, b) for a, b in zip(coefs[::2], coefs[1::2]))
+        iv = SpectralInterval(*ends)
+        pts = iv.grid(n)
+        fv, gv, hv = ([float(v) for v in fn(pts)] for fn in (f, g, h))
+
+        def product(i, j):  # (h(y)f(x) - h(x)f(y))(h(y)g(x) - h(x)g(y)), x = pts[i], y = pts[j]
+            return (hv[j] * fv[i] - hv[i] * fv[j]) * (hv[j] * gv[i] - hv[i] * gv[j])
+
+        got = _outcome(lambda: _fields(classify_synchrony(f, g, h, iv, n)))
+        assert got == _loop_certificate(list(pts), product, (SYNCHRONOUS, ASYNCHRONOUS))
+
+    @CERTIFY
+    @given(ends=ENDS, n=st.integers(2, 6), coefs=st.lists(VALUES, min_size=4, max_size=4))
+    def test_monotonicity_is_the_written_defect(self, ends, n, coefs):
+        f, h = affine(coefs[0], coefs[1]), affine(coefs[2], abs(coefs[3]) + 3.0)
+        iv = SpectralInterval(*ends)
+        pts = iv.grid(n)
+        fv, hv = ([float(v) for v in fn(pts)] for fn in (f, h))
+        if min(hv) <= 0.0:
+            with pytest.raises(DomainViolation):
+                classify_monotonicity(f, h, iv, n)
+            return
+
+        def defect(i, j):  # h(x)f(t) - h(t)f(x), x = pts[i] <= t = pts[j]
+            return hv[i] * fv[j] - hv[j] * fv[i]
+
+        got = _outcome(lambda: _fields(classify_monotonicity(f, h, iv, n)))
+        assert got == _loop_certificate(list(pts), defect, (H_INCREASING, H_DECREASING))
+
+    @CERTIFY
+    @given(st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=6))
+    def test_similarly_ordered_is_the_written_product(self, pairs):
+        a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+
+        def product(i, j):  # (a_i - a_j)(b_i - b_j)
+            return (a[i] - a[j]) * (b[i] - b[j])
+
+        def certify():
+            ordered, witness, worst = similarly_ordered(a, b)
+            return ordered, witness, worst.hex()
+
+        want = _loop_certificate(list(range(len(a))), product, (True, False))
+        if want is not DomainViolation:
+            ordered, worst, _, _, witness, _, _ = want
+            want = (ordered is True, witness, worst)
+        assert _outcome(certify) == want
+
+    @pytest.mark.parametrize(
+        "certify",
+        [
+            lambda: classify_synchrony(exp_fn(), exp_fn(), exp_fn(), IV1_465, 32),
+            lambda: classify_monotonicity(exp_fn(), exp_fn(), IV1_465, 32),
+            lambda: similarly_ordered([1.0, 2.0, 3.0], [1.0, np.nan, 0.0]),
+        ],
+        ids=["synchrony", "monotonicity", "similarly-ordered"],
+    )
+    def test_nan_is_a_domain_violation(self, certify):
+        # inf - inf in a defect, or a NaN entry, has no sign; the NaN must not
+        # mask the unordered pair (0, 2) of the tuples either
+        with pytest.raises(DomainViolation):
+            certify()
+
+    def test_overflowed_pair_product_is_a_witness(self):
+        assert similarly_ordered([1e200, -1e200], [-1e200, 1e200]) == (False, (0, 1), -np.inf)
+
+    def test_overflowed_extremes_are_null_in_the_summary(self):
+        neg_exp = linear_combination((-1.0, exp_fn()))
+        v = classify_synchrony(exp_fn(), neg_exp, constant(1.0), IV1_465, 32)
+        assert v.min_product == -np.inf
+        doc = v.summary()
+        assert doc["min_product"] is None
+        assert doc["max_product"] == v.max_product and doc["tol"] == v.tol
+        assert doc["classification"] == ASYNCHRONOUS
