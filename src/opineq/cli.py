@@ -29,7 +29,7 @@ from .registry import expectation_failures, run_scenario
 from .scenarios import SCENARIOS, coverage_gaps
 from .serialize import canonical_json, interval_from_doc, load_json, rows_to_csv, scenario_from_doc
 from .spectral import SpectralInterval
-from .tolerances import DEFAULT_GRID_N
+from .tolerances import DEFAULT_GRID_N, GRID_N_RANGE
 
 __all__ = ["main"]
 
@@ -124,23 +124,12 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         jsonl = (out_dir / "reports.jsonl").open("w", encoding="utf-8")
 
     def on_report(tid: str, trial: int, report) -> None:
-        if jsonl is not None:
-            row = dict(report.to_record())
-            row["trial"] = trial
-            jsonl.write(canonical_json(row) + "\n")
-        if args.format == "csv" and out_dir is not None:
-            csv_rows.append(
-                {
-                    "theorem": tid,
-                    "trial": trial,
-                    "direction": report.direction,
-                    "lhs": report.lhs,
-                    "rhs": report.rhs,
-                    "gap": report.gap,
-                    "tolerance": report.tolerance,
-                    "verdict": report.verdict,
-                }
-            )
+        row = {**report.to_record(), "trial": trial}
+        jsonl.write(canonical_json(row) + "\n")
+        if args.format == "csv":
+            # the CSV's columns only: the whole record would keep its scenario document alive
+            row["theorem"] = tid
+            csv_rows.append({name: row[name] for name in _REPORT_CSV_FIELDS})
 
     start = time.monotonic()
     try:
@@ -180,7 +169,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if "interval" not in doc or "f" not in doc:
         raise ConfigInvalid("classify needs at least 'f' and 'interval'")
     interval = interval_from_doc(doc["interval"])
-    grid_n = read_integer(doc.get("grid_n", DEFAULT_GRID_N), "grid_n")
+    grid_n = read_integer(doc.get("grid_n", DEFAULT_GRID_N), "grid_n", GRID_N_RANGE)
     mode = doc.get("mode", "synchrony")
     f = function_from_descriptor(doc["f"])
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     ConfigInvalid,
-    NonPositiveSpectrum,
     NormalizationViolation,
     NotSimilarlyOrdered,
     SpectrumOutOfInterval,
@@ -25,11 +24,11 @@ from .functionals import (
     InequalityReport,
     _build_report,
     _inputs_doc,
+    _kantorovich_constants,
     _mean_point_sides,
     _operator_doc,
     _quiet,
     _sign_sides,
-    _square,
     _square_bound,
     _state_doc,
     _synchrony_bound,
@@ -44,7 +43,7 @@ from .spectral import (
     _check_pairs,
     block_diagonal,
 )
-from .tolerances import DEFAULT_GRID_N, TOL_NORM, TOL_SPEC
+from .tolerances import DEFAULT_GRID_N
 
 __all__ = [
     "SUM_OF_SQUARES",
@@ -90,7 +89,7 @@ class OperatorEnsemble:
         _check_pairs(self.operators, self.states, self.normalization == SUM_OF_SQUARES)
         if self.normalization == PER_VECTOR:
             for k, st in enumerate(self.states):
-                if abs(st.norm - 1.0) > TOL_NORM:
+                if not st.is_unit:
                     raise NormalizationViolation(
                         f"state {k} has norm {st.norm!r}, expected 1"
                     )
@@ -301,34 +300,28 @@ def kantorovich_ensemble_chain(
         )
     n = E.n
     if per_op_intervals is None:
-        pairs = [(op.interval.lo, op.interval.hi) for op in E.operators]
+        intervals = [E.interval] * n
     else:
-        pairs = [(float(lo), float(hi)) for lo, hi in per_op_intervals]
-        if len(pairs) != n:
-            raise ConfigInvalid(f"need {n} per-operator intervals, got {len(pairs)}")
-    for k, ((lo, hi), op) in enumerate(zip(pairs, E.operators)):
-        if lo <= 0.0 or op.interval.lo <= 0.0:
-            raise NonPositiveSpectrum(
-                f"operator {k}: inversion needs 0 < lo "
-                f"(declared {op.interval.as_pair()}, chain uses ({lo!r}, {hi!r}))"
-            )
-        if lo > hi:
-            raise ConfigInvalid(f"operator {k}: interval ({lo!r}, {hi!r}) is inverted")
-        if gate and per_op_intervals is not None:
-            ev = op.eigenvalues
-            if float(ev[0]) < lo - TOL_SPEC or float(ev[-1]) > hi + TOL_SPEC:
+        intervals = [SpectralInterval(*pair) for pair in per_op_intervals]
+        if len(intervals) != n:
+            raise ConfigInvalid(f"need {n} per-operator intervals, got {len(intervals)}")
+    E.interval.require_positive()
+    constants, diff_constants = zip(*(_kantorovich_constants(iv) for iv in intervals))
+    if gate and per_op_intervals is not None:
+        for k, (iv, op) in enumerate(zip(intervals, E.operators)):
+            if not iv.contains_spectrum(op.eigenvalues):
+                ev = op.eigenvalues
                 raise SpectrumOutOfInterval(
-                    f"operator {k}: spectrum [{fmt(float(ev[0]))}, {fmt(float(ev[-1]))}] "
-                    f"outside chain interval ({fmt(lo)}, {fmt(hi)})"
+                    f"operator {k}: spectrum [{fmt(ev[0])}, {fmt(ev[-1])}] "
+                    f"outside chain interval ({fmt(iv.lo)}, {fmt(iv.hi)})"
                 )
     a, b = _member_means(E.measures())
-    constants = [kantorovich_constant(lo, hi) for lo, hi in pairs]
     lower_sides, middle_sides, upper_sides = _chain_sides(a, b, constants)
     ordered, witness, worst = similarly_ordered(a, b)
 
     body = _ensemble_body(E)
     if per_op_intervals is not None:
-        body["per_op_intervals"] = [[lo, hi] for lo, hi in pairs]
+        body["per_op_intervals"] = [list(iv.as_pair()) for iv in intervals]
 
     def doc(theorem_id: str) -> dict:
         return _inputs_doc(theorem_id, GE, body, {}, grid_n, gate)
@@ -360,7 +353,6 @@ def kantorovich_ensemble_chain(
         inputs=doc("ensemble-chebyshev-link"),
         tol_factor=tol_factor,
     )
-    diff_constants = [_square(hi - lo) / (4.0 * lo * hi) for lo, hi in pairs]
     upper = _build_report(
         "ensemble-kantorovich-upper",
         GE,

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, DomainViolation, IntervalMismatch, NonPositiveSpectrum
+from .errors import ConfigInvalid, DomainViolation
 from .functions import (
     GE,
     LE,
@@ -28,10 +28,11 @@ from .spectral import (
     SpectralInterval,
     SpectralMeasure,
     StateVector,
+    _check_pairs,
     expectation,
     expectation_product,
 )
-from .tolerances import DEFAULT_GRID_N, TOL_SPEC, tol_ineq
+from .tolerances import DEFAULT_GRID_N, tol_ineq
 
 __all__ = [
     "HOLDS",
@@ -61,9 +62,10 @@ AUTOMATIC_HYPOTHESIS = {
 
 REVERSED_NOTE = "direction '<=' evaluates the fully sign-reversed bound"
 
-# Decorates each check and constant: an overflowing side or constant becomes a
-# DomainViolation or an inf where it lands, so numpy's warning about it is noise.
-_quiet = np.errstate(over="ignore", invalid="ignore")
+# Decorates each check and constant: an overflowing side or constant, or one
+# whose denominator underflowed, becomes a DomainViolation or an inf or nan where
+# it lands, so numpy's warning about it is noise.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def fmt(x: float) -> str:
@@ -169,7 +171,8 @@ def _state_doc(x: StateVector) -> dict:
 def _pair(
     A: HermitianOperator, x: StateVector
 ) -> tuple[tuple[SpectralMeasure], SpectralInterval, dict]:
-    """What a check reads of (A, x): (mu_x,), the interval to certify on, the inputs body."""
+    """What a check reads of a unit (A, x): (mu_x,), the interval to certify on, the inputs body."""
+    x.require_unit()
     body = {"operator": _operator_doc(A), "state": _state_doc(x)}
     return (SpectralMeasure.of(A, x),), A.interval, body
 
@@ -297,7 +300,6 @@ def check_sign_bound(
     With ``direction=None`` the grid classification picks the direction; a
     mixed verdict yields ``hypothesis-not-met``.
     """
-    x.require_unit()
     args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis)
     return _synchrony_bound(_sign_sides, *_pair(A, x), f, g, h, *args)
 
@@ -343,16 +345,21 @@ def check_square_bound(
     tol_factor: float = 1.0,
 ) -> InequalityReport:
     """E[hf]^2 <= E[h^2]E[f^2]; holds for every continuous f, no synchrony gate."""
-    x.require_unit()
     return _square_bound(*_pair(A, x), f, h, theorem_id, grid_n, tol_factor)
 
 
 @_quiet
+def _kantorovich_constants(iv: SpectralInterval) -> tuple[float, float]:
+    """(lo+hi)^2 / (4 lo hi) and the difference form (hi-lo)^2 / (4 lo hi) of a
+    positive interval; nan or inf where 4 lo hi underflows or a square overflows."""
+    lo, hi = iv.require_positive().as_pair()
+    denominator = 4.0 * np.float64(lo) * hi
+    return float(_square(lo + hi) / denominator), float(_square(hi - lo) / denominator)
+
+
 def kantorovich_constant(lo: float, hi: float) -> float:
     """(lo + hi)^2 / (4 lo hi) for 0 < lo <= hi."""
-    if lo <= 0.0:
-        raise NonPositiveSpectrum(f"constant needs 0 < lo, got ({lo!r}, {hi!r})")
-    return _square(lo + hi) / (4.0 * lo * hi)
+    return _kantorovich_constants(SpectralInterval(lo, hi))[0]
 
 
 def _kantorovich_sides(mu: SpectralMeasure, bound: float) -> tuple[tuple, tuple]:
@@ -375,27 +382,18 @@ def kantorovich_chain(
     ``bound_interval`` overrides the interval used for the upper constant; the
     falsifier uses it to probe what happens when the declared interval lies.
     """
-    x.require_unit()
-    iv = bound_interval if bound_interval is not None else A.interval
-    if A.interval.lo <= 0.0 or iv.lo <= 0.0:
-        raise NonPositiveSpectrum(
-            f"inversion needs 0 < lo; intervals {A.interval.as_pair()}, {iv.as_pair()}"
-        )
     measures, _, body = _pair(A, x)
-    bound = kantorovich_constant(iv.lo, iv.hi)
+    A.interval.require_positive()
+    iv = bound_interval if bound_interval is not None else A.interval
+    bound, difference_form = _kantorovich_constants(iv)
     lower_sides, upper_sides = _kantorovich_sides(*measures, bound)
-    difference_form = _square(iv.hi - iv.lo) / (4.0 * iv.lo * iv.hi)
     containment = None
     if bound_interval is not None:
         body["bound_interval"] = [iv.lo, iv.hi]
-        lam = A.eigenvalues
-        contained = bool(
-            float(lam.min()) >= iv.lo - TOL_SPEC and float(lam.max()) <= iv.hi + TOL_SPEC
-        )
         containment = {
             "kind": "spectral-containment",
             "declared": [iv.lo, iv.hi],
-            "contained": contained,
+            "contained": iv.contains_spectrum(A.eigenvalues),
         }
     lower = _build_report(
         "kantorovich-lower",
@@ -447,15 +445,11 @@ def check_two_operator(
     gate_hypothesis: bool = True,
 ) -> InequalityReport:
     """Mixed two-operator bound: cross products of expectations over (A, x) and (B, y)."""
-    x.require_unit()
-    y.require_unit()
-    if A.interval != B.interval:
-        raise IntervalMismatch(
-            f"operators declare intervals {A.interval.as_pair()} and {B.interval.as_pair()}"
-        )
     (mu,), interval, body = _pair(A, x)
-    body.update(operator_b=_operator_doc(B), state_b=_state_doc(y))
-    measures = (mu, SpectralMeasure.of(B, y))
+    (nu,), _, body_b = _pair(B, y)
+    _check_pairs((A, B), (x, y), sum_of_squares=False)
+    body.update(operator_b=body_b["operator"], state_b=body_b["state"])
+    measures = (mu, nu)
     args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis)
     return _synchrony_bound(_two_operator_sides, measures, interval, body, f, g, h, *args)
 
@@ -505,7 +499,6 @@ def check_mean_point(
     ``auto_hypothesis`` marks the f = g parameterizations whose synchrony is
     structural, skipping the grid classification.
     """
-    x.require_unit()
     args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
     return _synchrony_bound(_mean_point_sides, *_pair(A, x), f, g, h, *args, ())
 
@@ -516,9 +509,7 @@ def inverse_pair_hull(interval: SpectralInterval) -> SpectralInterval:
     The two anchor points <Ax,x> and <A^{-1}x,x> live in [lo, hi] and
     [1/hi, 1/lo] respectively, so hypotheses are certified on the hull.
     """
-    if interval.lo <= 0.0:
-        raise NonPositiveSpectrum(f"inversion needs 0 < lo, interval is {interval.as_pair()}")
-    return interval.hull(SpectralInterval(1.0 / interval.hi, 1.0 / interval.lo))
+    return interval.require_positive().hull(SpectralInterval(1.0 / interval.hi, 1.0 / interval.lo))
 
 
 def _inverse_pair_sides(
@@ -547,7 +538,6 @@ def check_inverse_pair(
     auto_hypothesis: bool = False,
 ) -> InequalityReport:
     """Two-point bound at the pair (<Ax,x>, <A^{-1}x,x>) for a positive spectrum."""
-    x.require_unit()
     hull = inverse_pair_hull(A.interval)
     notes = (
         "synchrony certified on the hull of the interval and its inverse "

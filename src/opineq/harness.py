@@ -57,9 +57,9 @@ from .serialize import interval_from_doc, scenario_from_doc
 from .spectral import HermitianOperator, SpectralInterval, SpectralMeasure, StateVector
 from .tolerances import (
     DEFAULT_GRID_N,
+    GRID_N_RANGE,
     MAX_BUDGET,
     MAX_DIM,
-    MAX_GRID_N,
     MAX_TRIALS,
     VIOLATION_FACTOR,
     tol_ineq,
@@ -222,7 +222,7 @@ class TrialConfig:
                 for desc in t:
                     function_from_descriptor(desc)
             object.__setattr__(self, "triple_pool", triples)
-        read_integer(self.grid_n, "grid_n", (2, MAX_GRID_N))
+        read_integer(self.grid_n, "grid_n", GRID_N_RANGE)
         ids = tuple(read_list(self.theorem_ids, "theorems"))
         if not ids:
             raise ConfigInvalid("theorem_ids must not be empty")
@@ -768,6 +768,7 @@ def falsify(
             )
     read_integer(budget, "budget", (1, MAX_BUDGET))
     read_integer(seed, "seed", _SEED_RANGE)
+    read_integer(grid_n, "grid_n", GRID_N_RANGE)
     iv = interval if interval is not None else SpectralInterval(1.0, 4.0)
     if entry.needs_positive and iv.lo <= 0.0:
         raise ConfigInvalid(f"{theorem_id!r} needs a positive interval, got {iv.as_pair()}")

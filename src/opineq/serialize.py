@@ -19,7 +19,7 @@ from .functions import GE, LE, ScalarFunction, function_from_descriptor
 from .functionals import fmt
 from .ensembles import OperatorEnsemble
 from .spectral import HermitianOperator, SpectralInterval, StateVector, from_dense
-from .tolerances import DEFAULT_GRID_N
+from .tolerances import DEFAULT_GRID_N, GRID_N_RANGE
 
 __all__ = [
     "canonical_json",
@@ -216,7 +216,7 @@ _SCENARIO_READERS: dict[str, Optional[Callable]] = {
     "theorem": None,
     "name": None,
     "direction": _direction_from_doc,
-    "grid_n": lambda v: read_integer(v, "grid_n"),
+    "grid_n": lambda v: read_integer(v, "grid_n", GRID_N_RANGE),
     "gate_hypothesis": _gate_from_doc,
     "functions": _functions_from_doc,
     "operator": operator_from_doc,

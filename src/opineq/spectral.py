@@ -20,15 +20,17 @@ from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     IntervalMismatch,
+    NonPositiveSpectrum,
     NormalizationViolation,
     NotHermitian,
     NotUnitState,
     SpectrumOutOfInterval,
+    read_integer,
 )
 from .tolerances import (
     DEFAULT_GRID_N,
+    GRID_N_RANGE,
     MAX_DIM,
-    MAX_GRID_N,
     OPEN_INTERVAL_SHRINK,
     TOL_HERM,
     TOL_NORM,
@@ -80,12 +82,19 @@ class SpectralInterval:
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= value <= self.hi + slack
 
+    def contains_spectrum(self, lam: np.ndarray) -> bool:
+        """Whether ascending eigenvalues ``lam`` lie in the interval up to TOL_SPEC."""
+        return self.contains(float(lam[0]), TOL_SPEC) and self.contains(float(lam[-1]), TOL_SPEC)
+
+    def require_positive(self) -> "SpectralInterval":
+        """This interval, when 0 < lo, as inversion and the Kantorovich constant need."""
+        if self.lo <= 0.0:
+            raise NonPositiveSpectrum(f"inversion needs 0 < lo, interval is {self.as_pair()}")
+        return self
+
     def grid(self, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
         """Uniform grid including both endpoints."""
-        n = int(grid_n)
-        if not 2 <= n <= MAX_GRID_N:
-            raise ConfigInvalid(f"grid needs 2 to {MAX_GRID_N} points, got {grid_n}")
-        return np.linspace(self.lo, self.hi, n)
+        return np.linspace(self.lo, self.hi, read_integer(int(grid_n), "grid_n", GRID_N_RANGE))
 
     def shrunk(self, frac: float = OPEN_INTERVAL_SHRINK) -> "SpectralInterval":
         """Endpoints pulled inward by frac*width; stands in for an open interval."""
@@ -121,9 +130,13 @@ class StateVector:
     def dim(self) -> int:
         return self.components.size
 
-    def require_unit(self, tol: float = TOL_NORM) -> "StateVector":
-        if abs(self.norm - 1.0) > tol:
-            raise NotUnitState(f"state norm {self.norm!r} differs from 1 by more than {tol}")
+    @property
+    def is_unit(self) -> bool:
+        return abs(self.norm - 1.0) <= TOL_NORM
+
+    def require_unit(self) -> "StateVector":
+        if not self.is_unit:
+            raise NotUnitState(f"state norm {self.norm!r} differs from 1 by more than {TOL_NORM}")
         return self
 
     @staticmethod
@@ -168,12 +181,11 @@ class HermitianOperator:
         residue = float(np.max(np.abs(vec.conj().T @ vec - np.eye(d))))
         if not residue <= TOL_UNITARY:  # NaN entries fail too
             raise ConfigInvalid(f"eigenvector matrix is not unitary: max |U*U - I| = {residue:.3e}")
-        lo, hi = self.interval.lo, self.interval.hi
-        beyond = (lam < lo - TOL_SPEC) | (lam > hi + TOL_SPEC)
-        if np.any(beyond):
-            bad = float(lam[beyond][0])
+        lo, hi = self.interval.as_pair()
+        if not self.interval.contains_spectrum(lam):
             raise SpectrumOutOfInterval(
-                f"eigenvalue {bad!r} outside [{lo}, {hi}] by more than {TOL_SPEC}"
+                f"spectrum [{float(lam[0])!r}, {float(lam[-1])!r}] outside [{lo}, {hi}] "
+                f"by more than {TOL_SPEC}"
             )
         lam = np.clip(lam, lo, hi)
         lam.setflags(write=False)

@@ -14,6 +14,7 @@ __all__ = [
     "TOL_SPEC",
     "DEFAULT_GRID_N",
     "MAX_GRID_N",
+    "GRID_N_RANGE",
     "MAX_TRIALS",
     "MAX_BUDGET",
     "MAX_DIM",
@@ -36,6 +37,7 @@ TOL_SPEC = 1e-8
 DEFAULT_GRID_N = 128
 # certification evaluates grid_n^2/2 pairs; 1024 points is about 0.5M pairs
 MAX_GRID_N = 1024
+GRID_N_RANGE = (2, MAX_GRID_N)
 # suite trials per check id; all 23 ids at the cap already run for hours
 MAX_TRIALS = 1_000_000
 # candidates one falsify search examines

@@ -4,10 +4,13 @@ Hypothesis draws function literals, scenario documents, suite configs and
 ``classify`` documents whose fields are either well formed or arbitrary JSON,
 and feeds them through the path the CLI takes: ``scenario_from_doc`` then
 ``run_scenario`` for ``opineq check``, ``config_from_doc`` then ``run_suite``
-for ``opineq suite``, and ``main`` itself for ``opineq classify``.
+for ``opineq suite``, and ``main`` itself for ``opineq classify``.  Every check
+id also runs through ``run_suite`` and ``falsify`` on intervals at the ends of the
+float range.
 """
 
 import dataclasses
+import itertools
 import math
 import pathlib
 import tempfile
@@ -15,8 +18,9 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from opineq import REGISTRY_ORDER, OpineqError, canonical_json, config_from_doc
-from opineq import function_from_descriptor, run_scenario, run_suite, scenario_from_doc
+from opineq import REGISTRY_ORDER, OpineqError, SpectralInterval, TrialConfig, canonical_json
+from opineq import config_from_doc, falsify, function_from_descriptor, run_scenario, run_suite
+from opineq import scenario_from_doc
 from opineq.cli import main
 
 FUZZ = settings(
@@ -196,3 +200,21 @@ def test_classify_documents_exit_zero_or_two(doc):
         path = pathlib.Path(tmp) / "functions.json"
         path.write_text(canonical_json(doc), encoding="utf-8")
         assert main(["classify", str(path)]) in (0, 2)
+
+
+# a 4 lo hi that underflows to 0, a square that overflows, a subnormal lo
+EXTREME_INTERVALS = [(1e-200, 1e-200), (1e-200, 1e200), (5e-324, 1.0)]
+
+
+def test_extreme_intervals_raise_only_opineq_errors():
+    """Every id, suite and falsify, on intervals at the ends of the float range."""
+    for tid, (lo, hi) in itertools.product(THEOREM_IDS, EXTREME_INTERVALS):
+        iv = SpectralInterval(lo, hi)
+        try:
+            run_suite(TrialConfig(seed=0, trials=2, interval=iv, theorem_ids=(tid,)))
+        except OpineqError:
+            pass
+        try:
+            falsify(tid, budget=10, interval=iv)
+        except OpineqError:
+            pass

@@ -172,6 +172,44 @@ class TestCheck:
         assert code == 2
         assert next(iter(field)) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {
+                "theorem": "kantorovich-upper",
+                "operator": {"diagonal": [1e-200, 1e-200], "interval": [1e-200, 1e-200]},
+                "state": [0.7071067811865476, 0.7071067811865476],
+            },
+            {
+                "theorem": "ensemble-kantorovich-upper",
+                "ensemble": {
+                    "operators": [{"diagonal": [1e-200], "interval": [1e-200, 1e-200]}],
+                    "states": [[1.0]],
+                    "normalization": "per_vector",
+                },
+            },
+        ],
+        ids=["kantorovich-upper", "ensemble-kantorovich-upper"],
+    )
+    def test_underflowing_constant_exits_two(self, tmp_path, capsys, doc):
+        # 4 lo hi underflows to 0 on [1e-200, 1e-200], so the constant is 0 / 0
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not both finite" in err
+
+    @pytest.mark.parametrize(
+        "name,grid_n",
+        [("pc-square/equal", -7), ("kantorovich-lower/equal-weight", 99999999999)],
+        ids=["negative", "huge"],
+    )
+    def test_out_of_range_grid_n_exits_two(self, tmp_path, capsys, name, grid_n):
+        doc = {**SCENARIOS_BY_NAME[name], "grid_n": grid_n}
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        assert code == 2
+        assert "grid_n" in capsys.readouterr().err
+
     def test_field_at_the_value_the_check_uses_is_accepted(self, tmp_path, capsys):
         doc = {**SCENARIOS_BY_NAME["pc-square/equal"], "direction": "<=", "gate_hypothesis": True}
         code = main(["check", _write(tmp_path, "s.json", doc)])
@@ -415,10 +453,19 @@ class TestFalsifyCommand:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
-    def test_non_finite_constant_exits_two(self, capsys):
-        args = ["falsify", "kantorovich-lower", "--interval", "1e200", "2e200", "--budget", "50"]
+    @pytest.mark.parametrize(
+        "theorem,lo,hi",
+        [("kantorovich-lower", "1e200", "2e200"), ("kantorovich-upper", "1e-200", "1e-200")],
+        ids=["overflow", "underflow"],
+    )
+    def test_non_finite_constant_exits_two(self, capsys, theorem, lo, hi):
+        args = ["falsify", theorem, "--interval", lo, hi, "--budget", "50"]
         assert main(args) == 2
         assert "not both finite" in capsys.readouterr().err
+
+    def test_grid_below_two_exits_two(self, capsys):
+        assert main(["falsify", "pc-square", "--grid", "1", "--budget", "10"]) == 2
+        assert "grid_n" in capsys.readouterr().err
 
     def test_non_finite_candidates_are_skipped(self, capsys):
         # exp overflows in the sides on [1, 465]; those candidates score +inf

@@ -319,6 +319,7 @@ class TestKantorovichConstant:
     def test_constant_overflows_to_inf_instead_of_raising(self):
         assert np.isnan(kantorovich_constant(1e200, 2e200))  # inf / inf
         assert kantorovich_constant(1.0, 1e160) == np.inf
+        assert np.isnan(kantorovich_constant(1e-200, 1e-200))  # 4 lo hi underflows: 0 / 0
 
 
 def _pv(op_list, state_list):
