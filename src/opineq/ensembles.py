@@ -25,6 +25,7 @@ from .functionals import (
     _build_report,
     _inputs_doc,
     _kantorovich_constants,
+    _links,
     _mean_point_sides,
     _operator_doc,
     _quiet,
@@ -282,7 +283,8 @@ def kantorovich_ensemble_chain(
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
     gate: bool = True,
-) -> tuple[InequalityReport, InequalityReport, InequalityReport]:
+    link: Optional[int] = None,
+) -> "tuple[InequalityReport, InequalityReport, InequalityReport] | InequalityReport":
     """Averaged chain 1 <= mean(a)mean(b) <= mean(ab) <= mean(K) with
     a_j = <A_j x_j, x_j>, b_j = <A_j^{-1} x_j, x_j>, K_j the per-operator constant.
 
@@ -291,7 +293,8 @@ def kantorovich_ensemble_chain(
     The middle link additionally needs (a, b) similarly ordered and is reported
     ``hypothesis-not-met`` when they are not.  ``gate=False`` skips the
     normalization and containment preconditions so hypothesis-dropping
-    searches can evaluate the raw sides.
+    searches can evaluate the raw sides.  Returns the three links' reports,
+    or with ``link`` (0, 1 or 2) that one.
     """
     if gate and E.normalization != PER_VECTOR:
         raise NormalizationViolation(
@@ -317,7 +320,6 @@ def kantorovich_ensemble_chain(
                 )
     a, b = _member_means(E.measures())
     lower_sides, middle_sides, upper_sides = _chain_sides(a, b, constants)
-    ordered, witness, worst = similarly_ordered(a, b)
 
     body = _ensemble_body(E)
     if per_op_intervals is not None:
@@ -326,47 +328,53 @@ def kantorovich_ensemble_chain(
     def doc(theorem_id: str) -> dict:
         return _inputs_doc(theorem_id, GE, body, {}, grid_n, gate)
 
-    lower = _build_report(
-        "ensemble-product-lower",
-        GE,
-        *lower_sides,
-        hypothesis={"kind": "normalization", "mode": E.normalization, "required": PER_VECTOR},
-        hypothesis_ok=True,
-        inputs=doc("ensemble-product-lower"),
-        tol_factor=tol_factor,
-        notes=(
-            "sum form: (sum a)(sum b) = "
-            + fmt(lower_sides[0] * n * n)
-            + " vs n^2 = "
-            + fmt(float(n * n)),
-            "stated for sum-of-squares normalization, where it fails; "
-            "checked under per-vector normalization",
-        ),
-    )
-    ordering_evidence = _evidence_doc("similarly-ordered", min_pair_product=worst, witness=witness)
-    middle = _build_report(
-        "ensemble-chebyshev-link",
-        GE,
-        *middle_sides,
-        hypothesis=ordering_evidence,
-        hypothesis_ok=ordered or not gate,
-        inputs=doc("ensemble-chebyshev-link"),
-        tol_factor=tol_factor,
-    )
-    upper = _build_report(
-        "ensemble-kantorovich-upper",
-        GE,
-        *upper_sides,
-        hypothesis=None,
-        hypothesis_ok=True,
-        inputs=doc("ensemble-kantorovich-upper"),
-        tol_factor=tol_factor,
-        notes=(
-            "per-operator constants (lo+hi)^2/(4 lo hi): "
-            + ", ".join(fmt(c) for c in constants),
-            "difference-form values (hi-lo)^2/(4 lo hi): "
-            + ", ".join(fmt(c) for c in diff_constants)
-            + " (source discrepancy; not used)",
-        ),
-    )
-    return lower, middle, upper
+    def lower() -> InequalityReport:
+        return _build_report(
+            "ensemble-product-lower",
+            GE,
+            *lower_sides,
+            hypothesis={"kind": "normalization", "mode": E.normalization, "required": PER_VECTOR},
+            hypothesis_ok=True,
+            inputs=doc("ensemble-product-lower"),
+            tol_factor=tol_factor,
+            notes=(
+                "sum form: (sum a)(sum b) = "
+                + fmt(lower_sides[0] * n * n)
+                + " vs n^2 = "
+                + fmt(float(n * n)),
+                "stated for sum-of-squares normalization, where it fails; "
+                "checked under per-vector normalization",
+            ),
+        )
+
+    def middle() -> InequalityReport:
+        ordered, witness, worst = similarly_ordered(a, b)
+        return _build_report(
+            "ensemble-chebyshev-link",
+            GE,
+            *middle_sides,
+            hypothesis=_evidence_doc("similarly-ordered", min_pair_product=worst, witness=witness),
+            hypothesis_ok=ordered or not gate,
+            inputs=doc("ensemble-chebyshev-link"),
+            tol_factor=tol_factor,
+        )
+
+    def upper() -> InequalityReport:
+        return _build_report(
+            "ensemble-kantorovich-upper",
+            GE,
+            *upper_sides,
+            hypothesis=None,
+            hypothesis_ok=True,
+            inputs=doc("ensemble-kantorovich-upper"),
+            tol_factor=tol_factor,
+            notes=(
+                "per-operator constants (lo+hi)^2/(4 lo hi): "
+                + ", ".join(fmt(c) for c in constants),
+                "difference-form values (hi-lo)^2/(4 lo hi): "
+                + ", ".join(fmt(c) for c in diff_constants)
+                + " (source discrepancy; not used)",
+            ),
+        )
+
+    return _links((lower, middle, upper), link)

@@ -368,6 +368,16 @@ def _kantorovich_sides(mu: SpectralMeasure, bound: float) -> tuple[tuple, tuple]
     return (product, 1.0), (bound, product)
 
 
+def _links(builders: tuple[Callable[[], InequalityReport], ...], link: Optional[int]):
+    """A chain's reports: every link's, or with ``link`` only the report at that
+    index, so that a link is built on its own sides alone."""
+    if link is None:
+        return tuple(build() for build in builders)
+    if link not in range(len(builders)):
+        raise ConfigInvalid(f"link must be one of 0..{len(builders) - 1}, got {link!r}")
+    return builders[link]()
+
+
 @_quiet
 def kantorovich_chain(
     A: HermitianOperator,
@@ -376,11 +386,13 @@ def kantorovich_chain(
     bound_interval: Optional[SpectralInterval] = None,
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
-) -> tuple[InequalityReport, InequalityReport]:
+    link: Optional[int] = None,
+) -> "tuple[InequalityReport, InequalityReport] | InequalityReport":
     """1 <= E[s]E[1/s] <= (lo+hi)^2 / (4*lo*hi) for a positive spectral interval.
 
     ``bound_interval`` overrides the interval used for the upper constant; the
     falsifier uses it to probe what happens when the declared interval lies.
+    Returns the (lower, upper) reports, or with ``link`` (0 or 1) that one.
     """
     measures, _, body = _pair(A, x)
     A.interval.require_positive()
@@ -395,31 +407,36 @@ def kantorovich_chain(
             "declared": [iv.lo, iv.hi],
             "contained": iv.contains_spectrum(A.eigenvalues),
         }
-    lower = _build_report(
-        "kantorovich-lower",
-        GE,
-        *lower_sides,
-        hypothesis=None,
-        hypothesis_ok=True,
-        inputs=_inputs_doc("kantorovich-lower", GE, body, {}, grid_n, True),
-        tol_factor=tol_factor,
-    )
-    upper = _build_report(
-        "kantorovich-upper",
-        GE,
-        *upper_sides,
-        hypothesis=containment,
-        hypothesis_ok=True,
-        inputs=_inputs_doc("kantorovich-upper", GE, body, {}, grid_n, True),
-        tol_factor=tol_factor,
-        notes=(
-            "upper constant (lo+hi)^2/(4*lo*hi) = " + fmt(bound),
-            "difference-form constant (hi-lo)^2/(4*lo*hi) = "
-            + fmt(difference_form)
-            + " (source discrepancy; not used)",
-        ),
-    )
-    return lower, upper
+
+    def lower() -> InequalityReport:
+        return _build_report(
+            "kantorovich-lower",
+            GE,
+            *lower_sides,
+            hypothesis=None,
+            hypothesis_ok=True,
+            inputs=_inputs_doc("kantorovich-lower", GE, body, {}, grid_n, True),
+            tol_factor=tol_factor,
+        )
+
+    def upper() -> InequalityReport:
+        return _build_report(
+            "kantorovich-upper",
+            GE,
+            *upper_sides,
+            hypothesis=containment,
+            hypothesis_ok=True,
+            inputs=_inputs_doc("kantorovich-upper", GE, body, {}, grid_n, True),
+            tol_factor=tol_factor,
+            notes=(
+                "upper constant (lo+hi)^2/(4*lo*hi) = " + fmt(bound),
+                "difference-form constant (hi-lo)^2/(4*lo*hi) = "
+                + fmt(difference_form)
+                + " (source discrepancy; not used)",
+            ),
+        )
+
+    return _links((lower, upper), link)
 
 
 def _two_operator_sides(mu: SpectralMeasure, nu: SpectralMeasure, f, g, h) -> tuple:
@@ -509,7 +526,13 @@ def inverse_pair_hull(interval: SpectralInterval) -> SpectralInterval:
     The two anchor points <Ax,x> and <A^{-1}x,x> live in [lo, hi] and
     [1/hi, 1/lo] respectively, so hypotheses are certified on the hull.
     """
-    return interval.require_positive().hull(SpectralInterval(1.0 / interval.hi, 1.0 / interval.lo))
+    lo, hi = interval.require_positive().as_pair()
+    if not math.isfinite(1.0 / lo):
+        raise ConfigInvalid(
+            f"the inverse 1/lo of the interval's lower endpoint lo = {lo!r} overflows, "
+            "so the hull of the interval and its inverse is unbounded"
+        )
+    return interval.hull(SpectralInterval(1.0 / hi, 1.0 / lo))
 
 
 def _inverse_pair_sides(

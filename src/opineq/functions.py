@@ -3,11 +3,13 @@
 Functions are immutable descriptors with vectorized, domain-checked
 evaluation.  Classification runs over all ordered pairs of a uniform grid:
 a verdict is evidence "on this grid", not a proof over the continuum.
+Synchrony verdicts are memoized on the descriptors, the interval and the grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, ClassVar, Optional, Sequence
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import ArgumentOrder, ConfigInvalid, DomainViolation, read_list, read_number
 from .spectral import SpectralInterval
-from .tolerances import DEFAULT_GRID_N, tol_sync
+from .tolerances import CERTIFY_MEMO_SIZE, DEFAULT_GRID_N, tol_sync
 
 __all__ = [
     "ScalarFunction",
@@ -408,6 +410,13 @@ def _synchrony(pts: np.ndarray, fv, gv, hv) -> SynchronyVerdict:
     )
 
 
+@functools.lru_cache(maxsize=CERTIFY_MEMO_SIZE)
+def _memo_synchrony(f, g, h, interval, grid_n) -> SynchronyVerdict:
+    # + 0.0: an endpoint -0.0 shares its entry with 0.0, so both certify on 0.0
+    pts = interval.grid(grid_n) + 0.0
+    return _synchrony(pts, f.evaluate(pts), g.evaluate(pts), h.evaluate(pts))
+
+
 def classify_synchrony(
     f: ScalarFunction,
     g: ScalarFunction,
@@ -415,9 +424,18 @@ def classify_synchrony(
     interval: SpectralInterval,
     grid_n: int = DEFAULT_GRID_N,
 ) -> SynchronyVerdict:
-    """Evaluate sync_product on all grid pairs (i < j) and classify the sign pattern."""
-    pts = interval.grid(grid_n)
-    return _synchrony(pts, f.evaluate(pts), g.evaluate(pts), h.evaluate(pts))
+    """Evaluate sync_product on all grid pairs (i < j) and classify the sign pattern.
+
+    Verdicts are kept in one process-wide memo of at most CERTIFY_MEMO_SIZE
+    entries, keyed on (f, g, h, interval, grid_n) by value: labels are not part
+    of a function's value.  A call that raises is not kept.
+    ``classify_synchrony.cache_info()`` reports its hits and misses.
+    """
+    return _memo_synchrony(f, g, h, interval, grid_n)
+
+
+classify_synchrony.cache_info = _memo_synchrony.cache_info
+classify_synchrony.cache_clear = _memo_synchrony.cache_clear
 
 
 def classify_monotonicity(

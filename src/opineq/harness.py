@@ -8,8 +8,16 @@ subsets, or changing trial counts never perturbs other trials.  Falsification
 searches use the fixed stream tag ``[seed, check_ordinal, FALSIFY_STREAM]``.
 
 Within one trial the draw order is fixed: structural sizes first (dimensions,
-block counts, tuple lengths), then function-pool indices, then operators, then
-states.
+block counts, tuple lengths), then function-pool indices, then the inputs.  A
+check reads ``(A, x)`` only through the spectral measure ``mu_x``, so a trial
+draws that measure directly (sampling version 2): each block's atoms
+(eigenvalues), sorted uniform on the interval, for every block in turn, then
+the weights, Dirichlet(1, ..., 1) over all atoms of a single operator or a
+sum-of-squares ensemble, or one Dirichlet per block for two operators and
+per-vector ensembles.  That is the law of a Haar-random eigenbasis with a
+complex-Gaussian state.  The check receives ``diag(atoms)`` with the real
+state ``sqrt(weights)``.  ``random_operator``, ``random_state`` and
+``random_ensemble`` still sample the eigenbasis itself.
 """
 
 from __future__ import annotations
@@ -176,6 +184,21 @@ def random_ensemble(
         total = math.sqrt(sum(norm**2 for _, norm in raw))
         states = tuple(StateVector(z / total) for z, _ in raw)
     return OperatorEnsemble(ops, states, mode)
+
+
+def _random_measures(
+    rng: np.random.Generator, dims: Sequence[int], interval: SpectralInterval, joint: bool
+) -> tuple[list[HermitianOperator], list[StateVector]]:
+    """One diagonal operator and real state per block: sorted uniform atoms on the
+    interval, then squared components Dirichlet(1, ..., 1), over all blocks'
+    atoms together when ``joint`` (their squared norms add to 1), else per block."""
+    atoms = [np.sort(rng.uniform(interval.lo, interval.hi, d)) for d in dims]
+    if joint:
+        weights = np.split(rng.dirichlet(np.ones(sum(dims))), np.cumsum(dims)[:-1])
+    else:
+        weights = [rng.dirichlet(np.ones(d)) for d in dims]
+    ops = [HermitianOperator.diagonal(lam, interval) for lam in atoms]
+    return ops, [StateVector(np.sqrt(w)) for w in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +403,20 @@ def _trial_parsed(entry: TheoremEntry, ctx: _SamplerCtx, rng: np.random.Generato
     if entry.inputs_kind == SINGLE:
         dim = int(rng.integers(dmin, dmax + 1))
         parsed["functions"] = _draw_functions(entry, ctx, rng)
-        parsed["operator"] = random_operator(rng, dim, ctx.interval)
-        parsed["state"] = random_state(rng, dim)
+        ops, states = _random_measures(rng, [dim], ctx.interval, joint=True)
+        parsed.update(operator=ops[0], state=states[0])
     elif entry.inputs_kind == TWO_OP:
-        dim_a = int(rng.integers(dmin, dmax + 1))
-        dim_b = int(rng.integers(dmin, dmax + 1))
+        dims = [int(rng.integers(dmin, dmax + 1)) for _ in range(2)]
         parsed["functions"] = _draw_functions(entry, ctx, rng)
-        parsed["operator"] = random_operator(rng, dim_a, ctx.interval)
-        parsed["operator_b"] = random_operator(rng, dim_b, ctx.interval)
-        parsed["state"] = random_state(rng, dim_a)
-        parsed["state_b"] = random_state(rng, dim_b)
+        ops, states = _random_measures(rng, dims, ctx.interval, joint=False)
+        parsed.update(operator=ops[0], operator_b=ops[1], state=states[0], state_b=states[1])
     elif entry.inputs_kind == ENSEMBLE:
         n = int(rng.integers(1, 5))
         dims = [int(rng.integers(dmin, dmax + 1)) for _ in range(n)]
         parsed["functions"] = _draw_functions(entry, ctx, rng)
-        parsed["ensemble"] = random_ensemble(rng, n, dims, ctx.interval, entry.ensemble_mode)
+        joint = entry.ensemble_mode == SUM_OF_SQUARES
+        ops, states = _random_measures(rng, dims, ctx.interval, joint)
+        parsed["ensemble"] = OperatorEnsemble(ops, states, entry.ensemble_mode)
     elif entry.inputs_kind == TUPLES:
         n = int(rng.integers(dmin, dmax + 1))
         lo, hi = ctx.interval.lo, ctx.interval.hi
@@ -647,7 +669,7 @@ def _mode(entry: TheoremEntry, drop: Optional[str]) -> Optional[str]:
 
 def _sides_args(entry: TheoremEntry, members: list, constant: Optional[float]) -> tuple:
     """What the entry's sides function reads of a batch, before its functions,
-    as the checker passes it."""
+    as the checker passes it; ``constant`` is a chain link's interval constant."""
     if entry.inputs_kind == TUPLES:
         return tuple(members)
     measures = [
@@ -659,7 +681,7 @@ def _sides_args(entry: TheoremEntry, members: list, constant: Optional[float]) -
     if entry.ensemble_mode == PER_VECTOR:
         return (*_member_means(measures), [constant] * len(measures))
     mu = SpectralMeasure.concat(measures)
-    return (mu,) if entry.link is None else (mu, constant)
+    return (mu,) if constant is None else (mu, constant)
 
 
 def _candidate_doc(
@@ -775,7 +797,8 @@ def falsify(
     # the Kantorovich constant depends on hi/lo only, so containment widens by a ratio
     draw = SpectralInterval(iv.lo / 2.0, 2.0 * iv.hi) if drop == DROP_CONTAINMENT else iv
     tuples = _search_functions(entry, drop, draw, grid_n)
-    constant = kantorovich_constant(iv.lo, iv.hi) if entry.link is not None else None
+    link = entry.options.get("link")
+    constant = kantorovich_constant(iv.lo, iv.hi) if link is not None else None
     rng = _falsify_rng(seed, entry.ordinal)
     nearest = _NearestMiss()
 
@@ -783,7 +806,7 @@ def falsify(
         _, fns, sign = tuples[k]
         with np.errstate(all="ignore"):
             sides = entry.sides(*_sides_args(entry, _split(entry, drop, l1, l2, w), constant), *fns)
-            favored, other = sides if entry.link is None else sides[entry.link]
+            favored, other = sides if link is None else sides[link]
             scores = sign * (favored - other)
             thresholds = scores - tol_ineq(favored, other)
         finite = np.isfinite(scores)

@@ -106,8 +106,9 @@ class TheoremEntry:
     document's free ``slots`` plus the ``fixed`` ones), then the inputs its
     ``inputs_kind`` requires, positionally, then every ``forwards`` key the
     document carries as the keyword it maps to, then the constant
-    ``options``.  A chain checker returns several reports; ``link`` picks
-    this entry's.  The remaining fields steer sampling and ``falsify``.
+    ``options``.  A chain checker's ``link`` option picks this entry's link,
+    the only report it builds.  The remaining fields steer sampling and
+    ``falsify``.
     """
 
     theorem_id: str
@@ -125,7 +126,6 @@ class TheoremEntry:
     fixed: Mapping[str, Union[ScalarFunction, str]]
     forwards: Mapping[str, str]
     options: Mapping[str, object]
-    link: Optional[int]
     # hypotheses are certified on the hull of the interval and its inverse
     hull: bool
     # hypotheses a falsify search may drop
@@ -182,8 +182,7 @@ class TheoremEntry:
         for key, kw in self.forwards.items():
             if key in parsed:
                 kwargs[kw] = parsed[key]
-        report = globals()[self.checker](*args, **kwargs)
-        return report if self.link is None else report[self.link]
+        return globals()[self.checker](*args, **kwargs)
 
 
 def _entries() -> tuple[TheoremEntry, ...]:
@@ -197,7 +196,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
         fixed={},
         forwards=_SIGN_KEYS,
         options={},
-        link=None,
         hull=False,
         drops=frozenset({DROP_SYNCHRONY}),
         sync_pool=((_ONE, _ID, _SQRT), (_ID, _INV, _ONE), (_ID, _INV, _SQRT)),
@@ -288,14 +286,14 @@ def _entries() -> tuple[TheoremEntry, ...]:
             theorem_id="kantorovich-lower",
             summary="product of mean and inverse mean is at least one",
             slots=(),
-            link=0,
+            options={"link": 0},
         ),
         dict(
             kantorovich,
             theorem_id="kantorovich-upper",
             summary="product of mean and inverse mean at most the interval constant",
             slots=(),
-            link=1,
+            options={"link": 1},
             drops=frozenset({DROP_CONTAINMENT}),
         ),
         dict(
@@ -386,7 +384,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
             theorem_id="ensemble-product-lower",
             summary="averaged mean/inverse-mean product is at least one (unit states)",
             slots=(),
-            link=0,
+            options={"link": 0},
             drops=frozenset({DROP_NORMALIZATION}),
         ),
         dict(
@@ -394,7 +392,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
             theorem_id="ensemble-chebyshev-link",
             summary="averaged pointwise products dominate the product of averages",
             slots=(),
-            link=1,
+            options={"link": 1},
             drops=frozenset({DROP_SYNCHRONY}),
         ),
         dict(
@@ -402,7 +400,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
             theorem_id="ensemble-kantorovich-upper",
             summary="averaged interval constants dominate the averaged products",
             slots=(),
-            link=2,
+            options={"link": 2},
             drops=frozenset({DROP_CONTAINMENT}),
             members=1,
         ),

@@ -15,6 +15,7 @@ __all__ = [
     "DEFAULT_GRID_N",
     "MAX_GRID_N",
     "GRID_N_RANGE",
+    "CERTIFY_MEMO_SIZE",
     "MAX_TRIALS",
     "MAX_BUDGET",
     "MAX_DIM",
@@ -38,6 +39,9 @@ DEFAULT_GRID_N = 128
 # certification evaluates grid_n^2/2 pairs; 1024 points is about 0.5M pairs
 MAX_GRID_N = 1024
 GRID_N_RANGE = (2, MAX_GRID_N)
+# synchrony certificates kept by classify_synchrony's memo; the default suite
+# pool has at most 8^3 (f, g, h) triples on 2 intervals
+CERTIFY_MEMO_SIZE = 1024
 # suite trials per check id; all 23 ids at the cap already run for hours
 MAX_TRIALS = 1_000_000
 # candidates one falsify search examines

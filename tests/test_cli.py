@@ -200,6 +200,33 @@ class TestCheck:
         assert "not both finite" in err
 
     @pytest.mark.parametrize(
+        "theorem,reports",
+        [
+            ("kantorovich-lower", True),
+            ("kantorovich-upper", False),
+            ("ensemble-product-lower", True),
+            ("ensemble-chebyshev-link", True),
+            ("ensemble-kantorovich-upper", False),
+        ],
+    )
+    def test_chain_link_is_built_on_its_own_sides(self, tmp_path, capsys, theorem, reports):
+        # (lo + hi)^2 / (4 lo hi) overflows on [1e-200, 1e200]; only the upper links read it
+        op = {"diagonal": [1.0, 2.0], "interval": [1e-200, 1e200]}
+        state = [0.7071067811865476, 0.7071067811865476]
+        doc = {"theorem": theorem, "operator": op, "state": state}
+        if theorem.startswith("ensemble-"):
+            members = {"operators": [op], "states": [state], "normalization": "per_vector"}
+            doc = {"theorem": theorem, "ensemble": members}
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        captured = capsys.readouterr()
+        if reports:
+            assert code == 0
+            assert load_json(captured.out)["theorem_id"] == theorem
+        else:
+            assert code == 2
+            assert captured.err.startswith(f"error: {theorem}: sides inf")
+
+    @pytest.mark.parametrize(
         "name,grid_n",
         [("pc-square/equal", -7), ("kantorovich-lower/equal-weight", 99999999999)],
         ids=["negative", "huge"],
@@ -310,6 +337,23 @@ class TestSuite:
         code = main(["suite", "--trials", "10", *args])
         assert code == 2
         assert "not both finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "theorem,lo,hi",
+        [("kantorovich-lower", "1e-200", "1e200"), ("ensemble-product-lower", "5e-324", "1")],
+    )
+    def test_lower_chain_link_ignores_the_overflowing_constant(self, capsys, theorem, lo, hi):
+        code = main(["suite", "--trials", "2", "--interval", lo, hi, "--theorems", theorem])
+        doc = load_json(capsys.readouterr().out)
+        assert code == 0
+        assert doc["theorems"][theorem]["holds"] == 2
+
+    def test_overflowing_inverse_endpoint_is_named(self, capsys):
+        args = ["--interval", "5e-324", "1", "--theorems", "inverse-pair-square"]
+        assert main(["suite", "--trials", "1", *args]) == 2
+        err = capsys.readouterr().err
+        assert "1/lo" in err and "5e-324" in err
+        assert "inf" not in err
 
     def test_oversized_trials_exit_two(self, capsys):
         code = main(["suite", "--trials", "1000001"])
@@ -455,13 +499,29 @@ class TestFalsifyCommand:
 
     @pytest.mark.parametrize(
         "theorem,lo,hi",
-        [("kantorovich-lower", "1e200", "2e200"), ("kantorovich-upper", "1e-200", "1e-200")],
+        [("kantorovich-upper", "1e200", "2e200"), ("kantorovich-upper", "1e-200", "1e-200")],
         ids=["overflow", "underflow"],
     )
     def test_non_finite_constant_exits_two(self, capsys, theorem, lo, hi):
         args = ["falsify", theorem, "--interval", lo, hi, "--budget", "50"]
         assert main(args) == 2
         assert "not both finite" in capsys.readouterr().err
+
+    def test_chain_link_search_reads_only_its_own_link(self, capsys):
+        # the upper link's constant is nan on [1e-200, 1e-200]; the lower link's sides are finite
+        args = ["falsify", "ensemble-product-lower", "--drop", "normalization"]
+        args += ["--interval", "1e-200", "1e-200", "--budget", "10"]
+        assert main(args) == 0
+        doc = load_json(capsys.readouterr().out)
+        assert doc["found"] is True
+        assert doc["verdict"] == "violated"
+
+    def test_overflowing_inverse_endpoint_is_named(self, capsys):
+        args = ["falsify", "inverse-pair", "--interval", "5e-324", "1", "--budget", "10"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "1/lo" in err and "5e-324" in err
+        assert "inf" not in err
 
     def test_grid_below_two_exits_two(self, capsys):
         assert main(["falsify", "pc-square", "--grid", "1", "--budget", "10"]) == 2

@@ -404,6 +404,19 @@ class TestKantorovichEnsembleChain:
         assert "(hi-lo)^2/(4 lo hi)" in joined
         assert "not used" in joined
 
+    def test_link_builds_only_its_report(self):
+        x = StateVector.unit([1.0, 1.0])
+        E = _pv([DIAG12], [x])
+        reports = kantorovich_ensemble_chain(E)
+        assert [kantorovich_ensemble_chain(E, link=k) for k in range(3)] == list(reports)
+        # the per-operator constant overflows on [1e-200, 1e200]; only the upper link reads it
+        wide = HermitianOperator.diagonal([1.0, 2.0], SpectralInterval(1e-200, 1e200))
+        E = _pv([wide], [x])
+        assert kantorovich_ensemble_chain(E, link=0).verdict == HOLDS
+        assert kantorovich_ensemble_chain(E, link=1).verdict == HOLDS
+        with pytest.raises(DomainViolation, match="ensemble-kantorovich-upper: sides inf"):
+            kantorovich_ensemble_chain(E, link=2)
+
     def test_random_per_vector_draws(self):
         for trial in range(60):
             rng = trial_rng(32, 0, trial)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opineq import (
+    ConfigInvalid,
     DomainViolation,
     GE,
     HOLDS,
@@ -346,6 +347,22 @@ class TestKantorovichChain:
         assert "(hi-lo)^2/(4*lo*hi)" in joined
         assert "not used" in joined
 
+    def test_link_builds_only_its_report(self):
+        lower, upper = kantorovich_chain(DIAG12, EQ2)
+        assert kantorovich_chain(DIAG12, EQ2, link=0) == lower
+        assert kantorovich_chain(DIAG12, EQ2, link=1) == upper
+        # the upper constant overflows on [1e-200, 1e200]; the lower link never reads it
+        wide = HermitianOperator.diagonal([1.0, 2.0], SpectralInterval(1e-200, 1e200))
+        assert kantorovich_chain(wide, EQ2, link=0).verdict == HOLDS
+        with pytest.raises(DomainViolation, match="kantorovich-upper: sides inf"):
+            kantorovich_chain(wide, EQ2, link=1)
+        with pytest.raises(DomainViolation, match="kantorovich-upper"):
+            kantorovich_chain(wide, EQ2)
+
+    def test_unknown_link_rejected(self):
+        with pytest.raises(ConfigInvalid, match="link"):
+            kantorovich_chain(DIAG12, EQ2, link=2)
+
     def test_random_positive_draws_hold(self):
         for trial in range(100):
             rng = trial_rng(23, 0, trial)
@@ -472,6 +489,12 @@ class TestCheckInversePair:
         assert hull.as_pair() == (0.5, 2.0)
         with pytest.raises(NonPositiveSpectrum):
             inverse_pair_hull(SpectralInterval(0.0, 1.0))
+
+    def test_hull_names_an_overflowing_inverse(self):
+        # 1 / 5e-324 overflows; the message names 1/lo, not an interval [1.0, inf]
+        with pytest.raises(ConfigInvalid, match=r"inverse 1/lo .* lo = 5e-324 overflows") as err:
+            inverse_pair_hull(SpectralInterval(5e-324, 1.0))
+        assert "inf" not in str(err.value)
 
     def test_hull_recorded_in_notes(self):
         r = check_inverse_pair(ID, ID, ONE, DIAG12, EQ2)

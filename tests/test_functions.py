@@ -20,8 +20,11 @@ from opineq import (
     LE,
     MIXED,
     SYNCHRONOUS,
+    DEFAULT_FUNCTION_POOL,
+    ScalarFunction,
     SpectralInterval,
     affine,
+    canonical_json,
     classify_monotonicity,
     classify_synchrony,
     constant,
@@ -40,6 +43,7 @@ from opineq import (
     tabulated,
     tol_sync,
 )
+from opineq.tolerances import CERTIFY_MEMO_SIZE
 
 IV12 = SpectralInterval(1.0, 2.0)
 
@@ -426,6 +430,84 @@ class TestRelativeMonotonicityScope:
         assert rel.classification == H_INCREASING
         plain = classify_monotonicity(f, constant(1.0), IV12, 64)
         assert plain.classification == H_INCREASING
+
+
+# ---------------------------------------------------------------------------
+# the synchrony memo
+
+
+@pytest.fixture
+def cold_memo():
+    classify_synchrony.cache_clear()
+    yield classify_synchrony.cache_info
+    classify_synchrony.cache_clear()
+
+
+def _summary_bytes(verdict):
+    return canonical_json(verdict.summary())
+
+
+class TestSynchronyMemo:
+    def test_warm_call_matches_cold_call(self, cold_memo):
+        args = (neg_parabola(), identity(), constant(1.0), SpectralInterval(0.1, 0.9), 64)
+        cold = _summary_bytes(classify_synchrony(*args))
+        warm = _summary_bytes(classify_synchrony(*args))
+        assert cold == warm
+        assert cold_memo()[:2] == (1, 1)  # hits, misses
+        classify_synchrony.cache_clear()
+        assert _summary_bytes(classify_synchrony(*args)) == cold
+
+    def test_positional_and_keyword_grid_share_an_entry(self, cold_memo):
+        classify_synchrony(power(2.0), power(3.0), identity(), IV12, 64)
+        classify_synchrony(power(2.0), power(3.0), identity(), IV12, grid_n=64)
+        classify_synchrony(power(2.0), power(3.0), identity(), IV12)
+        classify_synchrony(power(2.0), power(3.0), identity(), IV12, grid_n=128)
+        assert cold_memo()[:2] == (2, 2)
+
+    def test_label_and_integer_parameters_share_an_entry(self, cold_memo):
+        relabelled = dataclasses.replace(power(2.0), label="square")
+        from_literal = function_from_descriptor({"kind": "power", "p": 2})
+        integral = ScalarFunction("power", (2,))
+        first = classify_synchrony(power(2.0), exp_fn(), identity(), IV12, 32)
+        for f in (relabelled, from_literal, integral):
+            v = classify_synchrony(f, exp_fn(), identity(), IV12, 32)
+            assert _summary_bytes(v) == _summary_bytes(first)
+        assert cold_memo()[:2] == (3, 1)
+
+    @pytest.mark.parametrize("zero_side", [(-0.0, 1.0), (-1.0, -0.0)], ids=["lo", "hi"])
+    def test_signed_zero_endpoints_share_an_entry(self, cold_memo, zero_side):
+        negative = SpectralInterval(*zero_side)
+        positive = SpectralInterval(*(v + 0.0 for v in zero_side))
+        args = (identity(), power(3.0), constant(1.0))
+        summaries = []
+        for order in ((negative, positive), (positive, negative)):
+            classify_synchrony.cache_clear()
+            summaries += [_summary_bytes(classify_synchrony(*args, iv, 16)) for iv in order]
+            assert cold_memo()[:2] == (1, 1)
+        assert len(set(summaries)) == 1
+        assert "-0.0" not in summaries[0]
+
+    def test_memo_never_exceeds_its_bound(self, cold_memo):
+        f, g, h = identity(), power(2.0), constant(1.0)
+        for k in range(CERTIFY_MEMO_SIZE + 40):
+            classify_synchrony(f, g, h, SpectralInterval(1.0, 2.0 + k), 2)
+            assert cold_memo().currsize <= CERTIFY_MEMO_SIZE
+        info = cold_memo()
+        assert info.maxsize == CERTIFY_MEMO_SIZE
+        assert info.currsize == CERTIFY_MEMO_SIZE
+        assert info.misses == CERTIFY_MEMO_SIZE + 40
+
+    def test_default_suite_key_space_fits(self):
+        pool = len(DEFAULT_FUNCTION_POOL)
+        assert CERTIFY_MEMO_SIZE >= pool**3 * 2  # (f, g, h) triples on the interval and its hull
+
+    def test_domain_violation_is_raised_on_every_call(self, cold_memo):
+        around_zero = SpectralInterval(-1.0, 1.0)
+        for _ in range(3):
+            with pytest.raises(DomainViolation):
+                classify_synchrony(log_fn(), identity(), constant(1.0), around_zero)
+        info = cold_memo()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
 
 # ---------------------------------------------------------------------------

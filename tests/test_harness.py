@@ -18,7 +18,9 @@ from opineq import (
     UnknownTheorem,
     VIOLATION_FACTOR,
     canonical_json,
+    classify_synchrony,
     config_from_doc,
+    eigenbasis_weights,
     expectation_failures,
     falsify,
     load_json,
@@ -31,7 +33,13 @@ from opineq import (
     tol_calc,
     trial_rng,
 )
-from opineq.harness import DROP_CONTAINMENT, DROP_NORMALIZATION, DROP_SYNCHRONY, _NearestMiss
+from opineq.harness import (
+    DROP_CONTAINMENT,
+    DROP_NORMALIZATION,
+    DROP_SYNCHRONY,
+    _NearestMiss,
+    _random_measures,
+)
 from opineq.tolerances import MAX_BUDGET, MAX_TRIALS
 
 IV12 = SpectralInterval(1.0, 2.0)
@@ -123,6 +131,92 @@ class TestGenerators:
     def test_ensemble_dims_validated(self):
         with pytest.raises(ConfigInvalid):
             random_ensemble(trial_rng(1, 4, 0), 2, [2], IV12, PER_VECTOR)
+
+
+# ---------------------------------------------------------------------------
+# suite draws: spectral measures drawn directly
+
+MOMENT_DRAWS = 4000
+
+
+def _moments(weights: np.ndarray) -> dict:
+    """Sample means, with standard errors, of w_k, w_k^2 and w_j w_k (j != k),
+    pooled over the exchangeable indices."""
+    n = weights.shape[1]
+    j, k = np.triu_indices(n, k=1)
+    samples = {
+        "w": weights.mean(axis=1),
+        "w2": (weights**2).mean(axis=1),
+        "wjwk": (weights[:, j] * weights[:, k]).mean(axis=1),
+    }
+    return {key: (v.mean(), v.std(ddof=1) / np.sqrt(v.size)) for key, v in samples.items()}
+
+
+class TestMeasureDraws:
+    N = 5
+
+    def _direct(self, seed: int) -> np.ndarray:
+        rows = []
+        for t in range(MOMENT_DRAWS):
+            ops, states = _random_measures(trial_rng(seed, 0, t), [self.N], IV12, joint=True)
+            rows.append(eigenbasis_weights(ops[0], states[0]))
+        return np.asarray(rows)
+
+    def _haar(self, seed: int) -> np.ndarray:
+        rows = []
+        for t in range(MOMENT_DRAWS):
+            rng = trial_rng(seed, 1, t)
+            A = random_operator(rng, self.N, IV12)
+            rows.append(eigenbasis_weights(A, random_state(rng, self.N)))
+        return np.asarray(rows)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dirichlet_moments_match_closed_forms_and_the_haar_path(self, seed):
+        n = self.N
+        exact = {"w": 1 / n, "w2": 2 / (n * (n + 1)), "wjwk": 1 / (n * (n + 1))}
+        direct, haar = _moments(self._direct(seed)), _moments(self._haar(seed))
+        for key, value in exact.items():
+            mean, se = direct[key]
+            assert abs(mean - value) <= 5 * se + 1e-15, key
+            haar_mean, haar_se = haar[key]
+            assert abs(mean - haar_mean) <= 5 * np.hypot(se, haar_se) + 1e-15, key
+
+    def test_draws_are_diagonal_sorted_and_unit(self):
+        for t in range(200):
+            rng = trial_rng(3, 0, t)
+            dims = [int(rng.integers(1, 9)) for _ in range(2)]
+            ops, states = _random_measures(rng, dims, IV12, joint=False)
+            for op, st, d in zip(ops, states, dims):
+                assert np.array_equal(op.eigenvectors, np.eye(d))
+                assert np.all(np.diff(op.eigenvalues) >= 0.0)
+                assert IV12.lo <= op.eigenvalues[0] and op.eigenvalues[-1] <= IV12.hi
+                assert np.all(st.components.imag == 0.0)
+                assert abs(st.norm - 1.0) <= TOL_NORM  # each per-block Dirichlet sums to 1
+
+    def test_sum_of_squares_block_masses_have_mean_dims_over_total(self):
+        dims = [1, 3, 4]
+        masses = []
+        for t in range(MOMENT_DRAWS):
+            _, states = _random_measures(trial_rng(4, 0, t), dims, IV12, joint=True)
+            block = [st.norm**2 for st in states]
+            assert abs(sum(block) - 1.0) <= TOL_NORM
+            masses.append(block)
+        masses = np.asarray(masses)
+        se = masses.std(axis=0, ddof=1) / np.sqrt(MOMENT_DRAWS)
+        assert np.all(np.abs(masses.mean(axis=0) - np.asarray(dims) / sum(dims)) <= 5 * se)
+
+    @pytest.mark.parametrize("mode", [SUM_OF_SQUARES, PER_VECTOR])
+    def test_suite_ensembles_are_normalized_for_their_mode(self, mode):
+        entry = next(e for e in REGISTRY_ORDER if e.ensemble_mode == mode)
+        cfg = _small_config(trials=30, theorem_ids=(entry.theorem_id,))
+        docs = []
+        run_suite(cfg, on_report=lambda _t, _k, r: docs.append(r.inputs_digest["ensemble"]))
+        for doc in docs:
+            norms = [sum(re * re + im * im for re, im in st["components"]) for st in doc["states"]]
+            if mode == PER_VECTOR:
+                assert all(abs(v - 1.0) <= TOL_NORM for v in norms)
+            else:
+                assert abs(sum(norms) - 1.0) <= TOL_NORM
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +351,18 @@ class TestRunSuite:
         a = run_suite(cfg).to_doc()
         b = run_suite(cfg).to_doc()
         assert canonical_json(a) == canonical_json(b)
+
+    def test_cold_and_warm_memo_give_identical_artifacts(self):
+        cfg = _small_config()
+        classify_synchrony.cache_clear()
+        runs, misses = [], []
+        for _ in range(2):
+            reports = []
+            summary = run_suite(cfg, on_report=lambda _t, _k, r: reports.append(r.to_record()))
+            runs.append((canonical_json(summary.to_doc()), [canonical_json(r) for r in reports]))
+            misses.append(classify_synchrony.cache_info().misses)
+        assert misses[0] > 0 and misses[1] == misses[0]  # the second run only hits
+        assert runs[0] == runs[1]
 
     def test_doc_excludes_wall_time(self):
         summary = run_suite(_small_config(trials=2, theorem_ids=("pc-sign",)))
