@@ -153,19 +153,22 @@ def _build_report(
     )
 
 
+def _pairs(z: np.ndarray) -> list:
+    """A C-contiguous complex array as nested lists of [re, im] Python floats."""
+    return z.view(np.float64).reshape(*z.shape, 2).tolist()
+
+
 def _operator_doc(A: HermitianOperator) -> dict:
     return {
         "dim": A.dim,
-        "eigenvalues": [float(v) for v in A.eigenvalues],
-        "eigenvectors": [
-            [[float(z.real), float(z.imag)] for z in row] for row in A.eigenvectors
-        ],
+        "eigenvalues": A.eigenvalues.tolist(),
+        "eigenvectors": _pairs(A.eigenvectors),
         "interval": [A.interval.lo, A.interval.hi],
     }
 
 
 def _state_doc(x: StateVector) -> dict:
-    return {"components": [[float(z.real), float(z.imag)] for z in x.components]}
+    return {"components": _pairs(x.components)}
 
 
 def _pair(

@@ -16,7 +16,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import ArgumentOrder, ConfigInvalid, DomainViolation, read_list, read_number
-from .spectral import SpectralInterval
+from .spectral import SpectralInterval, read_grid_n
 from .tolerances import CERTIFY_MEMO_SIZE, DEFAULT_GRID_N, tol_sync
 
 __all__ = [
@@ -76,12 +76,13 @@ class ScalarFunction:
     def evaluate(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         scalar = pts.ndim == 0
-        pts = np.atleast_1d(pts)
-        if not np.all(np.isfinite(pts)):
+        if scalar:
+            pts = pts.reshape(1)
+        if not np.isfinite(pts).all():
             raise DomainViolation(f"{self._name()} evaluated at non-finite points")
         self.check_domain(pts)
         out = self._eval(pts)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DomainViolation(f"{self._name()} produced non-finite values")
         return out[0] if scalar else out
 
@@ -93,7 +94,7 @@ class ScalarFunction:
 
     def check_domain(self, pts: np.ndarray) -> None:
         if self.domain is not None:
-            if np.any(pts < self.domain.lo) or np.any(pts > self.domain.hi):
+            if (pts < self.domain.lo).any() or (pts > self.domain.hi).any():
                 raise DomainViolation(
                     f"{self._name()} evaluated outside its declared domain "
                     f"[{self.domain.lo}, {self.domain.hi}]"
@@ -101,19 +102,19 @@ class ScalarFunction:
         kind = self.kind
         if kind == "power":
             p = self.params[0]
-            if p < 0.0 and np.any(pts == 0.0):
+            if p < 0.0 and (pts == 0.0).any():
                 raise DomainViolation(f"{self._name()} is undefined at 0")
-            if not float(p).is_integer() and np.any(pts < 0.0):
+            if not float(p).is_integer() and (pts < 0.0).any():
                 bad = float(pts[pts < 0.0][0])
                 raise DomainViolation(f"{self._name()} is undefined at negative point {bad!r}")
         elif kind == "log":
-            if np.any(pts <= 0.0):
+            if (pts <= 0.0).any():
                 bad = float(pts[pts <= 0.0][0])
                 raise DomainViolation(f"log is undefined at point {bad!r} <= 0")
         elif kind == "tabulated":
             knots = self.params[0]
             slack = _KNOT_SLACK * (1.0 + max(abs(knots[0]), abs(knots[-1])))
-            if np.any(pts < knots[0] - slack) or np.any(pts > knots[-1] + slack):
+            if (pts < knots[0] - slack).any() or (pts > knots[-1] + slack).any():
                 raise DomainViolation(
                     f"tabulated function evaluated outside its knot range "
                     f"[{knots[0]}, {knots[-1]}]"
@@ -428,10 +429,11 @@ def classify_synchrony(
 
     Verdicts are kept in one process-wide memo of at most CERTIFY_MEMO_SIZE
     entries, keyed on (f, g, h, interval, grid_n) by value: labels are not part
-    of a function's value.  A call that raises is not kept.
-    ``classify_synchrony.cache_info()`` reports its hits and misses.
+    of a function's value, and ``grid_n`` is read as an integer first.  A call
+    that raises is not kept.  ``classify_synchrony.cache_info()`` reports its
+    hits and misses.
     """
-    return _memo_synchrony(f, g, h, interval, grid_n)
+    return _memo_synchrony(f, g, h, interval, read_grid_n(grid_n))
 
 
 classify_synchrony.cache_info = _memo_synchrony.cache_info

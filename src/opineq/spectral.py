@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,14 @@ __all__ = [
 ]
 
 
+def read_grid_n(value) -> int:
+    """A grid size from GRID_N_RANGE as a Python int: an integer, numpy's too,
+    never a float or a boolean."""
+    if isinstance(value, np.integer):
+        value = int(value)
+    return read_integer(value, "grid_n", GRID_N_RANGE)
+
+
 @dataclasses.dataclass(frozen=True)
 class SpectralInterval:
     """Closed interval [lo, hi] declared to contain an operator's spectrum.
@@ -94,7 +102,7 @@ class SpectralInterval:
 
     def grid(self, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
         """Uniform grid including both endpoints."""
-        return np.linspace(self.lo, self.hi, read_integer(int(grid_n), "grid_n", GRID_N_RANGE))
+        return np.linspace(self.lo, self.hi, read_grid_n(grid_n))
 
     def shrunk(self, frac: float = OPEN_INTERVAL_SHRINK) -> "SpectralInterval":
         """Endpoints pulled inward by frac*width; stands in for an open interval."""
@@ -119,7 +127,7 @@ class StateVector:
         comp = np.array(self.components, dtype=np.complex128)
         if comp.ndim != 1 or comp.size == 0:
             raise ConfigInvalid(f"state must be a nonempty 1-d vector, got shape {comp.shape}")
-        if not np.all(np.isfinite(comp.real)) or not np.all(np.isfinite(comp.imag)):
+        if not np.isfinite(comp).all():
             raise ConfigInvalid("state components must be finite")
         comp.setflags(write=False)
         object.__setattr__(self, "components", comp)
@@ -141,12 +149,19 @@ class StateVector:
 
     @staticmethod
     def unit(components: Sequence[complex]) -> "StateVector":
-        """Construct from arbitrary components, normalized to unit norm."""
+        """Construct from arbitrary components, normalized to unit norm.
+
+        The components are first divided by their largest real or imaginary
+        part, so the norm neither overflows nor underflows at extreme scales.
+        """
         v = np.asarray(components, dtype=np.complex128)
-        n = float(np.linalg.norm(v))
-        if n == 0.0:
+        if not np.isfinite(v).all():
+            raise ConfigInvalid("state components must be finite")
+        scale = max(np.abs(v.real).max(initial=0.0), np.abs(v.imag).max(initial=0.0))
+        if scale == 0.0:
             raise ConfigInvalid("cannot normalize the zero vector")
-        return StateVector(v / n)
+        v = v / scale
+        return StateVector(v / np.linalg.norm(v))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -154,33 +169,41 @@ class HermitianOperator:
     """Hermitian operator held as eigenvalues (ascending) and a unitary eigenbasis.
 
     Eigenvalues are clamped into the declared interval when they stray by at
-    most TOL_SPEC; anything further out is rejected.
+    most TOL_SPEC; anything further out is rejected.  ``eigenvectors=None``
+    stands for the standard basis, as ``diagonal`` passes it.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: Optional[np.ndarray]
     interval: SpectralInterval
 
     def __post_init__(self) -> None:
         lam = np.array(self.eigenvalues, dtype=np.float64)
-        # C order whatever the source, so products with the basis take one BLAS path
-        vec = np.array(self.eigenvectors, dtype=np.complex128, order="C")
         if lam.ndim != 1 or lam.size == 0:
             raise ConfigInvalid(f"eigenvalues must be a nonempty 1-d array, got shape {lam.shape}")
         d = lam.size
         if d > MAX_DIM:
             raise ConfigInvalid(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
+        standard = self.eigenvectors is None
+        if standard:
+            vec = np.eye(d, dtype=np.complex128)
+        else:
+            # C order whatever the source, so products with the basis take one BLAS path
+            vec = np.array(self.eigenvectors, dtype=np.complex128, order="C")
         if vec.shape != (d, d):
             raise DimensionMismatch(f"eigenvector matrix shape {vec.shape} does not match dimension {d}")
-        if not np.all(np.isfinite(lam)):
+        if not np.isfinite(lam).all():
             raise ConfigInvalid("eigenvalues must be finite")
-        if np.any(np.diff(lam) < 0.0):
+        if (lam[1:] < lam[:-1]).any():
             order = np.argsort(lam, kind="stable")
             lam = lam[order]
             vec = np.ascontiguousarray(vec[:, order])
-        residue = float(np.max(np.abs(vec.conj().T @ vec - np.eye(d))))
-        if not residue <= TOL_UNITARY:  # NaN entries fail too
-            raise ConfigInvalid(f"eigenvector matrix is not unitary: max |U*U - I| = {residue:.3e}")
+        if not standard:  # a permutation of the standard basis is exactly unitary
+            residue = float(np.max(np.abs(vec.conj().T @ vec - np.eye(d))))
+            if not residue <= TOL_UNITARY:  # NaN entries fail too
+                raise ConfigInvalid(
+                    f"eigenvector matrix is not unitary: max |U*U - I| = {residue:.3e}"
+                )
         lo, hi = self.interval.as_pair()
         if not self.interval.contains_spectrum(lam):
             raise SpectrumOutOfInterval(
@@ -207,9 +230,9 @@ class HermitianOperator:
 
     @staticmethod
     def diagonal(values: Sequence[float], interval: SpectralInterval) -> "HermitianOperator":
-        """Diagonal operator with the given (not necessarily sorted) diagonal."""
-        lam = np.asarray(values, dtype=np.float64)
-        return HermitianOperator(lam, np.eye(lam.size, dtype=np.complex128), interval)
+        """Diagonal operator with the given (not necessarily sorted) diagonal; its
+        basis is the permutation of the standard basis that sorts it."""
+        return HermitianOperator(values, None, interval)
 
 
 def from_dense(matrix: Sequence[Sequence[complex]], interval: SpectralInterval) -> HermitianOperator:
@@ -272,11 +295,14 @@ class SpectralMeasure:
     For a unit state the weights sum to 1; an ensemble's measure is its
     members' measures concatenated, so sums over members are one ``expect``.
     Leading axes, when present, index a batch of measures with equally many
-    atoms, and ``expect`` then returns one value per measure.
+    atoms, and ``expect`` then returns one value per measure.  A measure
+    evaluates each distinct function (by value) at its atoms once, however
+    many expectations read it.
     """
 
     atoms: np.ndarray
     weights: np.ndarray
+    _values: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def of(A: HermitianOperator, x: StateVector) -> "SpectralMeasure":
@@ -290,11 +316,22 @@ class SpectralMeasure:
             np.concatenate([m.weights for m in measures], axis=-1),
         )
 
+    def _at_atoms(self, fn: "ScalarFunction") -> np.ndarray:
+        """fn at the atoms, evaluated once per function value.  Values holding a
+        zero are not kept, as equal functions can give zeros of either sign:
+        constant(0.0) == constant(-0.0)."""
+        vals = self._values.get(fn)
+        if vals is None:
+            vals = np.asarray(fn.evaluate(self.atoms), dtype=np.float64)
+            if vals.all():
+                self._values[fn] = vals
+        return vals
+
     def expect(self, *fns: "ScalarFunction") -> "float | np.ndarray":
         """sum_k w_k prod_i fn_i(lam_k), i.e. <fn_1(A)...fn_m(A)x, x>; an array for a batch."""
         vals = np.ones_like(self.weights)
         for fn in fns:
-            vals = vals * np.asarray(fn.evaluate(self.atoms), dtype=np.float64)
+            vals = vals * self._at_atoms(fn)
         if self.weights.ndim == 1:
             return float(self.weights @ vals)
         return (self.weights * vals).sum(axis=-1)

@@ -24,6 +24,7 @@ from opineq import (
     check_two_operator,
     constant,
     exp_fn,
+    from_dense,
     identity,
     inverse_pair_hull,
     kantorovich_chain,
@@ -43,6 +44,8 @@ from opineq import (
 from opineq import StateVector as SV
 from opineq.functionals import (
     _inverse_pair_sides,
+    _operator_doc,
+    _state_doc,
     _kantorovich_sides,
     _mean_point_sides,
     _sign_sides,
@@ -96,6 +99,69 @@ def test_sides_of_a_batch_are_each_measures_sides(sides, n_measures, args):
         rows = [SpectralMeasure(m.atoms[k], m.weights[k]) for m in measures]
         single = _leaves(sides(*rows, *args))
         assert [float(v[k]) for v in batch] == pytest.approx(single, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sides, args, distinct",
+    [
+        (_sign_sides, (SQ, exp_fn(), ID), 3),
+        (_sign_sides, (SQ, SQ, power(2.0)), 1),
+        (_mean_point_sides, (SQ, exp_fn(), log_fn()), 4),
+        (_mean_point_sides, (SQ, exp_fn(), ID), 3),
+    ],
+)
+def test_sides_evaluate_each_distinct_function_once(monkeypatch, sides, args, distinct):
+    # _mean_point_sides evaluates f, g and h once more at the mean point
+    at_mean = 3 if sides is _mean_point_sides else 0
+    mu = SpectralMeasure(np.asarray([1.25, 1.5, 2.0]), np.asarray([0.25, 0.5, 0.25]))
+    evaluate = type(ID).evaluate
+    calls = []
+    monkeypatch.setattr(type(ID), "evaluate", lambda fn, pts: calls.append(fn) or evaluate(fn, pts))
+    sides(mu, *args)
+    assert len(calls) == distinct + at_mean
+
+
+# ---------------------------------------------------------------------------
+# scenario documents
+
+
+def _pair_lists(z):
+    """The writers' earlier element-by-element form."""
+    if z.ndim == 1:
+        return [[float(v.real), float(v.imag)] for v in z]
+    return [_pair_lists(row) for row in z]
+
+
+def _hex(doc):
+    """A document's floats in hex, so that -0.0 and 0.0 differ."""
+    if isinstance(doc, list):
+        return [_hex(v) for v in doc]
+    if isinstance(doc, dict):
+        return {k: _hex(v) for k, v in doc.items()}
+    return (type(doc).__name__, doc.hex() if isinstance(doc, float) else doc)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_document_writers_match_the_elementwise_form(dim):
+    rng = trial_rng(5, 0, dim)
+    A = random_operator(rng, dim, SpectralInterval(0.5, 3.0))
+    dense = from_dense(A.matrix, A.interval)
+    # -I: every entry's imaginary part and every off-diagonal real part is -0.0
+    negated = HermitianOperator(A.eigenvalues, -np.eye(dim, dtype=np.complex128), A.interval)
+    comps = random_state(rng, dim).components.copy()
+    comps[0] = complex(-0.0, 0.0)
+    states = [StateVector(comps), StateVector(np.abs(comps.real)), StateVector(-comps)]
+    for op in (A, dense, negated, HermitianOperator.diagonal(A.eigenvalues[::-1], A.interval)):
+        expected = {
+            "dim": dim,
+            "eigenvalues": [float(v) for v in op.eigenvalues],
+            "eigenvectors": _pair_lists(op.eigenvectors),
+            "interval": [op.interval.lo, op.interval.hi],
+        }
+        assert _hex(_operator_doc(op)) == _hex(expected)
+    for x in states:
+        assert _hex(_state_doc(x)) == _hex({"components": _pair_lists(x.components)})
+    assert "-0.0" in str(_operator_doc(negated)) and "-0.0" in str(_state_doc(states[0]))
 
 
 # ---------------------------------------------------------------------------

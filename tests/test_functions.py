@@ -136,6 +136,68 @@ class TestDomainChecks:
             fg(-1.0)
 
 
+# (function, points) -> the DomainViolation message; every kind's check, a
+# declared domain, and the checks of product and sum children
+EVALUATE_ERRORS = [
+    (identity(), [1.0, np.nan], "s evaluated at non-finite points"),
+    (identity(), np.inf, "s evaluated at non-finite points"),
+    (constant(2.0), [np.nan], "2 evaluated at non-finite points"),
+    (power(-1.0), [0.0, 1.0], "s^-1 is undefined at 0"),
+    (power(0.5), [1.0, -2.5], "s^0.5 is undefined at negative point -2.5"),
+    (ScalarFunction("power", (-2.0,), label="g"), [0.0], "g is undefined at 0"),
+    (log_fn(), [1.0, 0.0], "log is undefined at point 0.0 <= 0"),
+    (log_fn(), -3.0, "log is undefined at point -3.0 <= 0"),
+    (exp_fn(), [1.0, 800.0], "exp(s) produced non-finite values"),
+    (affine(1e308, 1e308), [10.0], "1e+308*s+1e+308 produced non-finite values"),
+    (neg_parabola(), [1e200], "s*(1-s) produced non-finite values"),
+    (
+        tabulated([0.0, 1.0], [0.0, 1.0]),
+        [0.5, 1.5],
+        "tabulated function evaluated outside its knot range [0.0, 1.0]",
+    ),
+    (
+        tabulated([0.0, 4.0], [0.0, 1.0], domain=SpectralInterval(1.0, 2.0)),
+        [3.0],
+        "tabulated evaluated outside its declared domain [1.0, 2.0]",
+    ),
+    (
+        function_from_descriptor({"kind": "identity", "domain": [0.0, 1.0]}),
+        [2.0],
+        "s evaluated outside its declared domain [0.0, 1.0]",
+    ),
+    (pointwise_product(log_fn(), identity()), [-1.0], "log is undefined at point -1.0 <= 0"),
+    (
+        pointwise_product(exp_fn(), exp_fn()),
+        [400.0],
+        "(exp(s))*(exp(s)) produced non-finite values",
+    ),
+    (
+        linear_combination((2.0, power(-2.0)), (1.0, identity())),
+        [0.0],
+        "s^-2 is undefined at 0",
+    ),
+    (
+        linear_combination((1.0, pointwise_product(power(0.5), identity()))),
+        [-4.0],
+        "s^0.5 is undefined at negative point -4.0",
+    ),
+]
+
+
+@pytest.mark.parametrize("fn, points, message", EVALUATE_ERRORS)
+def test_evaluate_error_messages(fn, points, message):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainViolation) as err:
+        fn.evaluate(points)
+    assert str(err.value) == message
+
+
+def test_evaluate_keeps_scalar_and_array_shapes():
+    f = power(2.0)
+    assert isinstance(f.evaluate(1.5), np.float64) and f.evaluate(1.5) == 2.25
+    assert f.evaluate([1.5]).shape == (1,)
+    assert f.evaluate(np.ones((3, 2))).shape == (3, 2)
+
+
 class TestDescriptors:
     @pytest.mark.parametrize(
         "f",
@@ -500,6 +562,21 @@ class TestSynchronyMemo:
     def test_default_suite_key_space_fits(self):
         pool = len(DEFAULT_FUNCTION_POOL)
         assert CERTIFY_MEMO_SIZE >= pool**3 * 2  # (f, g, h) triples on the interval and its hull
+
+    @pytest.mark.parametrize("grid_n", [9.5, 64.0, True])
+    def test_grid_size_is_read_before_the_memo(self, cold_memo, grid_n):
+        args = (power(2.0), power(3.0), identity(), IV12)
+        classify_synchrony(*args, 64)
+        for _ in range(2):
+            with pytest.raises(ConfigInvalid, match=f"got {grid_n!r}"):
+                classify_synchrony(*args, grid_n)
+        info = cold_memo()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+
+    def test_numpy_grid_size_shares_the_integer_entry(self, cold_memo):
+        args = (power(2.0), power(3.0), identity(), IV12)
+        assert classify_synchrony(*args, np.int64(64)) is classify_synchrony(*args, 64)
+        assert cold_memo()[:2] == (1, 1)
 
     def test_domain_violation_is_raised_on_every_call(self, cold_memo):
         around_zero = SpectralInterval(-1.0, 1.0)

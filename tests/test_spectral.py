@@ -79,6 +79,15 @@ class TestSpectralInterval:
         with pytest.raises(ConfigInvalid):
             SpectralInterval(1.0, 2.0).grid(1)
 
+    @pytest.mark.parametrize("grid_n", [5.7, 5.0, True, "5"])
+    def test_grid_size_must_be_an_integer(self, grid_n):
+        with pytest.raises(ConfigInvalid, match=f"grid_n must be an integer, got {grid_n!r}"):
+            SpectralInterval(1.0, 2.0).grid(grid_n)
+
+    def test_grid_size_takes_numpy_integers(self):
+        iv = SpectralInterval(1.0, 2.0)
+        np.testing.assert_array_equal(iv.grid(np.int64(5)), iv.grid(5))
+
     def test_shrunk_pulls_endpoints_inward(self):
         iv = SpectralInterval(0.0, 1.0).shrunk()
         assert iv.lo == pytest.approx(1e-3)
@@ -115,6 +124,20 @@ class TestStateVector:
     def test_unit_rejects_zero_vector(self):
         with pytest.raises(ConfigInvalid):
             StateVector.unit([0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "components, expected",
+        [([1e200, 1e200], [IR2, IR2]), ([1e-200, 1e-200], [IR2, IR2]), ([3e-170, 4e-170], [0.6, 0.8])],
+    )
+    def test_unit_at_extreme_scales(self, components, expected):
+        x = StateVector.unit(components)
+        assert x.is_unit
+        np.testing.assert_allclose(x.components, expected, rtol=1e-15)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [1.0, complex(0.0, -np.inf)]])
+    def test_unit_rejects_non_finite(self, bad):
+        with pytest.raises(ConfigInvalid, match="state components must be finite"):
+            StateVector.unit(bad)
 
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(ConfigInvalid):
@@ -179,6 +202,39 @@ class TestHermitianOperator:
     def test_eigenvalue_beyond_slack_rejected(self):
         with pytest.raises(SpectrumOutOfInterval):
             HermitianOperator.diagonal([1.0, 2.1], SpectralInterval(1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "values, lo, hi",
+        [
+            ([1.0, 1.25, 2.0], 1.0, 2.0),
+            ([2.0, 1.0, 1.5, 1.25], 1.0, 2.0),
+            ([1.5, 1.0, 1.5, 1.0, 2.0 + 1e-9], 1.0, 2.0),
+            ([1.0, 1.0 - 1e-9, 1.0 - 5e-9], 1.0, 2.0),
+            ([0.5, -0.0, 0.0, -1e-9], 0.0, 1.0),
+            ([1.75], 1.0, 2.0),
+        ],
+    )
+    def test_diagonal_bits_match_the_general_constructor(self, values, lo, hi):
+        iv = SpectralInterval(lo, hi)
+        A = HermitianOperator.diagonal(values, iv)
+        B = HermitianOperator(np.asarray(values), np.eye(len(values), dtype=np.complex128), iv)
+        for a, b in ((A.eigenvalues, B.eigenvalues), (A.eigenvectors, B.eigenvectors)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous and not a.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [[1.0, 2.0], [1.5, 1.5]], [1.0, np.nan], [1.0, 2.5], [1.0] * (MAX_DIM + 1)],
+    )
+    def test_diagonal_errors_match_the_general_constructor(self, values):
+        iv = SpectralInterval(1.0, 2.0)
+        n = np.asarray(values).size
+        with pytest.raises(Exception) as general:
+            HermitianOperator(np.asarray(values), np.eye(n, dtype=np.complex128), iv)
+        with pytest.raises(type(general.value)) as diagonal:
+            HermitianOperator.diagonal(values, iv)
+        assert str(diagonal.value) == str(general.value)
 
 
 class TestFromDense:
@@ -340,6 +396,38 @@ class TestSpectralMeasure:
                 each = [SpectralMeasure(lam[k], w[k]).expect(f, g) for k in range(7)]
                 assert got == pytest.approx(each, rel=1e-12, abs=0.0)
         assert isinstance(SpectralMeasure(lam[0], w[0]).expect(), float)
+
+    @staticmethod
+    def _uncached(mu, *fns):
+        """expect's product and sum, each function evaluated afresh."""
+        vals = np.ones_like(mu.weights)
+        for fn in fns:
+            vals = vals * fn.evaluate(mu.atoms)
+        return mu.weights @ vals if mu.weights.ndim == 1 else (mu.weights * vals).sum(axis=-1)
+
+    @pytest.mark.parametrize("shape", [(5,), (7, 2)])
+    def test_values_kept_per_measure_change_no_bit(self, shape):
+        rng = trial_rng(11, 2, len(shape))
+        lam = rng.uniform(0.5, 3.0, shape)
+        w = rng.uniform(0.0, 1.0, shape)
+        warm = SpectralMeasure(lam, w)
+        calls = [(f, g) for f in self.FNS for g in self.FNS] + [(f,) for f in self.FNS]
+        # power(2.0) again, as a distinct object equal in value to the first
+        calls += [(power(2.0), identity()), (constant(0.0),), ()]
+        for fns in calls:
+            got = np.asarray(warm.expect(*fns))
+            fresh = np.asarray(SpectralMeasure(lam, w).expect(*fns))
+            expected = np.asarray(self._uncached(warm, *fns))
+            assert got.tobytes() == fresh.tobytes() == expected.tobytes()
+
+    def test_signed_zeros_are_not_shared(self):
+        # constant(0.0) == constant(-0.0) as values, but not as bits
+        mu = SpectralMeasure(np.asarray([1.0, 2.0]), np.asarray([0.5, 0.5]))
+        plus, minus = constant(0.0), constant(-0.0)
+        assert plus == minus
+        mu.expect(plus)
+        vals = mu._at_atoms(minus)
+        assert np.signbit(vals).all()
 
 
 # ---------------------------------------------------------------------------
