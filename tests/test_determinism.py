@@ -1,7 +1,7 @@
 """Byte-determinism guard: the sha256 of fixed CLI outputs.
 
-The digests were computed from the outputs of the release that introduced
-this test.  Any drift, down to the last bit of one float, fails it.  A change
+The digests are those of the outputs as they stood when this test was
+added.  Any drift, down to the last bit of one float, fails it.  A change
 that alters an artifact on purpose (a versioned change to sampling, say)
 updates the digests here and says so, with the reason, in CHANGES.md.
 """
@@ -28,7 +28,9 @@ FALSIFY_DIGESTS = {
     ("ensemble-product-lower", "normalization"): (
         "284be09eb0abb1e5a2a347c3d1139c9042b0fd04dc04d0fdd3174c6cd7fe7ab1"
     ),
-    ("discrete-chebyshev", "synchrony"): "612a37587c1ac37c5de0a215bda83d2a1df8174e608ba1e4d512fe1ed2d384a7",
+    ("discrete-chebyshev", "synchrony"): (
+        "612a37587c1ac37c5de0a215bda83d2a1df8174e608ba1e4d512fe1ed2d384a7"
+    ),
 }
 
 

@@ -127,7 +127,11 @@ class TestStateVector:
 
     @pytest.mark.parametrize(
         "components, expected",
-        [([1e200, 1e200], [IR2, IR2]), ([1e-200, 1e-200], [IR2, IR2]), ([3e-170, 4e-170], [0.6, 0.8])],
+        [
+            ([1e200, 1e200], [IR2, IR2]),
+            ([1e-200, 1e-200], [IR2, IR2]),
+            ([3e-170, 4e-170], [0.6, 0.8]),
+        ],
     )
     def test_unit_at_extreme_scales(self, components, expected):
         x = StateVector.unit(components)
