@@ -20,7 +20,7 @@ import sys
 import time
 from typing import Optional
 
-from .errors import ConfigInvalid, OpineqError, read_integer, read_list, read_number
+from .errors import ConfigInvalid, OpineqError, read_list, read_number
 from .functionals import VIOLATED
 from .functions import classify_monotonicity, classify_synchrony, function_from_descriptor
 from .functions import scan_tr_regions
@@ -28,8 +28,8 @@ from .harness import config_from_doc, falsify, run_suite
 from .registry import expectation_failures, run_scenario
 from .scenarios import SCENARIOS, coverage_gaps
 from .serialize import canonical_json, interval_from_doc, load_json, rows_to_csv, scenario_from_doc
-from .spectral import SpectralInterval
-from .tolerances import DEFAULT_GRID_N, GRID_N_RANGE
+from .spectral import SpectralInterval, read_grid_n
+from .tolerances import DEFAULT_GRID_N
 
 __all__ = ["main"]
 
@@ -169,7 +169,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if "interval" not in doc or "f" not in doc:
         raise ConfigInvalid("classify needs at least 'f' and 'interval'")
     interval = interval_from_doc(doc["interval"])
-    grid_n = read_integer(doc.get("grid_n", DEFAULT_GRID_N), "grid_n", GRID_N_RANGE)
+    grid_n = read_grid_n(doc.get("grid_n", DEFAULT_GRID_N))
     mode = doc.get("mode", "synchrony")
     f = function_from_descriptor(doc["f"])
 

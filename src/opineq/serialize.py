@@ -14,12 +14,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigInvalid, read_integer, read_list, read_number
+from .errors import ConfigInvalid, read_list, read_number
 from .functions import GE, LE, ScalarFunction, function_from_descriptor
 from .functionals import fmt
 from .ensembles import OperatorEnsemble
-from .spectral import HermitianOperator, SpectralInterval, StateVector, from_dense
-from .tolerances import DEFAULT_GRID_N, GRID_N_RANGE
+from .spectral import HermitianOperator, SpectralInterval, StateVector, from_dense, read_grid_n
+from .tolerances import DEFAULT_GRID_N
 
 __all__ = [
     "canonical_json",
@@ -216,7 +216,7 @@ _SCENARIO_READERS: dict[str, Optional[Callable]] = {
     "theorem": None,
     "name": None,
     "direction": _direction_from_doc,
-    "grid_n": lambda v: read_integer(v, "grid_n", GRID_N_RANGE),
+    "grid_n": read_grid_n,
     "gate_hypothesis": _gate_from_doc,
     "functions": _functions_from_doc,
     "operator": operator_from_doc,
