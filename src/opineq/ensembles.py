@@ -9,7 +9,7 @@ check on the block-diagonal lift; the test suite enforces that equivalence.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -22,16 +22,17 @@ from .errors import (
 from .functions import GE, SYNCHRONOUS, ScalarFunction, _evidence_doc, _synchrony, identity, power
 from .functionals import (
     InequalityReport,
+    ReadInputs,
+    ReadPair,
     _build_report,
     _inputs_doc,
     _kantorovich_constants,
     _links,
     _mean_point_sides,
-    _operator_doc,
     _quiet,
     _sign_sides,
     _square_bound,
-    _state_doc,
+    _square_sides,
     _synchrony_bound,
     fmt,
     kantorovich_constant,
@@ -42,6 +43,9 @@ from .spectral import (
     SpectralMeasure,
     StateVector,
     _check_pairs,
+    _require_sum_of_squares,
+    _require_unit_members,
+    _shared_interval,
     block_diagonal,
 )
 from .tolerances import DEFAULT_GRID_N
@@ -50,6 +54,9 @@ __all__ = [
     "SUM_OF_SQUARES",
     "PER_VECTOR",
     "OperatorEnsemble",
+    "ensemble_inputs",
+    "read_ensemble",
+    "summed",
     "ensemble_expectation",
     "ensemble_expectation_product",
     "lift_ensemble",
@@ -83,17 +90,10 @@ class OperatorEnsemble:
     def __post_init__(self) -> None:
         object.__setattr__(self, "operators", tuple(self.operators))
         object.__setattr__(self, "states", tuple(self.states))
-        if self.normalization not in _MODES:
-            raise ConfigInvalid(
-                f"normalization must be one of {_MODES}, got {self.normalization!r}"
-            )
+        _require_mode(self.normalization)
         _check_pairs(self.operators, self.states, self.normalization == SUM_OF_SQUARES)
         if self.normalization == PER_VECTOR:
-            for k, st in enumerate(self.states):
-                if not st.is_unit:
-                    raise NormalizationViolation(
-                        f"state {k} has norm {st.norm!r}, expected 1"
-                    )
+            _require_unit_members([st.norm for st in self.states])
 
     @property
     def n(self) -> int:
@@ -109,6 +109,47 @@ class OperatorEnsemble:
     def measure(self) -> SpectralMeasure:
         """The members' measures concatenated: its expectations are sums over the members."""
         return SpectralMeasure.concat(self.measures())
+
+
+def _require_mode(normalization: str) -> None:
+    if normalization not in _MODES:
+        raise ConfigInvalid(f"normalization must be one of {_MODES}, got {normalization!r}")
+
+
+def ensemble_inputs(pairs: Sequence[ReadPair], normalization: str) -> ReadInputs:
+    """An ensemble's inputs: its members' measures on one interval, read under
+    ``normalization``, whose rule their state norms must meet."""
+    _require_mode(normalization)
+    if not pairs:
+        raise ConfigInvalid("need equally many operators and states, at least one pair")
+    interval = _shared_interval([p.interval for p in pairs])
+    norms = [p.norm for p in pairs]
+    if normalization == SUM_OF_SQUARES:
+        _require_sum_of_squares(norms)
+    else:
+        _require_unit_members(norms)
+    body = {
+        "ensemble": {
+            "operators": [p.operator for p in pairs],
+            "states": [p.state for p in pairs],
+            "normalization": normalization,
+        }
+    }
+    return ReadInputs(tuple(p.measure for p in pairs), interval, body, normalization)
+
+
+def read_ensemble(E: OperatorEnsemble) -> ReadInputs:
+    """What an ensemble check reads of E."""
+    pairs = [ReadPair.of(op, st) for op, st in zip(E.operators, E.states)]
+    return ensemble_inputs(pairs, E.normalization)
+
+
+def summed(inputs: ReadInputs) -> ReadInputs:
+    """A summed check's inputs: a sum-of-squares ensemble's members' measures
+    concatenated, so that its expectations are sums over the members."""
+    if inputs.normalization != SUM_OF_SQUARES:
+        raise NormalizationViolation("summed checks need sum_of_squares normalization")
+    return ReadInputs((SpectralMeasure.concat(inputs.measures),), inputs.interval, inputs.body)
 
 
 def ensemble_expectation(E: OperatorEnsemble, f: ScalarFunction) -> float:
@@ -133,24 +174,6 @@ def lift_ensemble(E: OperatorEnsemble) -> tuple[HermitianOperator, StateVector]:
     return block_diagonal(list(E.operators), list(E.states))
 
 
-def _ensemble_body(E: OperatorEnsemble) -> dict:
-    return {
-        "ensemble": {
-            "operators": [_operator_doc(op) for op in E.operators],
-            "states": [_state_doc(st) for st in E.states],
-            "normalization": E.normalization,
-        }
-    }
-
-
-def _summed(E: OperatorEnsemble) -> tuple[tuple[SpectralMeasure], SpectralInterval, dict]:
-    """What a summed check reads of E, after checking its normalization: the
-    concatenated measure (alone in a tuple), the interval to certify on, the inputs body."""
-    if E.normalization != SUM_OF_SQUARES:
-        raise NormalizationViolation("summed checks need sum_of_squares normalization")
-    return (E.measure(),), E.interval, _ensemble_body(E)
-
-
 def check_ensemble_sign_bound(
     f: ScalarFunction,
     g: ScalarFunction,
@@ -164,8 +187,8 @@ def check_ensemble_sign_bound(
     gate_hypothesis: bool = True,
 ) -> InequalityReport:
     """Summed form of the sign bound: S[h^2]S[fg] vs S[hg]S[hf] over the ensemble."""
-    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis)
-    return _synchrony_bound(_sign_sides, *_summed(E), f, g, h, *args)
+    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis)
+    return _synchrony_bound(_sign_sides, summed(read_ensemble(E)), f, g, h, *args)
 
 
 def check_ensemble_square_bound(
@@ -178,7 +201,8 @@ def check_ensemble_square_bound(
     tol_factor: float = 1.0,
 ) -> InequalityReport:
     """Summed square bound S[hf]^2 <= S[h^2]S[f^2]; no synchrony gate needed."""
-    return _square_bound(*_summed(E), f, h, theorem_id, grid_n, tol_factor)
+    inputs = summed(read_ensemble(E))
+    return _square_bound(_square_sides, inputs, f, h, theorem_id, grid_n, tol_factor)
 
 
 def check_ensemble_mean_point(
@@ -196,8 +220,9 @@ def check_ensemble_mean_point(
     extra_notes: tuple[str, ...] = (),
 ) -> InequalityReport:
     """Summed mean-point bound, anchored at sum_j <A_j x_j, x_j>."""
-    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
-    return _synchrony_bound(_mean_point_sides, *_summed(E), f, g, h, *args, extra_notes)
+    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
+    inputs = summed(read_ensemble(E))
+    return _synchrony_bound(_mean_point_sides, inputs, f, g, h, *args, extra_notes)
 
 
 def similarly_ordered(
@@ -275,7 +300,6 @@ def _chain_sides(a: np.ndarray, b: np.ndarray, constants: Sequence[float]) -> tu
     return (product, 1.0), (mean_ab, product), (np.mean(constants), mean_ab)
 
 
-@_quiet
 def kantorovich_ensemble_chain(
     E: OperatorEnsemble,
     per_op_intervals: Optional[Sequence[tuple[float, float]]] = None,
@@ -296,34 +320,59 @@ def kantorovich_ensemble_chain(
     searches can evaluate the raw sides.  Returns the three links' reports,
     or with ``link`` (0, 1 or 2) that one.
     """
-    if gate and E.normalization != PER_VECTOR:
+    return _chain_links(
+        _chain_sides,
+        read_ensemble(E),
+        per_op_intervals,
+        grid_n=grid_n,
+        tol_factor=tol_factor,
+        gate=gate,
+        link=link,
+    )
+
+
+@_quiet
+def _chain_links(
+    sides: Callable[..., tuple],
+    inputs: ReadInputs,
+    per_op_intervals: Optional[Sequence[tuple[float, float]]] = None,
+    *,
+    grid_n: int = DEFAULT_GRID_N,
+    tol_factor: float = 1.0,
+    gate: bool = True,
+    link: Optional[int] = None,
+) -> "tuple[InequalityReport, InequalityReport, InequalityReport] | InequalityReport":
+    """kantorovich_ensemble_chain's links on read inputs, their sides as ``sides`` gives them."""
+    normalization = inputs.normalization
+    if gate and normalization != PER_VECTOR:
         raise NormalizationViolation(
             "the averaged chain needs per_vector normalization; "
             "its first link is false under sum_of_squares"
         )
-    n = E.n
+    measures = inputs.measures
+    n = len(measures)
     if per_op_intervals is None:
-        intervals = [E.interval] * n
+        intervals = [inputs.interval] * n
     else:
         intervals = [SpectralInterval(*pair) for pair in per_op_intervals]
         if len(intervals) != n:
             raise ConfigInvalid(f"need {n} per-operator intervals, got {len(intervals)}")
-    E.interval.require_positive()
+    inputs.interval.require_positive()
     constants, diff_constants = zip(*(_kantorovich_constants(iv) for iv in intervals))
     if gate and per_op_intervals is not None:
-        for k, (iv, op) in enumerate(zip(intervals, E.operators)):
-            if not iv.contains_spectrum(op.eigenvalues):
-                ev = op.eigenvalues
+        for k, (iv, mu) in enumerate(zip(intervals, measures)):
+            if not iv.contains_spectrum(mu.atoms):
+                ev = mu.atoms
                 raise SpectrumOutOfInterval(
                     f"operator {k}: spectrum [{fmt(ev[0])}, {fmt(ev[-1])}] "
                     f"outside chain interval ({fmt(iv.lo)}, {fmt(iv.hi)})"
                 )
-    a, b = _member_means(E.measures())
-    lower_sides, middle_sides, upper_sides = _chain_sides(a, b, constants)
+    a, b = _member_means(measures)
+    lower_sides, middle_sides, upper_sides = sides(a, b, constants)
 
-    body = _ensemble_body(E)
+    body = inputs.body
     if per_op_intervals is not None:
-        body["per_op_intervals"] = [list(iv.as_pair()) for iv in intervals]
+        body = {**body, "per_op_intervals": [list(iv.as_pair()) for iv in intervals]}
 
     def doc(theorem_id: str) -> dict:
         return _inputs_doc(theorem_id, GE, body, {}, grid_n, gate)
@@ -333,7 +382,7 @@ def kantorovich_ensemble_chain(
             "ensemble-product-lower",
             GE,
             *lower_sides,
-            hypothesis={"kind": "normalization", "mode": E.normalization, "required": PER_VECTOR},
+            hypothesis={"kind": "normalization", "mode": normalization, "required": PER_VECTOR},
             hypothesis_ok=True,
             inputs=doc("ensemble-product-lower"),
             tol_factor=tol_factor,

@@ -9,8 +9,9 @@ on the report as data.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .functions import (
     GE,
     LE,
     ScalarFunction,
+    _quiet,
     classify_synchrony,
     identity,
     power,
@@ -28,17 +30,23 @@ from .spectral import (
     SpectralInterval,
     SpectralMeasure,
     StateVector,
-    _check_pairs,
+    _shared_interval,
+    diagonal_measure,
     expectation,
     expectation_product,
+    require_unit_norm,
 )
-from .tolerances import DEFAULT_GRID_N, tol_ineq
+from .tolerances import DEFAULT_GRID_N, MAX_DIM, tol_ineq
 
 __all__ = [
     "HOLDS",
     "VIOLATED",
     "HYPOTHESIS_NOT_MET",
     "InequalityReport",
+    "ReadInputs",
+    "ReadPair",
+    "read_pair",
+    "read_two",
     "cebysev",
     "pompeiu_cebysev",
     "check_sign_bound",
@@ -61,11 +69,6 @@ AUTOMATIC_HYPOTHESIS = {
 }
 
 REVERSED_NOTE = "direction '<=' evaluates the fully sign-reversed bound"
-
-# Decorates each check and constant: an overflowing side or constant, or one
-# whose denominator underflowed, becomes a DomainViolation or an inf or nan where
-# it lands, so numpy's warning about it is noise.
-_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def fmt(x: float) -> str:
@@ -158,6 +161,14 @@ def _pairs(z: np.ndarray) -> list:
     return z.view(np.float64).reshape(*z.shape, 2).tolist()
 
 
+@functools.lru_cache(maxsize=MAX_DIM)
+def _identity_pairs(d: int) -> np.ndarray:
+    """The d x d identity as _pairs writes it, read-only, kept per dimension."""
+    pairs = np.eye(d, dtype=np.complex128).view(np.float64).reshape(d, d, 2)
+    pairs.setflags(write=False)
+    return pairs
+
+
 def _operator_doc(A: HermitianOperator) -> dict:
     return {
         "dim": A.dim,
@@ -171,13 +182,81 @@ def _state_doc(x: StateVector) -> dict:
     return {"components": _pairs(x.components)}
 
 
-def _pair(
-    A: HermitianOperator, x: StateVector
-) -> tuple[tuple[SpectralMeasure], SpectralInterval, dict]:
-    """What a check reads of a unit (A, x): (mu_x,), the interval to certify on, the inputs body."""
-    x.require_unit()
-    body = {"operator": _operator_doc(A), "state": _state_doc(x)}
-    return (SpectralMeasure.of(A, x),), A.interval, body
+class ReadInputs(NamedTuple):
+    """What a check reads of its (A, x) pairs, and all that its core takes of them:
+    their spectral measures, the interval they declare, the inputs-document body
+    that writes them, and an ensemble's normalization (None for one or two pairs)."""
+
+    measures: tuple[SpectralMeasure, ...]
+    interval: SpectralInterval
+    body: dict
+    normalization: Optional[str] = None
+
+
+class ReadPair(NamedTuple):
+    """One (A, x) as a check reads it: mu_x, A's interval, ||x||, and the operator
+    and state documents that write the pair."""
+
+    measure: SpectralMeasure
+    interval: SpectralInterval
+    norm: float
+    operator: dict
+    state: dict
+
+    @staticmethod
+    def of(A: HermitianOperator, x: StateVector) -> "ReadPair":
+        mu = SpectralMeasure.of(A, x)
+        return ReadPair(mu, A.interval, x.norm, _operator_doc(A), _state_doc(x))
+
+    @staticmethod
+    def diagonal(atoms, components: np.ndarray, interval: SpectralInterval) -> "ReadPair":
+        """(diag(atoms), x) for the real state ``components``, read with neither
+        built: diagonal_measure's rules and weights, and the documents that
+        HermitianOperator.diagonal and StateVector would write."""
+        mu, c = diagonal_measure(atoms, components, interval)
+        operator = {
+            "dim": c.size,
+            "eigenvalues": mu.atoms.tolist(),
+            # the atoms are sorted with their components, so the basis is the identity
+            "eigenvectors": _identity_pairs(c.size).tolist(),
+            "interval": [interval.lo, interval.hi],
+        }
+        state = {"components": [[v, 0.0] for v in c.tolist()]}
+        # StateVector's norm: numpy's sqrt(x.x) of a real vector
+        return ReadPair(mu, interval, math.sqrt(c @ c), operator, state)
+
+
+def single_inputs(pair: ReadPair) -> ReadInputs:
+    """A single-pair check's inputs: a unit state's (mu_x,), the interval, the body."""
+    require_unit_norm(pair.norm)
+    body = {"operator": pair.operator, "state": pair.state}
+    return ReadInputs((pair.measure,), pair.interval, body)
+
+
+def two_inputs(first: ReadPair, second: ReadPair) -> ReadInputs:
+    """The two-operator check's inputs: two unit states' (mu, nu) on one interval."""
+    require_unit_norm(first.norm)
+    require_unit_norm(second.norm)
+    interval = _shared_interval((first.interval, second.interval))
+    body = {
+        "operator": first.operator,
+        "state": first.state,
+        "operator_b": second.operator,
+        "state_b": second.state,
+    }
+    return ReadInputs((first.measure, second.measure), interval, body)
+
+
+def read_pair(A: HermitianOperator, x: StateVector) -> ReadInputs:
+    """What a single-pair check reads of a unit (A, x)."""
+    return single_inputs(ReadPair.of(A, x))
+
+
+def read_two(
+    A: HermitianOperator, B: HermitianOperator, x: StateVector, y: StateVector
+) -> ReadInputs:
+    """What the two-operator check reads of (A, x) and (B, y)."""
+    return two_inputs(ReadPair.of(A, x), ReadPair.of(B, y))
 
 
 def _inputs_doc(
@@ -226,29 +305,37 @@ def pompeiu_cebysev(
 @_quiet
 def _synchrony_bound(
     sides: Callable[..., tuple],
-    measures: tuple[SpectralMeasure, ...],
-    interval: SpectralInterval,
-    body: dict,
+    inputs: ReadInputs,
     f: ScalarFunction,
     g: ScalarFunction,
     h: ScalarFunction,
-    direction: Optional[str],
     theorem_id: str,
-    grid_n: int,
-    tol_factor: float,
-    gate_hypothesis: bool,
+    direction: Optional[str] = None,
+    grid_n: int = DEFAULT_GRID_N,
+    tol_factor: float = 1.0,
+    gate_hypothesis: bool = True,
     auto_hypothesis: bool = False,
     notes: Optional[tuple[str, ...]] = None,
+    hull: bool = False,
 ) -> InequalityReport:
-    """A bound gated on h-synchrony of (f, g) over ``interval``, read off its measures.
+    """A bound gated on h-synchrony of (f, g) over the inputs' interval, read off their measures.
 
-    ``sides(*measures, f, g, h)`` gives its sides in the ``>=`` orientation.  With
-    ``direction=None`` the grid classification picks the direction; a mixed
-    verdict dispatches ``>=`` and fails the gate.  ``auto_hypothesis`` marks
-    the f = g parameterizations whose synchrony is structural, skipping the
-    classification.  ``notes`` is None for bounds whose ``<=`` form is part of
-    the theorem; otherwise ``<=`` adds the reversal note to it.
+    ``sides(*inputs.measures, f, g, h)`` gives its sides in the ``>=``
+    orientation.  With ``direction=None`` the grid classification picks the
+    direction; a mixed verdict dispatches ``>=`` and fails the gate.
+    ``auto_hypothesis`` marks the f = g parameterizations whose synchrony is
+    structural, skipping the classification.  ``notes`` is None for bounds
+    whose ``<=`` form is part of the theorem; otherwise ``<=`` adds the
+    reversal note to it.  ``hull`` certifies on the hull of the interval and
+    its inverse, and says so in a first note.
     """
+    interval = inputs.interval
+    if hull:
+        interval = inverse_pair_hull(interval)
+        notes = (
+            "synchrony certified on the hull of the interval and its inverse "
+            f"[{fmt(interval.lo)}, {fmt(interval.hi)}]",
+        ) + (notes or ())
     evidence = None if auto_hypothesis else classify_synchrony(f, g, h, interval, grid_n)
     if direction is None:
         direction = GE if auto_hypothesis else evidence.implied_direction() or GE
@@ -259,7 +346,7 @@ def _synchrony_bound(
     else:
         hypothesis = evidence.summary()
         hypothesis_ok = evidence.supports(direction) or not gate_hypothesis
-    lhs_raw, rhs_raw = sides(*measures, f, g, h)
+    lhs_raw, rhs_raw = sides(*inputs.measures, f, g, h)
     favored, other = (lhs_raw, rhs_raw) if direction == GE else (rhs_raw, lhs_raw)
     if notes is not None and direction == LE:
         notes = notes + (REVERSED_NOTE,)
@@ -271,7 +358,7 @@ def _synchrony_bound(
         hypothesis=hypothesis,
         hypothesis_ok=hypothesis_ok,
         inputs=_inputs_doc(
-            theorem_id, direction, body, {"f": f, "g": g, "h": h}, grid_n, gate_hypothesis
+            theorem_id, direction, inputs.body, {"f": f, "g": g, "h": h}, grid_n, gate_hypothesis
         ),
         tol_factor=tol_factor,
         notes=notes or (),
@@ -303,8 +390,8 @@ def check_sign_bound(
     With ``direction=None`` the grid classification picks the direction; a
     mixed verdict yields ``hypothesis-not-met``.
     """
-    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis)
-    return _synchrony_bound(_sign_sides, *_pair(A, x), f, g, h, *args)
+    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis)
+    return _synchrony_bound(_sign_sides, read_pair(A, x), f, g, h, *args)
 
 
 def _square_sides(mu: SpectralMeasure, f: ScalarFunction, h: ScalarFunction) -> tuple:
@@ -314,17 +401,16 @@ def _square_sides(mu: SpectralMeasure, f: ScalarFunction, h: ScalarFunction) -> 
 
 @_quiet
 def _square_bound(
-    measures: tuple[SpectralMeasure],
-    interval: SpectralInterval,
-    body: dict,
+    sides: Callable[..., tuple],
+    inputs: ReadInputs,
     f: ScalarFunction,
     h: ScalarFunction,
     theorem_id: str,
-    grid_n: int,
-    tol_factor: float,
+    grid_n: int = DEFAULT_GRID_N,
+    tol_factor: float = 1.0,
 ) -> InequalityReport:
-    """E[hf]^2 <= E[h^2]E[f^2] on a measure; nothing to certify, so ``interval`` is unused."""
-    favored, other = _square_sides(*measures, f, h)
+    """E[hf]^2 <= E[h^2]E[f^2] on a measure, as ``sides`` gives them; nothing to certify."""
+    favored, other = sides(*inputs.measures, f, h)
     return _build_report(
         theorem_id,
         LE,
@@ -332,7 +418,7 @@ def _square_bound(
         other,
         hypothesis=AUTOMATIC_HYPOTHESIS,
         hypothesis_ok=True,
-        inputs=_inputs_doc(theorem_id, LE, body, {"f": f, "h": h}, grid_n, True),
+        inputs=_inputs_doc(theorem_id, LE, inputs.body, {"f": f, "h": h}, grid_n, True),
         tol_factor=tol_factor,
     )
 
@@ -348,7 +434,7 @@ def check_square_bound(
     tol_factor: float = 1.0,
 ) -> InequalityReport:
     """E[hf]^2 <= E[h^2]E[f^2]; holds for every continuous f, no synchrony gate."""
-    return _square_bound(*_pair(A, x), f, h, theorem_id, grid_n, tol_factor)
+    return _square_bound(_square_sides, read_pair(A, x), f, h, theorem_id, grid_n, tol_factor)
 
 
 @_quiet
@@ -381,7 +467,6 @@ def _links(builders: tuple[Callable[[], InequalityReport], ...], link: Optional[
     return builders[link]()
 
 
-@_quiet
 def kantorovich_chain(
     A: HermitianOperator,
     x: StateVector,
@@ -397,18 +482,40 @@ def kantorovich_chain(
     falsifier uses it to probe what happens when the declared interval lies.
     Returns the (lower, upper) reports, or with ``link`` (0 or 1) that one.
     """
-    measures, _, body = _pair(A, x)
-    A.interval.require_positive()
-    iv = bound_interval if bound_interval is not None else A.interval
+    return _kantorovich_links(
+        _kantorovich_sides,
+        read_pair(A, x),
+        bound_interval=bound_interval,
+        grid_n=grid_n,
+        tol_factor=tol_factor,
+        link=link,
+    )
+
+
+@_quiet
+def _kantorovich_links(
+    sides: Callable[..., tuple],
+    inputs: ReadInputs,
+    *,
+    bound_interval: Optional[SpectralInterval] = None,
+    grid_n: int = DEFAULT_GRID_N,
+    tol_factor: float = 1.0,
+    link: Optional[int] = None,
+) -> "tuple[InequalityReport, InequalityReport] | InequalityReport":
+    """kantorovich_chain's links on read inputs, their sides as ``sides`` gives them."""
+    inputs.interval.require_positive()
+    iv = bound_interval if bound_interval is not None else inputs.interval
     bound, difference_form = _kantorovich_constants(iv)
-    lower_sides, upper_sides = _kantorovich_sides(*measures, bound)
+    (mu,) = inputs.measures
+    lower_sides, upper_sides = sides(mu, bound)
+    body = inputs.body
     containment = None
     if bound_interval is not None:
-        body["bound_interval"] = [iv.lo, iv.hi]
+        body = {**body, "bound_interval": [iv.lo, iv.hi]}
         containment = {
             "kind": "spectral-containment",
             "declared": [iv.lo, iv.hi],
-            "contained": iv.contains_spectrum(A.eigenvalues),
+            "contained": iv.contains_spectrum(mu.atoms),
         }
 
     def lower() -> InequalityReport:
@@ -465,13 +572,8 @@ def check_two_operator(
     gate_hypothesis: bool = True,
 ) -> InequalityReport:
     """Mixed two-operator bound: cross products of expectations over (A, x) and (B, y)."""
-    (mu,), interval, body = _pair(A, x)
-    (nu,), _, body_b = _pair(B, y)
-    _check_pairs((A, B), (x, y), sum_of_squares=False)
-    body.update(operator_b=body_b["operator"], state_b=body_b["state"])
-    measures = (mu, nu)
-    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis)
-    return _synchrony_bound(_two_operator_sides, measures, interval, body, f, g, h, *args)
+    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis)
+    return _synchrony_bound(_two_operator_sides, read_two(A, B, x, y), f, g, h, *args)
 
 
 def mean_point_sides(
@@ -519,8 +621,8 @@ def check_mean_point(
     ``auto_hypothesis`` marks the f = g parameterizations whose synchrony is
     structural, skipping the grid classification.
     """
-    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
-    return _synchrony_bound(_mean_point_sides, *_pair(A, x), f, g, h, *args, ())
+    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis, ())
+    return _synchrony_bound(_mean_point_sides, read_pair(A, x), f, g, h, *args)
 
 
 def inverse_pair_hull(interval: SpectralInterval) -> SpectralInterval:
@@ -563,12 +665,7 @@ def check_inverse_pair(
     gate_hypothesis: bool = True,
     auto_hypothesis: bool = False,
 ) -> InequalityReport:
-    """Two-point bound at the pair (<Ax,x>, <A^{-1}x,x>) for a positive spectrum."""
-    hull = inverse_pair_hull(A.interval)
-    notes = (
-        "synchrony certified on the hull of the interval and its inverse "
-        f"[{fmt(hull.lo)}, {fmt(hull.hi)}]",
-    )
-    measures, _, body = _pair(A, x)
-    args = (direction, theorem_id, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
-    return _synchrony_bound(_inverse_pair_sides, measures, hull, body, f, g, h, *args, notes)
+    """Two-point bound at the pair (<Ax,x>, <A^{-1}x,x>) for a positive spectrum,
+    its synchrony certified on inverse_pair_hull of the interval."""
+    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
+    return _synchrony_bound(_inverse_pair_sides, read_pair(A, x), f, g, h, *args, hull=True)

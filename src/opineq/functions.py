@@ -59,6 +59,14 @@ LE = "<="
 
 _KNOT_SLACK = 1e-12
 
+# Grid sizes whose index pairs are kept: the grids in use plus a few short tuples.
+_PAIR_INDEX_CACHE_SIZE = 8
+
+# Decorates each check, constant and certification grid: an overflowing value,
+# or one whose denominator underflowed, becomes a DomainViolation or an inf or
+# nan where it lands, so numpy's warning about it is noise.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 
 @dataclasses.dataclass(frozen=True)
 class ScalarFunction:
@@ -374,13 +382,27 @@ def mono_defect(f: ScalarFunction, h: ScalarFunction, x: float, t: float) -> flo
     return float(_defect(f.evaluate(pts), h.evaluate(pts), 0, 1))
 
 
+@functools.lru_cache(maxsize=_PAIR_INDEX_CACHE_SIZE)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of n points, as np.triu_indices gives them, read-only."""
+    i, j = np.triu_indices(n, k=1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+@_quiet
+def _grid_values(pts: np.ndarray, *fns: ScalarFunction) -> list[np.ndarray]:
+    return [fn.evaluate(pts) for fn in fns]
+
+
 def _certify(verdict: type, pts: np.ndarray, pair_values: Callable):
     """The one pair-sign certificate: ``pair_values(i, j)`` over the index pairs
     i < j of ``pts``, classified as ``verdict.signs`` (nonnegative, nonpositive)
     or MIXED, with the points of the pairs where the extremes occur.  The
     tolerance is set by the largest finite value, as an overflowing one carries
     no scale; a NaN value has no sign."""
-    i, j = np.triu_indices(pts.size, k=1)
+    i, j = _pair_indices(pts.size)
     if i.size == 0:
         return verdict(verdict.signs[0], 0.0, 0.0, None, None, int(pts.size), tol_sync(0.0))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -415,7 +437,7 @@ def _synchrony(pts: np.ndarray, fv, gv, hv) -> SynchronyVerdict:
 def _memo_synchrony(f, g, h, interval, grid_n) -> SynchronyVerdict:
     # + 0.0: an endpoint -0.0 shares its entry with 0.0, so both certify on 0.0
     pts = interval.grid(grid_n) + 0.0
-    return _synchrony(pts, f.evaluate(pts), g.evaluate(pts), h.evaluate(pts))
+    return _synchrony(pts, *_grid_values(pts, f, g, h))
 
 
 def classify_synchrony(
@@ -448,7 +470,7 @@ def classify_monotonicity(
 ) -> MonotonicityVerdict:
     """Evaluate mono_defect on all ordered grid pairs x <= t; requires h > 0 throughout."""
     pts = interval.grid(grid_n)
-    fv, hv = f.evaluate(pts), h.evaluate(pts)
+    fv, hv = _grid_values(pts, f, h)
     if np.any(hv <= 0.0):
         bad = float(pts[hv <= 0.0][0])
         raise DomainViolation(

@@ -15,28 +15,34 @@ draws that measure directly (sampling version 2): each block's atoms
 the weights, Dirichlet(1, ..., 1) over all atoms of a single operator or a
 sum-of-squares ensemble, or one Dirichlet per block for two operators and
 per-vector ensembles.  That is the law of a Haar-random eigenbasis with a
-complex-Gaussian state.  The check receives ``diag(atoms)`` with the real
-state ``sqrt(weights)``.  ``random_operator``, ``random_state`` and
-``random_ensemble`` still sample the eigenbasis itself.
+complex-Gaussian state.  The check reads the measure of ``diag(atoms)`` with
+the real state ``c = sqrt(weights)``, weighted ``c * c``, and its inputs
+document writes that operator and state, but neither is built.
+``random_operator``, ``random_state`` and ``random_ensemble`` still sample the
+eigenbasis itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ensembles import PER_VECTOR, SUM_OF_SQUARES, OperatorEnsemble, _member_means
+from .ensembles import PER_VECTOR, SUM_OF_SQUARES, OperatorEnsemble, _member_means, ensemble_inputs
 from .errors import ConfigInvalid, OpineqError, read_integer, read_list
 from .functionals import (
     HYPOTHESIS_NOT_MET,
     VIOLATED,
     InequalityReport,
+    ReadPair,
     inverse_pair_hull,
     kantorovich_constant,
+    single_inputs,
+    two_inputs,
 )
 from .functions import GE, ScalarFunction, classify_synchrony, function_from_descriptor
 from .registry import (
@@ -188,17 +194,18 @@ def random_ensemble(
 
 def _random_measures(
     rng: np.random.Generator, dims: Sequence[int], interval: SpectralInterval, joint: bool
-) -> tuple[list[HermitianOperator], list[StateVector]]:
-    """One diagonal operator and real state per block: sorted uniform atoms on the
-    interval, then squared components Dirichlet(1, ..., 1), over all blocks'
-    atoms together when ``joint`` (their squared norms add to 1), else per block."""
+) -> list[ReadPair]:
+    """One diagonal operator and real state per block, read as its measure:
+    sorted uniform atoms on the interval, then squared components
+    Dirichlet(1, ..., 1), over all blocks' atoms together when ``joint`` (their
+    squared norms add to 1), else per block."""
     atoms = [np.sort(rng.uniform(interval.lo, interval.hi, d)) for d in dims]
     if joint:
-        weights = np.split(rng.dirichlet(np.ones(sum(dims))), np.cumsum(dims)[:-1])
+        w = rng.dirichlet(np.ones(sum(dims)))
+        weights = [w[end - d : end] for d, end in zip(dims, itertools.accumulate(dims))]
     else:
         weights = [rng.dirichlet(np.ones(d)) for d in dims]
-    ops = [HermitianOperator.diagonal(lam, interval) for lam in atoms]
-    return ops, [StateVector(np.sqrt(w)) for w in weights]
+    return [ReadPair.diagonal(lam, np.sqrt(w), interval) for lam, w in zip(atoms, weights)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,37 +403,38 @@ def _draw_functions(
     return {slot: functions[int(rng.integers(len(functions)))][1] for slot in entry.slots}
 
 
-def _trial_parsed(entry: TheoremEntry, ctx: _SamplerCtx, rng: np.random.Generator) -> dict:
-    """Draw one random instance as a parsed scenario for the entry's runner."""
+def _trial_parsed(
+    entry: TheoremEntry, ctx: _SamplerCtx, rng: np.random.Generator
+) -> tuple[dict, object]:
+    """Draw one random instance for the entry's run: a parsed scenario holding
+    its functions, and its inputs as the check reads them."""
     dmin, dmax = ctx.dim_range
     parsed: dict = {"theorem": entry.theorem_id, "grid_n": ctx.grid_n}
     if entry.inputs_kind == SINGLE:
         dim = int(rng.integers(dmin, dmax + 1))
         parsed["functions"] = _draw_functions(entry, ctx, rng)
-        ops, states = _random_measures(rng, [dim], ctx.interval, joint=True)
-        parsed.update(operator=ops[0], state=states[0])
+        inputs = single_inputs(*_random_measures(rng, [dim], ctx.interval, joint=True))
     elif entry.inputs_kind == TWO_OP:
         dims = [int(rng.integers(dmin, dmax + 1)) for _ in range(2)]
         parsed["functions"] = _draw_functions(entry, ctx, rng)
-        ops, states = _random_measures(rng, dims, ctx.interval, joint=False)
-        parsed.update(operator=ops[0], operator_b=ops[1], state=states[0], state_b=states[1])
+        inputs = two_inputs(*_random_measures(rng, dims, ctx.interval, joint=False))
     elif entry.inputs_kind == ENSEMBLE:
         n = int(rng.integers(1, 5))
         dims = [int(rng.integers(dmin, dmax + 1)) for _ in range(n)]
         parsed["functions"] = _draw_functions(entry, ctx, rng)
         joint = entry.ensemble_mode == SUM_OF_SQUARES
-        ops, states = _random_measures(rng, dims, ctx.interval, joint)
-        parsed["ensemble"] = OperatorEnsemble(ops, states, entry.ensemble_mode)
+        pairs = _random_measures(rng, dims, ctx.interval, joint)
+        inputs = ensemble_inputs(pairs, entry.ensemble_mode)
     elif entry.inputs_kind == TUPLES:
         n = int(rng.integers(dmin, dmax + 1))
         lo, hi = ctx.interval.lo, ctx.interval.hi
         a = np.sort(rng.uniform(lo, hi, n))
         b = np.sort(rng.uniform(lo, hi, n))
         perm = rng.permutation(n)
-        parsed["tuples"] = {"a": a[perm], "b": b[perm]}
+        inputs = (a[perm], b[perm])
     else:  # pragma: no cover - registry enforces the kinds
         raise ConfigInvalid(f"unknown inputs kind {entry.inputs_kind!r}")
-    return parsed
+    return parsed, inputs
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +543,8 @@ def run_suite(
         tallies[entry.theorem_id] = tally
         for trial in range(config.trials):
             rng = trial_rng(config.seed, entry.ordinal, trial)
-            parsed = _trial_parsed(entry, ctx, rng)
-            report = entry.run(parsed, tol_factor=VIOLATION_FACTOR)
+            parsed, inputs = _trial_parsed(entry, ctx, rng)
+            report = entry.run(parsed, inputs, tol_factor=VIOLATION_FACTOR)
             tally.record(trial, report)
             if report.verdict != HYPOTHESIS_NOT_MET and (
                 worst is None or report.gap < worst["gap"]

@@ -13,32 +13,30 @@ from typing import Callable, Mapping, Optional, Union
 from .errors import ConfigInvalid, UnknownTheorem
 from .functions import ScalarFunction, constant, identity
 
-# The checkers are called by name through this module's globals (TheoremEntry.checker).
+# The check cores are called by name through this module's globals (TheoremEntry.checker).
 from .functionals import (
     InequalityReport,
     _inverse_pair_sides,
+    _kantorovich_links,
     _kantorovich_sides,
     _mean_point_sides,
     _sign_sides,
+    _square_bound,
     _square_sides,
+    _synchrony_bound,
     _two_operator_sides,
-    check_inverse_pair,
-    check_mean_point,
-    check_sign_bound,
-    check_square_bound,
-    check_two_operator,
-    kantorovich_chain,
+    read_pair,
+    read_two,
 )
 from .ensembles import (
     PER_VECTOR,
     SUM_OF_SQUARES,
+    _chain_links,
     _chain_sides,
     _chebyshev_sides,
-    check_ensemble_mean_point,
-    check_ensemble_sign_bound,
-    check_ensemble_square_bound,
     discrete_chebyshev,
-    kantorovich_ensemble_chain,
+    read_ensemble,
+    summed,
 )
 
 __all__ = [
@@ -55,13 +53,20 @@ TWO_OP = "two_op"
 ENSEMBLE = "ensemble"
 TUPLES = "tuples"
 
-# Inputs kind -> the document keys a check of that kind requires; "tuples.a"
-# names a key inside one.
+# Inputs kind -> the document keys a check of that kind requires ("tuples.a"
+# names a key inside one), and the reader that turns their parsed values into
+# what the check's core takes: ReadInputs, or the tuples (a, b) as they are.
 _INPUTS = {
     SINGLE: ("operator", "state"),
     TWO_OP: ("operator", "operator_b", "state", "state_b"),
     ENSEMBLE: ("ensemble",),
     TUPLES: ("tuples.a", "tuples.b"),
+}
+_READERS = {
+    SINGLE: read_pair,
+    TWO_OP: read_two,
+    ENSEMBLE: read_ensemble,
+    TUPLES: lambda a, b: (a, b),
 }
 # Document keys every check accepts beside its inputs and forwarded keys.
 _UNIVERSAL = frozenset({"theorem", "name", "expect", "grid_n", "functions"})
@@ -102,13 +107,14 @@ _CHAIN_KEYS = {
 class TheoremEntry:
     """One checkable inequality: its id, what inputs it takes, how to run it.
 
-    ``run`` calls the checker with the function slots in f, g, h order (the
-    document's free ``slots`` plus the ``fixed`` ones), then the inputs its
-    ``inputs_kind`` requires, positionally, then every ``forwards`` key the
-    document carries as the keyword it maps to, then the constant
-    ``options``.  A chain checker's ``link`` option picks this entry's link,
-    the only report it builds.  The remaining fields steer sampling and
-    ``falsify``.
+    ``run`` calls the check's core with the entry's ``sides``, the read inputs
+    (for a summed check, its members' measures concatenated), then the
+    function slots in f, g, h order (the document's free ``slots`` plus the
+    ``fixed`` ones), then every ``forwards`` key the document carries as the
+    keyword it maps to, then the constant ``options``; a tuples check takes
+    only the tuples and its keywords.  A chain core's ``link`` option picks
+    this entry's link, the only report it builds.  The remaining fields steer
+    sampling and ``falsify``.
     """
 
     theorem_id: str
@@ -119,22 +125,20 @@ class TheoremEntry:
     slots: tuple[str, ...]
     ensemble_mode: Optional[str]
     needs_positive: bool
-    # name of the checker in this module, looked up at call time so that a
-    # rebinding of the module attribute (a profiler's wrapper) is seen
+    # name of the check's core in this module, looked up at call time so that
+    # a rebinding of the module attribute (a profiler's wrapper) is seen
     checker: str
     # slot -> the function it is fixed to, or the name of the slot it equals
     fixed: Mapping[str, Union[ScalarFunction, str]]
     forwards: Mapping[str, str]
     options: Mapping[str, object]
-    # hypotheses are certified on the hull of the interval and its inverse
-    hull: bool
     # hypotheses a falsify search may drop
     drops: frozenset[str]
     # (f, g, h) descriptor triples a falsify search scores with synchrony
     # dropped: asynchronous on every positive interval, so the forced >=
     # orientation fails (a check keeps only the slots it takes)
     sync_pool: tuple[tuple[dict, dict, dict], ...]
-    # the *_sides function the checker computes its sides with; falsify
+    # the *_sides function the core computes the check's sides with; falsify
     # scores batches of candidates with it
     sides: Callable[..., tuple]
     # how many members a falsify candidate, a two-atom measure, splits into:
@@ -154,6 +158,11 @@ class TheoremEntry:
         inputs = tuple(k.partition(".")[::2] for k in _INPUTS[self.inputs_kind])
         object.__setattr__(self, "_input_plan", inputs)
 
+    @property
+    def hull(self) -> bool:
+        """Whether hypotheses are certified on the hull of the interval and its inverse."""
+        return bool(self.options.get("hull"))
+
     def functions(self, given: Mapping[str, ScalarFunction]) -> list[ScalarFunction]:
         """The checker's function arguments in f, g, h order: the free slots
         from ``given``, the fixed ones filled in."""
@@ -170,19 +179,32 @@ class TheoremEntry:
             args.append(fn)
         return args
 
-    def run(self, parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
-        """Run one parsed scenario or sampled trial through the checker."""
-        args = self.functions(parsed.get("functions", {}))
+    def read(self, parsed: dict):
+        """What the check's core takes of a parsed scenario's inputs: the one
+        reader from its operator, state or ensemble keys to ReadInputs."""
+        values = []
         for name, part in self._input_plan:
             value = parsed.get(name)
             if value is None:
                 raise ConfigInvalid(f"{self.theorem_id} scenario needs '{name}'")
-            args.append(value[part] if part else value)
+            values.append(value[part] if part else value)
+        return _READERS[self.inputs_kind](*values)
+
+    def run(self, parsed: dict, inputs, *, tol_factor: float = 1.0) -> InequalityReport:
+        """Run one scenario or sampled trial through the check's core: ``inputs``
+        as ``read`` gives them, or as a suite trial draws them, and the
+        functions and forwarded keys of ``parsed``."""
+        args = self.functions(parsed.get("functions", {}))
         kwargs = {**self.options, "tol_factor": tol_factor}
         for key, kw in self.forwards.items():
             if key in parsed:
                 kwargs[kw] = parsed[key]
-        return globals()[self.checker](*args, **kwargs)
+        core = globals()[self.checker]
+        if self.inputs_kind == TUPLES:
+            return core(*inputs, **kwargs)
+        if self.ensemble_mode == SUM_OF_SQUARES:
+            inputs = summed(inputs)
+        return core(self.sides, inputs, *args, **kwargs)
 
 
 def _entries() -> tuple[TheoremEntry, ...]:
@@ -192,54 +214,53 @@ def _entries() -> tuple[TheoremEntry, ...]:
         inputs_kind=SINGLE,
         ensemble_mode=None,
         needs_positive=False,
-        checker="check_sign_bound",
+        checker="_synchrony_bound",
         fixed={},
         forwards=_SIGN_KEYS,
         options={},
-        hull=False,
         drops=frozenset({DROP_SYNCHRONY}),
         sync_pool=((_ONE, _ID, _SQRT), (_ID, _INV, _ONE), (_ID, _INV, _SQRT)),
         sides=_sign_sides,
         members=1,
     )
     square_case = dict(forwards=_SQUARE_KEYS, drops=frozenset(), sides=_square_sides)
-    square = dict(sign, checker="check_square_bound", **square_case)
+    square = dict(sign, checker="_square_bound", **square_case)
     kantorovich = dict(
         sign,
         needs_positive=True,
-        checker="kantorovich_chain",
+        checker="_kantorovich_links",
         forwards=_KANTOROVICH_KEYS,
         drops=frozenset(),
         sides=_kantorovich_sides,
     )
-    mean_point = dict(sign, checker="check_mean_point", sides=_mean_point_sides)
+    # mean-point bounds add the reversal note to their "<=" form
+    mean_point = dict(sign, options={"notes": ()}, sides=_mean_point_sides)
     mean_point_square = dict(
-        mean_point, fixed={"g": "f"}, options={"auto_hypothesis": True}, drops=frozenset()
+        mean_point,
+        fixed={"g": "f"},
+        options={"notes": (), "auto_hypothesis": True},
+        drops=frozenset(),
     )
     inverse_pair = dict(
         sign,
         needs_positive=True,
-        checker="check_inverse_pair",
-        hull=True,
+        options={"hull": True},
         sides=_inverse_pair_sides,
     )
-    ensemble = dict(
-        sign,
-        inputs_kind=ENSEMBLE,
-        ensemble_mode=SUM_OF_SQUARES,
-        checker="check_ensemble_sign_bound",
-        members=2,
-    )
-    ensemble_square = dict(ensemble, checker="check_ensemble_square_bound", **square_case)
-    ensemble_mean = dict(ensemble, checker="check_ensemble_mean_point", sides=_mean_point_sides)
+    ensemble = dict(sign, inputs_kind=ENSEMBLE, ensemble_mode=SUM_OF_SQUARES, members=2)
+    ensemble_square = dict(ensemble, checker="_square_bound", **square_case)
+    ensemble_mean = dict(ensemble, options={"notes": ()}, sides=_mean_point_sides)
     ensemble_mean_square = dict(
-        ensemble_mean, fixed={"g": "f"}, options={"auto_hypothesis": True}, drops=frozenset()
+        ensemble_mean,
+        fixed={"g": "f"},
+        options={"notes": (), "auto_hypothesis": True},
+        drops=frozenset(),
     )
     chain = dict(
         ensemble,
         ensemble_mode=PER_VECTOR,
         needs_positive=True,
-        checker="kantorovich_ensemble_chain",
+        checker="_chain_links",
         forwards=_CHAIN_KEYS,
         drops=frozenset(),
         sides=_chain_sides,
@@ -302,7 +323,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
             summary="mixed bound over two operators and two states",
             inputs_kind=TWO_OP,
             slots=("f", "g", "h"),
-            checker="check_two_operator",
             sides=_two_operator_sides,
             members=2,
         ),
@@ -337,7 +357,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
             summary="inverse-pair bound in its always-valid square case",
             slots=("f", "h"),
             fixed={"g": "f"},
-            options={"auto_hypothesis": True},
+            options={"hull": True, "auto_hypothesis": True},
             drops=frozenset(),
         ),
         dict(
@@ -370,7 +390,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
             theorem_id="ensemble-mean-point-square",
             summary="summed mean-point bound in its square case",
             slots=("f", "h"),
-            options={"auto_hypothesis": True, "extra_notes": (CONVEXITY_NOTE,)},
+            options={"notes": (CONVEXITY_NOTE,), "auto_hypothesis": True},
         ),
         dict(
             ensemble_mean_square,
@@ -459,7 +479,7 @@ def run_scenario(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
     )
     if unread:
         raise ConfigInvalid(f"{entry.theorem_id} does not take the fields {unread}")
-    report = entry.run(parsed, tol_factor=tol_factor)
+    report = entry.run(parsed, entry.read(parsed), tol_factor=tol_factor)
     if parsed.get("direction") not in (None, report.direction):
         raise ConfigInvalid(
             f"{entry.theorem_id} reports direction {report.direction!r}, "

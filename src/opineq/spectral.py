@@ -52,6 +52,7 @@ __all__ = [
     "block_diagonal",
     "eigenbasis_weights",
     "SpectralMeasure",
+    "diagonal_measure",
 ]
 
 
@@ -116,6 +117,81 @@ class SpectralInterval:
         return (self.lo, self.hi)
 
 
+# The input rules, each written once: the spectrum rules HermitianOperator and
+# diagonal_measure apply to eigenvalues or drawn atoms, and the mass rules on
+# state norms, for one unit state, two unit states or an ensemble.
+
+
+def _spectrum_array(values) -> np.ndarray:
+    """Eigenvalues as a nonempty 1-d float64 array of at most MAX_DIM entries."""
+    lam = np.array(values, dtype=np.float64)
+    if lam.ndim != 1 or lam.size == 0:
+        raise ConfigInvalid(f"eigenvalues must be a nonempty 1-d array, got shape {lam.shape}")
+    if lam.size > MAX_DIM:
+        raise ConfigInvalid(f"dimension {lam.size} exceeds the supported maximum {MAX_DIM}")
+    return lam
+
+
+def _sorting(lam: np.ndarray) -> Optional[np.ndarray]:
+    """The stable permutation that sorts finite eigenvalues, or None when they ascend."""
+    if not np.isfinite(lam).all():
+        raise ConfigInvalid("eigenvalues must be finite")
+    if (lam[1:] < lam[:-1]).any():
+        return np.argsort(lam, kind="stable")
+    return None
+
+
+def _contained(lam: np.ndarray, interval: "SpectralInterval") -> np.ndarray:
+    """Ascending eigenvalues within ``interval`` up to TOL_SPEC, clipped into it,
+    read-only; ``lam`` is a fresh array, as each rule above makes it."""
+    lo, hi = interval.as_pair()
+    if not interval.contains_spectrum(lam):
+        raise SpectrumOutOfInterval(
+            f"spectrum [{float(lam[0])!r}, {float(lam[-1])!r}] outside [{lo}, {hi}] "
+            f"by more than {TOL_SPEC}"
+        )
+    if lam[0] < lo or lam[-1] > hi:
+        lam = np.clip(lam, lo, hi)
+    lam.setflags(write=False)
+    return lam
+
+
+def _is_unit(norm: float) -> bool:
+    return abs(norm - 1.0) <= TOL_NORM
+
+
+def require_unit_norm(norm: float) -> None:
+    """A state norm of 1 up to TOL_NORM, as every single-pair check needs."""
+    if not _is_unit(norm):
+        raise NotUnitState(f"state norm {norm!r} differs from 1 by more than {TOL_NORM}")
+
+
+def _require_sum_of_squares(norms: Sequence[float]) -> None:
+    """sum_j ||x_j||^2 = 1 up to TOL_NORM."""
+    # numpy's square: a huge norm gives inf, where a Python float's ** raises
+    total = float(sum(np.float64(norm) ** 2 for norm in norms))
+    if abs(total - 1.0) > TOL_NORM:
+        raise NormalizationViolation(f"sum of squared state norms is {total!r}, expected 1")
+
+
+def _require_unit_members(norms: Sequence[float]) -> None:
+    """||x_j|| = 1 up to TOL_NORM for every member."""
+    for k, norm in enumerate(norms):
+        if not _is_unit(norm):
+            raise NormalizationViolation(f"state {k} has norm {norm!r}, expected 1")
+
+
+def _shared_interval(intervals: Sequence["SpectralInterval"]) -> "SpectralInterval":
+    """The one interval every operator declares."""
+    interval = intervals[0]
+    for other in intervals[1:]:
+        if other != interval:
+            raise IntervalMismatch(
+                f"operators declare intervals {other.as_pair()} and {interval.as_pair()}"
+            )
+    return interval
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class StateVector:
     """Vector in C^dim with its Euclidean norm cached at construction."""
@@ -140,11 +216,10 @@ class StateVector:
 
     @property
     def is_unit(self) -> bool:
-        return abs(self.norm - 1.0) <= TOL_NORM
+        return _is_unit(self.norm)
 
     def require_unit(self) -> "StateVector":
-        if not self.is_unit:
-            raise NotUnitState(f"state norm {self.norm!r} differs from 1 by more than {TOL_NORM}")
+        require_unit_norm(self.norm)
         return self
 
     @staticmethod
@@ -178,12 +253,8 @@ class HermitianOperator:
     interval: SpectralInterval
 
     def __post_init__(self) -> None:
-        lam = np.array(self.eigenvalues, dtype=np.float64)
-        if lam.ndim != 1 or lam.size == 0:
-            raise ConfigInvalid(f"eigenvalues must be a nonempty 1-d array, got shape {lam.shape}")
+        lam = _spectrum_array(self.eigenvalues)
         d = lam.size
-        if d > MAX_DIM:
-            raise ConfigInvalid(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
         standard = self.eigenvectors is None
         if standard:
             vec = np.eye(d, dtype=np.complex128)
@@ -192,10 +263,8 @@ class HermitianOperator:
             vec = np.array(self.eigenvectors, dtype=np.complex128, order="C")
         if vec.shape != (d, d):
             raise DimensionMismatch(f"eigenvector matrix shape {vec.shape} does not match dimension {d}")
-        if not np.isfinite(lam).all():
-            raise ConfigInvalid("eigenvalues must be finite")
-        if (lam[1:] < lam[:-1]).any():
-            order = np.argsort(lam, kind="stable")
+        order = _sorting(lam)
+        if order is not None:
             lam = lam[order]
             vec = np.ascontiguousarray(vec[:, order])
         if not standard:  # a permutation of the standard basis is exactly unitary
@@ -204,16 +273,8 @@ class HermitianOperator:
                 raise ConfigInvalid(
                     f"eigenvector matrix is not unitary: max |U*U - I| = {residue:.3e}"
                 )
-        lo, hi = self.interval.as_pair()
-        if not self.interval.contains_spectrum(lam):
-            raise SpectrumOutOfInterval(
-                f"spectrum [{float(lam[0])!r}, {float(lam[-1])!r}] outside [{lo}, {hi}] "
-                f"by more than {TOL_SPEC}"
-            )
-        lam = np.clip(lam, lo, hi)
-        lam.setflags(write=False)
         vec.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "eigenvalues", _contained(lam, self.interval))
         object.__setattr__(self, "eigenvectors", vec)
 
     @property
@@ -306,8 +367,12 @@ class SpectralMeasure:
 
     @staticmethod
     def of(A: HermitianOperator, x: StateVector) -> "SpectralMeasure":
-        """mu_x of A: its eigenvalues weighted by |<u_k, x>|^2."""
-        return SpectralMeasure(A.eigenvalues, eigenbasis_weights(A, x))
+        """mu_x of A: its eigenvalues weighted by |<u_k, x>|^2.
+
+        The weights are made C-contiguous, as a drawn measure's are: numpy's dot
+        of a strided and of a contiguous vector may round differently.
+        """
+        return SpectralMeasure(A.eigenvalues, np.ascontiguousarray(eigenbasis_weights(A, x)))
 
     @staticmethod
     def concat(measures: Sequence["SpectralMeasure"]) -> "SpectralMeasure":
@@ -323,18 +388,38 @@ class SpectralMeasure:
         vals = self._values.get(fn)
         if vals is None:
             vals = np.asarray(fn.evaluate(self.atoms), dtype=np.float64)
-            if vals.all():
+            if np.count_nonzero(vals) == vals.size:
                 self._values[fn] = vals
         return vals
 
     def expect(self, *fns: "ScalarFunction") -> "float | np.ndarray":
         """sum_k w_k prod_i fn_i(lam_k), i.e. <fn_1(A)...fn_m(A)x, x>; an array for a batch."""
-        vals = np.ones_like(self.weights)
-        for fn in fns:
-            vals = vals * self._at_atoms(fn)
+        if not fns:
+            vals = np.ones_like(self.weights)
+        else:  # 1.0 * v is v, -0.0 included, so the product starts at the first values
+            vals = self._at_atoms(fns[0])
+            for fn in fns[1:]:
+                vals = vals * self._at_atoms(fn)
         if self.weights.ndim == 1:
             return float(self.weights @ vals)
         return (self.weights * vals).sum(axis=-1)
+
+
+def diagonal_measure(
+    atoms: Sequence[float], components: np.ndarray, interval: SpectralInterval
+) -> tuple[SpectralMeasure, np.ndarray]:
+    """mu_x of (diag(atoms), x) for the real state ``components``, with neither
+    built: the atoms held to HermitianOperator's spectrum rules and sorted with
+    the components, the weights ``c * c``.  Returns the measure and the
+    components in the order of its atoms."""
+    lam = _spectrum_array(atoms)
+    c = np.asarray(components, dtype=np.float64)
+    if c.shape != lam.shape:
+        raise DimensionMismatch(f"state shape {c.shape} vs operator dim {lam.size}")
+    order = _sorting(lam)
+    if order is not None:
+        lam, c = lam[order], c[order]
+    return SpectralMeasure(_contained(lam, interval), c * c), c
 
 
 def _check_pairs(
@@ -344,19 +429,12 @@ def _check_pairs(
     with ``sum_of_squares``, sum_j ||x_j||^2 = 1."""
     if len(ops) == 0 or len(ops) != len(states):
         raise ConfigInvalid("need equally many operators and states, at least one pair")
-    interval = ops[0].interval
-    for op in ops[1:]:
-        if op.interval != interval:
-            raise IntervalMismatch(
-                f"operators declare intervals {op.interval.as_pair()} and {interval.as_pair()}"
-            )
+    _shared_interval([op.interval for op in ops])
     for k, (op, st) in enumerate(zip(ops, states)):
         if op.dim != st.dim:
             raise DimensionMismatch(f"pair {k}: operator dim {op.dim} vs state dim {st.dim}")
-    # numpy's square: a huge norm gives inf, where a Python float's ** raises
-    total = float(sum(np.float64(st.norm) ** 2 for st in states))
-    if sum_of_squares and abs(total - 1.0) > TOL_NORM:
-        raise NormalizationViolation(f"sum of squared state norms is {total!r}, expected 1")
+    if sum_of_squares:
+        _require_sum_of_squares([st.norm for st in states])
 
 
 def block_diagonal(

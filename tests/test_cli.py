@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import sys
+import warnings
 
 import pytest
 
@@ -24,6 +26,11 @@ CHECK_DOC = {
 EXP = {"kind": "exp"}
 NEG_EXP = {"kind": "sum", "terms": [{"coef": -1.0, "fn": EXP}]}
 ONE = {"kind": "constant", "c": 1.0}
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning to stderr, as Python does where no test runner records it."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
 def _write(tmp_path, name, doc):
@@ -458,6 +465,26 @@ class TestClassify:
         assert code == 0
         assert rows[0]["classification"] == "asynchronous"
         assert rows[0]["min_product"] is None
+
+    @pytest.mark.parametrize("warning_action", ["always", "error"])
+    @pytest.mark.parametrize("mode", ["synchrony", "monotonicity"])
+    def test_overflowing_grid_prints_only_its_error(self, tmp_path, capsys, mode, warning_action):
+        # exp overflows on the grid of [1, 800]: the domain error alone reaches
+        # stderr, with numpy's RuntimeWarning neither printed nor raised
+        doc = {"f": EXP, "g": {"kind": "identity"}, "h": ONE, "interval": [1.0, 800.0]}
+        if mode == "monotonicity":
+            doc = {"f": EXP, "h": ONE, "interval": [1.0, 800.0], "mode": mode}
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_action, RuntimeWarning)
+            warnings.showwarning = _print_warning
+            code = main(["classify", _write(tmp_path, "fns.json", doc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "non-finite" in lines[0]
 
 
 # ---------------------------------------------------------------------------

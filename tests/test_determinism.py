@@ -13,10 +13,10 @@ import pytest
 from opineq.cli import main
 
 SUITE_DIGESTS = {
-    "stdout": "abfe2cb883b10a7152b21061b734712f16450fd5d722e80ce5654f325f50fd2d",
-    "summary.json": "abfe2cb883b10a7152b21061b734712f16450fd5d722e80ce5654f325f50fd2d",
-    "summary.csv": "14b9bae17add18e0548b9da0763bc95f764126ab63b852595ae9015d14bff391",
-    "reports.jsonl": "1c7878bc2077615d4a1267f6752491fff9adf4117b81bd0eea54eb95911aa8a9",
+    "stdout": "f03a52d048c11a8f398957c0b79ff4c4d85067facc266ab9f30932cbd8de1822",
+    "summary.json": "f03a52d048c11a8f398957c0b79ff4c4d85067facc266ab9f30932cbd8de1822",
+    "summary.csv": "95bf9291cea48b64f5d8b5535762c14e5b53005db1cd3d3916d6fdeb9437f5a8",
+    "reports.jsonl": "8caf238cb1f76198c7a968eb263ef57bfc2d0dc13d42dfc4c6583e91342c7374",
 }
 
 PINNED_DIGEST = "6e20578f43b432e4a77bf1e77d20e8b1c0b8c71c49d3a4010afee283bc4d4e0f"

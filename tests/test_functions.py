@@ -43,6 +43,7 @@ from opineq import (
     tabulated,
     tol_sync,
 )
+from opineq import functions as functions_module
 from opineq.tolerances import CERTIFY_MEMO_SIZE
 
 IV12 = SpectralInterval(1.0, 2.0)
@@ -577,6 +578,54 @@ class TestSynchronyMemo:
         args = (power(2.0), power(3.0), identity(), IV12)
         assert classify_synchrony(*args, np.int64(64)) is classify_synchrony(*args, 64)
         assert cold_memo()[:2] == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the cached pair grid
+
+
+class TestPairIndexCache:
+    SYNCHRONY = [
+        (power(2.0), power(3.0), identity(), IV12, 128),
+        (neg_parabola(), identity(), constant(1.0), SpectralInterval(0.1, 0.9), 64),
+        (identity(), power(3.0), constant(1.0), SpectralInterval(-1.0, 1.0), 17),
+        (exp_fn(), linear_combination((-1.0, exp_fn())), constant(1.0), SpectralInterval(1, 465), 32),
+        (constant(1.0), identity(), power(0.5), IV12, 2),
+    ]
+    MONOTONICITY = [
+        (power(2.0), identity(), IV12, 128),
+        (log_fn(), power(0.5), IV12, 33),
+        (neg_parabola(), constant(1.0), SpectralInterval(0.0, 1.0), 2),
+    ]
+    TUPLES = [
+        ([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]),
+        ([1.0], [2.0]),
+        ([0.3, -0.0, 0.0, 2.5, 1.0], [1.0, 0.0, -0.0, 4.0, 1.0]),
+    ]
+
+    def _verdicts(self) -> list:
+        classify_synchrony.cache_clear()
+        out = [classify_synchrony(*case) for case in self.SYNCHRONY]
+        out += [classify_monotonicity(*case) for case in self.MONOTONICITY]
+        classify_synchrony.cache_clear()
+        texts = [_summary_bytes(v) for v in out]
+        return out + texts + [repr(similarly_ordered(a, b)) for a, b in self.TUPLES]
+
+    def test_verdicts_match_fresh_index_pairs_bit_for_bit(self, monkeypatch):
+        cold, warm = self._verdicts(), self._verdicts()
+        monkeypatch.setattr(functions_module, "_pair_indices", lambda n: np.triu_indices(n, k=1))
+        assert cold == warm == self._verdicts()
+
+    def test_index_pairs_are_read_only_and_bounded(self):
+        i, j = functions_module._pair_indices(128)
+        assert not i.flags.writeable and not j.flags.writeable
+        fresh_i, fresh_j = np.triu_indices(128, k=1)
+        assert np.array_equal(i, fresh_i) and np.array_equal(j, fresh_j)
+        assert functions_module._pair_indices(128)[0] is i
+        for n in range(1, 40):
+            functions_module._pair_indices(n)
+        info = functions_module._pair_indices.cache_info()
+        assert info.currsize <= info.maxsize <= 16
 
     def test_domain_violation_is_raised_on_every_call(self, cold_memo):
         around_zero = SpectralInterval(-1.0, 1.0)

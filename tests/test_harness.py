@@ -24,12 +24,14 @@ from opineq import (
     expectation_failures,
     falsify,
     load_json,
+    operator_from_doc,
     random_ensemble,
     random_operator,
     random_state,
     run_scenario,
     run_suite,
     scenario_from_doc,
+    state_from_doc,
     tol_calc,
     trial_rng,
 )
@@ -158,8 +160,8 @@ class TestMeasureDraws:
     def _direct(self, seed: int) -> np.ndarray:
         rows = []
         for t in range(MOMENT_DRAWS):
-            ops, states = _random_measures(trial_rng(seed, 0, t), [self.N], IV12, joint=True)
-            rows.append(eigenbasis_weights(ops[0], states[0]))
+            (pair,) = _random_measures(trial_rng(seed, 0, t), [self.N], IV12, joint=True)
+            rows.append(pair.measure.weights)
         return np.asarray(rows)
 
     def _haar(self, seed: int) -> np.ndarray:
@@ -185,8 +187,10 @@ class TestMeasureDraws:
         for t in range(200):
             rng = trial_rng(3, 0, t)
             dims = [int(rng.integers(1, 9)) for _ in range(2)]
-            ops, states = _random_measures(rng, dims, IV12, joint=False)
-            for op, st, d in zip(ops, states, dims):
+            pairs = _random_measures(rng, dims, IV12, joint=False)
+            for pair, d in zip(pairs, dims):
+                op, st = operator_from_doc(pair.operator), state_from_doc(pair.state)
+                assert np.array_equal(op.eigenvalues, pair.measure.atoms)
                 assert np.array_equal(op.eigenvectors, np.eye(d))
                 assert np.all(np.diff(op.eigenvalues) >= 0.0)
                 assert IV12.lo <= op.eigenvalues[0] and op.eigenvalues[-1] <= IV12.hi
@@ -197,8 +201,8 @@ class TestMeasureDraws:
         dims = [1, 3, 4]
         masses = []
         for t in range(MOMENT_DRAWS):
-            _, states = _random_measures(trial_rng(4, 0, t), dims, IV12, joint=True)
-            block = [st.norm**2 for st in states]
+            pairs = _random_measures(trial_rng(4, 0, t), dims, IV12, joint=True)
+            block = [pair.norm**2 for pair in pairs]
             assert abs(sum(block) - 1.0) <= TOL_NORM
             masses.append(block)
         masses = np.asarray(masses)
