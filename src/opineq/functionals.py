@@ -437,15 +437,16 @@ def check_square_bound(
     return _square_bound(_square_sides, read_pair(A, x), f, h, theorem_id, grid_n, tol_factor)
 
 
-@_quiet
 def _kantorovich_constants(iv: SpectralInterval) -> tuple[float, float]:
     """(lo+hi)^2 / (4 lo hi) and the difference form (hi-lo)^2 / (4 lo hi) of a
-    positive interval; nan or inf where 4 lo hi underflows or a square overflows."""
+    positive interval; nan or inf where 4 lo hi underflows or a square overflows.
+    Its callers run it with numpy's warnings off."""
     lo, hi = iv.require_positive().as_pair()
     denominator = 4.0 * np.float64(lo) * hi
     return float(_square(lo + hi) / denominator), float(_square(hi - lo) / denominator)
 
 
+@_quiet
 def kantorovich_constant(lo: float, hi: float) -> float:
     """(lo + hi)^2 / (4 lo hi) for 0 < lo <= hi."""
     return _kantorovich_constants(SpectralInterval(lo, hi))[0]

@@ -68,10 +68,15 @@ from .registry import (
     run_scenario,
 )
 from .serialize import interval_from_doc, scenario_from_doc
-from .spectral import HermitianOperator, SpectralInterval, SpectralMeasure, StateVector
+from .spectral import (
+    HermitianOperator,
+    SpectralInterval,
+    SpectralMeasure,
+    StateVector,
+    read_grid_n,
+)
 from .tolerances import (
     DEFAULT_GRID_N,
-    GRID_N_RANGE,
     MAX_BUDGET,
     MAX_DIM,
     MAX_TRIALS,
@@ -252,7 +257,7 @@ class TrialConfig:
                 for desc in t:
                     function_from_descriptor(desc)
             object.__setattr__(self, "triple_pool", triples)
-        read_integer(self.grid_n, "grid_n", GRID_N_RANGE)
+        object.__setattr__(self, "grid_n", read_grid_n(self.grid_n))
         ids = tuple(read_list(self.theorem_ids, "theorems"))
         if not ids:
             raise ConfigInvalid("theorem_ids must not be empty")
@@ -617,7 +622,9 @@ def _search_functions(
 
     With synchrony dropped they come from the entry's asynchronous pool under
     the forced ``>=``; otherwise from both triple pools and that pool, each
-    reduced to the slots the check takes.  A check that dispatches its
+    reduced to the slots the check takes, once each.  The pool's distinct
+    descriptors are resolved once, and a tuple with a function not defined
+    everywhere on the domain is skipped.  A check that dispatches its
     direction from the grid classification is oriented the same way, and
     skips a mixed triple, which it would gate out.
     """
@@ -627,17 +634,22 @@ def _search_functions(
     domain = inverse_pair_hull(interval) if entry.hull else interval
     classify = drop != DROP_SYNCHRONY and DROP_SYNCHRONY in entry.drops
     classify = classify and "direction" in entry.forwards
-    out: list[tuple[dict, list[ScalarFunction], float]] = []
-    seen: list[dict] = []
+    frees: list[dict] = []
     for triple in pool:
         free = {slot: d for slot, d in zip(("f", "g", "h"), triple) if slot in entry.slots}
-        if free in seen:
-            continue
-        seen.append(free)
-        resolved = _valid_entries(list(free.values()), domain.lo, domain.hi)
+        if free not in frees:
+            frees.append(free)
+    distinct: list[dict] = []
+    for desc in (d for free in frees for d in free.values()):
+        if desc not in distinct:
+            distinct.append(desc)
+    valid = _valid_entries(distinct, domain.lo, domain.hi)
+    out: list[tuple[dict, list[ScalarFunction], float]] = []
+    for free in frees:
+        resolved = [fn for desc in free.values() for d, fn in valid if d == desc]
         if len(resolved) != len(free):
             continue
-        fns = entry.functions({slot: fn for slot, (_, fn) in zip(free, resolved)})
+        fns = entry.functions(dict(zip(free, resolved)))
         sign = 1.0
         if classify:
             implied = classify_synchrony(*fns, domain, grid_n).implied_direction()
@@ -780,11 +792,16 @@ def falsify(
     Every check is searched one way.  A candidate is a two-atom measure
     (lam1, lam2; w, 1 - w), read as the entry's members and scored in batches
     under each function tuple by the checker's own sides function (+inf when
-    not finite).  Batched perturbation rounds around the kept candidate
-    spend the last tenth of the budget, at most 256; exactly ``budget``
-    candidates are examined.  The kept candidate's diagonal document is
-    certified through the checker at violation tolerance and returned as
-    ``scenario``; ``found`` is true only when that replay says "violated".
+    not finite).  The pool's descriptors are resolved once per search, and a
+    batch's measures are built once and read by every tuple, so each distinct
+    function is evaluated once per batch; the batch's scores, in tuple order,
+    pass the nearest-miss rule together, which keeps the same candidate as
+    scoring the tuples one by one.  Batched perturbation rounds around the
+    kept candidate spend the last tenth of the budget, at most 256, one tuple
+    each; exactly ``budget`` candidates are examined.  The kept candidate's
+    diagonal document is certified through the checker at violation
+    tolerance and returned as ``scenario``; ``found`` is true only when that
+    replay says "violated".
     """
     entry = lookup(theorem_id)
     if drop is not None:
@@ -798,7 +815,7 @@ def falsify(
             )
     read_integer(budget, "budget", (1, MAX_BUDGET))
     read_integer(seed, "seed", _SEED_RANGE)
-    read_integer(grid_n, "grid_n", GRID_N_RANGE)
+    grid_n = read_grid_n(grid_n)
     iv = interval if interval is not None else SpectralInterval(1.0, 4.0)
     if entry.needs_positive and iv.lo <= 0.0:
         raise ConfigInvalid(f"{theorem_id!r} needs a positive interval, got {iv.as_pair()}")
@@ -810,18 +827,30 @@ def falsify(
     rng = _falsify_rng(seed, entry.ordinal)
     nearest = _NearestMiss()
 
-    def offer(k: int, l1: np.ndarray, l2: np.ndarray, w: np.ndarray) -> None:
-        _, fns, sign = tuples[k]
+    def offer(ks: Sequence[int], l1: np.ndarray, l2: np.ndarray, w: np.ndarray, n: int) -> None:
+        """Score a batch under the tuples ``ks`` in turn, all reading one set of
+        measures, and offer the first ``n`` candidates: candidate j is row
+        j % per under tuple ks[j // per]."""
+        per = len(w)
+        scores, thresholds = [], []
         with np.errstate(all="ignore"):
-            sides = entry.sides(*_sides_args(entry, _split(entry, drop, l1, l2, w), constant), *fns)
-            favored, other = sides if link is None else sides[link]
-            scores = sign * (favored - other)
-            thresholds = scores - tol_ineq(favored, other)
-        finite = np.isfinite(scores)
+            args = _sides_args(entry, _split(entry, drop, l1, l2, w), constant)
+            for k in ks:
+                _, fns, sign = tuples[k]
+                sides = entry.sides(*args, *fns)
+                favored, other = sides if link is None else sides[link]
+                score = sign * (favored - other)
+                scores.append(score)
+                thresholds.append(score - tol_ineq(favored, other))
+        if len(ks) > 1:
+            scores, thresholds = np.concatenate(scores), np.concatenate(thresholds)
+        else:  # one tuple's scores are used as they are, not copied
+            scores, thresholds = scores[0], thresholds[0]
+        finite = np.isfinite(scores[:n])
         nearest.offer(
-            np.where(finite, scores, np.inf),
-            np.where(finite, thresholds, np.inf),
-            lambda j: (float(l1[j]), float(l2[j]), float(w[j]), k),
+            np.where(finite, scores[:n], np.inf),
+            np.where(finite, thresholds[:n], np.inf),
+            lambda j: (float(l1[j % per]), float(l2[j % per]), float(w[j % per]), ks[j // per]),
         )
 
     reserve = min(256, budget // 10)
@@ -831,12 +860,9 @@ def falsify(
         l1 = rng.uniform(draw.lo, draw.hi, per)
         l2 = rng.uniform(draw.lo, draw.hi, per)
         w = rng.uniform(0.0, 1.0, per)
-        for k in range(len(tuples)):
-            n = min(per, target - examined)
-            offer(k, l1[:n], l2[:n], w[:n])
-            examined += n
-            if examined >= target:
-                break
+        n = min(per * len(tuples), target - examined)
+        offer(range(-(-n // per)), l1, l2, w, n)
+        examined += n
     span = max(draw.width, 1e-9)
     rounds = min(reserve, _ROUNDS)
     for r in range(rounds):
@@ -844,10 +870,11 @@ def falsify(
         c1, c2, cw, k = nearest.best()
         step = 0.1 * 0.6**r * rng.standard_normal((3, n))
         offer(
-            k,
+            [k],
             np.clip(c1 + step[0] * span, draw.lo, draw.hi),
             np.clip(c2 + step[1] * span, draw.lo, draw.hi),
             np.clip(cw + step[2], 1e-9, 1.0 - 1e-9),
+            n,
         )
         examined += n
     l1, l2, w, k = nearest.best()

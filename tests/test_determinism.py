@@ -11,6 +11,11 @@ import hashlib
 import pytest
 
 from opineq.cli import main
+from opineq.errors import OpineqError
+from opineq.harness import falsify
+from opineq.registry import REGISTRY_ORDER
+from opineq.serialize import canonical_json
+from opineq.spectral import SpectralInterval
 
 SUITE_DIGESTS = {
     "stdout": "f03a52d048c11a8f398957c0b79ff4c4d85067facc266ab9f30932cbd8de1822",
@@ -32,6 +37,11 @@ FALSIFY_DIGESTS = {
         "612a37587c1ac37c5de0a215bda83d2a1df8174e608ba1e4d512fe1ed2d384a7"
     ),
 }
+
+# every (check id, dropped hypothesis) pair, intact included, at budgets 1, 7,
+# 50 and 1000 with seed 0, on [1, 4] and on [-1, 2]; an id that rejects
+# [-1, 2] contributes its error's type and message
+ALL_PAIRS_FALSIFY_DIGEST = "4106f94f745c9f423b99cc38bf29bc1996dfce6cab1592012ca945502b8fc291"
 
 
 def _sha(data: str) -> str:
@@ -59,3 +69,21 @@ def test_pinned_output_is_pinned(capsys):
 def test_falsify_output_is_pinned(capsys, theorem, drop):
     argv = ["falsify", theorem, "--drop", drop, "--budget", "50", "--seed", "0"]
     assert _sha(_stdout(capsys, argv)) == FALSIFY_DIGESTS[(theorem, drop)]
+
+
+def test_every_falsify_pair_is_pinned():
+    pairs = [(e.theorem_id, d) for e in REGISTRY_ORDER for d in (None, *sorted(e.drops))]
+    assert len(pairs) == 37
+    digest = hashlib.sha256()
+    for interval in (SpectralInterval(1.0, 4.0), SpectralInterval(-1.0, 2.0)):
+        for theorem, drop in pairs:
+            for budget in (1, 7, 50, 1000):
+                try:
+                    result = falsify(theorem, drop, budget=budget, seed=0, interval=interval)
+                except OpineqError as exc:
+                    doc = {"error": type(exc).__name__, "message": str(exc)}
+                else:
+                    assert result.examined == budget
+                    doc = result.to_doc()
+                digest.update(canonical_json(doc).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == ALL_PAIRS_FALSIFY_DIGEST

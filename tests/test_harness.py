@@ -6,6 +6,7 @@ import pytest
 from opineq import (
     ConfigInvalid,
     DEFAULT_THEOREMS,
+    OpineqError,
     HOLDS,
     MAX_GRID_N,
     PER_VECTOR,
@@ -35,13 +36,19 @@ from opineq import (
     tol_calc,
     trial_rng,
 )
+from opineq import harness
 from opineq.harness import (
+    ASYNC_TRIPLE_POOL,
     DROP_CONTAINMENT,
     DROP_NORMALIZATION,
     DROP_SYNCHRONY,
+    SYNC_TRIPLE_POOL,
     _NearestMiss,
     _random_measures,
+    _search_functions,
+    _valid_entries,
 )
+from opineq.registry import lookup
 from opineq.tolerances import MAX_BUDGET, MAX_TRIALS
 
 IV12 = SpectralInterval(1.0, 2.0)
@@ -274,6 +281,20 @@ class TestTrialConfig:
         with pytest.raises(ConfigInvalid):
             TrialConfig(seed=2**64)
 
+    def test_numpy_integer_grid_n_is_read_as_int(self):
+        cfg = TrialConfig(seed=1, trials=1, grid_n=np.int64(64))
+        assert cfg == TrialConfig(seed=1, trials=1, grid_n=64)
+        assert type(cfg.grid_n) is int
+        assert canonical_json(cfg.to_doc()) == canonical_json(
+            TrialConfig(seed=1, trials=1, grid_n=64).to_doc()
+        )
+
+    @pytest.mark.parametrize("grid_n", [64.0, True])
+    def test_float_or_bool_grid_n_rejected_by_value(self, grid_n):
+        with pytest.raises(ConfigInvalid) as err:
+            TrialConfig(seed=1, trials=1, grid_n=grid_n)
+        assert repr(grid_n) in str(err.value)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -486,6 +507,17 @@ class TestFalsify:
         with pytest.raises(ConfigInvalid):
             falsify("pc-sign", None, budget=0)
 
+    def test_numpy_integer_grid_n_gives_the_same_result(self):
+        got = falsify("pc-sign", budget=10, grid_n=np.int64(64))
+        assert got == falsify("pc-sign", budget=10, grid_n=64)
+        assert type(got.scenario["grid_n"]) is int
+
+    @pytest.mark.parametrize("grid_n", [64.0, True])
+    def test_float_or_bool_grid_n_rejected_by_value(self, grid_n):
+        with pytest.raises(ConfigInvalid) as err:
+            falsify("pc-sign", budget=10, grid_n=grid_n)
+        assert repr(grid_n) in str(err.value)
+
     def test_drop_synchrony_finds_negative_gap(self):
         result = falsify("pc-sign", DROP_SYNCHRONY, budget=20_000, seed=0)
         assert result.found
@@ -570,3 +602,77 @@ class TestFalsify:
         assert doc["drop"] is None
         assert doc["budget"] == 500
         assert isinstance(doc["examined"], int)
+
+
+def _per_triple_search_functions(entry, drop, interval, grid_n):
+    """_search_functions as it resolved each pool triple on its own."""
+    pool = entry.sync_pool
+    if drop != DROP_SYNCHRONY:
+        pool = SYNC_TRIPLE_POOL + ASYNC_TRIPLE_POOL + pool
+    domain = harness.inverse_pair_hull(interval) if entry.hull else interval
+    classify = drop != DROP_SYNCHRONY and DROP_SYNCHRONY in entry.drops
+    classify = classify and "direction" in entry.forwards
+    out, seen = [], []
+    for triple in pool:
+        free = {slot: d for slot, d in zip(("f", "g", "h"), triple) if slot in entry.slots}
+        if free in seen:
+            continue
+        seen.append(free)
+        resolved = _valid_entries(list(free.values()), domain.lo, domain.hi)
+        if len(resolved) != len(free):
+            continue
+        fns = entry.functions({slot: fn for slot, (_, fn) in zip(free, resolved)})
+        sign = 1.0
+        if classify:
+            implied = classify_synchrony(*fns, domain, grid_n).implied_direction()
+            if implied is None:
+                continue
+            sign = 1.0 if implied == ">=" else -1.0
+        out.append((free, fns, sign))
+    if not out:
+        where = domain.as_pair()
+        raise ConfigInvalid(f"no search triple on {where} is defined everywhere and not mixed")
+    return out
+
+
+class TestSearchFunctions:
+    def _count_resolutions(self, monkeypatch) -> list:
+        calls = []
+        resolve = harness.function_from_descriptor
+
+        def counting(desc):
+            calls.append(desc)
+            return resolve(desc)
+
+        monkeypatch.setattr(harness, "function_from_descriptor", counting)
+        return calls
+
+    def test_pool_descriptors_are_resolved_once_per_search(self, monkeypatch):
+        calls = self._count_resolutions(monkeypatch)
+        falsify("pc-sign", None, budget=50)
+        # 11 distinct triples over 12 distinct descriptors, each resolved once
+        assert len(calls) == 12
+        assert all(d not in calls[:i] for i, d in enumerate(calls))
+
+    def test_a_search_without_free_slots_resolves_nothing(self, monkeypatch):
+        calls = self._count_resolutions(monkeypatch)
+        falsify("kantorovich-lower", None, budget=50)
+        assert calls == []
+
+    @pytest.mark.parametrize("interval", [(1.0, 4.0), (0.0, 3.0), (-1.0, 2.0)])
+    @pytest.mark.parametrize(
+        "theorem_id, drop",
+        [(e.theorem_id, drop) for e in REGISTRY_ORDER for drop in [None, *sorted(e.drops)]],
+    )
+    def test_tuples_match_per_triple_resolution(self, theorem_id, drop, interval):
+        entry, iv = lookup(theorem_id), SpectralInterval(*interval)
+        try:
+            want = _per_triple_search_functions(entry, drop, iv, 64)
+        except OpineqError as exc:
+            # no tuple, a hull of a nonpositive interval, or a classification
+            # that meets a pole: the search stops with the same error
+            with pytest.raises(type(exc)) as err:
+                _search_functions(entry, drop, iv, 64)
+            assert str(err.value) == str(exc)
+            return
+        assert _search_functions(entry, drop, iv, 64) == want
