@@ -68,13 +68,7 @@ from .registry import (
     run_scenario,
 )
 from .serialize import interval_from_doc, scenario_from_doc
-from .spectral import (
-    HermitianOperator,
-    SpectralInterval,
-    SpectralMeasure,
-    StateVector,
-    read_grid_n,
-)
+from .spectral import HermitianOperator, SpectralInterval, SpectralMeasure, StateVector, read_grid_n
 from .tolerances import (
     DEFAULT_GRID_N,
     MAX_BUDGET,
