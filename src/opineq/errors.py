@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "OpineqError",
     "NotHermitian",
@@ -85,6 +87,24 @@ def read_number(value, what: str) -> float:
     if not math.isfinite(number):
         raise ConfigInvalid(f"{what} must be finite, got {value!r}")
     return number
+
+
+def read_numbers(values: list, what: str) -> np.ndarray:
+    """Finite JSON numbers (not booleans) as a float64 array, read in one pass.
+
+    A list that holds anything but ``float`` and ``int`` items, an integer too
+    large for a double, or a non-finite number is read again item by item
+    with ``read_number``, so the error names the first bad entry.
+    """
+    if set(map(type, values)) <= {float, int}:
+        try:
+            row = np.array(values, dtype=np.float64)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(row).all():
+                return row
+    return np.array([read_number(v, what) for v in values], dtype=np.float64)
 
 
 def read_integer(value, what: str, bounds: tuple[int, int] | None = None) -> int:

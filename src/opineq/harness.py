@@ -309,8 +309,11 @@ def config_from_doc(doc: dict) -> TrialConfig:
 def _valid_entries(
     descriptors: Sequence[dict], lo: float, hi: float
 ) -> list[tuple[dict, ScalarFunction]]:
-    """Resolve descriptors and keep only those finite on [lo, hi]."""
+    """Resolve descriptors and keep only those finite on [lo, hi]: on 9 points
+    and, for an interval that contains it, on 0, where a negative power has its pole."""
     probe = np.linspace(lo, hi, 9)
+    if lo < 0.0 < hi:
+        probe = np.append(probe, 0.0)
     out: list[tuple[dict, ScalarFunction]] = []
     for desc in descriptors:
         fn = function_from_descriptor(desc)

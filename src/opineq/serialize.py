@@ -9,17 +9,18 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quoted  # json.dumps of a str
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigInvalid, read_list, read_number
+from .errors import ConfigInvalid, read_list, read_number, read_numbers
 from .functions import GE, LE, ScalarFunction, function_from_descriptor
 from .functionals import fmt
 from .ensembles import OperatorEnsemble
 from .spectral import HermitianOperator, SpectralInterval, StateVector, from_dense, read_grid_n
-from .tolerances import DEFAULT_GRID_N
+from .tolerances import DEFAULT_GRID_N, MAX_DIM
 
 __all__ = [
     "canonical_json",
@@ -33,48 +34,102 @@ __all__ = [
 ]
 
 
+# Sets of item types and lengths that mark a row of floats or of [re, im] pairs.
+_FLOATS = {float}
+_LISTS = {list}
+_PAIRS = {2}
+
+
+def _finite(text: str) -> str:
+    """Number text, refused when it holds "inf" or "nan": no 17-digit decimal
+    holds the letter n."""
+    if "n" in text:
+        raise ConfigInvalid("non-finite number in a canonical document")
+    return text
+
+
+def _row(items) -> Optional[str]:
+    """A list of floats, or of [re, im] lists of floats, written in one pass;
+    None for any other list."""
+    kinds = set(map(type, items))
+    if kinds == _FLOATS:
+        text = ("%.17g," * len(items))[:-1] % tuple(items)
+    elif kinds == _LISTS and set(map(len, items)) == _PAIRS:
+        flat = tuple(chain.from_iterable(items))
+        if set(map(type, flat)) != _FLOATS:
+            return None
+        text = ("[%.17g,%.17g]," * len(items))[:-1] % flat
+    else:
+        return None
+    return f"[{_finite(text)}]"
+
+
+def _write_list(obj, out: list) -> None:
+    row = _row(obj)
+    if row is not None:
+        out.append(row)
+        return
+    out.append("[")
+    for k, item in enumerate(obj):
+        if k:
+            out.append(",")
+        _write(item, out)
+    out.append("]")
+
+
+def _write_dict(obj: dict, out: list) -> None:
+    out.append("{")
+    first = True
+    for key in sorted(obj):
+        if not isinstance(key, str):
+            raise ConfigInvalid(f"document keys must be strings, got {key!r}")
+        if not first:
+            out.append(",")
+        first = False
+        out.append(_quoted(key) + ":")
+        _write(obj[key], out)
+    out.append("}")
+
+
 def _write(obj, out: list) -> None:
-    if obj is True:
+    kind = type(obj)
+    if kind is float:
+        out.append(_finite("%.17g" % obj))
+    elif kind is list or kind is tuple:
+        _write_list(obj, out)
+    elif kind is dict:
+        _write_dict(obj, out)
+    elif kind is str:
+        out.append(_quoted(obj))
+    # everything else, numpy scalars and subclasses included, by its kind
+    elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
     elif obj is None:
         out.append("null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quoted(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ConfigInvalid("non-finite number in a canonical document")
-        out.append(fmt(x))
+        out.append(_finite("%.17g" % float(obj)))
     elif isinstance(obj, dict):
-        out.append("{")
-        first = True
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise ConfigInvalid(f"document keys must be strings, got {key!r}")
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(key))
-            out.append(":")
-            _write(obj[key], out)
-        out.append("}")
+        _write_dict(obj, out)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
+        _write_list(obj, out)
     else:
         raise ConfigInvalid(f"cannot serialize a {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    """Compact JSON with sorted keys and 17-significant-digit numbers."""
+    """Compact JSON with sorted keys and 17-significant-digit numbers.
+
+    A list of floats, or of ``[re, im]`` float pairs, is written with one
+    ``%`` format over the row; every other value is written item by item.
+    Either way the text is the same: ``%.17g`` is ``format(x, ".17g")``, and
+    strings are quoted as ``json.dumps`` quotes them.
+    """
     out: list = []
     _write(obj, out)
     return "".join(out)
@@ -100,15 +155,41 @@ def interval_from_doc(doc, what: str = "interval") -> SpectralInterval:
     return SpectralInterval(read_number(lo, f"{what} lo"), read_number(hi, f"{what} hi"))
 
 
+def _complex_row(values: list, what: str) -> np.ndarray:
+    """Numbers or [re, im] pairs as a complex128 row.
+
+    A row of pairs is read as the flat row of their parts and viewed as
+    complex; a row of numbers is read as reals.  Any other row, or one whose
+    numbers a double cannot hold, is read entry by entry, which raises the
+    entry's error.
+    """
+    kinds = set(map(type, values))
+    if kinds == _LISTS and set(map(len, values)) == _PAIRS:
+        return read_numbers(list(chain.from_iterable(values)), what).view(np.complex128)
+    if kinds <= {float, int}:
+        try:
+            return np.array(values, dtype=np.complex128)
+        except OverflowError:
+            pass
+    return np.array([_complex_entry(v, what) for v in values], dtype=np.complex128)
+
+
+def _dimension(values: list) -> list:
+    """The entries of an operator's rows or spectrum, refused before any is read
+    when there are more than MAX_DIM of them."""
+    if len(values) > MAX_DIM:
+        raise ConfigInvalid(f"dimension {len(values)} exceeds the supported maximum {MAX_DIM}")
+    return values
+
+
 def _matrix(doc, what: str) -> np.ndarray:
-    """A nonempty square list of rows of numbers or [re, im] pairs."""
+    """A nonempty square list of at most MAX_DIM rows of numbers or [re, im]
+    pairs, each row read in one pass (``_complex_row``)."""
     rows = read_list(doc, what)
     if not rows:
         raise ConfigInvalid(f"{what} must be a nonempty list of rows")
-    entries = [read_list(row, f"{what} row", len(rows)) for row in rows]
-    return np.asarray(
-        [[_complex_entry(v, f"{what} entry") for v in row] for row in entries], dtype=np.complex128
-    )
+    entries = [read_list(row, f"{what} row", len(rows)) for row in _dimension(rows)]
+    return np.array([_complex_row(row, f"{what} entry") for row in entries])
 
 
 def operator_from_doc(doc) -> HermitianOperator:
@@ -117,29 +198,30 @@ def operator_from_doc(doc) -> HermitianOperator:
         raise ConfigInvalid("operator document needs an 'interval'")
     interval = interval_from_doc(doc["interval"])
     if "diagonal" in doc:
-        values = [read_number(v, "diagonal entry") for v in read_list(doc["diagonal"], "diagonal")]
-        return HermitianOperator.diagonal(values, interval)
+        values = _dimension(read_list(doc["diagonal"], "diagonal"))
+        return HermitianOperator.diagonal(read_numbers(values, "diagonal entry"), interval)
     if "matrix" in doc:
         return from_dense(_matrix(doc["matrix"], "matrix"), interval)
     if "eigenvalues" in doc and "eigenvectors" in doc:
-        eigenvalues = read_list(doc["eigenvalues"], "eigenvalues")
-        values = [read_number(v, "eigenvalue") for v in eigenvalues]
+        eigenvalues = _dimension(read_list(doc["eigenvalues"], "eigenvalues"))
+        values = read_numbers(eigenvalues, "eigenvalue")
         u = _matrix(doc["eigenvectors"], "eigenvectors")
         if len(u) != len(values):
             raise ConfigInvalid("'eigenvectors' must list one row per eigenvalue")
-        return HermitianOperator(np.asarray(values, dtype=np.float64), u, interval)
+        return HermitianOperator(values, u, interval)
     raise ConfigInvalid(
         "operator document needs 'diagonal', 'matrix', or 'eigenvalues'+'eigenvectors'"
     )
 
 
 def state_from_doc(doc) -> StateVector:
+    """A bare list of components, or ``{"components": [...]}``; the numbers or
+    [re, im] pairs are read in one pass (``_complex_row``)."""
     if isinstance(doc, dict) and "components" in doc:
         doc = doc["components"]
     if not isinstance(doc, (list, tuple)) or not doc:
         raise ConfigInvalid("state document needs a nonempty 'components' list")
-    comps = [_complex_entry(v, "state component") for v in doc]
-    return StateVector(np.asarray(comps, dtype=np.complex128))
+    return StateVector(_complex_row(doc, "state component"))
 
 
 def ensemble_from_doc(doc) -> OperatorEnsemble:
@@ -206,7 +288,7 @@ def _tuples_from_doc(doc) -> dict[str, list[float]]:
     if not isinstance(doc, dict) or "a" not in doc or "b" not in doc:
         raise ConfigInvalid("'tuples' must be an object with lists 'a' and 'b'")
     return {
-        key: [read_number(v, "tuple entry") for v in read_list(doc[key], f"tuple {key!r}")]
+        key: read_numbers(read_list(doc[key], f"tuple {key!r}"), "tuple entry").tolist()
         for key in ("a", "b")
     }
 

@@ -550,6 +550,12 @@ class TestFalsifyCommand:
         assert "1/lo" in err and "5e-324" in err
         assert "inf" not in err
 
+    def test_pole_inside_the_interval_exits_two(self, capsys):
+        # s^-1 is undefined at 0; no other pool triple is defined and not mixed on [-1, 2]
+        args = ["falsify", "pc-sign", "--interval", "-1", "2", "--budget", "50"]
+        assert main(args) == 2
+        assert "no search triple on (-1.0, 2.0)" in capsys.readouterr().err
+
     def test_grid_below_two_exits_two(self, capsys):
         assert main(["falsify", "pc-square", "--grid", "1", "--budget", "10"]) == 2
         assert "grid_n" in capsys.readouterr().err

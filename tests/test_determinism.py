@@ -41,7 +41,9 @@ FALSIFY_DIGESTS = {
 # every (check id, dropped hypothesis) pair, intact included, at budgets 1, 7,
 # 50 and 1000 with seed 0, on [1, 4] and on [-1, 2]; an id that rejects
 # [-1, 2] contributes its error's type and message
-ALL_PAIRS_FALSIFY_DIGEST = "4106f94f745c9f423b99cc38bf29bc1996dfce6cab1592012ca945502b8fc291"
+ALL_PAIRS_FALSIFY_DIGEST = "dd015b8a21419ff6ee7995efa80ada468e4938a84ebc4b4bbe6d4719b9b1b5a3"
+# the [1, 4] half of the digest above on its own
+POSITIVE_PAIRS_FALSIFY_DIGEST = "ac83db1a2f94cef95f747b904876a3cb263f632a78c2d23b4a3c3aecdcf137b8"
 
 
 def _sha(data: str) -> str:
@@ -71,11 +73,11 @@ def test_falsify_output_is_pinned(capsys, theorem, drop):
     assert _sha(_stdout(capsys, argv)) == FALSIFY_DIGESTS[(theorem, drop)]
 
 
-def test_every_falsify_pair_is_pinned():
+def _every_pair_digest(*intervals: SpectralInterval) -> str:
     pairs = [(e.theorem_id, d) for e in REGISTRY_ORDER for d in (None, *sorted(e.drops))]
     assert len(pairs) == 37
     digest = hashlib.sha256()
-    for interval in (SpectralInterval(1.0, 4.0), SpectralInterval(-1.0, 2.0)):
+    for interval in intervals:
         for theorem, drop in pairs:
             for budget in (1, 7, 50, 1000):
                 try:
@@ -86,4 +88,13 @@ def test_every_falsify_pair_is_pinned():
                     assert result.examined == budget
                     doc = result.to_doc()
                 digest.update(canonical_json(doc).encode("utf-8") + b"\n")
-    assert digest.hexdigest() == ALL_PAIRS_FALSIFY_DIGEST
+    return digest.hexdigest()
+
+
+def test_every_falsify_pair_is_pinned():
+    got = _every_pair_digest(SpectralInterval(1.0, 4.0), SpectralInterval(-1.0, 2.0))
+    assert got == ALL_PAIRS_FALSIFY_DIGEST
+
+
+def test_every_falsify_pair_on_a_positive_interval_is_pinned():
+    assert _every_pair_digest(SpectralInterval(1.0, 4.0)) == POSITIVE_PAIRS_FALSIFY_DIGEST

@@ -659,6 +659,30 @@ class TestSearchFunctions:
         falsify("kantorovich-lower", None, budget=50)
         assert calls == []
 
+    def test_a_pole_inside_the_interval_leaves_the_pool(self):
+        pool = harness.DEFAULT_FUNCTION_POOL
+        inside = harness._resolve_pools(pool, None, SpectralInterval(-1.0, 2.0), "[-1, 2]")[0]
+        outside = harness._resolve_pools(pool, None, SpectralInterval(1.0, 4.0), "[1, 4]")[0]
+        assert INV_DESC not in [d for d, _ in inside]
+        assert INV_DESC in [d for d, _ in outside]
+
+    @pytest.mark.parametrize(
+        "theorem_id, drop",
+        [(e.theorem_id, drop) for e in REGISTRY_ORDER for drop in [None, *sorted(e.drops)]],
+    )
+    def test_no_search_tuple_has_a_pole_inside_the_interval(self, theorem_id, drop):
+        try:
+            tuples = _search_functions(lookup(theorem_id), drop, SpectralInterval(-1.0, 2.0), 64)
+        except OpineqError:
+            return
+        assert all(INV_DESC not in free.values() for free, _, _ in tuples)
+
+    @pytest.mark.parametrize("grid_n", [64, 128])
+    def test_pc_sign_on_an_interval_with_a_pole_stops_at_every_grid(self, grid_n):
+        with pytest.raises(ConfigInvalid) as err:
+            falsify("pc-sign", budget=50, interval=SpectralInterval(-1.0, 2.0), grid_n=grid_n)
+        assert str(err.value).startswith("no search triple on (-1.0, 2.0)")
+
     @pytest.mark.parametrize("interval", [(1.0, 4.0), (0.0, 3.0), (-1.0, 2.0)])
     @pytest.mark.parametrize(
         "theorem_id, drop",

@@ -1,12 +1,19 @@
 """Canonical JSON, document parsing, and CSV rendering."""
 
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from opineq import serialize
+from opineq.errors import read_number, read_numbers
 from opineq import (
+    MAX_DIM,
     ConfigInvalid,
+    HermitianOperator,
     SpectralInterval,
     canonical_json,
     ensemble_from_doc,
@@ -81,6 +88,151 @@ class TestCanonicalJson:
     def test_deterministic_across_calls(self):
         doc = {"a": 0.1 + 0.2, "b": [1e-300, 1e300]}
         assert canonical_json(doc) == canonical_json(dict(doc))
+
+
+# The item-by-item writer canonical_json replaced, kept as the oracle its
+# one-pass rows are held to.
+
+
+def _reference_write(obj, out: list) -> None:
+    if obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ConfigInvalid("non-finite number in a canonical document")
+        out.append(fmt(x))
+    elif isinstance(obj, dict):
+        out.append("{")
+        first = True
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise ConfigInvalid(f"document keys must be strings, got {key!r}")
+            if not first:
+                out.append(",")
+            first = False
+            out.append(json.dumps(key))
+            out.append(":")
+            _reference_write(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for k, item in enumerate(obj):
+            if k:
+                out.append(",")
+            _reference_write(item, out)
+        out.append("]")
+    else:
+        raise ConfigInvalid(f"cannot serialize a {type(obj).__name__}")
+
+
+def _reference_json(obj) -> str:
+    out: list = []
+    _reference_write(obj, out)
+    return "".join(out)
+
+
+def _outcome(write, obj):
+    """What ``write`` makes of ``obj``: its text, or its error's type and message."""
+    try:
+        return write(obj)
+    except Exception as exc:  # compared, type and message, against the oracle's
+        return (type(exc), str(exc))
+
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1e16])
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+BIG_INTS = st.integers(min_value=-(2**80), max_value=2**80)
+NUMPY = FLOATS.map(np.float64) | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+PAIRS = st.lists(FLOATS, min_size=2, max_size=2)
+ROWS = (
+    st.lists(FLOATS, max_size=6)
+    | st.lists(PAIRS, max_size=4)
+    | st.lists(FLOATS | st.booleans(), max_size=6)
+    | st.lists(FLOATS | PAIRS | BIG_INTS | NUMPY | st.none(), max_size=6)
+    | st.lists(FLOATS, max_size=4).map(tuple)
+    | st.lists(PAIRS.map(tuple), max_size=3)
+)
+SCALARS = st.none() | st.booleans() | FLOATS | BIG_INTS | NUMPY | st.text(max_size=6)
+
+
+def _nested(scalars, rows, keys):
+    return st.recursive(
+        scalars | rows,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(keys, inner, max_size=4),
+        max_leaves=12,
+    )
+
+
+DOCUMENTS = _nested(SCALARS, ROWS, st.text(max_size=6))
+# rows with a non-finite number, non-string keys and unserializable values
+BAD_ROWS = ROWS | st.lists(FLOATS | NON_FINITE, max_size=5) | st.lists(
+    st.lists(FLOATS | NON_FINITE, min_size=2, max_size=2), max_size=3
+)
+BAD_SCALARS = SCALARS | NON_FINITE | st.just({1.0}) | st.just(frozenset())
+BAD_DOCUMENTS = _nested(BAD_SCALARS, BAD_ROWS, st.text(max_size=3) | st.integers(0, 3))
+
+
+class TestWriterOracle:
+    @FUZZ
+    @given(DOCUMENTS)
+    def test_same_bytes_as_the_item_by_item_writer(self, doc):
+        assert canonical_json(doc) == _reference_json(doc)
+
+    @FUZZ
+    @given(BAD_DOCUMENTS)
+    def test_same_text_or_error_as_the_item_by_item_writer(self, doc):
+        assert _outcome(canonical_json, doc) == _outcome(_reference_json, doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1.0, math.nan],
+            [math.inf, 2.0],
+            [[1.0, 2.0], [-math.inf, 0.0]],
+            [[1.0, math.nan]],
+            {"a": [0.5, math.nan]},
+            {3: [1.0]},
+            {1.5},
+            [1.0, {2.0}],
+            (0.5, object()),
+        ],
+    )
+    def test_errors_match_the_item_by_item_writer(self, doc):
+        got = _outcome(canonical_json, doc)
+        assert got == _outcome(_reference_json, doc)
+        assert got[0] is ConfigInvalid
+
+    def test_rows_are_written_as_before(self):
+        doc = {
+            "row": [-0.0, 5e-324, 1.7976931348623157e308, 0.1],
+            "pairs": [[1.0, -0.0], [0.5, 2.0]],
+            "mixed": [1.0, True, [2.0, 3.0], 4, None, "é"],
+            "big": [2**64, np.int64(-3), np.float64(0.25)],
+        }
+        assert canonical_json(doc) == _reference_json(doc)
+        assert canonical_json(doc["row"]) == "[-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001]"
+        assert canonical_json(doc["pairs"]) == "[[1,-0],[0.5,2]]"
+        assert canonical_json(["é", "\u2603"]) == '["\\u00e9","\\u2603"]'
 
 
 class TestLoadJson:
@@ -193,6 +345,222 @@ class TestEnsembleFromDoc:
             ensemble_from_doc(
                 {"operators": [DIAG_DOC], "states": [[1.0, 0.0]], "normalization": "x"}
             )
+
+
+# ---------------------------------------------------------------------------
+# one-pass readers against entry-by-entry reading
+
+
+def _per_entry_numbers(values, what="x"):
+    return np.array([read_number(v, what) for v in values], dtype=np.float64)
+
+
+def _per_entry_complex(values, what="x"):
+    return np.array([serialize._complex_entry(v, what) for v in values], dtype=np.complex128)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+INTS = st.integers(-(2**70), 2**70) | st.sampled_from([2**1000, -(2**1023), 0])
+NUMBER_ROWS = st.lists(FLOATS | INTS, min_size=1, max_size=16)
+PAIR_ROWS = st.lists(st.lists(FLOATS | INTS, min_size=2, max_size=2), min_size=1, max_size=16)
+MIXED_ROWS = st.lists(FLOATS | INTS | st.lists(FLOATS, min_size=2, max_size=2), min_size=1, max_size=8)
+COMPLEX_ROWS = NUMBER_ROWS | PAIR_ROWS | MIXED_ROWS
+SPECTRA = st.lists(
+    st.floats(min_value=-4.0, max_value=4.0) | st.integers(-4, 4) | st.just(-0.0),
+    min_size=1,
+    max_size=MAX_DIM,
+)
+
+
+@st.composite
+def _square_docs(draw):
+    n = draw(st.integers(1, 5))
+    pair = st.lists(FLOATS | INTS, min_size=2, max_size=2)
+    # rows of pairs, as the writers make them, rows of numbers, and mixed rows
+    row = st.lists(pair, min_size=n, max_size=n) | st.lists(FLOATS | INTS | pair, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+class TestOnePassReaders:
+    @FUZZ
+    @given(NUMBER_ROWS)
+    def test_numbers_match_per_entry_reading(self, values):
+        assert _same_bits(read_numbers(values, "x"), _per_entry_numbers(values))
+
+    @FUZZ
+    @given(COMPLEX_ROWS)
+    def test_complex_rows_match_per_entry_reading(self, values):
+        assert _same_bits(serialize._complex_row(values, "x"), _per_entry_complex(values))
+
+    @FUZZ
+    @given(_square_docs())
+    def test_matrices_match_per_entry_reading(self, rows):
+        want = np.array([_per_entry_complex(row) for row in rows])
+        assert _same_bits(serialize._matrix(rows, "matrix"), want)
+
+    @FUZZ
+    @given(COMPLEX_ROWS)
+    def test_states_match_per_entry_reading(self, values):
+        want = np.array(_per_entry_complex(values, "state component"), dtype=np.complex128)
+        got = state_from_doc({"components": values}).components
+        assert _same_bits(np.asarray(got), want)
+
+    @FUZZ
+    @given(SPECTRA)
+    def test_diagonals_match_per_entry_reading(self, values):
+        interval = SpectralInterval(-4.0, 4.0)
+        got = operator_from_doc({"diagonal": values, "interval": [-4.0, 4.0]})
+        want = HermitianOperator.diagonal([read_number(v, "x") for v in values], interval)
+        assert _same_bits(got.eigenvalues, want.eigenvalues)
+        assert _same_bits(got.eigenvectors, want.eigenvectors)
+
+    @FUZZ
+    @given(SPECTRA)
+    def test_eigenvalues_match_per_entry_reading(self, values):
+        d = len(values)
+        basis = np.eye(d, dtype=np.complex128).view(np.float64).reshape(d, d, 2).tolist()
+        doc = {"eigenvalues": values, "eigenvectors": basis, "interval": [-4.0, 4.0]}
+        got = operator_from_doc(doc)
+        want = HermitianOperator(_per_entry_numbers(values), np.eye(d), SpectralInterval(-4.0, 4.0))
+        assert _same_bits(got.eigenvalues, want.eigenvalues)
+        assert _same_bits(got.eigenvectors, want.eigenvectors)
+
+    @FUZZ
+    @given(NUMBER_ROWS, NUMBER_ROWS)
+    def test_tuples_match_per_entry_reading(self, a, b):
+        parsed = scenario_from_doc({"theorem": "discrete-chebyshev", "tuples": {"a": a, "b": b}})
+        for key, values in (("a", a), ("b", b)):
+            got = parsed["tuples"][key]
+            assert all(type(v) is float for v in got)
+            assert _same_bits(np.array(got), _per_entry_numbers(values))
+
+    def test_negative_zero_survives(self):
+        x = state_from_doc([[-0.0, -0.0], -0.0])
+        assert np.signbit(x.components.real).all() and np.signbit(x.components.imag[0])
+        assert not np.signbit(x.components.imag[1])  # a bare number's imaginary part is +0
+        m = serialize._matrix([[[-0.0, 1.0]]], "matrix")
+        assert np.signbit(m.real[0, 0]) and m.imag[0, 0] == 1.0
+        assert np.signbit(read_numbers([-0.0, 1], "x")[0])
+        parsed = scenario_from_doc({"theorem": "discrete-chebyshev", "tuples": {"a": [-0.0], "b": [1]}})
+        assert math.copysign(1.0, parsed["tuples"]["a"][0]) == -1.0
+
+    def test_tuple_pairs_are_read_as_pairs(self):
+        rows = [[(0.5, 0.25), 1], [(0.5, -0.25), (2.0, 0.0)]]
+        want = np.array([_per_entry_complex(row) for row in rows])
+        assert _same_bits(serialize._matrix(rows, "matrix"), want)
+
+
+BIG = 10**400
+PAIR_ROW_2 = [[0.5, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "read, entries, message",
+    [
+        ("diagonal", [0.5, True], "diagonal entry must be a number, got True"),
+        ("diagonal", [0.5, "1"], "diagonal entry must be a number, got '1'"),
+        ("diagonal", [BIG], f"diagonal entry must be finite, got {BIG!r}"),
+        ("diagonal", [0.5, math.nan], "diagonal entry must be finite, got nan"),
+        ("diagonal", [-math.inf], "diagonal entry must be finite, got -inf"),
+        ("diagonal", [[0.5, 0.0]], "diagonal entry must be a number, got [0.5, 0.0]"),
+        ("diagonal", [(0.5, 0.0)], "diagonal entry must be a number, got (0.5, 0.0)"),
+        ("eigenvalues", [True], "eigenvalue must be a number, got True"),
+        ("eigenvalues", [BIG], f"eigenvalue must be finite, got {BIG!r}"),
+        ("eigenvalues", [math.nan], "eigenvalue must be finite, got nan"),
+        ("eigenvalues", [[0.5, 0.0]], "eigenvalue must be a number, got [0.5, 0.0]"),
+        ("tuples", [1.0, False], "tuple entry must be a number, got False"),
+        ("tuples", [1.0, BIG], f"tuple entry must be finite, got {BIG!r}"),
+        ("tuples", [math.inf], "tuple entry must be finite, got inf"),
+        ("tuples", ["2"], "tuple entry must be a number, got '2'"),
+        ("matrix", [[[0.5, 0.0], [0.0, True]], PAIR_ROW_2], "matrix entry must be a number, got True"),
+        ("matrix", [[[0.5, 0.0], [0.0, "x"]], PAIR_ROW_2], "matrix entry must be a number, got 'x'"),
+        ("matrix", [[[0.5, 0.0], [BIG, 0.0]], PAIR_ROW_2], f"matrix entry must be finite, got {BIG!r}"),
+        ("matrix", [[[0.5, 0.0], [math.nan, 0.0]], PAIR_ROW_2], "matrix entry must be finite, got nan"),
+        ("matrix", [[[0.5, 0.0], [[0.5], 0.0]], PAIR_ROW_2], "matrix entry must be a number, got [0.5]"),
+        (
+            "matrix",
+            [[[0.5, 0.0], [0.0]], PAIR_ROW_2],
+            "matrix entry must be a number or an [re, im] pair, got [0.0]",
+        ),
+        (
+            "matrix",
+            [[[0.5, 0.0, 1.0], [0.0, 0.0]], PAIR_ROW_2],
+            "matrix entry must be a number or an [re, im] pair, got [0.5, 0.0, 1.0]",
+        ),
+        (
+            "matrix",
+            [[True, 0.0], [0.0, 0.5]],
+            "matrix entry must be a number or an [re, im] pair, got True",
+        ),
+        ("matrix", [[0.5, [0.0, True]], [0.0, 0.5]], "matrix entry must be a number, got True"),
+        ("state", [[1.0, True]], "state component must be a number, got True"),
+        ("state", [[1.0, 0.0], [math.nan, 0.0]], "state component must be finite, got nan"),
+        ("state", [[BIG, 0.0]], f"state component must be finite, got {BIG!r}"),
+        ("state", [[1.0]], "state component must be a number or an [re, im] pair, got [1.0]"),
+        ("state", [True, 0.0], "state component must be a number or an [re, im] pair, got True"),
+        ("state", ["1", 0.0], "state component must be a number or an [re, im] pair, got '1'"),
+        ("state", [math.nan, 1.0], "state components must be finite"),
+    ],
+)
+def test_malformed_entries_keep_their_messages(read, entries, message):
+    with pytest.raises(ConfigInvalid) as err:
+        if read == "diagonal":
+            operator_from_doc({"diagonal": entries, "interval": [0.0, 1.0]})
+        elif read == "eigenvalues":
+            operator_from_doc({"eigenvalues": entries, "eigenvectors": [[1.0]], "interval": [0.0, 1.0]})
+        elif read == "tuples":
+            scenario_from_doc({"theorem": "discrete-chebyshev", "tuples": {"a": [1.0], "b": entries}})
+        elif read == "matrix":
+            operator_from_doc({"matrix": entries, "interval": [0.0, 1.0]})
+        else:
+            state_from_doc({"components": entries})
+    assert str(err.value) == message
+
+
+OVERSIZE = 400
+
+
+class TestDimensionBound:
+    def _refuse_entry_reads(self, monkeypatch):
+        def unread(*_args):
+            raise AssertionError("an entry was read")
+
+        for name in ("read_number", "read_numbers", "_complex_entry", "_complex_row"):
+            monkeypatch.setattr(serialize, name, unread)
+        # the interval is read before the operator, with read_number
+        monkeypatch.setattr(serialize, "interval_from_doc", lambda _doc: SpectralInterval(0.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"diagonal": [1.0] * OVERSIZE},
+            {"matrix": [[0.0] * OVERSIZE for _ in range(OVERSIZE)]},
+            {"eigenvalues": [1.0] * OVERSIZE, "eigenvectors": [[1.0]]},
+        ],
+        ids=["diagonal", "matrix", "eigenvalues"],
+    )
+    def test_oversized_operator_is_refused_before_any_entry_is_read(self, monkeypatch, doc):
+        self._refuse_entry_reads(monkeypatch)
+        with pytest.raises(ConfigInvalid) as err:
+            operator_from_doc({**doc, "interval": [0.0, 2.0]})
+        assert str(err.value) == f"dimension {OVERSIZE} exceeds the supported maximum {MAX_DIM}"
+
+    def test_oversized_eigenvectors_are_refused_before_any_entry_is_read(self, monkeypatch):
+        self._refuse_entry_reads(monkeypatch)
+        rows = [[[0.0, 0.0]] * OVERSIZE for _ in range(OVERSIZE)]
+        with pytest.raises(ConfigInvalid) as err:
+            serialize._matrix(rows, "eigenvectors")
+        assert str(err.value) == f"dimension {OVERSIZE} exceeds the supported maximum {MAX_DIM}"
+
+    def test_the_largest_supported_operator_is_read(self):
+        A = operator_from_doc({"diagonal": [1.0] * MAX_DIM, "interval": [0.0, 2.0]})
+        assert A.dim == MAX_DIM
+        with pytest.raises(ConfigInvalid) as err:
+            operator_from_doc({"diagonal": [1.0] * (MAX_DIM + 1), "interval": [0.0, 2.0]})
+        assert str(err.value) == f"dimension {MAX_DIM + 1} exceeds the supported maximum {MAX_DIM}"
 
 
 # ---------------------------------------------------------------------------
