@@ -89,6 +89,9 @@ def read_number(value, what: str) -> float:
     return number
 
 
+_NUMBERS = {float, int}
+
+
 def read_numbers(values: list, what: str) -> np.ndarray:
     """Finite JSON numbers (not booleans) as a float64 array, read in one pass.
 
@@ -96,7 +99,7 @@ def read_numbers(values: list, what: str) -> np.ndarray:
     large for a double, or a non-finite number is read again item by item
     with ``read_number``, so the error names the first bad entry.
     """
-    if set(map(type, values)) <= {float, int}:
+    if set(map(type, values)) <= _NUMBERS:
         try:
             row = np.array(values, dtype=np.float64)
         except OverflowError:

@@ -34,8 +34,10 @@ __all__ = [
 ]
 
 
-# Sets of item types and lengths that mark a row of floats or of [re, im] pairs.
+# Sets of item types and lengths that mark a row of floats, of numbers or of
+# [re, im] pairs.
 _FLOATS = {float}
+_NUMBERS = {float, int}
 _LISTS = {list}
 _PAIRS = {2}
 
@@ -168,7 +170,7 @@ def _complex_row(values: list, what: str) -> np.ndarray:
     kinds = set(map(type, values))
     if kinds == _LISTS and set(map(len, values)) == _PAIRS:
         return read_numbers(list(chain.from_iterable(values)), what).view(np.complex128)
-    if kinds <= {float, int}:
+    if kinds <= _NUMBERS:
         try:
             return np.array(values, dtype=np.complex128)
         except OverflowError:
@@ -186,12 +188,13 @@ def _dimension(values: list) -> list:
 
 def _matrix(doc, what: str) -> np.ndarray:
     """A nonempty square list of at most MAX_DIM rows of numbers or [re, im]
-    pairs, each row read in one pass (``_complex_row``)."""
+    pairs, its entries read in one pass as one row (``_complex_row``)."""
     rows = read_list(doc, what)
     if not rows:
         raise ConfigInvalid(f"{what} must be a nonempty list of rows")
-    entries = [read_list(row, f"{what} row", len(rows)) for row in _dimension(rows)]
-    return np.array([_complex_row(row, f"{what} entry") for row in entries])
+    n = len(rows)
+    entries = [entry for row in _dimension(rows) for entry in read_list(row, f"{what} row", n)]
+    return _complex_row(entries, f"{what} entry").reshape(n, n)
 
 
 def operator_from_doc(doc) -> HermitianOperator:
