@@ -404,9 +404,8 @@ class TestOnePassReaders:
     @FUZZ
     @given(COMPLEX_ROWS)
     def test_states_match_per_entry_reading(self, values):
-        want = np.array(_per_entry_complex(values, "state component"), dtype=np.complex128)
         got = state_from_doc({"components": values}).components
-        assert _same_bits(np.asarray(got), want)
+        assert _same_bits(got, _per_entry_complex(values, "state component"))
 
     @FUZZ
     @given(SPECTRA)
