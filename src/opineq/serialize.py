@@ -34,10 +34,8 @@ __all__ = [
 ]
 
 
-# Sets of item types and lengths that mark a row of floats, of numbers or of
-# [re, im] pairs.
+# Sets of item types and lengths that mark a row of floats or of [re, im] pairs.
 _FLOATS = {float}
-_NUMBERS = {float, int}
 _LISTS = {list}
 _PAIRS = {2}
 
@@ -96,32 +94,25 @@ def _write_dict(obj: dict, out: list) -> None:
 
 
 def _write(obj, out: list) -> None:
-    kind = type(obj)
-    if kind is float:
+    # the kinds documents are made of first; a bool is an int, not a float
+    if isinstance(obj, float):
         out.append(_finite("%.17g" % obj))
-    elif kind is list or kind is tuple:
+    elif isinstance(obj, (list, tuple)):
         _write_list(obj, out)
-    elif kind is dict:
+    elif isinstance(obj, dict):
         _write_dict(obj, out)
-    elif kind is str:
+    elif isinstance(obj, str):
         out.append(_quoted(obj))
-    # everything else, numpy scalars and subclasses included, by its kind
     elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, str):
-        out.append(_quoted(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, np.floating):
         out.append(_finite("%.17g" % float(obj)))
-    elif isinstance(obj, dict):
-        _write_dict(obj, out)
-    elif isinstance(obj, (list, tuple)):
-        _write_list(obj, out)
     else:
         raise ConfigInvalid(f"cannot serialize a {type(obj).__name__}")
 
@@ -163,18 +154,11 @@ def _complex_row(values: list, what: str) -> np.ndarray:
     """Numbers or [re, im] pairs as a complex128 row.
 
     A row of pairs is read as the flat row of their parts and viewed as
-    complex; a row of numbers is read as reals.  Any other row, or one whose
-    numbers a double cannot hold, is read entry by entry, which raises the
-    entry's error.
+    complex.  Any other row is read entry by entry, which raises the entry's
+    error.
     """
-    kinds = set(map(type, values))
-    if kinds == _LISTS and set(map(len, values)) == _PAIRS:
+    if set(map(type, values)) == _LISTS and set(map(len, values)) == _PAIRS:
         return read_numbers(list(chain.from_iterable(values)), what).view(np.complex128)
-    if kinds <= _NUMBERS:
-        try:
-            return np.array(values, dtype=np.complex128)
-        except OverflowError:
-            pass
     return np.array([_complex_entry(v, what) for v in values], dtype=np.complex128)
 
 
@@ -220,8 +204,9 @@ def operator_from_doc(doc) -> HermitianOperator:
 
 
 def state_from_doc(doc) -> StateVector:
-    """A bare list of components, or ``{"components": [...]}``; the numbers or
-    [re, im] pairs are read in one pass (``_complex_row``)."""
+    """A bare list of components, or ``{"components": [...]}``; a list of
+    [re, im] pairs is read in one pass, bare numbers entry by entry
+    (``_complex_row``)."""
     if isinstance(doc, dict) and "components" in doc:
         doc = doc["components"]
     if not isinstance(doc, (list, tuple)) or not doc:
@@ -293,7 +278,7 @@ def _tuples_from_doc(doc) -> dict[str, list[float]]:
     if not isinstance(doc, dict) or "a" not in doc or "b" not in doc:
         raise ConfigInvalid("'tuples' must be an object with lists 'a' and 'b'")
     return {
-        key: read_numbers(read_list(doc[key], f"tuple {key!r}"), "tuple entry").tolist()
+        key: [read_number(v, "tuple entry") for v in read_list(doc[key], f"tuple {key!r}")]
         for key in ("a", "b")
     }
 
