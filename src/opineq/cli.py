@@ -25,7 +25,7 @@ from .functionals import VIOLATED
 from .functions import classify_monotonicity, classify_synchrony, function_from_descriptor
 from .functions import scan_tr_regions
 from .harness import config_from_doc, falsify, run_suite
-from .registry import expectation_failures, run_scenario
+from .registry import DROPPABLE, expectation_failures, run_scenario
 from .scenarios import SCENARIOS, coverage_gaps
 from .serialize import canonical_json, interval_from_doc, load_json, rows_to_csv, scenario_from_doc
 from .spectral import SpectralInterval, read_grid_n
@@ -307,11 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "falsify", help="search for counterexamples, optionally dropping a hypothesis"
     )
     p_falsify.add_argument("theorem", help="check id to attack")
-    p_falsify.add_argument(
-        "--drop",
-        choices=("synchrony", "spectral-containment", "normalization"),
-        default=None,
-    )
+    p_falsify.add_argument("--drop", choices=DROPPABLE, default=None)
     p_falsify.add_argument("--budget", type=int, default=100_000)
     p_falsify.add_argument("--seed", type=int)
     p_falsify.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))

@@ -48,7 +48,7 @@ from .spectral import (
     _shared_interval,
     block_diagonal,
 )
-from .tolerances import DEFAULT_GRID_N
+from .tolerances import DEFAULT_GRID_N, MAX_GRID_N
 
 __all__ = [
     "SUM_OF_SQUARES",
@@ -229,7 +229,8 @@ def similarly_ordered(
     a: Sequence[float], b: Sequence[float]
 ) -> tuple[bool, Optional[tuple[int, int]], float]:
     """Whether (a_i - a_j)(b_i - b_j) >= 0 for every pair: synchrony with h = 1
-    on the indices, certified as classify_synchrony certifies it.
+    on the indices, certified as classify_synchrony certifies it, on at most
+    MAX_GRID_N entries, the bound its grid has.
 
     Returns (ordered, witness pair or None, most negative pair product).
     """
@@ -237,6 +238,10 @@ def similarly_ordered(
     bv = np.asarray(b, dtype=np.float64)
     if av.shape != bv.shape or av.ndim != 1 or av.size == 0:
         raise ConfigInvalid("need two equal-length nonempty tuples")
+    if av.size > MAX_GRID_N:
+        raise ConfigInvalid(
+            f"a similarly-ordered certificate takes at most {MAX_GRID_N} entries, got {av.size}"
+        )
     v = _synchrony(np.arange(av.size), av, bv, np.ones_like(av))
     return v.classification == SYNCHRONOUS, v.witness_neg, v.min_product
 

@@ -57,6 +57,7 @@ from .registry import (
     DROP_CONTAINMENT,
     DROP_NORMALIZATION,
     DROP_SYNCHRONY,
+    DROPPABLE,
     ENSEMBLE,
     REGISTRY,
     REGISTRY_ORDER,
@@ -405,6 +406,15 @@ def _draw_functions(
     return {slot: functions[int(rng.integers(len(functions)))][1] for slot in entry.slots}
 
 
+# Measure inputs kind -> the blocks a suite trial draws (0: one to four), and
+# its inputs from their read pairs and the entry's ensemble mode.
+_DRAWS = {
+    SINGLE: (1, lambda pairs, mode: single_inputs(*pairs)),
+    TWO_OP: (2, lambda pairs, mode: two_inputs(*pairs)),
+    ENSEMBLE: (0, ensemble_inputs),
+}
+
+
 def _trial_parsed(
     entry: TheoremEntry, ctx: _SamplerCtx, rng: np.random.Generator
 ) -> tuple[dict, object]:
@@ -412,31 +422,21 @@ def _trial_parsed(
     its functions, and its inputs as the check reads them."""
     dmin, dmax = ctx.dim_range
     parsed: dict = {"theorem": entry.theorem_id, "grid_n": ctx.grid_n}
-    if entry.inputs_kind == SINGLE:
-        dim = int(rng.integers(dmin, dmax + 1))
-        parsed["functions"] = _draw_functions(entry, ctx, rng)
-        inputs = single_inputs(*_random_measures(rng, [dim], ctx.interval, joint=True))
-    elif entry.inputs_kind == TWO_OP:
-        dims = [int(rng.integers(dmin, dmax + 1)) for _ in range(2)]
-        parsed["functions"] = _draw_functions(entry, ctx, rng)
-        inputs = two_inputs(*_random_measures(rng, dims, ctx.interval, joint=False))
-    elif entry.inputs_kind == ENSEMBLE:
-        n = int(rng.integers(1, 5))
-        dims = [int(rng.integers(dmin, dmax + 1)) for _ in range(n)]
-        parsed["functions"] = _draw_functions(entry, ctx, rng)
-        joint = entry.ensemble_mode == SUM_OF_SQUARES
-        pairs = _random_measures(rng, dims, ctx.interval, joint)
-        inputs = ensemble_inputs(pairs, entry.ensemble_mode)
-    elif entry.inputs_kind == TUPLES:
+    if entry.inputs_kind == TUPLES:
         n = int(rng.integers(dmin, dmax + 1))
         lo, hi = ctx.interval.lo, ctx.interval.hi
         a = np.sort(rng.uniform(lo, hi, n))
         b = np.sort(rng.uniform(lo, hi, n))
         perm = rng.permutation(n)
-        inputs = (a[perm], b[perm])
-    else:  # pragma: no cover - registry enforces the kinds
-        raise ConfigInvalid(f"unknown inputs kind {entry.inputs_kind!r}")
-    return parsed, inputs
+        return parsed, (a[perm], b[perm])
+    blocks, build = _DRAWS[entry.inputs_kind]
+    n = blocks or int(rng.integers(1, 5))
+    dims = [int(rng.integers(dmin, dmax + 1)) for _ in range(n)]
+    parsed["functions"] = _draw_functions(entry, ctx, rng)
+    # one block's weights are the same drawn jointly or not
+    joint = entry.ensemble_mode == SUM_OF_SQUARES
+    pairs = _random_measures(rng, dims, ctx.interval, joint)
+    return parsed, build(pairs, entry.ensemble_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -802,9 +802,8 @@ def falsify(
     """
     entry = lookup(theorem_id)
     if drop is not None:
-        known = sorted(set().union(*(e.drops for e in REGISTRY_ORDER)))
-        if drop not in known:
-            raise ConfigInvalid(f"drop must be one of {known} or None, got {drop!r}")
+        if drop not in DROPPABLE:
+            raise ConfigInvalid(f"drop must be one of {sorted(DROPPABLE)} or None, got {drop!r}")
         if drop not in entry.drops:
             applicable = ", ".join(sorted(e.theorem_id for e in REGISTRY_ORDER if drop in e.drops))
             raise ConfigInvalid(

@@ -53,20 +53,14 @@ TWO_OP = "two_op"
 ENSEMBLE = "ensemble"
 TUPLES = "tuples"
 
-# Inputs kind -> the document keys a check of that kind requires ("tuples.a"
-# names a key inside one), and the reader that turns their parsed values into
-# what the check's core takes: ReadInputs, or the tuples (a, b) as they are.
+# Inputs kind -> the document keys a check of that kind requires, and the reader
+# that turns their parsed values into what the check's core takes: ReadInputs,
+# or the tuples (a, b) as they are.
 _INPUTS = {
-    SINGLE: ("operator", "state"),
-    TWO_OP: ("operator", "operator_b", "state", "state_b"),
-    ENSEMBLE: ("ensemble",),
-    TUPLES: ("tuples.a", "tuples.b"),
-}
-_READERS = {
-    SINGLE: read_pair,
-    TWO_OP: read_two,
-    ENSEMBLE: read_ensemble,
-    TUPLES: lambda a, b: (a, b),
+    SINGLE: (("operator", "state"), read_pair),
+    TWO_OP: (("operator", "operator_b", "state", "state_b"), read_two),
+    ENSEMBLE: (("ensemble",), read_ensemble),
+    TUPLES: (("tuples",), lambda tuples: (tuples["a"], tuples["b"])),
 }
 # Document keys every check accepts beside its inputs and forwarded keys.
 _UNIVERSAL = frozenset({"theorem", "name", "expect", "grid_n", "functions"})
@@ -74,6 +68,8 @@ _UNIVERSAL = frozenset({"theorem", "name", "expect", "grid_n", "functions"})
 DROP_SYNCHRONY = "synchrony"
 DROP_CONTAINMENT = "spectral-containment"
 DROP_NORMALIZATION = "normalization"
+# every hypothesis some check may drop, in the order `opineq falsify --drop` lists them
+DROPPABLE = (DROP_SYNCHRONY, DROP_CONTAINMENT, DROP_NORMALIZATION)
 
 CONVEXITY_NOTE = "stated for convex weight functions; convexity is unused and not enforced"
 
@@ -86,19 +82,23 @@ _INV = {"kind": "power", "p": -1.0}
 _EXP = {"kind": "exp"}
 _LOG = {"kind": "log"}
 
-# Document key -> checker keyword, per checker family.
-_SIGN_KEYS = {
-    "theorem": "theorem_id",
-    "direction": "direction",
-    "grid_n": "grid_n",
-    "gate_hypothesis": "gate_hypothesis",
-}
-_SQUARE_KEYS = {"theorem": "theorem_id", "grid_n": "grid_n"}
-_KANTOROVICH_KEYS = {"bound_interval": "bound_interval", "grid_n": "grid_n"}
-_CHAIN_KEYS = {
-    "per_op_intervals": "per_op_intervals",
-    "grid_n": "grid_n",
-    "gate_hypothesis": "gate",
+# Check core -> the document keys it reads beside its inputs, each with the
+# keyword it takes the key's value as.
+_CORE_KEYS = {
+    "_synchrony_bound": {
+        "theorem": "theorem_id",
+        "direction": "direction",
+        "grid_n": "grid_n",
+        "gate_hypothesis": "gate_hypothesis",
+    },
+    "_square_bound": {"theorem": "theorem_id", "grid_n": "grid_n"},
+    "_kantorovich_links": {"bound_interval": "bound_interval", "grid_n": "grid_n"},
+    "_chain_links": {
+        "per_op_intervals": "per_op_intervals",
+        "grid_n": "grid_n",
+        "gate_hypothesis": "gate",
+    },
+    "discrete_chebyshev": {"gate_hypothesis": "gate"},
 }
 
 
@@ -110,11 +110,13 @@ class TheoremEntry:
     ``run`` calls the check's core with the entry's ``sides``, the read inputs
     (for a summed check, its members' measures concatenated), then the
     function slots in f, g, h order (the document's free ``slots`` plus the
-    ``fixed`` ones), then every ``forwards`` key the document carries as the
-    keyword it maps to, then the constant ``options``; a tuples check takes
-    only the tuples and its keywords.  A chain core's ``link`` option picks
-    this entry's link, the only report it builds.  The remaining fields steer
-    sampling and ``falsify``.
+    ``fixed`` ones), then every document key its core reads (``forwards``,
+    set per core) as the keyword it maps to, then the constant ``options``; a
+    tuples check takes only the tuples and its keywords.  A check whose g is
+    fixed to its f is synchronous by construction, so its core skips the
+    certificate (the ``auto_hypothesis`` option).  A chain core's ``link``
+    option picks this entry's link, the only report it builds.  The remaining
+    fields steer sampling and ``falsify``.
     """
 
     theorem_id: str
@@ -130,7 +132,6 @@ class TheoremEntry:
     checker: str
     # slot -> the function it is fixed to, or the name of the slot it equals
     fixed: Mapping[str, Union[ScalarFunction, str]]
-    forwards: Mapping[str, str]
     options: Mapping[str, object]
     # hypotheses a falsify search may drop
     drops: frozenset[str]
@@ -148,20 +149,25 @@ class TheoremEntry:
     def __post_init__(self) -> None:
         # Derived once, for run: each function slot in f, g, h order with what
         # fills it (None: the document; an int: the argument at that index; else
-        # the fixed function), and each required input split at its dot.
+        # the fixed function).
         filled = [s for s in ("f", "g", "h") if s in self.slots or s in self.fixed]
         plan = []
         for slot in filled:
             fixed = self.fixed.get(slot)
             plan.append((slot, filled.index(fixed) if isinstance(fixed, str) else fixed))
         object.__setattr__(self, "_slot_plan", tuple(plan))
-        inputs = tuple(k.partition(".")[::2] for k in _INPUTS[self.inputs_kind])
-        object.__setattr__(self, "_input_plan", inputs)
+        if self.fixed.get("g") == "f":
+            object.__setattr__(self, "options", {**self.options, "auto_hypothesis": True})
 
     @property
     def hull(self) -> bool:
         """Whether hypotheses are certified on the hull of the interval and its inverse."""
         return bool(self.options.get("hull"))
+
+    @property
+    def forwards(self) -> Mapping[str, str]:
+        """The document keys the check's core reads, each mapped to its keyword."""
+        return _CORE_KEYS[self.checker]
 
     def functions(self, given: Mapping[str, ScalarFunction]) -> list[ScalarFunction]:
         """The checker's function arguments in f, g, h order: the free slots
@@ -182,13 +188,14 @@ class TheoremEntry:
     def read(self, parsed: dict):
         """What the check's core takes of a parsed scenario's inputs: the one
         reader from its operator, state or ensemble keys to ReadInputs."""
+        keys, reader = _INPUTS[self.inputs_kind]
         values = []
-        for name, part in self._input_plan:
-            value = parsed.get(name)
+        for key in keys:
+            value = parsed.get(key)
             if value is None:
-                raise ConfigInvalid(f"{self.theorem_id} scenario needs '{name}'")
-            values.append(value[part] if part else value)
-        return _READERS[self.inputs_kind](*values)
+                raise ConfigInvalid(f"{self.theorem_id} scenario needs '{key}'")
+            values.append(value)
+        return reader(*values)
 
     def run(self, parsed: dict, inputs, *, tol_factor: float = 1.0) -> InequalityReport:
         """Run one scenario or sampled trial through the check's core: ``inputs``
@@ -216,31 +223,24 @@ def _entries() -> tuple[TheoremEntry, ...]:
         needs_positive=False,
         checker="_synchrony_bound",
         fixed={},
-        forwards=_SIGN_KEYS,
         options={},
         drops=frozenset({DROP_SYNCHRONY}),
         sync_pool=((_ONE, _ID, _SQRT), (_ID, _INV, _ONE), (_ID, _INV, _SQRT)),
         sides=_sign_sides,
         members=1,
     )
-    square_case = dict(forwards=_SQUARE_KEYS, drops=frozenset(), sides=_square_sides)
+    square_case = dict(drops=frozenset(), sides=_square_sides)
     square = dict(sign, checker="_square_bound", **square_case)
     kantorovich = dict(
         sign,
         needs_positive=True,
         checker="_kantorovich_links",
-        forwards=_KANTOROVICH_KEYS,
         drops=frozenset(),
         sides=_kantorovich_sides,
     )
     # mean-point bounds add the reversal note to their "<=" form
     mean_point = dict(sign, options={"notes": ()}, sides=_mean_point_sides)
-    mean_point_square = dict(
-        mean_point,
-        fixed={"g": "f"},
-        options={"notes": (), "auto_hypothesis": True},
-        drops=frozenset(),
-    )
+    mean_point_square = dict(mean_point, fixed={"g": "f"}, drops=frozenset())
     inverse_pair = dict(
         sign,
         needs_positive=True,
@@ -250,18 +250,12 @@ def _entries() -> tuple[TheoremEntry, ...]:
     ensemble = dict(sign, inputs_kind=ENSEMBLE, ensemble_mode=SUM_OF_SQUARES, members=2)
     ensemble_square = dict(ensemble, checker="_square_bound", **square_case)
     ensemble_mean = dict(ensemble, options={"notes": ()}, sides=_mean_point_sides)
-    ensemble_mean_square = dict(
-        ensemble_mean,
-        fixed={"g": "f"},
-        options={"notes": (), "auto_hypothesis": True},
-        drops=frozenset(),
-    )
+    ensemble_mean_square = dict(ensemble_mean, fixed={"g": "f"}, drops=frozenset())
     chain = dict(
         ensemble,
         ensemble_mode=PER_VECTOR,
         needs_positive=True,
         checker="_chain_links",
-        forwards=_CHAIN_KEYS,
         drops=frozenset(),
         sides=_chain_sides,
     )
@@ -357,7 +351,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
             summary="inverse-pair bound in its always-valid square case",
             slots=("f", "h"),
             fixed={"g": "f"},
-            options={"hull": True, "auto_hypothesis": True},
             drops=frozenset(),
         ),
         dict(
@@ -390,7 +383,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
             theorem_id="ensemble-mean-point-square",
             summary="summed mean-point bound in its square case",
             slots=("f", "h"),
-            options={"notes": (CONVEXITY_NOTE,), "auto_hypothesis": True},
+            options={"notes": (CONVEXITY_NOTE,)},
         ),
         dict(
             ensemble_mean_square,
@@ -431,7 +424,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
             inputs_kind=TUPLES,
             slots=(),
             checker="discrete_chebyshev",
-            forwards={"gate_hypothesis": "gate"},
             sides=_chebyshev_sides,
             members=2,
         ),
@@ -471,7 +463,7 @@ def run_scenario(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
         )
     # a field the check does not read may appear only at the value it uses anyway:
     # gate_hypothesis at true, direction at the one it reports (as its inputs document)
-    takes = _UNIVERSAL | {name for name, _ in entry._input_plan} | set(entry.forwards)
+    takes = _UNIVERSAL | set(_INPUTS[entry.inputs_kind][0]) | set(entry.forwards)
     unread = sorted(
         key
         for key, value in parsed.items()

@@ -139,7 +139,7 @@ def load_json(text: str):
 
 def _complex_entry(value, what: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
+        return complex(read_number(value, what), 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(read_number(value[0], what), read_number(value[1], what))
     raise ConfigInvalid(f"{what} must be a number or an [re, im] pair, got {value!r}")
@@ -163,8 +163,8 @@ def _complex_row(values: list, what: str) -> np.ndarray:
 
 
 def _dimension(values: list) -> list:
-    """The entries of an operator's rows or spectrum, refused before any is read
-    when there are more than MAX_DIM of them."""
+    """The entries of an operator's rows or spectrum, or a state's components,
+    refused before any is read when there are more than MAX_DIM of them."""
     if len(values) > MAX_DIM:
         raise ConfigInvalid(f"dimension {len(values)} exceeds the supported maximum {MAX_DIM}")
     return values
@@ -204,14 +204,14 @@ def operator_from_doc(doc) -> HermitianOperator:
 
 
 def state_from_doc(doc) -> StateVector:
-    """A bare list of components, or ``{"components": [...]}``; a list of
-    [re, im] pairs is read in one pass, bare numbers entry by entry
+    """A bare list of at most MAX_DIM components, or ``{"components": [...]}``;
+    a list of [re, im] pairs is read in one pass, bare numbers entry by entry
     (``_complex_row``)."""
     if isinstance(doc, dict) and "components" in doc:
         doc = doc["components"]
     if not isinstance(doc, (list, tuple)) or not doc:
         raise ConfigInvalid("state document needs a nonempty 'components' list")
-    return StateVector(_complex_row(doc, "state component"))
+    return StateVector(_complex_row(_dimension(doc), "state component"))
 
 
 def ensemble_from_doc(doc) -> OperatorEnsemble:

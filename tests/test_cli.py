@@ -8,6 +8,7 @@ import pytest
 
 from opineq import SCENARIOS, SCENARIOS_BY_NAME, canonical_json, load_json
 from opineq.cli import main
+from opineq.tolerances import MAX_GRID_N
 
 CHECK_DOC = {
     "theorem": "pc-sign",
@@ -243,6 +244,43 @@ class TestCheck:
         code = main(["check", _write(tmp_path, "s.json", doc)])
         assert code == 2
         assert "grid_n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"state": [10**400, 0.0]},
+            {"operator": {"matrix": [[10**400, 0.0], [0.0, 1.0]], "interval": [1.0, 2.0]}},
+        ],
+        ids=["state", "matrix"],
+    )
+    def test_bare_number_too_large_for_a_double_exits_two(self, tmp_path, capsys, field):
+        # a 401-digit integer: float() of it raises OverflowError
+        doc = {**CHECK_DOC, **field}
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "must be finite, got 1000" in err
+
+    def test_missing_function_exits_two(self, tmp_path, capsys):
+        functions = {"f": {"kind": "identity"}, "h": {"kind": "constant", "c": 1.0}}
+        doc = {**CHECK_DOC, "functions": functions}
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: pc-sign scenario needs function 'g'\n"
+
+    @pytest.mark.parametrize("doc", ["tuples", "ensemble"])
+    def test_similarly_ordered_points_are_bounded(self, tmp_path, capsys, doc):
+        n = MAX_GRID_N + 1
+        if doc == "tuples":
+            doc = {"theorem": "discrete-chebyshev", "tuples": {"a": [1.0] * n, "b": [2.0] * n}}
+        else:
+            op = {"diagonal": [1.5], "interval": [1.0, 2.0]}
+            members = {"operators": [op] * n, "states": [[1.0]] * n, "normalization": "per_vector"}
+            doc = {"theorem": "ensemble-chebyshev-link", "ensemble": members}
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        assert code == 2
+        message = f"takes at most {MAX_GRID_N} entries, got {n}\n"
+        assert capsys.readouterr().err.endswith(message)
 
     def test_field_at_the_value_the_check_uses_is_accepted(self, tmp_path, capsys):
         doc = {**SCENARIOS_BY_NAME["pc-square/equal"], "direction": "<=", "gate_hypothesis": True}

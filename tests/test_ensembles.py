@@ -15,6 +15,7 @@ from opineq import (
     HYPOTHESIS_NOT_MET,
     HermitianOperator,
     IntervalMismatch,
+    MAX_GRID_N,
     NonPositiveSpectrum,
     NormalizationViolation,
     NotSimilarlyOrdered,
@@ -231,6 +232,16 @@ class TestSimilarlyOrdered:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigInvalid):
             similarly_ordered((1.0, 2.0), (1.0,))
+
+    def test_points_are_bounded_as_a_grid_is(self):
+        r = discrete_chebyshev([1.0] * MAX_GRID_N, [2.0] * MAX_GRID_N)
+        assert r.verdict == HOLDS
+        n = MAX_GRID_N + 1
+        with pytest.raises(ConfigInvalid) as err:
+            similarly_ordered(np.arange(n), np.arange(n))
+        assert str(err.value) == (
+            f"a similarly-ordered certificate takes at most {MAX_GRID_N} entries, got {n}"
+        )
 
 
 class TestDiscreteChebyshev:

@@ -11,10 +11,12 @@ from opineq import (
     MAX_GRID_N,
     PER_VECTOR,
     REGISTRY_ORDER,
+    SCENARIOS_BY_NAME,
     SUM_OF_SQUARES,
     SpectralInterval,
     TOL_NORM,
     TOL_UNITARY,
+    TheoremTally,
     TrialConfig,
     UnknownTheorem,
     VIOLATION_FACTOR,
@@ -48,7 +50,7 @@ from opineq.harness import (
     _search_functions,
     _valid_entries,
 )
-from opineq.registry import lookup
+from opineq.registry import DROPPABLE, lookup
 from opineq.tolerances import MAX_BUDGET, MAX_TRIALS
 
 IV12 = SpectralInterval(1.0, 2.0)
@@ -337,6 +339,14 @@ class TestTrialConfig:
         assert again == cfg
         assert canonical_json(again.to_doc()) == canonical_json(cfg.to_doc())
 
+    def test_doc_round_trip_with_a_triple_pool(self):
+        cfg = TrialConfig(seed=5, trials=3, triple_pool=(SYNC_TRIPLE_POOL[0], ASYNC_TRIPLE_POOL[0]))
+        doc = cfg.to_doc()
+        assert doc["triple_pool"] == [list(SYNC_TRIPLE_POOL[0]), list(ASYNC_TRIPLE_POOL[0])]
+        again = config_from_doc(load_json(canonical_json(doc)))
+        assert again == cfg
+        assert canonical_json(again.to_doc()) == canonical_json(doc)
+
     def test_config_doc_accepts_comma_separated_theorems(self):
         cfg = config_from_doc({"theorems": "pc-sign, pc-square"})
         assert cfg.theorem_ids == ("pc-sign", "pc-square")
@@ -355,6 +365,22 @@ def _small_config(**overrides):
     kwargs = dict(seed=3, trials=8, dim_range=(1, 4))
     kwargs.update(overrides)
     return TrialConfig(**kwargs)
+
+
+class TestTheoremTally:
+    def test_a_violated_report_is_counted_and_kept_as_the_worst(self):
+        def report(name):
+            return run_scenario(scenario_from_doc(SCENARIOS_BY_NAME[name]))
+
+        holds = report("pc-square/equal")
+        violated = report("ensemble-product-lower/counterexample")
+        assert (holds.verdict, violated.verdict) == (HOLDS, "violated")
+        tally = TheoremTally()
+        for trial, r in enumerate([holds, violated, holds]):
+            tally.record(trial, r)
+        assert (tally.holds, tally.violated, tally.hypothesis_not_met) == (2, 1, 0)
+        assert (tally.worst_gap, tally.worst_trial) == (violated.gap, 1)
+        assert tally.to_doc()["violated"] == 1
 
 
 class TestRunSuite:
@@ -488,6 +514,12 @@ class TestFalsify:
     def test_unknown_drop_rejected(self):
         with pytest.raises(ConfigInvalid):
             falsify("pc-sign", "unitarity", budget=10)
+
+    def test_droppable_hypotheses_are_those_some_check_drops(self):
+        assert set().union(*(e.drops for e in REGISTRY_ORDER)) == set(DROPPABLE)
+        with pytest.raises(ConfigInvalid) as err:
+            falsify("pc-sign", "unitarity", budget=10)
+        assert str(err.value).startswith(f"drop must be one of {sorted(DROPPABLE)}")
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -297,6 +297,18 @@ class TestOperatorFromDoc:
         with pytest.raises(ConfigInvalid):
             operator_from_doc({"interval": [1.0, 2.0]})
 
+    def test_matrix_without_rows_rejected(self):
+        with pytest.raises(ConfigInvalid) as err:
+            operator_from_doc({"matrix": [], "interval": [1.0, 2.0]})
+        assert str(err.value) == "matrix must be a nonempty list of rows"
+
+    def test_square_eigenvectors_of_another_size_rejected(self):
+        with pytest.raises(ConfigInvalid) as err:
+            operator_from_doc(
+                {"eigenvalues": [1.0, 2.0], "eigenvectors": [[1.0]], "interval": [1.0, 2.0]}
+            )
+        assert str(err.value) == "'eigenvectors' must list one row per eigenvalue"
+
     def test_eigenvector_row_count_checked(self):
         with pytest.raises(ConfigInvalid):
             operator_from_doc(
@@ -501,7 +513,9 @@ PAIR_ROW_2 = [[0.5, 0.0], [0.0, 0.0]]
         ("state", [[1.0]], "state component must be a number or an [re, im] pair, got [1.0]"),
         ("state", [True, 0.0], "state component must be a number or an [re, im] pair, got True"),
         ("state", ["1", 0.0], "state component must be a number or an [re, im] pair, got '1'"),
-        ("state", [math.nan, 1.0], "state components must be finite"),
+        ("state", [math.nan, 1.0], "state component must be finite, got nan"),
+        ("state", [BIG, 0.0], f"state component must be finite, got {BIG!r}"),
+        ("matrix", [[BIG, 0.0], [0.0, 0.5]], f"matrix entry must be finite, got {BIG!r}"),
     ],
 )
 def test_malformed_entries_keep_their_messages(read, entries, message):
@@ -553,6 +567,29 @@ class TestDimensionBound:
         with pytest.raises(ConfigInvalid) as err:
             serialize._matrix(rows, "eigenvectors")
         assert str(err.value) == f"dimension {OVERSIZE} exceeds the supported maximum {MAX_DIM}"
+
+    @pytest.mark.parametrize("wrap", [list, lambda c: {"components": c}], ids=["bare", "components"])
+    def test_oversized_state_is_refused_before_any_entry_is_read(self, monkeypatch, wrap):
+        self._refuse_entry_reads(monkeypatch)
+        with pytest.raises(ConfigInvalid) as err:
+            state_from_doc(wrap([1.0] * OVERSIZE))
+        assert str(err.value) == f"dimension {OVERSIZE} exceeds the supported maximum {MAX_DIM}"
+
+    def test_oversized_ensemble_state_is_refused(self):
+        doc = {
+            "operators": [{"diagonal": [1.0], "interval": [0.0, 2.0]}],
+            "states": [["x"] * OVERSIZE],
+            "normalization": "per_vector",
+        }
+        with pytest.raises(ConfigInvalid) as err:
+            ensemble_from_doc(doc)
+        assert str(err.value) == f"dimension {OVERSIZE} exceeds the supported maximum {MAX_DIM}"
+
+    def test_the_largest_supported_state_is_read(self):
+        assert state_from_doc([0.25] * MAX_DIM).dim == MAX_DIM
+        with pytest.raises(ConfigInvalid) as err:
+            state_from_doc([0.25] * (MAX_DIM + 1))
+        assert str(err.value) == f"dimension {MAX_DIM + 1} exceeds the supported maximum {MAX_DIM}"
 
     def test_the_largest_supported_operator_is_read(self):
         A = operator_from_doc({"diagonal": [1.0] * MAX_DIM, "interval": [0.0, 2.0]})
@@ -652,6 +689,11 @@ class TestScenarioFromDoc:
             scenario_from_doc(_scenario_doc(expect={"margin": 1.0}))
         with pytest.raises(ConfigInvalid):
             scenario_from_doc(_scenario_doc(expect={"gap": "big"}))
+
+    def test_expect_must_be_an_object(self):
+        with pytest.raises(ConfigInvalid) as err:
+            scenario_from_doc(_scenario_doc(expect=["holds"]))
+        assert str(err.value) == "'expect' must be an object"
 
     def test_tuples_block(self):
         parsed = scenario_from_doc(
