@@ -9,7 +9,6 @@ on the report as data.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable, NamedTuple, Optional
 
@@ -36,7 +35,7 @@ from .spectral import (
     expectation_product,
     require_unit_norm,
 )
-from .tolerances import DEFAULT_GRID_N, MAX_DIM, tol_ineq
+from .tolerances import DEFAULT_GRID_N, tol_ineq
 
 __all__ = [
     "HOLDS",
@@ -161,20 +160,18 @@ def _pairs(z: np.ndarray) -> list:
     return z.view(np.float64).reshape(*z.shape, 2).tolist()
 
 
-@functools.lru_cache(maxsize=MAX_DIM)
-def _identity_pairs(d: int) -> np.ndarray:
-    """The d x d identity as _pairs writes it, read-only, kept per dimension."""
-    pairs = np.eye(d, dtype=np.complex128).view(np.float64).reshape(d, d, 2)
-    pairs.setflags(write=False)
-    return pairs
-
-
 def _operator_doc(A: HermitianOperator) -> dict:
+    """A's document: its diagonal when A is diag(eigenvalues) on the standard
+    basis, else its eigenvalues and eigenvectors.  A diagonal given out of order
+    keeps its permuted basis, which a re-read sorted diagonal would not give."""
+    interval = [A.interval.lo, A.interval.hi]
+    if A.standard_basis:
+        return {"diagonal": A.eigenvalues.tolist(), "interval": interval}
     return {
         "dim": A.dim,
         "eigenvalues": A.eigenvalues.tolist(),
         "eigenvectors": _pairs(A.eigenvectors),
-        "interval": [A.interval.lo, A.interval.hi],
+        "interval": interval,
     }
 
 
@@ -212,15 +209,10 @@ class ReadPair(NamedTuple):
     def diagonal(atoms, components: np.ndarray, interval: SpectralInterval) -> "ReadPair":
         """(diag(atoms), x) for the real state ``components``, read with neither
         built: diagonal_measure's rules and weights, and the documents that
-        HermitianOperator.diagonal and StateVector would write."""
+        HermitianOperator.diagonal and StateVector would write of the sorted atoms
+        and the components in their order."""
         mu, c = diagonal_measure(atoms, components, interval)
-        operator = {
-            "dim": c.size,
-            "eigenvalues": mu.atoms.tolist(),
-            # the atoms are sorted with their components, so the basis is the identity
-            "eigenvectors": _identity_pairs(c.size).tolist(),
-            "interval": [interval.lo, interval.hi],
-        }
+        operator = {"diagonal": mu.atoms.tolist(), "interval": [interval.lo, interval.hi]}
         state = {"components": [[v, 0.0] for v in c.tolist()]}
         # StateVector's norm: numpy's sqrt(x.x) of a real vector
         return ReadPair(mu, interval, math.sqrt(c @ c), operator, state)

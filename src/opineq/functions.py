@@ -391,6 +391,14 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_pair_indices, kept only for up to DEFAULT_GRID_N points: the pairs of
+    MAX_GRID_N points take about 8 MB."""
+    if n <= DEFAULT_GRID_N:
+        return _pair_indices(n)
+    return _pair_indices.__wrapped__(n)
+
+
 @_quiet
 def _grid_values(pts: np.ndarray, *fns: ScalarFunction) -> list[np.ndarray]:
     return [fn.evaluate(pts) for fn in fns]
@@ -402,7 +410,7 @@ def _certify(verdict: type, pts: np.ndarray, pair_values: Callable):
     or MIXED, with the points of the pairs where the extremes occur.  The
     tolerance is set by the largest finite value, as an overflowing one carries
     no scale; a NaN value has no sign."""
-    i, j = _pair_indices(pts.size)
+    i, j = _index_pairs(pts.size)
     if i.size == 0:
         return verdict(verdict.signs[0], 0.0, 0.0, None, None, int(pts.size), tol_sync(0.0))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -214,6 +214,17 @@ def state_from_doc(doc) -> StateVector:
     return StateVector(_complex_row(_dimension(doc), "state component"))
 
 
+def _members(doc, what: str) -> list:
+    """An ensemble's operators or states, refused before any is read when there
+    are more than MAX_DIM of them."""
+    members = read_list(doc, what)
+    if len(members) > MAX_DIM:
+        raise ConfigInvalid(
+            f"{what} has {len(members)} members, more than the supported maximum {MAX_DIM}"
+        )
+    return members
+
+
 def ensemble_from_doc(doc) -> OperatorEnsemble:
     if not isinstance(doc, dict):
         raise ConfigInvalid("ensemble document must be an object")
@@ -223,9 +234,11 @@ def ensemble_from_doc(doc) -> OperatorEnsemble:
         normalization = doc["normalization"]
     except KeyError as exc:
         raise ConfigInvalid(f"ensemble document needs {exc.args[0]!r}") from None
+    operators = _members(operators, "ensemble 'operators'")
+    states = _members(states, "ensemble 'states'")
     return OperatorEnsemble(
-        tuple(operator_from_doc(d) for d in read_list(operators, "ensemble 'operators'")),
-        tuple(state_from_doc(d) for d in read_list(states, "ensemble 'states'")),
+        tuple(operator_from_doc(d) for d in operators),
+        tuple(state_from_doc(d) for d in states),
         normalization,
     )
 

@@ -245,12 +245,15 @@ class HermitianOperator:
 
     Eigenvalues are clamped into the declared interval when they stray by at
     most TOL_SPEC; anything further out is rejected.  ``eigenvectors=None``
-    stands for the standard basis, as ``diagonal`` passes it.
+    stands for the standard basis, as ``diagonal`` passes it; ``standard_basis``
+    says that the basis is the standard basis itself, not a permutation of it:
+    the diagonal already ascended.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
     interval: SpectralInterval
+    standard_basis: bool = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         lam = _spectrum_array(self.eigenvalues)
@@ -276,6 +279,7 @@ class HermitianOperator:
         vec.setflags(write=False)
         object.__setattr__(self, "eigenvalues", _contained(lam, self.interval))
         object.__setattr__(self, "eigenvectors", vec)
+        object.__setattr__(self, "standard_basis", standard and order is None)
 
     @property
     def dim(self) -> int:

@@ -8,7 +8,7 @@ import pytest
 
 from opineq import SCENARIOS, SCENARIOS_BY_NAME, canonical_json, load_json
 from opineq.cli import main
-from opineq.tolerances import MAX_GRID_N
+from opineq.tolerances import MAX_DIM, MAX_GRID_N
 
 CHECK_DOC = {
     "theorem": "pc-sign",
@@ -273,13 +273,15 @@ class TestCheck:
         n = MAX_GRID_N + 1
         if doc == "tuples":
             doc = {"theorem": "discrete-chebyshev", "tuples": {"a": [1.0] * n, "b": [2.0] * n}}
+            message = f"takes at most {MAX_GRID_N} entries, got {n}\n"
         else:
             op = {"diagonal": [1.5], "interval": [1.0, 2.0]}
             members = {"operators": [op] * n, "states": [[1.0]] * n, "normalization": "per_vector"}
             doc = {"theorem": "ensemble-chebyshev-link", "ensemble": members}
+            # an ensemble document holds at most MAX_DIM members, far fewer than the certificate takes
+            message = f"has {n} members, more than the supported maximum {MAX_DIM}\n"
         code = main(["check", _write(tmp_path, "s.json", doc)])
         assert code == 2
-        message = f"takes at most {MAX_GRID_N} entries, got {n}\n"
         assert capsys.readouterr().err.endswith(message)
 
     def test_field_at_the_value_the_check_uses_is_accepted(self, tmp_path, capsys):

@@ -12,16 +12,25 @@ import pytest
 
 from opineq.cli import main
 from opineq.errors import OpineqError
-from opineq.harness import falsify
+from opineq.harness import TrialConfig, falsify, run_suite
 from opineq.registry import REGISTRY_ORDER
 from opineq.serialize import canonical_json
 from opineq.spectral import SpectralInterval
 
 SUITE_DIGESTS = {
-    "stdout": "f03a52d048c11a8f398957c0b79ff4c4d85067facc266ab9f30932cbd8de1822",
-    "summary.json": "f03a52d048c11a8f398957c0b79ff4c4d85067facc266ab9f30932cbd8de1822",
+    "stdout": "2160779c2f6604eda2c3e7343056de6591fdc7c2eafc20485d0178ad12837dfc",
+    "summary.json": "2160779c2f6604eda2c3e7343056de6591fdc7c2eafc20485d0178ad12837dfc",
     "summary.csv": "95bf9291cea48b64f5d8b5535762c14e5b53005db1cd3d3916d6fdeb9437f5a8",
-    "reports.jsonl": "8caf238cb1f76198c7a968eb263ef57bfc2d0dc13d42dfc4c6583e91342c7374",
+    "reports.jsonl": "b0f82613dd9ffdf7e9fd0ce55c33f5f3ad91389c0d3a3c9c04190566c4df101a",
+}
+
+# `opineq check` of the first document `suite --seed 7` writes for one check id
+# of each kind of inputs
+SUITE_DOCUMENT_CHECK_DIGESTS = {
+    "pc-sign": "25678231a03ed5102cf4b264fd567f0a1dece022309cb57b91e077e72c41a4e4",
+    "pc-two-op": "f0ef85acd37a624533ea2bb6a274198734879df7e87ca5f572f094c78fef406f",
+    "ensemble-product-lower": "a794209ce62026c8711b81e8eae7653607573baf0f5961446cdd713fa534b6bb",
+    "discrete-chebyshev": "5b576198b904cbbbe1dc3478e8f3c86e64eb5bfc96ae04482877e6862ba83a08",
 }
 
 PINNED_DIGEST = "6e20578f43b432e4a77bf1e77d20e8b1c0b8c71c49d3a4010afee283bc4d4e0f"
@@ -61,6 +70,16 @@ def test_suite_outputs_are_pinned(tmp_path, capsys):
     for name in ("summary.json", "summary.csv", "reports.jsonl"):
         got[name] = _sha((tmp_path / name).read_text(encoding="utf-8"))
     assert got == SUITE_DIGESTS
+
+
+@pytest.mark.parametrize("theorem", list(SUITE_DOCUMENT_CHECK_DIGESTS))
+def test_check_of_a_suite_document_is_pinned(tmp_path, capsys, theorem):
+    reports = []
+    config = TrialConfig(seed=7, trials=1, theorem_ids=(theorem,))
+    run_suite(config, on_report=lambda _tid, _trial, report: reports.append(report))
+    path = tmp_path / "inputs.json"
+    path.write_text(canonical_json(reports[0].inputs_digest), encoding="utf-8")
+    assert _sha(_stdout(capsys, ["check", str(path)])) == SUITE_DOCUMENT_CHECK_DIGESTS[theorem]
 
 
 def test_pinned_output_is_pinned(capsys):

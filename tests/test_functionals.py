@@ -151,11 +151,24 @@ def test_document_writers_match_the_elementwise_form(dim):
     comps = random_state(rng, dim).components.copy()
     comps[0] = complex(-0.0, 0.0)
     states = [StateVector(comps), StateVector(np.abs(comps.real)), StateVector(-comps)]
-    for op in (A, dense, negated, HermitianOperator.diagonal(A.eigenvalues[::-1], A.interval)):
+    ascending = HermitianOperator.diagonal(A.eigenvalues, A.interval)
+    descending = HermitianOperator.diagonal(A.eigenvalues[::-1], A.interval)
+    # an explicit identity basis is a basis given, not the standard basis
+    given_identity = HermitianOperator(A.eigenvalues, np.eye(dim), A.interval)
+    eigenpairs = [A, dense, negated, given_identity] + ([descending] if dim > 1 else [])
+    for op in eigenpairs:
+        assert not op.standard_basis
         expected = {
             "dim": dim,
             "eigenvalues": [float(v) for v in op.eigenvalues],
             "eigenvectors": _pair_lists(op.eigenvectors),
+            "interval": [op.interval.lo, op.interval.hi],
+        }
+        assert _hex(_operator_doc(op)) == _hex(expected)
+    for op in [ascending] + ([] if dim > 1 else [descending]):
+        assert op.standard_basis
+        expected = {
+            "diagonal": [float(v) for v in A.eigenvalues],
             "interval": [op.interval.lo, op.interval.hi],
         }
         assert _hex(_operator_doc(op)) == _hex(expected)

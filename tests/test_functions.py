@@ -44,7 +44,7 @@ from opineq import (
     tol_sync,
 )
 from opineq import functions as functions_module
-from opineq.tolerances import CERTIFY_MEMO_SIZE
+from opineq.tolerances import CERTIFY_MEMO_SIZE, DEFAULT_GRID_N, MAX_GRID_N
 
 IV12 = SpectralInterval(1.0, 2.0)
 
@@ -626,6 +626,18 @@ class TestPairIndexCache:
             functions_module._pair_indices(n)
         info = functions_module._pair_indices.cache_info()
         assert info.currsize <= info.maxsize <= 16
+
+    def test_only_sizes_up_to_the_default_grid_are_kept(self):
+        functions_module._pair_indices.cache_clear()
+        for n in range(MAX_GRID_N - 7, MAX_GRID_N + 1):
+            ordered, _, _ = similarly_ordered(np.arange(n, dtype=float), np.ones(n))
+            assert ordered
+        assert functions_module._pair_indices.cache_info().currsize == 0
+        for _ in range(2):
+            classify_synchrony.cache_clear()
+            classify_synchrony(power(2.0), power(3.0), identity(), IV12, DEFAULT_GRID_N)
+        info = functions_module._pair_indices.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_domain_violation_is_raised_on_every_call(self, cold_memo):
         around_zero = SpectralInterval(-1.0, 1.0)

@@ -28,7 +28,10 @@ from opineq import (
     constant,
     exp_fn,
     identity,
+    load_json,
     power,
+    run_scenario,
+    run_suite,
     scenario_from_doc,
     trial_rng,
 )
@@ -99,6 +102,22 @@ def test_every_drawn_input_reads_back_from_its_document(entry):
         assert drawn.interval == read.interval
         assert drawn.normalization == read.normalization
         assert canonical_json(drawn.body) == canonical_json(read.body)
+
+
+@pytest.mark.parametrize("entry", REGISTRY_ORDER, ids=lambda e: e.theorem_id)
+def test_a_suite_document_replays_to_itself(entry):
+    """A trial's inputs document writes its operators as diagonals, and replaying
+    it gives the trial's gap and verdict and writes the document back unchanged."""
+    reports = []
+    config = TrialConfig(seed=11, trials=6, dim_range=(1, 6), theorem_ids=(entry.theorem_id,))
+    run_suite(config, on_report=lambda _tid, _trial, report: reports.append(report))
+    assert len(reports) == 6
+    for report in reports:
+        text = canonical_json(report.inputs_digest)
+        assert '"eigenvectors"' not in text
+        replayed = run_scenario(scenario_from_doc(load_json(text)))
+        assert (replayed.gap, replayed.verdict) == (report.gap, report.verdict)
+        assert canonical_json(replayed.inputs_digest) == text
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +254,5 @@ def test_suite_trials_draw_no_operator_or_state(monkeypatch):
 
     monkeypatch.setattr(HermitianOperator, "__post_init__", refuse)
     monkeypatch.setattr(StateVector, "__post_init__", refuse)
-    from opineq import run_suite
-
     summary = run_suite(TrialConfig(seed=3, trials=3))
     assert sum(summary.totals().values()) == 3 * len(REGISTRY_ORDER)

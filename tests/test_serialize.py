@@ -585,6 +585,35 @@ class TestDimensionBound:
             ensemble_from_doc(doc)
         assert str(err.value) == f"dimension {OVERSIZE} exceeds the supported maximum {MAX_DIM}"
 
+    @staticmethod
+    def _ensemble(operators: int, states: int) -> dict:
+        return {
+            "operators": [{"diagonal": [1.5], "interval": [1.0, 2.0]}] * operators,
+            "states": [[1.0]] * states,
+            "normalization": "per_vector",
+        }
+
+    @pytest.mark.parametrize("operators, states", [(MAX_DIM + 1, MAX_DIM), (MAX_DIM, MAX_DIM + 1)],
+                             ids=["operators", "states"])
+    def test_oversized_ensemble_is_refused_before_any_member_is_read(
+        self, monkeypatch, operators, states
+    ):
+        def unread(_doc):
+            raise AssertionError("a member was read")
+
+        monkeypatch.setattr(serialize, "operator_from_doc", unread)
+        monkeypatch.setattr(serialize, "state_from_doc", unread)
+        what = "operators" if operators > MAX_DIM else "states"
+        with pytest.raises(ConfigInvalid) as err:
+            ensemble_from_doc(self._ensemble(operators, states))
+        assert str(err.value) == (
+            f"ensemble '{what}' has {MAX_DIM + 1} members, more than the supported maximum {MAX_DIM}"
+        )
+
+    def test_the_largest_supported_ensemble_is_read(self):
+        E = ensemble_from_doc(self._ensemble(MAX_DIM, MAX_DIM))
+        assert len(E.operators) == len(E.states) == MAX_DIM
+
     def test_the_largest_supported_state_is_read(self):
         assert state_from_doc([0.25] * MAX_DIM).dim == MAX_DIM
         with pytest.raises(ConfigInvalid) as err:

@@ -177,6 +177,29 @@ class TestHermitianOperator:
         np.testing.assert_array_equal(A.eigenvalues, [1.0, 1.5, 2.0])
         np.testing.assert_allclose(A.matrix, np.diag([2.0, 1.0, 1.5]), atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "values, standard",
+        [
+            ([1.0, 2.0], True),
+            ([1.5, 1.5, 1.5], True),
+            ([1.0 - 1e-9, 2.0 + 1e-9], True),  # clipped, still ascending
+            ([2.0, 1.0, 1.5], False),
+            ([2.0 + 1e-9, 2.0], False),  # out of order; the clip ties them
+        ],
+    )
+    def test_standard_basis_is_an_ascending_diagonal(self, values, standard):
+        A = HermitianOperator.diagonal(values, SpectralInterval(1.0, 2.0))
+        assert A.standard_basis is standard
+        basis = np.eye(len(values))[:, np.argsort(values, kind="stable")]
+        np.testing.assert_array_equal(A.eigenvectors, basis)
+
+    def test_a_given_basis_is_never_the_standard_basis(self):
+        iv = SpectralInterval(1.0, 2.0)
+        assert not HermitianOperator(np.asarray([1.0, 2.0]), np.eye(2), iv).standard_basis
+        assert not from_dense(np.diag([1.0, 2.0]), iv).standard_basis
+        with pytest.raises(TypeError):
+            HermitianOperator(np.asarray([1.0, 2.0]), None, iv, standard_basis=True)
+
     def test_matrix_reconstruction(self):
         A = from_dense([[2.0, 1.0], [1.0, 2.0]], SpectralInterval(0.0, 4.0))
         np.testing.assert_allclose(A.matrix, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
