@@ -177,6 +177,22 @@ def test_document_writers_match_the_elementwise_form(dim):
     assert "-0.0" in str(_operator_doc(negated)) and "-0.0" in str(_state_doc(states[0]))
 
 
+@pytest.mark.parametrize("values", [[1.0 - 1e-9, 1.5, 2.0 + 1e-9], [2.0 + 1e-9, 2.0, 1.5]],
+                         ids=["ascending", "out-of-order-tied-by-the-clip"])
+def test_operator_documents_read_back_to_the_same_basis(values):
+    iv = SpectralInterval(1.0, 2.0)
+    A = HermitianOperator.diagonal(values, iv)
+    x = SV.unit([0.5, 0.25, -1.0])
+    doc = _operator_doc(A)
+    assert ("diagonal" in doc) is A.standard_basis
+    B = scenario_from_doc({"theorem": "pc-sign", "operator": doc})["operator"]
+    assert B.eigenvectors.tobytes() == A.eigenvectors.tobytes()
+    assert B.eigenvalues.tobytes() == A.eigenvalues.tobytes()
+    mu, nu = SpectralMeasure.of(A, x), SpectralMeasure.of(B, x)
+    assert mu.weights.tobytes() == nu.weights.tobytes()
+    assert _operator_doc(B) == doc
+
+
 # ---------------------------------------------------------------------------
 # raw functionals
 
