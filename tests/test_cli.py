@@ -278,7 +278,7 @@ class TestCheck:
             op = {"diagonal": [1.5], "interval": [1.0, 2.0]}
             members = {"operators": [op] * n, "states": [[1.0]] * n, "normalization": "per_vector"}
             doc = {"theorem": "ensemble-chebyshev-link", "ensemble": members}
-            # an ensemble document holds at most MAX_DIM members, far fewer than the certificate takes
+            # a document holds at most MAX_DIM members, far fewer than the certificate takes
             message = f"has {n} members, more than the supported maximum {MAX_DIM}\n"
         code = main(["check", _write(tmp_path, "s.json", doc)])
         assert code == 2

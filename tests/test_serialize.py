@@ -606,9 +606,8 @@ class TestDimensionBound:
         what = "operators" if operators > MAX_DIM else "states"
         with pytest.raises(ConfigInvalid) as err:
             ensemble_from_doc(self._ensemble(operators, states))
-        assert str(err.value) == (
-            f"ensemble '{what}' has {MAX_DIM + 1} members, more than the supported maximum {MAX_DIM}"
-        )
+        limit = f"more than the supported maximum {MAX_DIM}"
+        assert str(err.value) == f"ensemble '{what}' has {MAX_DIM + 1} members, {limit}"
 
     def test_the_largest_supported_ensemble_is_read(self):
         E = ensemble_from_doc(self._ensemble(MAX_DIM, MAX_DIM))
