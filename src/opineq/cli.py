@@ -27,7 +27,8 @@ from .functions import scan_tr_regions
 from .harness import config_from_doc, falsify, run_suite
 from .registry import DROPPABLE, expectation_failures, run_scenario
 from .scenarios import SCENARIOS, coverage_gaps
-from .serialize import canonical_json, interval_from_doc, load_json, rows_to_csv, scenario_from_doc
+from .serialize import canonical_json, csv_writer, interval_from_doc, load_json, rows_to_csv
+from .serialize import scenario_from_doc
 from .spectral import SpectralInterval, read_grid_n
 from .tolerances import DEFAULT_GRID_N
 
@@ -95,6 +96,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    if args.format == "csv" and not args.out:
+        raise ConfigInvalid("--format csv writes reports.csv into the --out directory; give --out")
     doc = _read_doc(args.config) if args.config else {}
     if not isinstance(doc, dict):
         raise ConfigInvalid("suite config must be an object")
@@ -116,27 +119,29 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     config = config_from_doc(doc)
 
     out_dir: Optional[pathlib.Path] = None
-    jsonl = None
-    csv_rows: list[dict] = []
+    reports = write_csv = None
     if args.out:
         out_dir = pathlib.Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        jsonl = (out_dir / "reports.jsonl").open("w", encoding="utf-8")
+        if args.format == "csv":
+            reports = (out_dir / "reports.csv").open("w", encoding="utf-8")
+            write_csv = csv_writer(reports, _REPORT_CSV_FIELDS)
+        else:
+            reports = (out_dir / "reports.jsonl").open("w", encoding="utf-8")
 
     def on_report(tid: str, trial: int, report) -> None:
         row = {**report.to_record(), "trial": trial}
-        jsonl.write(canonical_json(row) + "\n")
-        if args.format == "csv":
-            # the CSV's columns only: the whole record would keep its scenario document alive
-            row["theorem"] = tid
-            csv_rows.append({name: row[name] for name in _REPORT_CSV_FIELDS})
+        if write_csv is None:
+            reports.write(canonical_json(row) + "\n")
+        else:
+            write_csv({**row, "theorem": tid})
 
     start = time.monotonic()
     try:
         summary = run_suite(config, on_report=on_report if out_dir else None)
     finally:
-        if jsonl is not None:
-            jsonl.close()
+        if reports is not None:
+            reports.close()
     _emit(summary.to_doc())
     sys.stderr.write(f"wall time: {time.monotonic() - start:.3f}s\n")
 
@@ -152,10 +157,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         (out_dir / "summary.csv").write_text(
             rows_to_csv(_SUMMARY_CSV_FIELDS, rows), encoding="utf-8"
         )
-        if args.format == "csv":
-            (out_dir / "reports.csv").write_text(
-                rows_to_csv(_REPORT_CSV_FIELDS, csv_rows), encoding="utf-8"
-            )
     return summary.exit_code()
 
 
@@ -293,7 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--grid", type=int)
     p_suite.add_argument("--theorems", help="comma-separated check ids")
     p_suite.add_argument("--out", help="directory for reports.jsonl / summary.json / summary.csv")
-    p_suite.add_argument("--format", choices=("json", "csv"), default="json")
+    p_suite.add_argument(
+        "--format",
+        choices=("json", "csv"),
+        default="json",
+        help="the per-trial file --out writes: reports.jsonl (json) or reports.csv (csv)",
+    )
     p_suite.set_defaults(fn=_cmd_suite)
 
     p_classify = sub.add_parser(

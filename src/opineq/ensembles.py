@@ -181,13 +181,12 @@ def check_ensemble_sign_bound(
     E: OperatorEnsemble,
     direction: Optional[str] = None,
     *,
-    theorem_id: str = "ensemble-pc-sign",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
     gate_hypothesis: bool = True,
 ) -> InequalityReport:
     """Summed form of the sign bound: S[h^2]S[fg] vs S[hg]S[hf] over the ensemble."""
-    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis)
+    args = ("ensemble-pc-sign", direction, grid_n, tol_factor, gate_hypothesis)
     return _synchrony_bound(_sign_sides, summed(read_ensemble(E)), f, g, h, *args)
 
 
@@ -196,13 +195,12 @@ def check_ensemble_square_bound(
     h: ScalarFunction,
     E: OperatorEnsemble,
     *,
-    theorem_id: str = "ensemble-pc-square",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
 ) -> InequalityReport:
     """Summed square bound S[hf]^2 <= S[h^2]S[f^2]; no synchrony gate needed."""
     inputs = summed(read_ensemble(E))
-    return _square_bound(_square_sides, inputs, f, h, theorem_id, grid_n, tol_factor)
+    return _square_bound(_square_sides, inputs, f, h, "ensemble-pc-square", grid_n, tol_factor)
 
 
 def check_ensemble_mean_point(
@@ -212,17 +210,15 @@ def check_ensemble_mean_point(
     E: OperatorEnsemble,
     direction: Optional[str] = None,
     *,
-    theorem_id: str = "ensemble-mean-point",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
     gate_hypothesis: bool = True,
     auto_hypothesis: bool = False,
-    extra_notes: tuple[str, ...] = (),
 ) -> InequalityReport:
     """Summed mean-point bound, anchored at sum_j <A_j x_j, x_j>."""
-    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
+    args = ("ensemble-mean-point", direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
     inputs = summed(read_ensemble(E))
-    return _synchrony_bound(_mean_point_sides, inputs, f, g, h, *args, extra_notes)
+    return _synchrony_bound(_mean_point_sides, inputs, f, g, h, *args, ())
 
 
 def similarly_ordered(

@@ -126,3 +126,13 @@ def read_list(value, what: str, length: int | None = None) -> list:
         shape = "a list" if length is None else f"a list of {length}"
         raise ConfigInvalid(f"{what} must be {shape}, got {value!r}")
     return list(value)
+
+
+def read_object(value, what: str, fields: tuple[str, ...]) -> dict:
+    """A JSON object holding no field but ``fields``; the first other one is named."""
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{what} must be an object, got {value!r}")
+    for key in value:
+        if key not in fields:
+            raise ConfigInvalid(f"{what} takes only the fields {sorted(fields)}, got {key!r}")
+    return value

@@ -372,7 +372,6 @@ def check_sign_bound(
     x: StateVector,
     direction: Optional[str] = None,
     *,
-    theorem_id: str = "pc-sign",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
     gate_hypothesis: bool = True,
@@ -382,7 +381,7 @@ def check_sign_bound(
     With ``direction=None`` the grid classification picks the direction; a
     mixed verdict yields ``hypothesis-not-met``.
     """
-    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis)
+    args = ("pc-sign", direction, grid_n, tol_factor, gate_hypothesis)
     return _synchrony_bound(_sign_sides, read_pair(A, x), f, g, h, *args)
 
 
@@ -421,12 +420,11 @@ def check_square_bound(
     A: HermitianOperator,
     x: StateVector,
     *,
-    theorem_id: str = "pc-square",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
 ) -> InequalityReport:
     """E[hf]^2 <= E[h^2]E[f^2]; holds for every continuous f, no synchrony gate."""
-    return _square_bound(_square_sides, read_pair(A, x), f, h, theorem_id, grid_n, tol_factor)
+    return _square_bound(_square_sides, read_pair(A, x), f, h, "pc-square", grid_n, tol_factor)
 
 
 def _kantorovich_constants(iv: SpectralInterval) -> tuple[float, float]:
@@ -559,13 +557,12 @@ def check_two_operator(
     y: StateVector,
     direction: Optional[str] = None,
     *,
-    theorem_id: str = "pc-two-op",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
     gate_hypothesis: bool = True,
 ) -> InequalityReport:
     """Mixed two-operator bound: cross products of expectations over (A, x) and (B, y)."""
-    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis)
+    args = ("pc-two-op", direction, grid_n, tol_factor, gate_hypothesis)
     return _synchrony_bound(_two_operator_sides, read_two(A, B, x, y), f, g, h, *args)
 
 
@@ -603,7 +600,6 @@ def check_mean_point(
     x: StateVector,
     direction: Optional[str] = None,
     *,
-    theorem_id: str = "mean-point",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
     gate_hypothesis: bool = True,
@@ -614,7 +610,7 @@ def check_mean_point(
     ``auto_hypothesis`` marks the f = g parameterizations whose synchrony is
     structural, skipping the grid classification.
     """
-    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis, ())
+    args = ("mean-point", direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis, ())
     return _synchrony_bound(_mean_point_sides, read_pair(A, x), f, g, h, *args)
 
 
@@ -652,7 +648,6 @@ def check_inverse_pair(
     x: StateVector,
     direction: Optional[str] = None,
     *,
-    theorem_id: str = "inverse-pair",
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
     gate_hypothesis: bool = True,
@@ -660,5 +655,5 @@ def check_inverse_pair(
 ) -> InequalityReport:
     """Two-point bound at the pair (<Ax,x>, <A^{-1}x,x>) for a positive spectrum,
     its synchrony certified on inverse_pair_hull of the interval."""
-    args = (theorem_id, direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
+    args = ("inverse-pair", direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
     return _synchrony_bound(_inverse_pair_sides, read_pair(A, x), f, g, h, *args, hull=True)

@@ -16,6 +16,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import ArgumentOrder, ConfigInvalid, DomainViolation, read_list, read_number
+from .errors import read_object
 from .spectral import SpectralInterval, read_grid_n
 from .tolerances import CERTIFY_MEMO_SIZE, DEFAULT_GRID_N, tol_sync
 
@@ -245,11 +246,30 @@ def linear_combination(*terms: tuple[float, ScalarFunction]) -> ScalarFunction:
     return ScalarFunction("sum", (tt,), label=label)
 
 
+# Function kind -> the fields its literal takes beside "kind" and "domain".
+_LITERAL_FIELDS = {
+    "constant": ("c",),
+    "identity": (),
+    "power": ("p",),
+    "log": (),
+    "exp": (),
+    "affine": ("a", "b"),
+    "neg_parabola": (),
+    "tabulated": ("knots", "values"),
+    "product": ("factors",),
+    "sum": ("terms",),
+}
+
+
 def function_from_descriptor(doc: dict) -> ScalarFunction:
     """Parse a function literal such as {"kind": "power", "p": 2.0}."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigInvalid(f"function literal must be an object with a 'kind', got {doc!r}")
     kind = doc["kind"]
+    fields = _LITERAL_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ConfigInvalid(f"unknown function kind {kind!r}")
+    read_object(doc, f"{kind} function literal", ("kind", "domain", *fields))
 
     def number(key: str) -> float:
         return read_number(doc[key], f"{kind} field {key!r}")
@@ -279,14 +299,11 @@ def function_from_descriptor(doc: dict) -> ScalarFunction:
         elif kind == "product":
             factors = read_list(doc["factors"], "product field 'factors'", 2)
             fn = pointwise_product(*(function_from_descriptor(f) for f in factors))
-        elif kind == "sum":
+        else:  # sum
             terms = read_list(doc["terms"], "sum field 'terms'")
-            if not all(isinstance(term, dict) for term in terms):
-                raise ConfigInvalid(f"sum terms must be {{'coef', 'fn'}} objects, got {terms!r}")
+            terms = [read_object(term, "sum term", ("coef", "fn")) for term in terms]
             coefs = [read_number(t["coef"], "sum term 'coef'") for t in terms]
             fn = linear_combination(*zip(coefs, (function_from_descriptor(t["fn"]) for t in terms)))
-        else:
-            raise ConfigInvalid(f"unknown function kind {kind!r}")
     except KeyError as exc:
         raise ConfigInvalid(f"function literal {doc!r} is missing field {exc}") from None
     if domain is not None:

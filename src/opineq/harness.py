@@ -66,9 +66,8 @@ from .registry import (
     TWO_OP,
     TheoremEntry,
     lookup,
-    run_scenario,
 )
-from .serialize import interval_from_doc, scenario_from_doc
+from .serialize import interval_from_doc
 from .spectral import HermitianOperator, SpectralInterval, SpectralMeasure, StateVector, read_grid_n
 from .tolerances import (
     DEFAULT_GRID_N,
@@ -192,20 +191,20 @@ def random_ensemble(
     return OperatorEnsemble(ops, states, mode)
 
 
-def _random_measures(
+def _random_blocks(
     rng: np.random.Generator, dims: Sequence[int], interval: SpectralInterval, joint: bool
-) -> list[ReadPair]:
-    """One diagonal operator and real state per block, read as its measure:
-    sorted uniform atoms on the interval, then squared components
-    Dirichlet(1, ..., 1), over all blocks' atoms together when ``joint`` (their
-    squared norms add to 1), else per block."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (atoms, weights) block per dimension, a diagonal operator's spectrum
+    and its real state's squared components: sorted uniform atoms on the
+    interval, then weights Dirichlet(1, ..., 1), over all blocks' atoms together
+    when ``joint`` (their squared norms add to 1), else per block."""
     atoms = [np.sort(rng.uniform(interval.lo, interval.hi, d)) for d in dims]
     if joint:
         w = rng.dirichlet(np.ones(sum(dims)))
         weights = [w[end - d : end] for d, end in zip(dims, itertools.accumulate(dims))]
     else:
         weights = [rng.dirichlet(np.ones(d)) for d in dims]
-    return [ReadPair.diagonal(lam, np.sqrt(w), interval) for lam, w in zip(atoms, weights)]
+    return list(zip(atoms, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +406,25 @@ def _draw_functions(
 
 
 # Measure inputs kind -> the blocks a suite trial draws (0: one to four), and
-# its inputs from their read pairs and the entry's ensemble mode.
+# its inputs from their read pairs and an ensemble mode.
 _DRAWS = {
     SINGLE: (1, lambda pairs, mode: single_inputs(*pairs)),
     TWO_OP: (2, lambda pairs, mode: two_inputs(*pairs)),
     ENSEMBLE: (0, ensemble_inputs),
 }
+
+
+def _drawn_inputs(
+    entry: TheoremEntry, mode: Optional[str], blocks: Sequence, interval: SpectralInterval
+):
+    """A check's inputs from its drawn blocks, as its core reads them: tuples
+    (a, b) as they are; else each block (atoms, weights) read as diag(atoms)
+    on the interval with the real state sqrt(weights), neither built, and the
+    read pairs put together for the entry's kind under the ensemble ``mode``."""
+    if entry.inputs_kind == TUPLES:
+        return tuple(blocks)
+    pairs = [ReadPair.diagonal(atoms, np.sqrt(w), interval) for atoms, w in blocks]
+    return _DRAWS[entry.inputs_kind][1](pairs, mode)
 
 
 def _trial_parsed(
@@ -428,15 +440,14 @@ def _trial_parsed(
         a = np.sort(rng.uniform(lo, hi, n))
         b = np.sort(rng.uniform(lo, hi, n))
         perm = rng.permutation(n)
-        return parsed, (a[perm], b[perm])
-    blocks, build = _DRAWS[entry.inputs_kind]
-    n = blocks or int(rng.integers(1, 5))
-    dims = [int(rng.integers(dmin, dmax + 1)) for _ in range(n)]
+        return parsed, _drawn_inputs(entry, None, (a[perm], b[perm]), ctx.interval)
+    blocks = _DRAWS[entry.inputs_kind][0] or int(rng.integers(1, 5))
+    dims = [int(rng.integers(dmin, dmax + 1)) for _ in range(blocks)]
     parsed["functions"] = _draw_functions(entry, ctx, rng)
     # one block's weights are the same drawn jointly or not
     joint = entry.ensemble_mode == SUM_OF_SQUARES
-    pairs = _random_measures(rng, dims, ctx.interval, joint)
-    return parsed, build(pairs, entry.ensemble_mode)
+    drawn = _random_blocks(rng, dims, ctx.interval, joint)
+    return parsed, _drawn_inputs(entry, entry.ensemble_mode, drawn, ctx.interval)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +625,7 @@ _ROUNDS = 8
 def _search_functions(
     entry: TheoremEntry, drop: Optional[str], interval: SpectralInterval, grid_n: int
 ) -> list[tuple[dict, list[ScalarFunction], float]]:
-    """The function tuples a search scores: (free-slot descriptors, the checker's
+    """The function tuples a search scores: (free-slot functions, the checker's
     function arguments, the sign that orients its sides as the checker will).
 
     With synchrony dropped they come from the entry's asynchronous pool under
@@ -646,14 +657,15 @@ def _search_functions(
         resolved = [fn for desc in free.values() for d, fn in valid if d == desc]
         if len(resolved) != len(free):
             continue
-        fns = entry.functions(dict(zip(free, resolved)))
+        given = dict(zip(free, resolved))
+        fns = entry.functions(given)
         sign = 1.0
         if classify:
             implied = classify_synchrony(*fns, domain, grid_n).implied_direction()
             if implied is None:
                 continue
             sign = 1.0 if implied == GE else -1.0
-        out.append((free, fns, sign))
+        out.append((given, fns, sign))
     if not out:
         where = domain.as_pair()
         raise ConfigInvalid(f"no search triple on {where} is defined everywhere and not mixed")
@@ -680,7 +692,7 @@ def _split(entry: TheoremEntry, drop: Optional[str], l1, l2, w) -> list:
 
 
 def _mode(entry: TheoremEntry, drop: Optional[str]) -> Optional[str]:
-    """The ensemble normalization a candidate document declares."""
+    """The ensemble normalization a candidate is read under."""
     return SUM_OF_SQUARES if drop == DROP_NORMALIZATION else entry.ensemble_mode
 
 
@@ -701,45 +713,22 @@ def _sides_args(entry: TheoremEntry, members: list, constant: Optional[float]) -
     return (mu,) if constant is None else (mu, constant)
 
 
-def _candidate_doc(
-    entry: TheoremEntry,
-    drop: Optional[str],
-    interval: SpectralInterval,
-    draw: SpectralInterval,
-    grid_n: int,
-    free: dict,
-    l1: float,
-    l2: float,
-    w: float,
+def _candidate_parsed(
+    entry: TheoremEntry, drop: Optional[str], interval: SpectralInterval, grid_n: int, given: dict
 ) -> dict:
-    """The scenario document of one candidate, all its operators diagonal."""
-    doc: dict = {"theorem": entry.theorem_id, "grid_n": grid_n}
-    members = _split(entry, drop, l1, l2, w)
-    if entry.inputs_kind == TUPLES:
-        doc["tuples"] = {"a": [float(v) for v in members[0]], "b": [float(v) for v in members[1]]}
-    else:
-        ops = [{"diagonal": [float(v) for v in atoms], "interval": [draw.lo, draw.hi]}
-               for atoms, _ in members]
-        states = [{"components": [math.sqrt(float(v)) for v in weights]} for _, weights in members]
-        if entry.inputs_kind == SINGLE:
-            doc.update(operator=ops[0], state=states[0])
-        elif entry.inputs_kind == TWO_OP:
-            doc.update(operator=ops[0], operator_b=ops[1], state=states[0], state_b=states[1])
-        else:
-            mode = _mode(entry, drop)
-            doc["ensemble"] = {"operators": ops, "states": states, "normalization": mode}
-    if free:
-        doc["functions"] = {slot: dict(d) for slot, d in free.items()}
+    """The parsed scenario a candidate runs with: its functions, and the
+    dropped hypothesis as the check's core takes it."""
+    parsed: dict = {"theorem": entry.theorem_id, "grid_n": grid_n, "functions": given}
     if drop is not None and "gate_hypothesis" in entry.forwards:
-        doc["gate_hypothesis"] = False
+        parsed["gate_hypothesis"] = False
     if drop == DROP_SYNCHRONY and "direction" in entry.forwards:
-        doc["direction"] = GE
+        parsed["direction"] = GE
     if drop == DROP_CONTAINMENT:
         if "bound_interval" in entry.forwards:
-            doc["bound_interval"] = [interval.lo, interval.hi]
+            parsed["bound_interval"] = interval
         else:
-            doc["per_op_intervals"] = [[interval.lo, interval.hi]] * len(members)
-    return doc
+            parsed["per_op_intervals"] = [interval.as_pair()] * entry.members
+    return parsed
 
 
 class _NearestMiss:
@@ -795,10 +784,10 @@ def falsify(
     pass the nearest-miss rule together, which keeps the same candidate as
     scoring the tuples one by one.  Batched perturbation rounds around the
     kept candidate spend the last tenth of the budget, at most 256, one tuple
-    each; exactly ``budget`` candidates are examined.  The kept candidate's
-    diagonal document is certified through the checker at violation
-    tolerance and returned as ``scenario``; ``found`` is true only when that
-    replay says "violated".
+    each; exactly ``budget`` candidates are examined.  The kept candidate is
+    certified as a suite trial is run, through the check's core at violation
+    tolerance; that report's inputs document is ``scenario``, and ``found`` is
+    true only when it says "violated".
     """
     entry = lookup(theorem_id)
     if drop is not None:
@@ -874,9 +863,11 @@ def falsify(
         )
         examined += n
     l1, l2, w, k = nearest.best()
-    doc = _candidate_doc(entry, drop, iv, draw, grid_n, tuples[k][0], l1, l2, w)
-    report = run_scenario(scenario_from_doc(doc), tol_factor=VIOLATION_FACTOR)
-    found = report.verdict == VIOLATED
+    members = _split(entry, drop, l1, l2, w)
+    parsed = _candidate_parsed(entry, drop, iv, grid_n, tuples[k][0])
+    inputs = _drawn_inputs(entry, _mode(entry, drop), members, draw)
+    report = entry.run(parsed, inputs, tol_factor=VIOLATION_FACTOR)
+    found, gap, verdict = report.verdict == VIOLATED, report.gap, report.verdict
     return FalsifyResult(
-        theorem_id, drop, budget, seed, examined, found, report.gap, report.verdict, doc
+        theorem_id, drop, budget, seed, examined, found, gap, verdict, report.inputs_digest
     )

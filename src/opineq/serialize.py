@@ -11,11 +11,11 @@ import io
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quoted  # json.dumps of a str
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConfigInvalid, read_list, read_number, read_numbers
+from .errors import ConfigInvalid, read_integer, read_list, read_number, read_numbers, read_object
 from .functions import GE, LE, ScalarFunction, function_from_descriptor
 from .functionals import fmt
 from .ensembles import OperatorEnsemble
@@ -30,6 +30,7 @@ __all__ = [
     "ensemble_from_doc",
     "scenario_from_doc",
     "load_json",
+    "csv_writer",
     "rows_to_csv",
 ]
 
@@ -187,13 +188,20 @@ def operator_from_doc(doc) -> HermitianOperator:
         raise ConfigInvalid("operator document needs an 'interval'")
     interval = interval_from_doc(doc["interval"])
     if "diagonal" in doc:
+        read_object(doc, "diagonal operator document", ("diagonal", "interval"))
         values = _dimension(read_list(doc["diagonal"], "diagonal"))
         return HermitianOperator.diagonal(read_numbers(values, "diagonal entry"), interval)
     if "matrix" in doc:
+        read_object(doc, "matrix operator document", ("matrix", "interval"))
         return from_dense(_matrix(doc["matrix"], "matrix"), interval)
     if "eigenvalues" in doc and "eigenvectors" in doc:
+        fields = ("dim", "eigenvalues", "eigenvectors", "interval")
+        read_object(doc, "eigenpair operator document", fields)
         eigenvalues = _dimension(read_list(doc["eigenvalues"], "eigenvalues"))
         values = read_numbers(eigenvalues, "eigenvalue")
+        dim = read_integer(doc.get("dim", len(values)), "operator 'dim'")
+        if dim != len(values):
+            raise ConfigInvalid(f"operator 'dim' {dim} differs from its {len(values)} eigenvalues")
         u = _matrix(doc["eigenvectors"], "eigenvectors")
         if len(u) != len(values):
             raise ConfigInvalid("'eigenvectors' must list one row per eigenvalue")
@@ -207,8 +215,8 @@ def state_from_doc(doc) -> StateVector:
     """A bare list of at most MAX_DIM components, or ``{"components": [...]}``;
     a list of [re, im] pairs is read in one pass, bare numbers entry by entry
     (``_complex_row``)."""
-    if isinstance(doc, dict) and "components" in doc:
-        doc = doc["components"]
+    if isinstance(doc, dict):
+        doc = read_object(doc, "state document", ("components",)).get("components")
     if not isinstance(doc, (list, tuple)) or not doc:
         raise ConfigInvalid("state document needs a nonempty 'components' list")
     return StateVector(_complex_row(_dimension(doc), "state component"))
@@ -226,8 +234,7 @@ def _members(doc, what: str) -> list:
 
 
 def ensemble_from_doc(doc) -> OperatorEnsemble:
-    if not isinstance(doc, dict):
-        raise ConfigInvalid("ensemble document must be an object")
+    read_object(doc, "ensemble document", ("operators", "states", "normalization"))
     try:
         operators = doc["operators"]
         states = doc["states"]
@@ -265,6 +272,8 @@ def _expect_from_doc(doc) -> dict:
             out[key] = value
         elif key in ("lhs", "rhs", "gap", "atol"):
             out[key] = read_number(value, f"expect {key}")
+            if key == "atol" and out[key] < 0.0:
+                raise ConfigInvalid(f"expect atol must not be negative, got {value!r}")
         else:
             raise ConfigInvalid(f"unknown expect field {key!r}")
     return out
@@ -290,6 +299,7 @@ def _per_op_intervals_from_doc(doc) -> list[tuple[float, float]]:
 def _tuples_from_doc(doc) -> dict[str, list[float]]:
     if not isinstance(doc, dict) or "a" not in doc or "b" not in doc:
         raise ConfigInvalid("'tuples' must be an object with lists 'a' and 'b'")
+    read_object(doc, "'tuples'", ("a", "b"))
     return {
         key: [read_number(v, "tuple entry") for v in read_list(doc[key], f"tuple {key!r}")]
         for key in ("a", "b")
@@ -357,11 +367,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(fieldnames: Sequence[str], rows: Sequence[dict]) -> str:
-    """CSV text with a header row; numbers formatted like the JSON documents."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def csv_writer(out: TextIO, fieldnames: Sequence[str]) -> Callable[[dict], None]:
+    """Write a header row to ``out`` and return the writer of one row, its
+    numbers formatted like the JSON documents."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fieldnames)
+    return lambda row: writer.writerow([_cell(row.get(name)) for name in fieldnames])
+
+
+def rows_to_csv(fieldnames: Sequence[str], rows: Sequence[dict]) -> str:
+    """CSV text with a header row, written by ``csv_writer``."""
+    buf = io.StringIO()
+    write = csv_writer(buf, fieldnames)
     for row in rows:
-        writer.writerow([_cell(row.get(name)) for name in fieldnames])
+        write(row)
     return buf.getvalue()

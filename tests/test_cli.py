@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from opineq import SCENARIOS, SCENARIOS_BY_NAME, canonical_json, load_json
+from opineq import SCENARIOS, SCENARIOS_BY_NAME, canonical_json, load_json, rows_to_csv
 from opineq.cli import main
 from opineq.tolerances import MAX_DIM, MAX_GRID_N
 
@@ -20,6 +20,17 @@ CHECK_DOC = {
         "h": {"kind": "constant", "c": 1.0},
     },
     "expect": {"verdict": "holds", "gap": 0.25, "atol": 1e-9},
+}
+
+# operator, state and ensemble documents the nested-field cases extend
+DIAG = {"diagonal": [1.0, 2.0], "interval": [1.0, 2.0]}
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+EIGEN = {"eigenvalues": [1.0, 2.0], "eigenvectors": EYE, "interval": [1.0, 2.0]}
+ID = {"kind": "identity"}
+ENSEMBLE = {
+    "operators": [DIAG],
+    "states": [{"components": [0.6, 0.8]}],
+    "normalization": "sum_of_squares",
 }
 
 # f = exp against g = -exp under h = 1: asynchronous, and on [1, 465] the
@@ -284,6 +295,42 @@ class TestCheck:
         assert code == 2
         assert capsys.readouterr().err.endswith(message)
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("operator", {**DIAG, "matrix": [[1.0, 0.0], [0.0, 2.0]]}, "'matrix'"),
+            ("operator", {**DIAG, "eigenvalues": [1.0, 2.0], "eigenvectors": EYE}, "'eigenvalues'"),
+            ("operator", {**EIGEN, "matrix": EYE}, "'matrix'"),
+            ("operator", {**EIGEN, "dim": 7}, "'dim' 7"),
+            ("operator", {**EIGEN, "dim": True}, "'dim'"),
+            ("operator", {**DIAG, "intervall": [1.0, 2.0]}, "'intervall'"),
+            ("state", {"components": [0.6, 0.8], "norm": 1.0}, "'norm'"),
+            ("f", {"kind": "power", "p": 2, "q": 5}, "'q'"),
+            ("f", {"kind": "identity", "p": 5}, "'p'"),
+            ("f", {"kind": "sum", "terms": [{"coef": 1.0, "fn": ID, "c": 2.0}]}, "'c'"),
+            ("f", {"kind": ["power"], "p": 2}, "kind ['power']"),
+            ("tuples", {"a": [1.0, 2.0], "b": [1.0, 2.0], "c": [3.0]}, "'c'"),
+            ("ensemble", {**ENSEMBLE, "weights": [1.0]}, "'weights'"),
+            ("ensemble", {**ENSEMBLE, "operators": [{**DIAG, "dim": 2}]}, "'dim'"),
+            ("ensemble", {**ENSEMBLE, "states": [{"components": [0.6, 0.8], "x": 0}]}, "'x'"),
+            ("expect", {"verdict": "holds", "atol": -1}, "atol"),
+        ],
+    )
+    def test_nested_field_it_does_not_read_exits_two(self, tmp_path, capsys, field, value, named):
+        """Every object of a document refuses what it does not read, naming it."""
+        base = {
+            "tuples": {"theorem": "discrete-chebyshev"},
+            "ensemble": {"theorem": "ensemble-pc-sign", "functions": CHECK_DOC["functions"]},
+        }.get(field, CHECK_DOC)
+        if field == "f":
+            doc = {**base, "functions": {**base["functions"], "f": value}}
+        else:
+            doc = {**base, field: value}
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and named in err
+
     def test_field_at_the_value_the_check_uses_is_accepted(self, tmp_path, capsys):
         doc = {**SCENARIOS_BY_NAME["pc-square/equal"], "direction": "<=", "gate_hypothesis": True}
         code = main(["check", _write(tmp_path, "s.json", doc)])
@@ -344,6 +391,35 @@ class TestSuite:
         lines = (out / "reports.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "theorem,trial,direction,lhs,rhs,gap,tolerance,verdict"
         assert len(lines) == 4  # header + 3 trials
+
+    def test_csv_format_streams_the_only_per_trial_file(self, tmp_path, capsys):
+        """--format picks the one per-trial file: reports.csv holds the CSV
+        columns of the records reports.jsonl would hold, row for row."""
+        args = SUITE_ARGS + ["--theorems", "pc-sign,ensemble-pc-sign"]
+        assert main(args + ["--out", str(tmp_path / "json")]) == 0
+        assert main(args + ["--format", "csv", "--out", str(tmp_path / "csv")]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in (tmp_path / "json").iterdir()) == [
+            "reports.jsonl", "summary.csv", "summary.json"
+        ]
+        assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == [
+            "reports.csv", "summary.csv", "summary.json"
+        ]
+        for name in ("summary.csv", "summary.json"):
+            assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "json" / name).read_bytes()
+        jsonl = (tmp_path / "json" / "reports.jsonl").read_text(encoding="utf-8")
+        records = [load_json(line) for line in jsonl.splitlines()]
+        rows = [{**record, "theorem": record["theorem_id"]} for record in records]
+        fields = ["theorem", "trial", "direction", "lhs", "rhs", "gap", "tolerance", "verdict"]
+        assert len(rows) == 6
+        want = rows_to_csv(fields, rows)
+        assert (tmp_path / "csv" / "reports.csv").read_text(encoding="utf-8") == want
+
+    def test_csv_format_without_out_exits_two(self, capsys):
+        assert main(SUITE_ARGS + ["--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err
 
     def test_config_file_plus_overrides(self, tmp_path, capsys):
         cfg = _write(tmp_path, "cfg.json", {"trials": 2, "theorems": ["pc-square"]})

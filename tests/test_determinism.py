@@ -24,6 +24,9 @@ SUITE_DIGESTS = {
     "reports.jsonl": "b0f82613dd9ffdf7e9fd0ce55c33f5f3ad91389c0d3a3c9c04190566c4df101a",
 }
 
+# reports.csv of the same run with `--format csv`
+REPORTS_CSV_DIGEST = "a99b58861514a0ecc5ebd896e4da1035f5de50dff28b59291c4d46a3fae72aa3"
+
 # `opineq check` of the first document `suite --seed 7` writes for one check id
 # of each kind of inputs
 SUITE_DOCUMENT_CHECK_DIGESTS = {
@@ -37,22 +40,22 @@ PINNED_DIGEST = "6e20578f43b432e4a77bf1e77d20e8b1c0b8c71c49d3a4010afee283bc4d4e0
 
 # one (check id, dropped hypothesis) pair for each kind of inputs
 FALSIFY_DIGESTS = {
-    ("pc-sign", "synchrony"): "b24bd0a663282f522542e3e2c56628439b87f3fdd47ee94a562e12468087dd10",
-    ("pc-two-op", "synchrony"): "3a591455dbd897f047e4609348608f1532fb2fb25319b053bf3e52974d6f73f9",
+    ("pc-sign", "synchrony"): "b7d55d1a781f5d56b5f01951d12b8371991bfd7fed0fc1351eeca020cdbc58b7",
+    ("pc-two-op", "synchrony"): "87b97b592b59650411aac8a1dc29d4beba3a5b04330ea69142eaf33ca8c63c9d",
     ("ensemble-product-lower", "normalization"): (
-        "284be09eb0abb1e5a2a347c3d1139c9042b0fd04dc04d0fdd3174c6cd7fe7ab1"
+        "371298be9085ead57d10815815bd3ea59855dcfc9ee06805475f85dec720b7c0"
     ),
     ("discrete-chebyshev", "synchrony"): (
-        "612a37587c1ac37c5de0a215bda83d2a1df8174e608ba1e4d512fe1ed2d384a7"
+        "a246922173320f7aefe01e14d869c38a0f7f2ecfb1ff6137ded5738eb27c2bcc"
     ),
 }
 
 # every (check id, dropped hypothesis) pair, intact included, at budgets 1, 7,
 # 50 and 1000 with seed 0, on [1, 4] and on [-1, 2]; an id that rejects
 # [-1, 2] contributes its error's type and message
-ALL_PAIRS_FALSIFY_DIGEST = "dd015b8a21419ff6ee7995efa80ada468e4938a84ebc4b4bbe6d4719b9b1b5a3"
+ALL_PAIRS_FALSIFY_DIGEST = "632b2582622d179405f09da59dbf010d8739b7e58a8ae92af4d6d8a5608bd260"
 # the [1, 4] half of the digest above on its own
-POSITIVE_PAIRS_FALSIFY_DIGEST = "ac83db1a2f94cef95f747b904876a3cb263f632a78c2d23b4a3c3aecdcf137b8"
+POSITIVE_PAIRS_FALSIFY_DIGEST = "f645daa433d6734401625ae070acd9468e47c55200cd1b3a8e756a44f6bc2c64"
 
 
 def _sha(data: str) -> str:
@@ -70,6 +73,17 @@ def test_suite_outputs_are_pinned(tmp_path, capsys):
     for name in ("summary.json", "summary.csv", "reports.jsonl"):
         got[name] = _sha((tmp_path / name).read_text(encoding="utf-8"))
     assert got == SUITE_DIGESTS
+
+
+def test_suite_csv_outputs_are_pinned(tmp_path, capsys):
+    argv = ["suite", "--seed", "7", "--trials", "5", "--format", "csv", "--out", str(tmp_path)]
+    got = {"stdout": _sha(_stdout(capsys, argv))}
+    for name in ("summary.json", "summary.csv", "reports.csv"):
+        got[name] = _sha((tmp_path / name).read_text(encoding="utf-8"))
+    assert not (tmp_path / "reports.jsonl").exists()
+    want = {**SUITE_DIGESTS, "reports.csv": REPORTS_CSV_DIGEST}
+    del want["reports.jsonl"]
+    assert got == want
 
 
 @pytest.mark.parametrize("theorem", list(SUITE_DOCUMENT_CHECK_DIGESTS))

@@ -10,6 +10,8 @@ from opineq import (
     HOLDS,
     HYPOTHESIS_NOT_MET,
     IntervalMismatch,
+    OperatorEnsemble,
+    SUM_OF_SQUARES,
     LE,
     NonPositiveSpectrum,
     NotUnitState,
@@ -17,6 +19,9 @@ from opineq import (
     HermitianOperator,
     StateVector,
     cebysev,
+    check_ensemble_mean_point,
+    check_ensemble_sign_bound,
+    check_ensemble_square_bound,
     check_inverse_pair,
     check_mean_point,
     check_sign_bound,
@@ -139,6 +144,38 @@ def _hex(doc):
     if isinstance(doc, dict):
         return {k: _hex(v) for k, v in doc.items()}
     return (type(doc).__name__, doc.hex() if isinstance(doc, float) else doc)
+
+
+S, S2, S3 = identity(), power(2.0), power(3.0)
+ONE_BLOCK = OperatorEnsemble((DIAG12,), (EQ2,), SUM_OF_SQUARES)
+PUBLIC_CHECKS = {
+    "pc-sign": (check_sign_bound, (S2, S3, S, DIAG12, EQ2)),
+    "pc-square": (check_square_bound, (S2, S, DIAG12, EQ2)),
+    "pc-two-op": (check_two_operator, (S2, S3, S, DIAG12, DIAG12, EQ2, EQ2)),
+    "mean-point": (check_mean_point, (S2, S3, S, DIAG12, EQ2)),
+    "inverse-pair": (check_inverse_pair, (S2, S3, S, DIAG12, EQ2)),
+    "ensemble-pc-sign": (check_ensemble_sign_bound, (S2, S3, S, ONE_BLOCK)),
+    "ensemble-pc-square": (check_ensemble_square_bound, (S2, S, ONE_BLOCK)),
+    "ensemble-mean-point": (check_ensemble_mean_point, (S2, S3, S, ONE_BLOCK)),
+}
+
+
+@pytest.mark.parametrize("theorem_id", list(PUBLIC_CHECKS))
+def test_a_public_check_writes_a_document_of_its_own_id(theorem_id):
+    """No public check takes a theorem id, so its inputs document replays as
+    the check that wrote it."""
+    check, args = PUBLIC_CHECKS[theorem_id]
+    report = check(*args)
+    assert report.theorem_id == report.inputs_digest["theorem"] == theorem_id
+    replay = run_scenario(scenario_from_doc(report.inputs_digest))
+    assert (replay.theorem_id, replay.gap) == (theorem_id, report.gap)
+    with pytest.raises(TypeError, match="theorem_id"):
+        check(*args, theorem_id="mean-point")
+
+
+def test_the_ensemble_mean_point_check_takes_no_extra_notes():
+    with pytest.raises(TypeError, match="extra_notes"):
+        check_ensemble_mean_point(S2, S3, S, ONE_BLOCK, extra_notes=("a note",))
 
 
 @pytest.mark.parametrize("dim", [1, 3, 8])

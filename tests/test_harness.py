@@ -46,10 +46,12 @@ from opineq.harness import (
     DROP_SYNCHRONY,
     SYNC_TRIPLE_POOL,
     _NearestMiss,
-    _random_measures,
+    _random_blocks,
     _search_functions,
     _valid_entries,
 )
+from opineq.functionals import ReadPair
+from opineq.functions import power
 from opineq.registry import DROPPABLE, lookup
 from opineq.tolerances import MAX_BUDGET, MAX_TRIALS
 
@@ -163,13 +165,19 @@ def _moments(weights: np.ndarray) -> dict:
     return {key: (v.mean(), v.std(ddof=1) / np.sqrt(v.size)) for key, v in samples.items()}
 
 
+def _read_draw(rng, dims, interval, joint):
+    """The blocks of _random_blocks read as a suite trial reads them."""
+    blocks = _random_blocks(rng, dims, interval, joint)
+    return [ReadPair.diagonal(atoms, np.sqrt(w), interval) for atoms, w in blocks]
+
+
 class TestMeasureDraws:
     N = 5
 
     def _direct(self, seed: int) -> np.ndarray:
         rows = []
         for t in range(MOMENT_DRAWS):
-            (pair,) = _random_measures(trial_rng(seed, 0, t), [self.N], IV12, joint=True)
+            (pair,) = _read_draw(trial_rng(seed, 0, t), [self.N], IV12, joint=True)
             rows.append(pair.measure.weights)
         return np.asarray(rows)
 
@@ -196,7 +204,7 @@ class TestMeasureDraws:
         for t in range(200):
             rng = trial_rng(3, 0, t)
             dims = [int(rng.integers(1, 9)) for _ in range(2)]
-            pairs = _random_measures(rng, dims, IV12, joint=False)
+            pairs = _read_draw(rng, dims, IV12, joint=False)
             for pair, d in zip(pairs, dims):
                 op, st = operator_from_doc(pair.operator), state_from_doc(pair.state)
                 assert np.array_equal(op.eigenvalues, pair.measure.atoms)
@@ -210,7 +218,7 @@ class TestMeasureDraws:
         dims = [1, 3, 4]
         masses = []
         for t in range(MOMENT_DRAWS):
-            pairs = _random_measures(trial_rng(4, 0, t), dims, IV12, joint=True)
+            pairs = _read_draw(trial_rng(4, 0, t), dims, IV12, joint=True)
             block = [pair.norm**2 for pair in pairs]
             assert abs(sum(block) - 1.0) <= TOL_NORM
             masses.append(block)
@@ -601,6 +609,26 @@ class TestFalsify:
             replay = run_scenario(scenario_from_doc(doc), tol_factor=VIOLATION_FACTOR)
             assert (replay.gap, replay.verdict) == (result.gap, result.verdict)
 
+    @pytest.mark.parametrize("interval", [(1.0, 4.0), (-1.0, 2.0)])
+    def test_every_scenario_is_the_inputs_document_it_replays_to(self, interval):
+        """The scenario is the certified check's own inputs document: replaying
+        it gives the same gap and verdict and writes it back byte for byte."""
+        iv, searched = SpectralInterval(*interval), 0
+        for entry in REGISTRY_ORDER:
+            for drop in [None, *sorted(entry.drops)]:
+                for budget in (1, 7, 50, 1000):
+                    try:
+                        result = falsify(entry.theorem_id, drop, budget=budget, interval=iv)
+                    except OpineqError:
+                        continue
+                    searched += 1
+                    text = canonical_json(result.scenario)
+                    parsed = scenario_from_doc(load_json(text))
+                    replay = run_scenario(parsed, tol_factor=VIOLATION_FACTOR)
+                    assert (replay.gap, replay.verdict) == (result.gap, result.verdict)
+                    assert canonical_json(replay.inputs_digest) == text
+        assert searched == {(1.0, 4.0): 148, (-1.0, 2.0): 56}[interval]
+
     def test_nearest_miss_is_the_first_within_tolerance_of_the_least(self):
         kept = _NearestMiss()
         tol = 1e-9
@@ -653,14 +681,15 @@ def _per_triple_search_functions(entry, drop, interval, grid_n):
         resolved = _valid_entries(list(free.values()), domain.lo, domain.hi)
         if len(resolved) != len(free):
             continue
-        fns = entry.functions({slot: fn for slot, (_, fn) in zip(free, resolved)})
+        given = {slot: fn for slot, (_, fn) in zip(free, resolved)}
+        fns = entry.functions(given)
         sign = 1.0
         if classify:
             implied = classify_synchrony(*fns, domain, grid_n).implied_direction()
             if implied is None:
                 continue
             sign = 1.0 if implied == ">=" else -1.0
-        out.append((free, fns, sign))
+        out.append((given, fns, sign))
     if not out:
         where = domain.as_pair()
         raise ConfigInvalid(f"no search triple on {where} is defined everywhere and not mixed")
@@ -707,7 +736,7 @@ class TestSearchFunctions:
             tuples = _search_functions(lookup(theorem_id), drop, SpectralInterval(-1.0, 2.0), 64)
         except OpineqError:
             return
-        assert all(INV_DESC not in free.values() for free, _, _ in tuples)
+        assert all(power(-1.0) not in given.values() for given, _, _ in tuples)
 
     @pytest.mark.parametrize("grid_n", [64, 128])
     def test_pc_sign_on_an_interval_with_a_pole_stops_at_every_grid(self, grid_n):

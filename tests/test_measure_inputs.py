@@ -37,7 +37,7 @@ from opineq import (
 )
 from opineq.ensembles import ensemble_inputs, read_ensemble
 from opineq.functionals import ReadPair, read_pair, read_two, single_inputs, two_inputs
-from opineq.harness import _build_ctx, _random_measures, _trial_parsed
+from opineq.harness import _build_ctx, _random_blocks, _trial_parsed
 
 IV12 = SpectralInterval(1.0, 2.0)
 
@@ -56,7 +56,7 @@ def _same_measures(drawn, read) -> None:
 
 
 def _draw(rng, dims, interval, joint):
-    """The draw of _random_measures, step for step: atoms for every block, then the weights."""
+    """The draw of _random_blocks, step for step: atoms for every block, then the weights."""
     atoms = [np.sort(rng.uniform(interval.lo, interval.hi, d)) for d in dims]
     if joint:
         weights = np.split(rng.dirichlet(np.ones(sum(dims))), np.cumsum(dims)[:-1])
@@ -75,7 +75,8 @@ def test_drawn_measures_equal_those_of_the_diagonal_operator_and_state(blocks, j
     iv = SpectralInterval(0.5, 3.0)
     for t in range(40):
         dims = [1 + (t + 3 * k) % 8 for k in range(blocks)]
-        pairs = _random_measures(trial_rng(17, blocks, t), dims, iv, joint)
+        drawn = _random_blocks(trial_rng(17, blocks, t), dims, iv, joint)
+        pairs = [ReadPair.diagonal(lam, np.sqrt(w), iv) for lam, w in drawn]
         atoms, weights = _draw(trial_rng(17, blocks, t), dims, iv, joint)
         ops = [HermitianOperator.diagonal(lam, iv) for lam in atoms]
         states = [StateVector(np.sqrt(w)) for w in weights]
