@@ -178,6 +178,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if mode == "monotonicity":
         if "h" not in doc:
             raise ConfigInvalid("monotonicity mode needs 'f' and 'h'")
+        unread = sorted({"g", "r_values"} & set(doc))
+        if unread:
+            raise ConfigInvalid(f"monotonicity mode does not read the fields {unread}")
         h = function_from_descriptor(doc["h"])
         rows.append(classify_monotonicity(f, h, interval, grid_n).summary())
     elif mode == "synchrony":
@@ -185,6 +188,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             raise ConfigInvalid("synchrony mode needs 'f' and 'g'")
         g = function_from_descriptor(doc["g"])
         if "r_values" in doc:
+            if "h" in doc:
+                raise ConfigInvalid("synchrony mode takes either 'h' or 'r_values', not both")
             entries = read_list(doc["r_values"], "r_values")
             r_values = [read_number(r, "r_values entry") for r in entries]
             for r, verdict in scan_tr_regions(f, g, r_values, interval, grid_n):

@@ -25,15 +25,11 @@ from .functionals import (
     ReadInputs,
     ReadPair,
     _build_report,
+    _chain,
     _inputs_doc,
     _kantorovich_constants,
-    _links,
-    _mean_point_sides,
     _quiet,
-    _sign_sides,
-    _square_bound,
-    _square_sides,
-    _synchrony_bound,
+    _run,
     fmt,
     kantorovich_constant,
 )
@@ -186,8 +182,9 @@ def check_ensemble_sign_bound(
     gate_hypothesis: bool = True,
 ) -> InequalityReport:
     """Summed form of the sign bound: S[h^2]S[fg] vs S[hg]S[hf] over the ensemble."""
-    args = ("ensemble-pc-sign", direction, grid_n, tol_factor, gate_hypothesis)
-    return _synchrony_bound(_sign_sides, summed(read_ensemble(E)), f, g, h, *args)
+    functions = {"f": f, "g": g, "h": h}
+    keys = dict(direction=direction, grid_n=grid_n, gate_hypothesis=gate_hypothesis)
+    return _run("ensemble-pc-sign", read_ensemble(E), tol_factor, functions=functions, **keys)
 
 
 def check_ensemble_square_bound(
@@ -199,8 +196,8 @@ def check_ensemble_square_bound(
     tol_factor: float = 1.0,
 ) -> InequalityReport:
     """Summed square bound S[hf]^2 <= S[h^2]S[f^2]; no synchrony gate needed."""
-    inputs = summed(read_ensemble(E))
-    return _square_bound(_square_sides, inputs, f, h, "ensemble-pc-square", grid_n, tol_factor)
+    keys = dict(functions={"f": f, "h": h}, grid_n=grid_n)
+    return _run("ensemble-pc-square", read_ensemble(E), tol_factor, **keys)
 
 
 def check_ensemble_mean_point(
@@ -213,12 +210,11 @@ def check_ensemble_mean_point(
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
     gate_hypothesis: bool = True,
-    auto_hypothesis: bool = False,
 ) -> InequalityReport:
     """Summed mean-point bound, anchored at sum_j <A_j x_j, x_j>."""
-    args = ("ensemble-mean-point", direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
-    inputs = summed(read_ensemble(E))
-    return _synchrony_bound(_mean_point_sides, inputs, f, g, h, *args, ())
+    functions = {"f": f, "g": g, "h": h}
+    keys = dict(direction=direction, grid_n=grid_n, gate_hypothesis=gate_hypothesis)
+    return _run("ensemble-mean-point", read_ensemble(E), tol_factor, functions=functions, **keys)
 
 
 def similarly_ordered(
@@ -321,15 +317,9 @@ def kantorovich_ensemble_chain(
     searches can evaluate the raw sides.  Returns the three links' reports,
     or with ``link`` (0, 1 or 2) that one.
     """
-    return _chain_links(
-        _chain_sides,
-        read_ensemble(E),
-        per_op_intervals,
-        grid_n=grid_n,
-        tol_factor=tol_factor,
-        gate=gate,
-        link=link,
-    )
+    ids = ("ensemble-product-lower", "ensemble-chebyshev-link", "ensemble-kantorovich-upper")
+    keys = dict(per_op_intervals=per_op_intervals, grid_n=grid_n, gate_hypothesis=gate)
+    return _chain(ids, link, lambda: read_ensemble(E), tol_factor, **keys)
 
 
 @_quiet
@@ -341,9 +331,10 @@ def _chain_links(
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
     gate: bool = True,
-    link: Optional[int] = None,
-) -> "tuple[InequalityReport, InequalityReport, InequalityReport] | InequalityReport":
-    """kantorovich_ensemble_chain's links on read inputs, their sides as ``sides`` gives them."""
+    link: int,
+) -> InequalityReport:
+    """kantorovich_ensemble_chain's link ``link`` on read inputs, its sides as
+    ``sides`` gives them."""
     normalization = inputs.normalization
     if gate and normalization != PER_VECTOR:
         raise NormalizationViolation(
@@ -427,4 +418,4 @@ def _chain_links(
             ),
         )
 
-    return _links((lower, middle, upper), link)
+    return (lower, middle, upper)[link]()

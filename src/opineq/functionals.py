@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, DomainViolation
+from .errors import ConfigInvalid, DomainViolation, read_integer
 from .functions import (
     GE,
     LE,
@@ -272,6 +272,14 @@ def _inputs_doc(
     return doc
 
 
+def _run(theorem_id: str, inputs, tol_factor: float, **keys) -> InequalityReport:
+    """Registry entry ``theorem_id`` run on read inputs with the document keys
+    ``keys``: the one assembly of a check, which scenarios and suites run too."""
+    from .registry import lookup  # the registry imports this module's cores
+
+    return lookup(theorem_id).run({"theorem": theorem_id, **keys}, inputs, tol_factor=tol_factor)
+
+
 def cebysev(
     f: ScalarFunction, g: ScalarFunction, A: HermitianOperator, x: StateVector
 ) -> float:
@@ -381,8 +389,9 @@ def check_sign_bound(
     With ``direction=None`` the grid classification picks the direction; a
     mixed verdict yields ``hypothesis-not-met``.
     """
-    args = ("pc-sign", direction, grid_n, tol_factor, gate_hypothesis)
-    return _synchrony_bound(_sign_sides, read_pair(A, x), f, g, h, *args)
+    functions = {"f": f, "g": g, "h": h}
+    keys = dict(direction=direction, grid_n=grid_n, gate_hypothesis=gate_hypothesis)
+    return _run("pc-sign", read_pair(A, x), tol_factor, functions=functions, **keys)
 
 
 def _square_sides(mu: SpectralMeasure, f: ScalarFunction, h: ScalarFunction) -> tuple:
@@ -424,7 +433,8 @@ def check_square_bound(
     tol_factor: float = 1.0,
 ) -> InequalityReport:
     """E[hf]^2 <= E[h^2]E[f^2]; holds for every continuous f, no synchrony gate."""
-    return _square_bound(_square_sides, read_pair(A, x), f, h, "pc-square", grid_n, tol_factor)
+    functions = {"f": f, "h": h}
+    return _run("pc-square", read_pair(A, x), tol_factor, functions=functions, grid_n=grid_n)
 
 
 def _kantorovich_constants(iv: SpectralInterval) -> tuple[float, float]:
@@ -448,14 +458,16 @@ def _kantorovich_sides(mu: SpectralMeasure, bound: float) -> tuple[tuple, tuple]
     return (product, 1.0), (bound, product)
 
 
-def _links(builders: tuple[Callable[[], InequalityReport], ...], link: Optional[int]):
-    """A chain's reports: every link's, or with ``link`` only the report at that
-    index, so that a link is built on its own sides alone."""
-    if link is None:
-        return tuple(build() for build in builders)
-    if link not in range(len(builders)):
-        raise ConfigInvalid(f"link must be one of 0..{len(builders) - 1}, got {link!r}")
-    return builders[link]()
+def _chain(theorem_ids: tuple[str, ...], link, read: Callable, tol_factor: float, **keys):
+    """A chain's reports: its links' entries run on one ``read()`` of its inputs,
+    or with ``link``, an integer index (numpy's too) refused before the read, that
+    entry's alone."""
+    if link is not None:
+        index = int(link) if isinstance(link, np.integer) else link
+        theorem_ids = (theorem_ids[read_integer(index, "link", (0, len(theorem_ids) - 1))],)
+    inputs = read()
+    reports = tuple(_run(theorem_id, inputs, tol_factor, **keys) for theorem_id in theorem_ids)
+    return reports if link is None else reports[0]
 
 
 def kantorovich_chain(
@@ -473,14 +485,9 @@ def kantorovich_chain(
     falsifier uses it to probe what happens when the declared interval lies.
     Returns the (lower, upper) reports, or with ``link`` (0 or 1) that one.
     """
-    return _kantorovich_links(
-        _kantorovich_sides,
-        read_pair(A, x),
-        bound_interval=bound_interval,
-        grid_n=grid_n,
-        tol_factor=tol_factor,
-        link=link,
-    )
+    ids = ("kantorovich-lower", "kantorovich-upper")
+    keys = dict(bound_interval=bound_interval, grid_n=grid_n)
+    return _chain(ids, link, lambda: read_pair(A, x), tol_factor, **keys)
 
 
 @_quiet
@@ -491,9 +498,9 @@ def _kantorovich_links(
     bound_interval: Optional[SpectralInterval] = None,
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
-    link: Optional[int] = None,
-) -> "tuple[InequalityReport, InequalityReport] | InequalityReport":
-    """kantorovich_chain's links on read inputs, their sides as ``sides`` gives them."""
+    link: int,
+) -> InequalityReport:
+    """kantorovich_chain's link ``link`` on read inputs, its sides as ``sides`` gives them."""
     inputs.interval.require_positive()
     iv = bound_interval if bound_interval is not None else inputs.interval
     bound, difference_form = _kantorovich_constants(iv)
@@ -537,7 +544,7 @@ def _kantorovich_links(
             ),
         )
 
-    return _links((lower, upper), link)
+    return (lower, upper)[link]()
 
 
 def _two_operator_sides(mu: SpectralMeasure, nu: SpectralMeasure, f, g, h) -> tuple:
@@ -562,8 +569,9 @@ def check_two_operator(
     gate_hypothesis: bool = True,
 ) -> InequalityReport:
     """Mixed two-operator bound: cross products of expectations over (A, x) and (B, y)."""
-    args = ("pc-two-op", direction, grid_n, tol_factor, gate_hypothesis)
-    return _synchrony_bound(_two_operator_sides, read_two(A, B, x, y), f, g, h, *args)
+    functions = {"f": f, "g": g, "h": h}
+    keys = dict(direction=direction, grid_n=grid_n, gate_hypothesis=gate_hypothesis)
+    return _run("pc-two-op", read_two(A, B, x, y), tol_factor, functions=functions, **keys)
 
 
 def mean_point_sides(
@@ -603,15 +611,11 @@ def check_mean_point(
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
     gate_hypothesis: bool = True,
-    auto_hypothesis: bool = False,
 ) -> InequalityReport:
-    """Bound anchored at the mean point <Ax,x>, with correction terms on the small side.
-
-    ``auto_hypothesis`` marks the f = g parameterizations whose synchrony is
-    structural, skipping the grid classification.
-    """
-    args = ("mean-point", direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis, ())
-    return _synchrony_bound(_mean_point_sides, read_pair(A, x), f, g, h, *args)
+    """Bound anchored at the mean point <Ax,x>, with correction terms on the small side."""
+    functions = {"f": f, "g": g, "h": h}
+    keys = dict(direction=direction, grid_n=grid_n, gate_hypothesis=gate_hypothesis)
+    return _run("mean-point", read_pair(A, x), tol_factor, functions=functions, **keys)
 
 
 def inverse_pair_hull(interval: SpectralInterval) -> SpectralInterval:
@@ -651,9 +655,9 @@ def check_inverse_pair(
     grid_n: int = DEFAULT_GRID_N,
     tol_factor: float = 1.0,
     gate_hypothesis: bool = True,
-    auto_hypothesis: bool = False,
 ) -> InequalityReport:
     """Two-point bound at the pair (<Ax,x>, <A^{-1}x,x>) for a positive spectrum,
     its synchrony certified on inverse_pair_hull of the interval."""
-    args = ("inverse-pair", direction, grid_n, tol_factor, gate_hypothesis, auto_hypothesis)
-    return _synchrony_bound(_inverse_pair_sides, read_pair(A, x), f, g, h, *args, hull=True)
+    functions = {"f": f, "g": g, "h": h}
+    keys = dict(direction=direction, grid_n=grid_n, gate_hypothesis=gate_hypothesis)
+    return _run("inverse-pair", read_pair(A, x), tol_factor, functions=functions, **keys)

@@ -789,6 +789,8 @@ def falsify(
     tolerance; that report's inputs document is ``scenario``, and ``found`` is
     true only when it says "violated".
     """
+    if interval is not None and not isinstance(interval, SpectralInterval):
+        raise ConfigInvalid("interval must be a SpectralInterval")
     entry = lookup(theorem_id)
     if drop is not None:
         if drop not in DROPPABLE:

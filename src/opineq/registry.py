@@ -107,12 +107,14 @@ _CORE_KEYS = {
 class TheoremEntry:
     """One checkable inequality: its id, what inputs it takes, how to run it.
 
-    ``run`` calls the check's core with the entry's ``sides``, the read inputs
-    (for a summed check, its members' measures concatenated), then the
-    function slots in f, g, h order (the document's free ``slots`` plus the
-    ``fixed`` ones), then every document key its core reads (``forwards``,
-    set per core) as the keyword it maps to, then the constant ``options``; a
-    tuples check takes only the tuples and its keywords.  A check whose g is
+    ``run`` is the one assembly of a check: scenarios, suite trials, falsify's
+    certificate and the public check functions all call it.  It calls the
+    check's core with the entry's ``sides``, the read inputs (for a summed
+    check, its members' measures concatenated), then the function slots in f,
+    g, h order (the document's free ``slots`` plus the ``fixed`` ones), then
+    every document key its core reads (``forwards``, set per core) as the
+    keyword it maps to, then the constant ``options``; a tuples check takes
+    only the tuples and its keywords.  A check whose g is
     fixed to its f is synchronous by construction, so its core skips the
     certificate (the ``auto_hypothesis`` option).  A chain core's ``link``
     option picks this entry's link, the only report it builds.  The remaining

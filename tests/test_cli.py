@@ -534,6 +534,20 @@ class TestClassify:
         assert rows[0]["classification"] == "h-decreasing"
         assert rows[0]["kind"] == "monotonicity"
 
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("h", {"g": {"kind": "identity"}, "r_values": [1.0], "h": {"kind": "identity"}}),
+            ("g", {"mode": "monotonicity", "h": {"kind": "identity"}, "g": {"kind": "identity"}}),
+            ("r_values", {"mode": "monotonicity", "h": {"kind": "identity"}, "r_values": [1.0]}),
+        ],
+    )
+    def test_field_the_mode_does_not_read_exits_two(self, tmp_path, capsys, field, fields):
+        doc = {"f": {"kind": "identity"}, "interval": [1.0, 2.0], **fields}
+        code = main(["classify", _write(tmp_path, "fns.json", doc)])
+        assert code == 2
+        assert repr(field) in capsys.readouterr().err
+
     def test_missing_g_exits_two(self, tmp_path, capsys):
         doc = {"f": {"kind": "identity"}, "interval": [1.0, 2.0], "h": {"kind": "identity"}}
         del doc["h"]

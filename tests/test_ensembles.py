@@ -428,6 +428,7 @@ class TestKantorovichEnsembleChain:
         E = _pv([DIAG12], [x])
         reports = kantorovich_ensemble_chain(E)
         assert [kantorovich_ensemble_chain(E, link=k) for k in range(3)] == list(reports)
+        assert [kantorovich_ensemble_chain(E, link=k) for k in np.arange(3)] == list(reports)
         # the per-operator constant overflows on [1e-200, 1e200]; only the upper link reads it
         wide = HermitianOperator.diagonal([1.0, 2.0], SpectralInterval(1e-200, 1e200))
         E = _pv([wide], [x])
@@ -435,6 +436,9 @@ class TestKantorovichEnsembleChain:
         assert kantorovich_ensemble_chain(E, link=1).verdict == HOLDS
         with pytest.raises(DomainViolation, match="ensemble-kantorovich-upper: sides inf"):
             kantorovich_ensemble_chain(E, link=2)
+        for link in (3, -1, True, 2.0):
+            with pytest.raises(ConfigInvalid, match="link"):
+                kantorovich_ensemble_chain(E, link=link)
 
     def test_random_per_vector_draws(self):
         for trial in range(60):

@@ -1,5 +1,7 @@
 """Single-operator inequality checkers and their report semantics."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from opineq import (
     HYPOTHESIS_NOT_MET,
     IntervalMismatch,
     OperatorEnsemble,
+    PER_VECTOR,
     SUM_OF_SQUARES,
     LE,
     NonPositiveSpectrum,
@@ -33,8 +36,10 @@ from opineq import (
     identity,
     inverse_pair_hull,
     kantorovich_chain,
+    kantorovich_ensemble_chain,
     linear_combination,
     log_fn,
+    lookup,
     mean_point_sides,
     neg_parabola,
     pompeiu_cebysev,
@@ -56,6 +61,7 @@ from opineq.functionals import (
     _sign_sides,
     _square_sides,
     _two_operator_sides,
+    read_pair,
 )
 from opineq.spectral import SpectralMeasure
 
@@ -72,6 +78,12 @@ INV = power(-1.0)
 def _unit_state(rng, dim):
     x = random_state(rng, dim)
     return StateVector(x.components / x.norm)
+
+
+def _run_entry(theorem_id, functions, A, x):
+    """Registry entry ``theorem_id`` run on (A, x), as ``opineq check`` runs it."""
+    doc = {"theorem": theorem_id, "functions": functions}
+    return lookup(theorem_id).run(doc, read_pair(A, x))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +160,7 @@ def _hex(doc):
 
 S, S2, S3 = identity(), power(2.0), power(3.0)
 ONE_BLOCK = OperatorEnsemble((DIAG12,), (EQ2,), SUM_OF_SQUARES)
+ONE_UNIT = OperatorEnsemble((DIAG12,), (EQ2,), PER_VECTOR)
 PUBLIC_CHECKS = {
     "pc-sign": (check_sign_bound, (S2, S3, S, DIAG12, EQ2)),
     "pc-square": (check_square_bound, (S2, S, DIAG12, EQ2)),
@@ -157,20 +170,27 @@ PUBLIC_CHECKS = {
     "ensemble-pc-sign": (check_ensemble_sign_bound, (S2, S3, S, ONE_BLOCK)),
     "ensemble-pc-square": (check_ensemble_square_bound, (S2, S, ONE_BLOCK)),
     "ensemble-mean-point": (check_ensemble_mean_point, (S2, S3, S, ONE_BLOCK)),
+    "kantorovich-lower": (partial(kantorovich_chain, link=0), (DIAG12, EQ2)),
+    "kantorovich-upper": (partial(kantorovich_chain, link=1), (DIAG12, EQ2)),
+    "ensemble-product-lower": (partial(kantorovich_ensemble_chain, link=0), (ONE_UNIT,)),
+    "ensemble-chebyshev-link": (partial(kantorovich_ensemble_chain, link=1), (ONE_UNIT,)),
+    "ensemble-kantorovich-upper": (partial(kantorovich_ensemble_chain, link=2), (ONE_UNIT,)),
 }
 
 
 @pytest.mark.parametrize("theorem_id", list(PUBLIC_CHECKS))
 def test_a_public_check_writes_a_document_of_its_own_id(theorem_id):
-    """No public check takes a theorem id, so its inputs document replays as
-    the check that wrote it."""
+    """No public check takes a theorem id, nor claims the automatic hypothesis,
+    so its inputs document replays to the report the check wrote."""
     check, args = PUBLIC_CHECKS[theorem_id]
     report = check(*args)
     assert report.theorem_id == report.inputs_digest["theorem"] == theorem_id
     replay = run_scenario(scenario_from_doc(report.inputs_digest))
-    assert (replay.theorem_id, replay.gap) == (theorem_id, report.gap)
+    assert replay.to_record() == report.to_record()
     with pytest.raises(TypeError, match="theorem_id"):
         check(*args, theorem_id="mean-point")
+    with pytest.raises(TypeError, match="auto_hypothesis"):
+        check(*args, auto_hypothesis=True)
 
 
 def test_the_ensemble_mean_point_check_takes_no_extra_notes():
@@ -483,6 +503,7 @@ class TestKantorovichChain:
         lower, upper = kantorovich_chain(DIAG12, EQ2)
         assert kantorovich_chain(DIAG12, EQ2, link=0) == lower
         assert kantorovich_chain(DIAG12, EQ2, link=1) == upper
+        assert kantorovich_chain(DIAG12, EQ2, link=np.int64(1)) == upper
         # the upper constant overflows on [1e-200, 1e200]; the lower link never reads it
         wide = HermitianOperator.diagonal([1.0, 2.0], SpectralInterval(1e-200, 1e200))
         assert kantorovich_chain(wide, EQ2, link=0).verdict == HOLDS
@@ -492,8 +513,12 @@ class TestKantorovichChain:
             kantorovich_chain(wide, EQ2)
 
     def test_unknown_link_rejected(self):
-        with pytest.raises(ConfigInvalid, match="link"):
-            kantorovich_chain(DIAG12, EQ2, link=2)
+        # a link is an integer index, refused before the inputs are read
+        unread = StateVector(np.asarray([1.0, 1.0]))
+        for link in (2, -1, True, 1.0):
+            for x in (EQ2, unread):
+                with pytest.raises(ConfigInvalid, match="link"):
+                    kantorovich_chain(DIAG12, x, link=link)
 
     def test_random_positive_draws_hold(self):
         for trial in range(100):
@@ -578,7 +603,7 @@ class TestCheckMeanPoint:
         assert any("sign-reversed" in note for note in r.notes)
 
     def test_auto_hypothesis_skips_classification(self):
-        r = check_mean_point(ID, ID, ONE, DIAG12, EQ2, auto_hypothesis=True)
+        r = _run_entry("mean-point-square", {"f": ID, "h": ONE}, DIAG12, EQ2)
         assert r.hypothesis_evidence["kind"] == "automatic"
         assert r.direction == GE
         assert r.verdict == HOLDS
@@ -612,7 +637,7 @@ class TestCheckInversePair:
             dim = int(rng.integers(1, 7))
             A = random_operator(rng, dim, IV12)
             x = _unit_state(rng, dim)
-            r = check_inverse_pair(SQ, SQ, ID, A, x, auto_hypothesis=True)
+            r = _run_entry("inverse-pair-square", {"f": SQ, "h": ID}, A, x)
             assert r.gap >= -r.tolerance
             assert r.verdict == HOLDS
 

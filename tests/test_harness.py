@@ -547,6 +547,10 @@ class TestFalsify:
         with pytest.raises(ConfigInvalid):
             falsify("pc-sign", None, budget=0)
 
+    def test_interval_other_than_a_spectral_interval_rejected(self):
+        with pytest.raises(ConfigInvalid, match="interval must be a SpectralInterval"):
+            falsify("pc-sign", interval=(1.0, 4.0), budget=10)
+
     def test_numpy_integer_grid_n_gives_the_same_result(self):
         got = falsify("pc-sign", budget=10, grid_n=np.int64(64))
         assert got == falsify("pc-sign", budget=10, grid_n=64)
