@@ -9,7 +9,7 @@ check on the block-diagonal lift; the test suite enforces that equivalence.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -22,11 +22,10 @@ from .errors import (
 from .functions import GE, SYNCHRONOUS, ScalarFunction, _evidence_doc, _synchrony, identity, power
 from .functionals import (
     InequalityReport,
+    Outcome,
     ReadInputs,
     ReadPair,
-    _build_report,
     _chain,
-    _inputs_doc,
     _kantorovich_constants,
     _quiet,
     _run,
@@ -52,6 +51,7 @@ __all__ = [
     "OperatorEnsemble",
     "ensemble_inputs",
     "read_ensemble",
+    "tuples_inputs",
     "summed",
     "ensemble_expectation",
     "ensemble_expectation_product",
@@ -243,7 +243,22 @@ def _chebyshev_sides(a, b) -> tuple:
     return np.mean(a * b, axis=-1), np.mean(a, axis=-1) * np.mean(b, axis=-1)
 
 
-@_quiet
+class ReadTuples(NamedTuple):
+    """What the discrete Chebyshev check reads of two tuples: them as float
+    arrays, and the inputs-document body that writes them."""
+
+    a: np.ndarray
+    b: np.ndarray
+    body: dict
+
+
+def tuples_inputs(a: Sequence[float], b: Sequence[float]) -> ReadTuples:
+    """What the discrete Chebyshev check reads of the tuples a and b."""
+    av = np.asarray(a, dtype=np.float64)
+    bv = np.asarray(b, dtype=np.float64)
+    return ReadTuples(av, bv, {"tuples": {"a": av.tolist(), "b": bv.tolist()}})
+
+
 def discrete_chebyshev(
     a: Sequence[float], b: Sequence[float], *, tol_factor: float = 1.0, gate: bool = True
 ) -> InequalityReport:
@@ -252,35 +267,25 @@ def discrete_chebyshev(
     With ``gate`` false an unordered pair is evaluated anyway (for hypothesis-
     dropping searches) instead of raising.
     """
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    ordered, witness, worst = similarly_ordered(av, bv)
-    if not ordered and gate:
+    return _run("discrete-chebyshev", tuples_inputs(a, b), tol_factor, gate_hypothesis=gate)
+
+
+@_quiet
+def _chebyshev(
+    sides: Callable[..., tuple], inputs: ReadTuples, *, gate_hypothesis: bool = True
+) -> Outcome:
+    """discrete_chebyshev on read tuples, its sides as ``sides`` gives them."""
+    ordered, witness, worst = similarly_ordered(inputs.a, inputs.b)
+    if not ordered and gate_hypothesis:
         i, j = witness
         raise NotSimilarlyOrdered(
             f"pair (i={i}, j={j}) has (a_i-a_j)(b_i-b_j) = {fmt(worst)} < 0"
         )
-    favored, other = _chebyshev_sides(av, bv)
-    inputs = {
-        "theorem": "discrete-chebyshev",
-        "direction": GE,
-        "tuples": {"a": [float(v) for v in av], "b": [float(v) for v in bv]},
-    }
-    if not gate:
-        inputs["gate_hypothesis"] = False
+    favored, other = sides(inputs.a, inputs.b)
     hypothesis = _evidence_doc("similarly-ordered", ordered=ordered, min_pair_product=worst)
     if witness is not None:
         hypothesis["witness"] = list(witness)
-    return _build_report(
-        "discrete-chebyshev",
-        GE,
-        favored,
-        other,
-        hypothesis=hypothesis,
-        hypothesis_ok=True,
-        inputs=inputs,
-        tol_factor=tol_factor,
-    )
+    return Outcome(GE, favored, other, hypothesis, True)
 
 
 def _member_means(measures: Sequence[SpectralMeasure]) -> tuple[np.ndarray, np.ndarray]:
@@ -328,15 +333,13 @@ def _chain_links(
     inputs: ReadInputs,
     per_op_intervals: Optional[Sequence[tuple[float, float]]] = None,
     *,
-    grid_n: int = DEFAULT_GRID_N,
-    tol_factor: float = 1.0,
-    gate: bool = True,
+    gate_hypothesis: bool = True,
     link: int,
-) -> InequalityReport:
+) -> Outcome:
     """kantorovich_ensemble_chain's link ``link`` on read inputs, its sides as
     ``sides`` gives them."""
     normalization = inputs.normalization
-    if gate and normalization != PER_VECTOR:
+    if gate_hypothesis and normalization != PER_VECTOR:
         raise NormalizationViolation(
             "the averaged chain needs per_vector normalization; "
             "its first link is false under sum_of_squares"
@@ -351,7 +354,7 @@ def _chain_links(
             raise ConfigInvalid(f"need {n} per-operator intervals, got {len(intervals)}")
     inputs.interval.require_positive()
     constants, diff_constants = zip(*(_kantorovich_constants(iv) for iv in intervals))
-    if gate and per_op_intervals is not None:
+    if gate_hypothesis and per_op_intervals is not None:
         for k, (iv, mu) in enumerate(zip(intervals, measures)):
             if not iv.contains_spectrum(mu.atoms):
                 ev = mu.atoms
@@ -361,61 +364,25 @@ def _chain_links(
                 )
     a, b = _member_means(measures)
     lower_sides, middle_sides, upper_sides = sides(a, b, constants)
-
-    body = inputs.body
-    if per_op_intervals is not None:
-        body = {**body, "per_op_intervals": [list(iv.as_pair()) for iv in intervals]}
-
-    def doc(theorem_id: str) -> dict:
-        return _inputs_doc(theorem_id, GE, body, {}, grid_n, gate)
-
-    def lower() -> InequalityReport:
-        return _build_report(
-            "ensemble-product-lower",
-            GE,
-            *lower_sides,
-            hypothesis={"kind": "normalization", "mode": normalization, "required": PER_VECTOR},
-            hypothesis_ok=True,
-            inputs=doc("ensemble-product-lower"),
-            tol_factor=tol_factor,
-            notes=(
-                "sum form: (sum a)(sum b) = "
-                + fmt(lower_sides[0] * n * n)
-                + " vs n^2 = "
-                + fmt(float(n * n)),
-                "stated for sum-of-squares normalization, where it fails; "
-                "checked under per-vector normalization",
-            ),
+    if link == 0:
+        hypothesis = {"kind": "normalization", "mode": normalization, "required": PER_VECTOR}
+        notes = (
+            "sum form: (sum a)(sum b) = "
+            + fmt(lower_sides[0] * n * n)
+            + " vs n^2 = "
+            + fmt(float(n * n)),
+            "stated for sum-of-squares normalization, where it fails; "
+            "checked under per-vector normalization",
         )
-
-    def middle() -> InequalityReport:
+        return Outcome(GE, *lower_sides, hypothesis, True, notes)
+    if link == 1:
         ordered, witness, worst = similarly_ordered(a, b)
-        return _build_report(
-            "ensemble-chebyshev-link",
-            GE,
-            *middle_sides,
-            hypothesis=_evidence_doc("similarly-ordered", min_pair_product=worst, witness=witness),
-            hypothesis_ok=ordered or not gate,
-            inputs=doc("ensemble-chebyshev-link"),
-            tol_factor=tol_factor,
-        )
-
-    def upper() -> InequalityReport:
-        return _build_report(
-            "ensemble-kantorovich-upper",
-            GE,
-            *upper_sides,
-            hypothesis=None,
-            hypothesis_ok=True,
-            inputs=doc("ensemble-kantorovich-upper"),
-            tol_factor=tol_factor,
-            notes=(
-                "per-operator constants (lo+hi)^2/(4 lo hi): "
-                + ", ".join(fmt(c) for c in constants),
-                "difference-form values (hi-lo)^2/(4 lo hi): "
-                + ", ".join(fmt(c) for c in diff_constants)
-                + " (source discrepancy; not used)",
-            ),
-        )
-
-    return (lower, middle, upper)[link]()
+        hypothesis = _evidence_doc("similarly-ordered", min_pair_product=worst, witness=witness)
+        return Outcome(GE, *middle_sides, hypothesis, ordered or not gate_hypothesis)
+    notes = (
+        "per-operator constants (lo+hi)^2/(4 lo hi): " + ", ".join(fmt(c) for c in constants),
+        "difference-form values (hi-lo)^2/(4 lo hi): "
+        + ", ".join(fmt(c) for c in diff_constants)
+        + " (source discrepancy; not used)",
+    )
+    return Outcome(GE, *upper_sides, None, True, notes)

@@ -116,18 +116,23 @@ class InequalityReport:
         }
 
 
-def _build_report(
-    theorem_id: str,
-    direction: str,
-    favored: float,
-    other: float,
-    *,
-    hypothesis: Optional[dict],
-    hypothesis_ok: bool,
-    inputs: dict,
-    tol_factor: float = 1.0,
-    notes: tuple[str, ...] = (),
-) -> InequalityReport:
+class Outcome(NamedTuple):
+    """What a check's core computes: the direction it dispatched, the favored
+    and the other side, the hypothesis evidence and whether it is met, and notes."""
+
+    direction: str
+    favored: float
+    other: float
+    hypothesis: Optional[dict]
+    hypothesis_ok: bool
+    notes: tuple[str, ...] = ()
+
+
+def _build_report(inputs: dict, outcome: Outcome, tol_factor: float = 1.0) -> InequalityReport:
+    """The report of ``outcome`` on the inputs document ``inputs``, to which it
+    adds only the dispatched direction; the report's id is the document's theorem."""
+    direction, favored, other, hypothesis, hypothesis_ok, notes = outcome
+    theorem_id = inputs["theorem"]
     favored, other = float(favored), float(other)
     if not (math.isfinite(favored) and math.isfinite(other)):
         raise DomainViolation(
@@ -141,6 +146,7 @@ def _build_report(
         verdict = HOLDS
     else:
         verdict = VIOLATED
+    inputs["direction"] = direction
     return InequalityReport(
         theorem_id=theorem_id,
         direction=direction,
@@ -251,33 +257,12 @@ def read_two(
     return two_inputs(ReadPair.of(A, x), ReadPair.of(B, y))
 
 
-def _inputs_doc(
-    theorem_id: str,
-    direction: str,
-    body: dict,
-    functions: dict[str, ScalarFunction],
-    grid_n: int,
-    gate_hypothesis: bool,
-) -> dict:
-    """Scenario document of one check; ``body`` holds its operator, state or ensemble keys."""
-    doc: dict = {
-        "theorem": theorem_id,
-        "direction": direction,
-        "grid_n": grid_n,
-        **body,
-        "functions": {name: fn.descriptor() for name, fn in functions.items()},
-    }
-    if not gate_hypothesis:
-        doc["gate_hypothesis"] = False
-    return doc
-
-
 def _run(theorem_id: str, inputs, tol_factor: float, **keys) -> InequalityReport:
     """Registry entry ``theorem_id`` run on read inputs with the document keys
     ``keys``: the one assembly of a check, which scenarios and suites run too."""
     from .registry import lookup  # the registry imports this module's cores
 
-    return lookup(theorem_id).run({"theorem": theorem_id, **keys}, inputs, tol_factor=tol_factor)
+    return lookup(theorem_id).run(keys, inputs, tol_factor=tol_factor)
 
 
 def cebysev(
@@ -309,15 +294,13 @@ def _synchrony_bound(
     f: ScalarFunction,
     g: ScalarFunction,
     h: ScalarFunction,
-    theorem_id: str,
     direction: Optional[str] = None,
     grid_n: int = DEFAULT_GRID_N,
-    tol_factor: float = 1.0,
     gate_hypothesis: bool = True,
     auto_hypothesis: bool = False,
     notes: Optional[tuple[str, ...]] = None,
     hull: bool = False,
-) -> InequalityReport:
+) -> Outcome:
     """A bound gated on h-synchrony of (f, g) over the inputs' interval, read off their measures.
 
     ``sides(*inputs.measures, f, g, h)`` gives its sides in the ``>=``
@@ -350,19 +333,7 @@ def _synchrony_bound(
     favored, other = (lhs_raw, rhs_raw) if direction == GE else (rhs_raw, lhs_raw)
     if notes is not None and direction == LE:
         notes = notes + (REVERSED_NOTE,)
-    return _build_report(
-        theorem_id,
-        direction,
-        favored,
-        other,
-        hypothesis=hypothesis,
-        hypothesis_ok=hypothesis_ok,
-        inputs=_inputs_doc(
-            theorem_id, direction, inputs.body, {"f": f, "g": g, "h": h}, grid_n, gate_hypothesis
-        ),
-        tol_factor=tol_factor,
-        notes=notes or (),
-    )
+    return Outcome(direction, favored, other, hypothesis, hypothesis_ok, notes or ())
 
 
 def _sign_sides(
@@ -405,22 +376,9 @@ def _square_bound(
     inputs: ReadInputs,
     f: ScalarFunction,
     h: ScalarFunction,
-    theorem_id: str,
-    grid_n: int = DEFAULT_GRID_N,
-    tol_factor: float = 1.0,
-) -> InequalityReport:
+) -> Outcome:
     """E[hf]^2 <= E[h^2]E[f^2] on a measure, as ``sides`` gives them; nothing to certify."""
-    favored, other = sides(*inputs.measures, f, h)
-    return _build_report(
-        theorem_id,
-        LE,
-        favored,
-        other,
-        hypothesis=AUTOMATIC_HYPOTHESIS,
-        hypothesis_ok=True,
-        inputs=_inputs_doc(theorem_id, LE, inputs.body, {"f": f, "h": h}, grid_n, True),
-        tol_factor=tol_factor,
-    )
+    return Outcome(LE, *sides(*inputs.measures, f, h), AUTOMATIC_HYPOTHESIS, True)
 
 
 def check_square_bound(
@@ -496,55 +454,30 @@ def _kantorovich_links(
     inputs: ReadInputs,
     *,
     bound_interval: Optional[SpectralInterval] = None,
-    grid_n: int = DEFAULT_GRID_N,
-    tol_factor: float = 1.0,
     link: int,
-) -> InequalityReport:
+) -> Outcome:
     """kantorovich_chain's link ``link`` on read inputs, its sides as ``sides`` gives them."""
     inputs.interval.require_positive()
     iv = bound_interval if bound_interval is not None else inputs.interval
     bound, difference_form = _kantorovich_constants(iv)
     (mu,) = inputs.measures
     lower_sides, upper_sides = sides(mu, bound)
-    body = inputs.body
+    if link == 0:
+        return Outcome(GE, *lower_sides, None, True)
     containment = None
     if bound_interval is not None:
-        body = {**body, "bound_interval": [iv.lo, iv.hi]}
         containment = {
             "kind": "spectral-containment",
             "declared": [iv.lo, iv.hi],
             "contained": iv.contains_spectrum(mu.atoms),
         }
-
-    def lower() -> InequalityReport:
-        return _build_report(
-            "kantorovich-lower",
-            GE,
-            *lower_sides,
-            hypothesis=None,
-            hypothesis_ok=True,
-            inputs=_inputs_doc("kantorovich-lower", GE, body, {}, grid_n, True),
-            tol_factor=tol_factor,
-        )
-
-    def upper() -> InequalityReport:
-        return _build_report(
-            "kantorovich-upper",
-            GE,
-            *upper_sides,
-            hypothesis=containment,
-            hypothesis_ok=True,
-            inputs=_inputs_doc("kantorovich-upper", GE, body, {}, grid_n, True),
-            tol_factor=tol_factor,
-            notes=(
-                "upper constant (lo+hi)^2/(4*lo*hi) = " + fmt(bound),
-                "difference-form constant (hi-lo)^2/(4*lo*hi) = "
-                + fmt(difference_form)
-                + " (source discrepancy; not used)",
-            ),
-        )
-
-    return (lower, upper)[link]()
+    notes = (
+        "upper constant (lo+hi)^2/(4*lo*hi) = " + fmt(bound),
+        "difference-form constant (hi-lo)^2/(4*lo*hi) = "
+        + fmt(difference_form)
+        + " (source discrepancy; not used)",
+    )
+    return Outcome(GE, *upper_sides, containment, True, notes)
 
 
 def _two_operator_sides(mu: SpectralMeasure, nu: SpectralMeasure, f, g, h) -> tuple:

@@ -33,6 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ensembles import PER_VECTOR, SUM_OF_SQUARES, OperatorEnsemble, _member_means, ensemble_inputs
+from .ensembles import tuples_inputs
 from .errors import ConfigInvalid, OpineqError, read_integer, read_list
 from .functionals import (
     HYPOTHESIS_NOT_MET,
@@ -418,11 +419,11 @@ def _drawn_inputs(
     entry: TheoremEntry, mode: Optional[str], blocks: Sequence, interval: SpectralInterval
 ):
     """A check's inputs from its drawn blocks, as its core reads them: tuples
-    (a, b) as they are; else each block (atoms, weights) read as diag(atoms)
+    (a, b) read as tuples; else each block (atoms, weights) read as diag(atoms)
     on the interval with the real state sqrt(weights), neither built, and the
     read pairs put together for the entry's kind under the ensemble ``mode``."""
     if entry.inputs_kind == TUPLES:
-        return tuple(blocks)
+        return tuples_inputs(*blocks)
     pairs = [ReadPair.diagonal(atoms, np.sqrt(w), interval) for atoms, w in blocks]
     return _DRAWS[entry.inputs_kind][1](pairs, mode)
 

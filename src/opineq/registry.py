@@ -12,10 +12,10 @@ from typing import Callable, Mapping, Optional, Union
 
 from .errors import ConfigInvalid, UnknownTheorem
 from .functions import ScalarFunction, constant, identity
-
-# The check cores are called by name through this module's globals (TheoremEntry.checker).
 from .functionals import (
     InequalityReport,
+    Outcome,
+    _build_report,
     _inverse_pair_sides,
     _kantorovich_links,
     _kantorovich_sides,
@@ -33,11 +33,15 @@ from .ensembles import (
     SUM_OF_SQUARES,
     _chain_links,
     _chain_sides,
+    _chebyshev,
     _chebyshev_sides,
-    discrete_chebyshev,
     read_ensemble,
     summed,
+    tuples_inputs,
 )
+from .serialize import read_per_op_intervals
+from .spectral import SpectralInterval, read_grid_n
+from .tolerances import DEFAULT_GRID_N
 
 __all__ = [
     "TheoremEntry",
@@ -53,14 +57,15 @@ TWO_OP = "two_op"
 ENSEMBLE = "ensemble"
 TUPLES = "tuples"
 
-# Inputs kind -> the document keys a check of that kind requires, and the reader
-# that turns their parsed values into what the check's core takes: ReadInputs,
-# or the tuples (a, b) as they are.
+# Inputs kind -> the document keys a check of that kind requires, the reader
+# that turns their parsed values into what the check's core takes (ReadInputs,
+# or ReadTuples), and whether its inputs document names the grid and the
+# functions: a measure's check does, the tuples' check takes neither.
 _INPUTS = {
-    SINGLE: (("operator", "state"), read_pair),
-    TWO_OP: (("operator", "operator_b", "state", "state_b"), read_two),
-    ENSEMBLE: (("ensemble",), read_ensemble),
-    TUPLES: (("tuples",), lambda tuples: (tuples["a"], tuples["b"])),
+    SINGLE: (("operator", "state"), read_pair, True),
+    TWO_OP: (("operator", "operator_b", "state", "state_b"), read_two, True),
+    ENSEMBLE: (("ensemble",), read_ensemble, True),
+    TUPLES: (("tuples",), lambda tuples: tuples_inputs(tuples["a"], tuples["b"]), False),
 }
 # Document keys every check accepts beside its inputs and forwarded keys.
 _UNIVERSAL = frozenset({"theorem", "name", "expect", "grid_n", "functions"})
@@ -82,23 +87,37 @@ _INV = {"kind": "power", "p": -1.0}
 _EXP = {"kind": "exp"}
 _LOG = {"kind": "log"}
 
-# Check core -> the document keys it reads beside its inputs, each with the
-# keyword it takes the key's value as.
-_CORE_KEYS = {
-    "_synchrony_bound": {
-        "theorem": "theorem_id",
-        "direction": "direction",
-        "grid_n": "grid_n",
-        "gate_hypothesis": "gate_hypothesis",
-    },
-    "_square_bound": {"theorem": "theorem_id", "grid_n": "grid_n"},
-    "_kantorovich_links": {"bound_interval": "bound_interval", "grid_n": "grid_n"},
-    "_chain_links": {
-        "per_op_intervals": "per_op_intervals",
-        "grid_n": "grid_n",
-        "gate_hypothesis": "gate",
-    },
-    "discrete_chebyshev": {"gate_hypothesis": "gate"},
+
+def _bound_interval(value, doc: dict):
+    if value is not None:
+        if not isinstance(value, SpectralInterval):
+            raise ConfigInvalid(f"bound_interval must be a SpectralInterval, got {value!r}")
+        doc["bound_interval"] = [value.lo, value.hi]
+    return value
+
+
+def _per_op_intervals(value, doc: dict):
+    if value is not None:
+        value = read_per_op_intervals(value)
+        doc["per_op_intervals"] = [list(pair) for pair in value]
+    return value
+
+
+def _gate(value, doc: dict):
+    if not value:
+        doc["gate_hypothesis"] = False
+    return value
+
+
+# Document key a core takes -> its reader: given the key's value and the inputs
+# document, it checks the value, writes what the document holds of it, and
+# returns what the core takes.  run reads grid_n into the document first.
+_KEYS = {
+    "direction": lambda value, doc: value,
+    "grid_n": lambda value, doc: doc["grid_n"],
+    "gate_hypothesis": _gate,
+    "bound_interval": _bound_interval,
+    "per_op_intervals": _per_op_intervals,
 }
 
 
@@ -112,13 +131,13 @@ class TheoremEntry:
     check's core with the entry's ``sides``, the read inputs (for a summed
     check, its members' measures concatenated), then the function slots in f,
     g, h order (the document's free ``slots`` plus the ``fixed`` ones), then
-    every document key its core reads (``forwards``, set per core) as the
-    keyword it maps to, then the constant ``options``; a tuples check takes
-    only the tuples and its keywords.  A check whose g is
-    fixed to its f is synchronous by construction, so its core skips the
-    certificate (the ``auto_hypothesis`` option).  A chain core's ``link``
-    option picks this entry's link, the only report it builds.  The remaining
-    fields steer sampling and ``falsify``.
+    every document key its core reads (``forwards``) as the keyword of that
+    name, then the constant ``options``.  A check whose g is fixed to its f is
+    synchronous by construction, so its core skips the certificate (the
+    ``auto_hypothesis`` option).  A chain core's ``link`` option picks this
+    entry's link, the only outcome it computes.  ``run`` alone writes the
+    report's inputs document, from the keys it read.  The remaining fields
+    steer sampling and ``falsify``.
     """
 
     theorem_id: str
@@ -129,9 +148,10 @@ class TheoremEntry:
     slots: tuple[str, ...]
     ensemble_mode: Optional[str]
     needs_positive: bool
-    # name of the check's core in this module, looked up at call time so that
-    # a rebinding of the module attribute (a profiler's wrapper) is seen
-    checker: str
+    # the check's core: it computes the check's Outcome
+    checker: Callable[..., Outcome]
+    # the document keys the core reads, each taken as the keyword of its name
+    forwards: tuple[str, ...]
     # slot -> the function it is fixed to, or the name of the slot it equals
     fixed: Mapping[str, Union[ScalarFunction, str]]
     options: Mapping[str, object]
@@ -158,6 +178,7 @@ class TheoremEntry:
             fixed = self.fixed.get(slot)
             plan.append((slot, filled.index(fixed) if isinstance(fixed, str) else fixed))
         object.__setattr__(self, "_slot_plan", tuple(plan))
+        object.__setattr__(self, "_names_grid", _INPUTS[self.inputs_kind][2])
         if self.fixed.get("g") == "f":
             object.__setattr__(self, "options", {**self.options, "auto_hypothesis": True})
 
@@ -165,11 +186,6 @@ class TheoremEntry:
     def hull(self) -> bool:
         """Whether hypotheses are certified on the hull of the interval and its inverse."""
         return bool(self.options.get("hull"))
-
-    @property
-    def forwards(self) -> Mapping[str, str]:
-        """The document keys the check's core reads, each mapped to its keyword."""
-        return _CORE_KEYS[self.checker]
 
     def functions(self, given: Mapping[str, ScalarFunction]) -> list[ScalarFunction]:
         """The checker's function arguments in f, g, h order: the free slots
@@ -189,8 +205,9 @@ class TheoremEntry:
 
     def read(self, parsed: dict):
         """What the check's core takes of a parsed scenario's inputs: the one
-        reader from its operator, state or ensemble keys to ReadInputs."""
-        keys, reader = _INPUTS[self.inputs_kind]
+        reader from its operator, state or ensemble keys to ReadInputs, or
+        from its tuples to ReadTuples."""
+        keys, reader, _ = _INPUTS[self.inputs_kind]
         values = []
         for key in keys:
             value = parsed.get(key)
@@ -202,18 +219,24 @@ class TheoremEntry:
     def run(self, parsed: dict, inputs, *, tol_factor: float = 1.0) -> InequalityReport:
         """Run one scenario or sampled trial through the check's core: ``inputs``
         as ``read`` gives them, or as a suite trial draws them, and the
-        functions and forwarded keys of ``parsed``."""
+        functions and forwarded keys of ``parsed``.  The report's inputs
+        document holds the theorem, the inputs' body, the grid size and every
+        filled slot's function (for a check that names them), and each key the
+        core read as its reader writes it; the report adds the direction."""
         args = self.functions(parsed.get("functions", {}))
-        kwargs = {**self.options, "tol_factor": tol_factor}
-        for key, kw in self.forwards.items():
-            if key in parsed:
-                kwargs[kw] = parsed[key]
-        core = globals()[self.checker]
-        if self.inputs_kind == TUPLES:
-            return core(*inputs, **kwargs)
         if self.ensemble_mode == SUM_OF_SQUARES:
             inputs = summed(inputs)
-        return core(self.sides, inputs, *args, **kwargs)
+        doc = {"theorem": self.theorem_id, **inputs.body}
+        if self._names_grid:
+            doc["grid_n"] = read_grid_n(parsed.get("grid_n", DEFAULT_GRID_N))
+            doc["functions"] = {
+                slot: fn.descriptor() for (slot, _), fn in zip(self._slot_plan, args)
+            }
+        kwargs = dict(self.options)
+        for key in self.forwards:
+            if key in parsed:
+                kwargs[key] = _KEYS[key](parsed[key], doc)
+        return _build_report(doc, self.checker(self.sides, inputs, *args, **kwargs), tol_factor)
 
 
 def _entries() -> tuple[TheoremEntry, ...]:
@@ -223,7 +246,8 @@ def _entries() -> tuple[TheoremEntry, ...]:
         inputs_kind=SINGLE,
         ensemble_mode=None,
         needs_positive=False,
-        checker="_synchrony_bound",
+        checker=_synchrony_bound,
+        forwards=("direction", "grid_n", "gate_hypothesis"),
         fixed={},
         options={},
         drops=frozenset({DROP_SYNCHRONY}),
@@ -231,12 +255,13 @@ def _entries() -> tuple[TheoremEntry, ...]:
         sides=_sign_sides,
         members=1,
     )
-    square_case = dict(drops=frozenset(), sides=_square_sides)
-    square = dict(sign, checker="_square_bound", **square_case)
+    square_case = dict(checker=_square_bound, forwards=(), drops=frozenset(), sides=_square_sides)
+    square = dict(sign, **square_case)
     kantorovich = dict(
         sign,
         needs_positive=True,
-        checker="_kantorovich_links",
+        checker=_kantorovich_links,
+        forwards=("bound_interval",),
         drops=frozenset(),
         sides=_kantorovich_sides,
     )
@@ -250,14 +275,15 @@ def _entries() -> tuple[TheoremEntry, ...]:
         sides=_inverse_pair_sides,
     )
     ensemble = dict(sign, inputs_kind=ENSEMBLE, ensemble_mode=SUM_OF_SQUARES, members=2)
-    ensemble_square = dict(ensemble, checker="_square_bound", **square_case)
+    ensemble_square = dict(ensemble, **square_case)
     ensemble_mean = dict(ensemble, options={"notes": ()}, sides=_mean_point_sides)
     ensemble_mean_square = dict(ensemble_mean, fixed={"g": "f"}, drops=frozenset())
     chain = dict(
         ensemble,
         ensemble_mode=PER_VECTOR,
         needs_positive=True,
-        checker="_chain_links",
+        checker=_chain_links,
+        forwards=("per_op_intervals", "gate_hypothesis"),
         drops=frozenset(),
         sides=_chain_sides,
     )
@@ -425,7 +451,8 @@ def _entries() -> tuple[TheoremEntry, ...]:
             summary="mean of products dominates product of means for similarly ordered tuples",
             inputs_kind=TUPLES,
             slots=(),
-            checker="discrete_chebyshev",
+            checker=_chebyshev,
+            forwards=("gate_hypothesis",),
             sides=_chebyshev_sides,
             members=2,
         ),
@@ -454,7 +481,7 @@ def run_scenario(parsed: dict, *, tol_factor: float = 1.0) -> InequalityReport:
         value = entry.fixed.get(slot)
         return given.get(value) if isinstance(value, str) else value
 
-    # a fixed slot may appear, as the checkers write it, but only at its value
+    # a fixed slot may appear, as run writes it, but only at its value
     extra = sorted(
         slot for slot, fn in given.items() if slot not in entry.slots and fn != fixed_value(slot)
     )

@@ -291,9 +291,14 @@ def _gate_from_doc(value) -> bool:
     return value
 
 
-def _per_op_intervals_from_doc(doc) -> list[tuple[float, float]]:
-    rows = read_list(doc, "'per_op_intervals'")
-    return [(iv.lo, iv.hi) for iv in (interval_from_doc(r, "per-operator interval") for r in rows)]
+def read_per_op_intervals(rows) -> list[tuple[float, float]]:
+    """per_op_intervals as a chain takes it, from a document or a caller: a list
+    of [lo, hi] pairs of numbers (a numpy array's rows too), each an interval."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    rows = read_list(rows, "'per_op_intervals'")
+    entries = (interval_from_doc(r, "'per_op_intervals' entry") for r in rows)
+    return [(iv.lo, iv.hi) for iv in entries]
 
 
 def _tuples_from_doc(doc) -> dict[str, list[float]]:
@@ -319,7 +324,7 @@ _SCENARIO_READERS: dict[str, Optional[Callable]] = {
     "state": state_from_doc,
     "state_b": state_from_doc,
     "ensemble": ensemble_from_doc,
-    "per_op_intervals": _per_op_intervals_from_doc,
+    "per_op_intervals": read_per_op_intervals,
     "tuples": _tuples_from_doc,
     "bound_interval": lambda v: interval_from_doc(v, "bound_interval"),
     "expect": _expect_from_doc,

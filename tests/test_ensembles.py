@@ -415,6 +415,24 @@ class TestKantorovichEnsembleChain:
         with pytest.raises(ConfigInvalid):
             kantorovich_ensemble_chain(_pv([DIAG12], [x]), [(2.0, 1.0)], gate=False)
 
+    @pytest.mark.parametrize(
+        "intervals",
+        [[(1.0,)], "x", [("1", 2.0)], [(True, 2.0)], [(1.0, 2.0, 3.0)], [(1.0, float("inf"))]],
+    )
+    def test_per_op_intervals_must_be_pairs_of_numbers(self, intervals):
+        x = StateVector.unit([1.0, 1.0])
+        for link in (None, 0, 2):
+            with pytest.raises(ConfigInvalid, match="'per_op_intervals'"):
+                kantorovich_ensemble_chain(_pv([DIAG12], [x]), intervals, gate=False, link=link)
+
+    def test_per_op_intervals_read_as_the_document_reads_them(self):
+        x = StateVector.unit([1.0, 1.0])
+        E = _pv([DIAG12], [x])
+        reports = kantorovich_ensemble_chain(E, [(1, 3)])
+        assert kantorovich_ensemble_chain(E, [[1.0, 3.0]]) == reports
+        assert kantorovich_ensemble_chain(E, np.array([[1.0, 3.0]])) == reports
+        assert all(r.inputs_digest["per_op_intervals"] == [[1.0, 3.0]] for r in reports)
+
     def test_upper_notes_report_both_constant_forms(self):
         x = StateVector.unit([1.0, 1.0])
         _, _, upper = kantorovich_ensemble_chain(_pv([DIAG12], [x]))

@@ -21,6 +21,7 @@ from opineq import (
     SpectralInterval,
     HermitianOperator,
     StateVector,
+    canonical_json,
     cebysev,
     check_ensemble_mean_point,
     check_ensemble_sign_bound,
@@ -31,6 +32,7 @@ from opineq import (
     check_square_bound,
     check_two_operator,
     constant,
+    discrete_chebyshev,
     exp_fn,
     from_dense,
     identity,
@@ -175,22 +177,106 @@ PUBLIC_CHECKS = {
     "ensemble-product-lower": (partial(kantorovich_ensemble_chain, link=0), (ONE_UNIT,)),
     "ensemble-chebyshev-link": (partial(kantorovich_ensemble_chain, link=1), (ONE_UNIT,)),
     "ensemble-kantorovich-upper": (partial(kantorovich_ensemble_chain, link=2), (ONE_UNIT,)),
+    "discrete-chebyshev": (discrete_chebyshev, ([1.0, 2.0, 4.0], [1, 3, 3])),
+}
+# more inputs per id: the ungated discrete check on unordered tuples
+MORE_PUBLIC_CHECKS = {
+    "discrete-chebyshev": [(partial(discrete_chebyshev, gate=False), ([1.0, 2.0], [2.0, -1.0]))],
 }
 
 
 @pytest.mark.parametrize("theorem_id", list(PUBLIC_CHECKS))
 def test_a_public_check_writes_a_document_of_its_own_id(theorem_id):
     """No public check takes a theorem id, nor claims the automatic hypothesis,
-    so its inputs document replays to the report the check wrote."""
-    check, args = PUBLIC_CHECKS[theorem_id]
+    so its inputs document replays to the report the check wrote, and is
+    written back byte for byte."""
+    for check, args in [PUBLIC_CHECKS[theorem_id], *MORE_PUBLIC_CHECKS.get(theorem_id, [])]:
+        report = check(*args)
+        assert report.theorem_id == report.inputs_digest["theorem"] == theorem_id
+        replay = run_scenario(scenario_from_doc(report.inputs_digest))
+        assert replay.to_record() == report.to_record()
+        assert canonical_json(replay.inputs_digest) == canonical_json(report.inputs_digest)
+        with pytest.raises(TypeError, match="theorem_id"):
+            check(*args, theorem_id="mean-point")
+        with pytest.raises(TypeError, match="auto_hypothesis"):
+            check(*args, auto_hypothesis=True)
+
+
+# (public check, arguments, the document fields the keywords write)
+KEYWORD_CHECKS = {
+    "numpy-grid": (
+        partial(check_sign_bound, grid_n=np.int64(16)),
+        (SQ, power(3.0), ID, DIAG12, EQ2),
+        {"grid_n": 16},
+    ),
+    "numpy-grid-unread": (
+        partial(check_ensemble_square_bound, grid_n=np.int32(9)),
+        (SQ, ID, ONE_BLOCK),
+        {"grid_n": 9},
+    ),
+    "reversed": (
+        partial(check_mean_point, direction=LE),
+        (SQ, INV, ID, DIAG12, EQ2),
+        {"direction": LE},
+    ),
+    "gate-off": (
+        partial(check_two_operator, direction=LE, gate_hypothesis=False),
+        (SQ, power(3.0), ID, DIAG12, DIAG12, EQ2, EQ2),
+        {"direction": LE, "gate_hypothesis": False},
+    ),
+    "bound-interval": (
+        partial(kantorovich_chain, bound_interval=SpectralInterval(1, 1.5), link=1),
+        (DIAG12, EQ2),
+        {"bound_interval": [1.0, 1.5], "grid_n": 128, "functions": {}},
+    ),
+    "per-op-intervals": (
+        partial(kantorovich_ensemble_chain, per_op_intervals=[(1, 3)], gate=False, link=2),
+        (ONE_UNIT,),
+        {"per_op_intervals": [[1.0, 3.0]], "gate_hypothesis": False},
+    ),
+    "per-op-intervals-array": (
+        partial(kantorovich_ensemble_chain, per_op_intervals=np.array([[0.5, 2.5]]), link=0),
+        (ONE_UNIT,),
+        {"per_op_intervals": [[0.5, 2.5]]},
+    ),
+    "chebyshev-gate-off": (
+        partial(discrete_chebyshev, gate=False, tol_factor=10.0),
+        (np.array([3, 1, 2]), [1.0, 2.0, 3.0]),
+        {"tuples": {"a": [3.0, 1.0, 2.0], "b": [1.0, 2.0, 3.0]}, "gate_hypothesis": False},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(KEYWORD_CHECKS))
+def test_keywords_are_written_as_read_and_replay(case):
+    """A keyword the check read is written to its inputs document in the form
+    the document reader gives back, so the document replays to the report."""
+    check, args, fields = KEYWORD_CHECKS[case]
     report = check(*args)
-    assert report.theorem_id == report.inputs_digest["theorem"] == theorem_id
-    replay = run_scenario(scenario_from_doc(report.inputs_digest))
+    for key, value in fields.items():
+        assert report.inputs_digest[key] == value
+        assert type(report.inputs_digest[key]) is type(value)
+    # tol_factor is a replay's argument, not a document field
+    tol_factor = check.keywords.get("tol_factor", 1.0)
+    replay = run_scenario(scenario_from_doc(report.inputs_digest), tol_factor=tol_factor)
     assert replay.to_record() == report.to_record()
-    with pytest.raises(TypeError, match="theorem_id"):
-        check(*args, theorem_id="mean-point")
-    with pytest.raises(TypeError, match="auto_hypothesis"):
-        check(*args, auto_hypothesis=True)
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (check_square_bound, (SQ, ID, DIAG12, EQ2)),
+        (check_ensemble_square_bound, (SQ, ID, ONE_BLOCK)),
+        (kantorovich_chain, (DIAG12, EQ2)),
+        (kantorovich_ensemble_chain, (ONE_UNIT,)),
+    ],
+    ids=["square", "ensemble-square", "chain", "ensemble-chain"],
+)
+def test_a_fractional_grid_is_refused_where_no_core_reads_it(check, args):
+    """Every check that writes grid_n reads it first, so a value its document
+    could not replay is refused rather than written."""
+    with pytest.raises(ConfigInvalid, match="grid_n must be an integer, got 9.5"):
+        check(*args, grid_n=9.5)
 
 
 def test_the_ensemble_mean_point_check_takes_no_extra_notes():
@@ -486,6 +572,12 @@ class TestKantorovichChain:
         assert ev["contained"] is True
         _, lying = kantorovich_chain(DIAG12, EQ2, bound_interval=SpectralInterval(1.0, 1.5))
         assert lying.hypothesis_evidence["contained"] is False
+
+    @pytest.mark.parametrize("bound", [(1.0, 2.0), [1.0, 2.0], "x", 2.0])
+    def test_bound_interval_must_be_an_interval(self, bound):
+        for link in (None, 0, 1):
+            with pytest.raises(ConfigInvalid, match="bound_interval must be a SpectralInterval"):
+                kantorovich_chain(DIAG12, EQ2, bound_interval=bound, link=link)
 
     def test_without_bound_interval_no_containment_evidence(self):
         lower, upper = kantorovich_chain(DIAG12, EQ2)
