@@ -15,6 +15,7 @@ timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 import time
@@ -24,7 +25,7 @@ from .errors import ConfigInvalid, OpineqError, read_list, read_number
 from .functionals import VIOLATED
 from .functions import classify_monotonicity, classify_synchrony, function_from_descriptor
 from .functions import scan_tr_regions
-from .harness import config_from_doc, falsify, run_suite
+from .harness import TheoremTally, config_from_doc, falsify, run_suite
 from .registry import DROPPABLE, expectation_failures, run_scenario
 from .scenarios import SCENARIOS, coverage_gaps
 from .serialize import canonical_json, csv_writer, interval_from_doc, load_json, rows_to_csv
@@ -44,16 +45,7 @@ _REPORT_CSV_FIELDS = (
     "tolerance",
     "verdict",
 )
-_SUMMARY_CSV_FIELDS = (
-    "theorem",
-    "holds",
-    "violated",
-    "hypothesis_not_met",
-    "dispatched_ge",
-    "dispatched_le",
-    "worst_gap",
-    "worst_trial",
-)
+_SUMMARY_CSV_FIELDS = ("theorem", *(f.name for f in dataclasses.fields(TheoremTally)))
 _CLASSIFY_CSV_FIELDS = (
     "r",
     "kind",
@@ -74,7 +66,11 @@ def _emit(doc) -> None:
 
 
 def _read_doc(path: str):
-    return load_json(pathlib.Path(path).read_text(encoding="utf-8"))
+    try:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"{path} is not UTF-8 text: {exc}") from None
+    return load_json(text)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -338,10 +334,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except OpineqError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (OpineqError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ArgumentOrder, ConfigInvalid, DomainViolation, read_list, read_number
 from .errors import read_object
 from .spectral import SpectralInterval, read_grid_n
-from .tolerances import CERTIFY_MEMO_SIZE, DEFAULT_GRID_N, tol_sync
+from .tolerances import CERTIFY_MEMO_SIZE, DEFAULT_GRID_N, MAX_LITERAL_DEPTH, MAX_R_VALUES
+from .tolerances import TOL_KNOT, tol_sync
 
 __all__ = [
     "ScalarFunction",
@@ -57,8 +58,6 @@ H_DECREASING = "h-decreasing"
 
 GE = ">="
 LE = "<="
-
-_KNOT_SLACK = 1e-12
 
 # Grid sizes whose index pairs are kept: the grids in use plus a few short tuples.
 _PAIR_INDEX_CACHE_SIZE = 8
@@ -122,7 +121,7 @@ class ScalarFunction:
                 raise DomainViolation(f"log is undefined at point {bad!r} <= 0")
         elif kind == "tabulated":
             knots = self.params[0]
-            slack = _KNOT_SLACK * (1.0 + max(abs(knots[0]), abs(knots[-1])))
+            slack = TOL_KNOT * (1.0 + max(abs(knots[0]), abs(knots[-1])))
             if (pts < knots[0] - slack).any() or (pts > knots[-1] + slack).any():
                 raise DomainViolation(
                     f"tabulated function evaluated outside its knot range "
@@ -262,7 +261,17 @@ _LITERAL_FIELDS = {
 
 
 def function_from_descriptor(doc: dict) -> ScalarFunction:
-    """Parse a function literal such as {"kind": "power", "p": 2.0}."""
+    """Parse a function literal such as {"kind": "power", "p": 2.0}; product
+    and sum literals nest at most ``MAX_LITERAL_DEPTH`` deep."""
+    return _read_literal(doc, 0)
+
+
+def _read_literal(doc, depth: int) -> ScalarFunction:
+    """A function literal inside ``depth`` product and sum literals."""
+    if depth > MAX_LITERAL_DEPTH:
+        raise ConfigInvalid(
+            f"product and sum literals nest at most {MAX_LITERAL_DEPTH} deep (MAX_LITERAL_DEPTH)"
+        )
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigInvalid(f"function literal must be an object with a 'kind', got {doc!r}")
     kind = doc["kind"]
@@ -298,12 +307,12 @@ def function_from_descriptor(doc: dict) -> ScalarFunction:
             return tabulated(numbers("knots"), numbers("values"), domain=domain)
         elif kind == "product":
             factors = read_list(doc["factors"], "product field 'factors'", 2)
-            fn = pointwise_product(*(function_from_descriptor(f) for f in factors))
+            fn = pointwise_product(*(_read_literal(f, depth + 1) for f in factors))
         else:  # sum
             terms = read_list(doc["terms"], "sum field 'terms'")
             terms = [read_object(term, "sum term", ("coef", "fn")) for term in terms]
             coefs = [read_number(t["coef"], "sum term 'coef'") for t in terms]
-            fn = linear_combination(*zip(coefs, (function_from_descriptor(t["fn"]) for t in terms)))
+            fn = linear_combination(*zip(coefs, (_read_literal(t["fn"], depth + 1) for t in terms)))
     except KeyError as exc:
         raise ConfigInvalid(f"function literal {doc!r} is missing field {exc}") from None
     if domain is not None:
@@ -511,7 +520,12 @@ def scan_tr_regions(
     interval: SpectralInterval,
     grid_n: int = DEFAULT_GRID_N,
 ) -> list[tuple[float, SynchronyVerdict]]:
-    """Classify (f, g) against the weight family h(s) = s^r for each requested r."""
+    """Classify (f, g) against the weight family h(s) = s^r for each requested r;
+    at most ``MAX_R_VALUES`` of them."""
+    if len(r_values) > MAX_R_VALUES:
+        raise ConfigInvalid(
+            f"r_values holds at most {MAX_R_VALUES} weights (MAX_R_VALUES), got {len(r_values)}"
+        )
     return [
         (float(r), classify_synchrony(f, g, power(float(r)), interval, grid_n)) for r in r_values
     ]

@@ -275,16 +275,11 @@ class TrialConfig:
         return doc
 
 
-# Suite-config field -> the TrialConfig field it sets; TrialConfig checks every value.
+# Suite-config field -> the TrialConfig field it sets; TrialConfig checks every
+# value.  A document names each field as TrialConfig does, theorem_ids as "theorems".
 _CONFIG_FIELDS = {
-    "seed": "seed",
-    "trials": "trials",
-    "dim_range": "dim_range",
-    "interval": "interval",
-    "function_pool": "function_pool",
-    "triple_pool": "triple_pool",
-    "grid_n": "grid_n",
-    "theorems": "theorem_ids",
+    {"theorem_ids": "theorems"}.get(f.name, f.name): f.name
+    for f in dataclasses.fields(TrialConfig)
 }
 
 
@@ -363,35 +358,28 @@ def _resolve_pools(
 
 @dataclasses.dataclass
 class _SamplerCtx:
-    """Resolved pools shared by every trial of one suite or search."""
+    """A suite's config and its pools, resolved once for every trial."""
 
-    dim_range: tuple[int, int]
-    interval: SpectralInterval
-    grid_n: int
+    config: TrialConfig
     pools: _Pools
     # the pools on inverse_pair_hull(interval), resolved only for a hull check
     hull_pools: Optional[_Pools]
 
 
-def _build_ctx(
-    dim_range: tuple[int, int],
-    interval: SpectralInterval,
-    grid_n: int,
-    function_pool: Sequence[dict],
-    triple_pool: Optional[Sequence[tuple[dict, dict, dict]]],
-    theorem_ids: Sequence[str],
-) -> _SamplerCtx:
+def _build_ctx(config: TrialConfig, theorem_ids: Sequence[str]) -> _SamplerCtx:
+    """The sampling context of the checks ``theorem_ids``, in registry order."""
+    interval, pool = config.interval, (config.function_pool, config.triple_pool)
     needs_positive = [tid for tid in theorem_ids if REGISTRY[tid].needs_positive]
     if needs_positive and interval.lo <= 0.0:
         raise ConfigInvalid(
             f"checks {needs_positive} need a positive interval, got {interval.as_pair()}"
         )
-    pools = _resolve_pools(function_pool, triple_pool, interval, str(interval.as_pair()))
+    pools = _resolve_pools(*pool, interval, str(interval.as_pair()))
     hull_pools = None
     if any(REGISTRY[tid].hull for tid in theorem_ids):
         hull = inverse_pair_hull(interval)
-        hull_pools = _resolve_pools(function_pool, triple_pool, hull, f"the hull {hull.as_pair()}")
-    return _SamplerCtx(dim_range, interval, grid_n, pools, hull_pools)
+        hull_pools = _resolve_pools(*pool, hull, f"the hull {hull.as_pair()}")
+    return _SamplerCtx(config, pools, hull_pools)
 
 
 def _draw_functions(
@@ -433,22 +421,23 @@ def _trial_parsed(
 ) -> tuple[dict, object]:
     """Draw one random instance for the entry's run: a parsed scenario holding
     its functions, and its inputs as the check reads them."""
-    dmin, dmax = ctx.dim_range
-    parsed: dict = {"theorem": entry.theorem_id, "grid_n": ctx.grid_n}
+    config = ctx.config
+    dmin, dmax = config.dim_range
+    parsed: dict = {"grid_n": config.grid_n}
     if entry.inputs_kind == TUPLES:
         n = int(rng.integers(dmin, dmax + 1))
-        lo, hi = ctx.interval.lo, ctx.interval.hi
+        lo, hi = config.interval.lo, config.interval.hi
         a = np.sort(rng.uniform(lo, hi, n))
         b = np.sort(rng.uniform(lo, hi, n))
         perm = rng.permutation(n)
-        return parsed, _drawn_inputs(entry, None, (a[perm], b[perm]), ctx.interval)
+        return parsed, _drawn_inputs(entry, None, (a[perm], b[perm]), config.interval)
     blocks = _DRAWS[entry.inputs_kind][0] or int(rng.integers(1, 5))
     dims = [int(rng.integers(dmin, dmax + 1)) for _ in range(blocks)]
     parsed["functions"] = _draw_functions(entry, ctx, rng)
     # one block's weights are the same drawn jointly or not
     joint = entry.ensemble_mode == SUM_OF_SQUARES
-    drawn = _random_blocks(rng, dims, ctx.interval, joint)
-    return parsed, _drawn_inputs(entry, entry.ensemble_mode, drawn, ctx.interval)
+    drawn = _random_blocks(rng, dims, config.interval, joint)
+    return parsed, _drawn_inputs(entry, entry.ensemble_mode, drawn, config.interval)
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +473,8 @@ class TheoremTally:
             self.worst_trial = trial
 
     def to_doc(self) -> dict:
-        return {
-            "holds": self.holds,
-            "violated": self.violated,
-            "hypothesis_not_met": self.hypothesis_not_met,
-            "dispatched_ge": self.dispatched_ge,
-            "dispatched_le": self.dispatched_le,
-            "worst_gap": self.worst_gap,
-            "worst_trial": self.worst_trial,
-        }
+        """The counts, one key per field in field order."""
+        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass
@@ -542,14 +524,7 @@ def run_suite(
     """
     start = time.monotonic()
     selected = [e for e in REGISTRY_ORDER if e.theorem_id in set(config.theorem_ids)]
-    ctx = _build_ctx(
-        config.dim_range,
-        config.interval,
-        config.grid_n,
-        config.function_pool,
-        config.triple_pool,
-        [e.theorem_id for e in selected],
-    )
+    ctx = _build_ctx(config, [e.theorem_id for e in selected])
     tallies: dict[str, TheoremTally] = {}
     worst: Optional[dict] = None
     for entry in selected:
@@ -611,12 +586,6 @@ class FalsifyResult:
         }
 
 
-def _falsify_rng(seed: int, ordinal: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, ordinal, FALSIFY_STREAM]))
-    )
-
-
 # Most candidates one batch scores per function tuple, and most perturbation
 # rounds, among which the refining candidates are split evenly.
 _BATCH = 4096
@@ -634,15 +603,16 @@ def _search_functions(
     reduced to the slots the check takes, once each.  The pool's distinct
     descriptors are resolved once, and a tuple with a function not defined
     everywhere on the domain is skipped.  A check that dispatches its
-    direction from the grid classification is oriented the same way, and
+    direction from the grid classification (its core takes a direction and
+    does not claim the automatic hypothesis) is oriented the same way, and
     skips a mixed triple, which it would gate out.
     """
     pool = entry.sync_pool
     if drop != DROP_SYNCHRONY:
         pool = SYNC_TRIPLE_POOL + ASYNC_TRIPLE_POOL + pool
     domain = inverse_pair_hull(interval) if entry.hull else interval
-    classify = drop != DROP_SYNCHRONY and DROP_SYNCHRONY in entry.drops
-    classify = classify and "direction" in entry.forwards
+    classify = drop != DROP_SYNCHRONY and "direction" in entry.forwards
+    classify = classify and not entry.options.get("auto_hypothesis")
     frees: list[dict] = []
     for triple in pool:
         free = {slot: d for slot, d in zip(("f", "g", "h"), triple) if slot in entry.slots}
@@ -719,7 +689,7 @@ def _candidate_parsed(
 ) -> dict:
     """The parsed scenario a candidate runs with: its functions, and the
     dropped hypothesis as the check's core takes it."""
-    parsed: dict = {"theorem": entry.theorem_id, "grid_n": grid_n, "functions": given}
+    parsed: dict = {"grid_n": grid_n, "functions": given}
     if drop is not None and "gate_hypothesis" in entry.forwards:
         parsed["gate_hypothesis"] = False
     if drop == DROP_SYNCHRONY and "direction" in entry.forwards:
@@ -812,7 +782,7 @@ def falsify(
     tuples = _search_functions(entry, drop, draw, grid_n)
     link = entry.options.get("link")
     constant = kantorovich_constant(iv.lo, iv.hi) if link is not None else None
-    rng = _falsify_rng(seed, entry.ordinal)
+    rng = trial_rng(seed, entry.ordinal, FALSIFY_STREAM)
     nearest = _NearestMiss()
 
     def offer(ks: Sequence[int], l1: np.ndarray, l2: np.ndarray, w: np.ndarray, n: int) -> None:

@@ -136,6 +136,8 @@ def load_json(text: str):
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigInvalid(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigInvalid("not valid JSON: nested too deeply to read") from None
 
 
 def _complex_entry(value, what: str) -> complex:

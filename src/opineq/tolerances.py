@@ -12,6 +12,7 @@ __all__ = [
     "TOL_UNITARY",
     "TOL_NORM",
     "TOL_SPEC",
+    "TOL_KNOT",
     "DEFAULT_GRID_N",
     "MAX_GRID_N",
     "GRID_N_RANGE",
@@ -19,6 +20,8 @@ __all__ = [
     "MAX_TRIALS",
     "MAX_BUDGET",
     "MAX_DIM",
+    "MAX_LITERAL_DEPTH",
+    "MAX_R_VALUES",
     "VIOLATION_FACTOR",
     "OPEN_INTERVAL_SHRINK",
     "tol_calc",
@@ -34,6 +37,8 @@ TOL_UNITARY = 1e-10
 TOL_NORM = 1e-10
 # eigenvalue containment slack: clamped inside, hard error beyond
 TOL_SPEC = 1e-8
+# relative slack, scaled by 1 + the largest |knot|, at a tabulated function's end knots
+TOL_KNOT = 1e-12
 # resolution of classification grids
 DEFAULT_GRID_N = 128
 # certification evaluates grid_n^2/2 pairs; 1024 points is about 0.5M pairs
@@ -48,6 +53,11 @@ MAX_TRIALS = 1_000_000
 MAX_BUDGET = 10_000_000
 # desk scale; the inequalities are dimension-free
 MAX_DIM = 16
+# product and sum literals nested inside one another; writing the report of a
+# literal about 300 deep overflows Python's stack
+MAX_LITERAL_DEPTH = 32
+# power weights one classify scan certifies, one certificate each
+MAX_R_VALUES = 64
 # a gap below -VIOLATION_FACTOR * tol_ineq counts as a genuine violation
 VIOLATION_FACTOR = 10.0
 # relative endpoint pull-in used to stand in for open intervals

@@ -8,7 +8,7 @@ import pytest
 
 from opineq import SCENARIOS, SCENARIOS_BY_NAME, canonical_json, load_json, rows_to_csv
 from opineq.cli import main
-from opineq.tolerances import MAX_DIM, MAX_GRID_N
+from opineq.tolerances import MAX_DIM, MAX_GRID_N, MAX_LITERAL_DEPTH, MAX_R_VALUES
 
 CHECK_DOC = {
     "theorem": "pc-sign",
@@ -49,6 +49,41 @@ def _write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(canonical_json(doc) + "\n", encoding="utf-8")
     return str(path)
+
+
+def _nested_literal(kind, depth):
+    """The identity inside ``depth`` nested product (times the identity) or sum literals."""
+    literal = ID
+    for _ in range(depth):
+        if kind == "product":
+            literal = {"kind": "product", "factors": [literal, ID]}
+        else:
+            literal = {"kind": "sum", "terms": [{"coef": 1.0, "fn": literal}]}
+    return literal
+
+
+# ---------------------------------------------------------------------------
+# documents every command reads
+
+
+@pytest.mark.parametrize("command", ["check", "suite", "classify"])
+def test_undecodable_document_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and str(path) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["check", "suite", "classify"])
+def test_too_deeply_nested_document_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "nested too deeply" in err
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +175,31 @@ class TestCheck:
         code = main(["check", _write(tmp_path, "s.json", doc)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "kind, depth, code",
+        [
+            ("product", MAX_LITERAL_DEPTH, 0),
+            ("sum", MAX_LITERAL_DEPTH, 0),
+            ("product", MAX_LITERAL_DEPTH + 1, 2),
+            ("sum", MAX_LITERAL_DEPTH + 1, 2),
+            ("product", 300, 2),
+        ],
+    )
+    def test_function_literal_nesting_is_bounded(self, tmp_path, capsys, kind, depth, code):
+        """A literal at the bound is checked and its report written; a deeper
+        one, even one too deep for a report to be written, is refused as read."""
+        f = _nested_literal(kind, depth)
+        doc = {**CHECK_DOC, "functions": {**CHECK_DOC["functions"], "f": f}}
+        del doc["expect"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert load_json(out)["inputs_digest"]["functions"]["f"] == f
+        else:
+            assert out == "" and "MAX_LITERAL_DEPTH" in err
 
     def test_oversized_grid_exits_two(self, tmp_path, capsys):
         doc = dict(CHECK_DOC, grid_n=1_000_000)
@@ -563,6 +623,14 @@ class TestClassify:
         code = main(["classify", _write(tmp_path, "fns.json", {"r_values": [1.0], **doc, **field})])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_r_values_past_the_bound_exit_two(self, tmp_path, capsys):
+        doc = {"f": {"kind": "identity"}, "g": {"kind": "identity"}, "interval": [1.0, 2.0]}
+        doc["r_values"] = [float(k) for k in range(MAX_R_VALUES + 1)]
+        code = main(["classify", _write(tmp_path, "fns.json", doc)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and "MAX_R_VALUES" in err
 
     def test_unknown_field_exits_two(self, tmp_path, capsys):
         doc = {"f": {"kind": "identity"}, "interval": [1.0, 2.0], "weights": []}

@@ -44,7 +44,8 @@ from opineq import (
     tol_sync,
 )
 from opineq import functions as functions_module
-from opineq.tolerances import CERTIFY_MEMO_SIZE, DEFAULT_GRID_N, MAX_GRID_N
+from opineq.tolerances import CERTIFY_MEMO_SIZE, DEFAULT_GRID_N, MAX_GRID_N, MAX_LITERAL_DEPTH
+from opineq.tolerances import MAX_R_VALUES
 
 IV12 = SpectralInterval(1.0, 2.0)
 
@@ -245,6 +246,18 @@ class TestDescriptors:
             function_from_descriptor(
                 {"kind": "product", "factors": [identity().descriptor()]}
             )
+
+    @pytest.mark.parametrize("extra, refused", [(0, False), (1, True)])
+    def test_products_and_sums_count_towards_one_depth_bound(self, extra, refused):
+        """Products and sums alternate; the bound counts both kinds."""
+        f = identity()
+        for level in range(MAX_LITERAL_DEPTH + extra):
+            f = pointwise_product(f, identity()) if level % 2 else linear_combination((1.0, f))
+        if refused:
+            with pytest.raises(ConfigInvalid, match="MAX_LITERAL_DEPTH"):
+                function_from_descriptor(f.descriptor())
+        else:
+            assert function_from_descriptor(f.descriptor()).descriptor() == f.descriptor()
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +666,14 @@ class TestPairIndexCache:
 
 
 class TestScanTrRegions:
+    def test_more_weights_than_the_bound_are_refused_before_certifying(self):
+        r_values = [float(k) for k in range(MAX_R_VALUES + 1)]
+        before = classify_synchrony.cache_info()
+        with pytest.raises(ConfigInvalid, match="MAX_R_VALUES"):
+            scan_tr_regions(constant(1.0), identity(), r_values, IV12, 64)
+        after = classify_synchrony.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
     def test_constant_identity_pattern(self):
         out = scan_tr_regions(constant(1.0), identity(), [-1.0, 0.5, 2.0], IV12, 64)
         assert [r for r, _ in out] == [-1.0, 0.5, 2.0]

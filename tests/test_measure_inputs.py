@@ -93,7 +93,8 @@ def test_drawn_measures_equal_those_of_the_diagonal_operator_and_state(blocks, j
 @pytest.mark.parametrize("entry", [e for e in REGISTRY_ORDER if e.inputs_kind != "tuples"],
                          ids=lambda e: e.theorem_id)
 def test_every_drawn_input_reads_back_from_its_document(entry):
-    ctx = _build_ctx((1, 8), IV12, 16, [{"kind": "identity"}], None, [entry.theorem_id])
+    config = TrialConfig(interval=IV12, grid_n=16, function_pool=({"kind": "identity"},))
+    ctx = _build_ctx(config, [entry.theorem_id])
     for t in range(25):
         parsed, drawn = _trial_parsed(entry, ctx, trial_rng(5, entry.ordinal, t))
         doc = {"theorem": entry.theorem_id, **drawn.body}

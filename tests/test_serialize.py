@@ -244,6 +244,11 @@ class TestLoadJson:
             load_json("{nope")
         assert "not valid JSON" in str(err.value)
 
+    @pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a":', "}")])
+    def test_too_deeply_nested_reports_config_error(self, opener, closer):
+        with pytest.raises(ConfigInvalid, match="nested too deeply"):
+            load_json(opener * 100_000 + closer * 100_000)
+
 
 # ---------------------------------------------------------------------------
 # document parsing
