@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import pathlib
+import re
 import sys
 import time
 from typing import Optional
@@ -34,6 +35,12 @@ from .spectral import SpectralInterval, read_grid_n
 from .tolerances import DEFAULT_GRID_N
 
 __all__ = ["main"]
+
+# argparse takes only -1 and -1.5 for negative numbers and reads any other
+# token with a leading minus, such as the lower bound in "--interval -1e-3 2",
+# as an option; a subcommand that takes --interval reads every float literal
+# with a leading minus as a number (none of its options looks like one)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 _REPORT_CSV_FIELDS = (
     "theorem",
@@ -286,6 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=_cmd_check)
 
     p_suite = sub.add_parser("suite", help="run the random property suite")
+    p_suite._negative_number_matcher = _NEGATIVE_NUMBER
     p_suite.add_argument("config", nargs="?", help="optional suite-config document")
     p_suite.add_argument("--seed", type=int)
     p_suite.add_argument("--trials", type=int)
@@ -313,6 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_falsify = sub.add_parser(
         "falsify", help="search for counterexamples, optionally dropping a hypothesis"
     )
+    p_falsify._negative_number_matcher = _NEGATIVE_NUMBER
     p_falsify.add_argument("theorem", help="check id to attack")
     p_falsify.add_argument("--drop", choices=DROPPABLE, default=None)
     p_falsify.add_argument("--budget", type=int, default=100_000)

@@ -19,12 +19,14 @@ from .errors import (
     NotSimilarlyOrdered,
     SpectrumOutOfInterval,
 )
-from .functions import GE, SYNCHRONOUS, ScalarFunction, _evidence_doc, _synchrony, identity, power
+from .functions import GE, SYNCHRONOUS, ScalarFunction, _evidence_doc, _synchrony
 from .functionals import (
     InequalityReport,
     Outcome,
     ReadInputs,
     ReadPair,
+    _IDENTITY,
+    _INVERSE,
     _chain,
     _kantorovich_constants,
     _quiet,
@@ -290,8 +292,8 @@ def _chebyshev(
 
 def _member_means(measures: Sequence[SpectralMeasure]) -> tuple[np.ndarray, np.ndarray]:
     """a_j = E_j[s] and b_j = E_j[1/s] of each member, along the last axis."""
-    a = np.asarray([mu.expect(identity()) for mu in measures]).T
-    b = np.asarray([mu.expect(power(-1.0)) for mu in measures]).T
+    a = np.asarray([mu.expect(_IDENTITY) for mu in measures]).T
+    b = np.asarray([mu.expect(_INVERSE) for mu in measures]).T
     return a, b
 
 

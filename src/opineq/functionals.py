@@ -69,6 +69,11 @@ AUTOMATIC_HYPOTHESIS = {
 
 REVERSED_NOTE = "direction '<=' evaluates the fully sign-reversed bound"
 
+# s and 1/s, whose expectations the mean-point, inverse-pair and Kantorovich
+# sides read; built once rather than on every call
+_IDENTITY = identity()
+_INVERSE = power(-1.0)
+
 
 def fmt(x: float) -> str:
     """Decimal with 17 significant digits; used everywhere numbers reach text."""
@@ -412,7 +417,7 @@ def kantorovich_constant(lo: float, hi: float) -> float:
 
 def _kantorovich_sides(mu: SpectralMeasure, bound: float) -> tuple[tuple, tuple]:
     """The lower and upper links' sides: (E[s]E[1/s], 1) and (bound, E[s]E[1/s])."""
-    product = mu.expect(identity()) * mu.expect(power(-1.0))
+    product = mu.expect(_IDENTITY) * mu.expect(_INVERSE)
     return (product, 1.0), (bound, product)
 
 
@@ -530,7 +535,7 @@ def _mean_point_sides(
 ) -> tuple:
     """mean_point_sides at the measure's mean, from its four product expectations."""
     terms = (mu.expect(h, h), mu.expect(h, f), mu.expect(h, g), mu.expect(f, g))
-    return mean_point_sides(f, g, h, mu.expect(identity()), *terms)
+    return mean_point_sides(f, g, h, mu.expect(_IDENTITY), *terms)
 
 
 def check_mean_point(
@@ -570,7 +575,7 @@ def _inverse_pair_sides(
     mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
 ) -> tuple:
     """The two-point sides at the measure's mean and inverse mean."""
-    pts = np.asarray([mu.expect(identity()), mu.expect(power(-1.0))])
+    pts = np.asarray([mu.expect(_IDENTITY), mu.expect(_INVERSE)])
     fv, gv, hv = f.evaluate(pts), g.evaluate(pts), h.evaluate(pts)
     lhs_raw = hv[0] ** 2 * fv[1] * gv[1] + hv[1] ** 2 * fv[0] * gv[0]
     rhs_raw = hv[0] * hv[1] * (fv[1] * gv[0] + fv[0] * gv[1])

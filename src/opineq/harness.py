@@ -25,10 +25,11 @@ eigenbasis itself.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +76,7 @@ from .tolerances import (
     MAX_BUDGET,
     MAX_DIM,
     MAX_TRIALS,
+    SEARCH_PLAN_MEMO_SIZE,
     VIOLATION_FACTOR,
     tol_ineq,
 )
@@ -311,15 +313,15 @@ def _valid_entries(
     if lo < 0.0 < hi:
         probe = np.append(probe, 0.0)
     out: list[tuple[dict, ScalarFunction]] = []
-    for desc in descriptors:
-        fn = function_from_descriptor(desc)
-        try:
-            with np.errstate(all="ignore"):
+    resolved = [(desc, function_from_descriptor(desc)) for desc in descriptors]
+    with np.errstate(all="ignore"):
+        for desc, fn in resolved:
+            try:
                 vals = np.asarray(fn(probe), dtype=np.float64)
-        except (OpineqError, ValueError, FloatingPointError, ZeroDivisionError):
-            continue
-        if vals.shape == probe.shape and bool(np.all(np.isfinite(vals))):
-            out.append((desc, fn))
+            except (OpineqError, ValueError, FloatingPointError, ZeroDivisionError):
+                continue
+            if vals.shape == probe.shape and bool(np.all(np.isfinite(vals))):
+                out.append((desc, fn))
     return out
 
 
@@ -643,6 +645,43 @@ def _search_functions(
     return out
 
 
+# One function tuple a search scores: the free-slot functions as (slot,
+# function) items, the checker's function arguments and the orienting sign.
+_PlannedTuple = tuple[tuple[tuple[str, ScalarFunction], ...], tuple[ScalarFunction, ...], float]
+
+
+class _SearchPlan(NamedTuple):
+    """What a search scores with: its function tuples, a chain entry's link
+    and the search interval's Kantorovich constant."""
+
+    tuples: tuple[_PlannedTuple, ...]
+    link: Optional[int]
+    constant: Optional[float]
+
+
+def _draw_interval(drop: Optional[str], interval: SpectralInterval) -> SpectralInterval:
+    """Where a search draws its atoms: [lo/2, 2 hi] with containment dropped."""
+    # the Kantorovich constant depends on hi/lo only, so containment widens by a ratio
+    if drop == DROP_CONTAINMENT:
+        return SpectralInterval(interval.lo / 2.0, 2.0 * interval.hi)
+    return interval
+
+
+@functools.lru_cache(maxsize=SEARCH_PLAN_MEMO_SIZE)
+def _search_plan(
+    entry: TheoremEntry, drop: Optional[str], interval: SpectralInterval, grid_n: int
+) -> _SearchPlan:
+    """The plan of a search on ``interval``, kept by value.  The search
+    interval, not the draw interval, is the key, as the constant reads it.  An
+    endpoint -0.0 shares its entry with 0.0: the pools probe and classify both
+    alike."""
+    tuples = _search_functions(entry, drop, _draw_interval(drop, interval), grid_n)
+    link = entry.options.get("link")
+    constant = kantorovich_constant(interval.lo, interval.hi) if link is not None else None
+    frozen = tuple((tuple(given.items()), tuple(fns), sign) for given, fns, sign in tuples)
+    return _SearchPlan(frozen, link, constant)
+
+
 def _split(entry: TheoremEntry, drop: Optional[str], l1, l2, w) -> list:
     """A candidate, or a batch of them, split into the entry's members.
 
@@ -667,29 +706,35 @@ def _mode(entry: TheoremEntry, drop: Optional[str]) -> Optional[str]:
     return SUM_OF_SQUARES if drop == DROP_NORMALIZATION else entry.ensemble_mode
 
 
+def _columns(rows: list) -> np.ndarray:
+    """np.stack(rows, axis=-1), C-contiguous as it is, without its per-call cost."""
+    return np.array(rows).T.copy()
+
+
 def _sides_args(entry: TheoremEntry, members: list, constant: Optional[float]) -> tuple:
     """What the entry's sides function reads of a batch, before its functions,
     as the checker passes it; ``constant`` is a chain link's interval constant."""
     if entry.inputs_kind == TUPLES:
         return tuple(members)
-    measures = [
-        SpectralMeasure(np.stack(atoms, axis=-1), np.stack(weights, axis=-1))
-        for atoms, weights in members
-    ]
+    measures = [SpectralMeasure(_columns(atoms), _columns(weights)) for atoms, weights in members]
     if entry.inputs_kind == TWO_OP:
         return tuple(measures)
     if entry.ensemble_mode == PER_VECTOR:
         return (*_member_means(measures), [constant] * len(measures))
-    mu = SpectralMeasure.concat(measures)
+    mu = measures[0] if len(measures) == 1 else SpectralMeasure.concat(measures)
     return (mu,) if constant is None else (mu, constant)
 
 
 def _candidate_parsed(
-    entry: TheoremEntry, drop: Optional[str], interval: SpectralInterval, grid_n: int, given: dict
+    entry: TheoremEntry,
+    drop: Optional[str],
+    interval: SpectralInterval,
+    grid_n: int,
+    given: tuple[tuple[str, ScalarFunction], ...],
 ) -> dict:
-    """The parsed scenario a candidate runs with: its functions, and the
-    dropped hypothesis as the check's core takes it."""
-    parsed: dict = {"grid_n": grid_n, "functions": given}
+    """The parsed scenario a candidate runs with: its functions, given as
+    (slot, function) items, and the dropped hypothesis as the check's core takes it."""
+    parsed: dict = {"grid_n": grid_n, "functions": dict(given)}
     if drop is not None and "gate_hypothesis" in entry.forwards:
         parsed["gate_hypothesis"] = False
     if drop == DROP_SYNCHRONY and "direction" in entry.forwards:
@@ -749,13 +794,17 @@ def falsify(
     Every check is searched one way.  A candidate is a two-atom measure
     (lam1, lam2; w, 1 - w), read as the entry's members and scored in batches
     under each function tuple by the checker's own sides function (+inf when
-    not finite).  The pool's descriptors are resolved once per search, and a
-    batch's measures are built once and read by every tuple, so each distinct
-    function is evaluated once per batch; the batch's scores, in tuple order,
-    pass the nearest-miss rule together, which keeps the same candidate as
-    scoring the tuples one by one.  Batched perturbation rounds around the
-    kept candidate spend the last tenth of the budget, at most 256, one tuple
-    each; exactly ``budget`` candidates are examined.  The kept candidate is
+    not finite).  The function tuples, their orientation and the interval's
+    constant are planned once per (check, drop, interval, grid_n) and kept in
+    a process-wide memo of at most SEARCH_PLAN_MEMO_SIZE plans; a plan that
+    raises is not kept, and ``falsify.cache_info()`` reports the memo's hits
+    and misses.  A batch's measures are built once and read by every tuple,
+    so each distinct function is evaluated once per batch; the batch's
+    scores, in tuple order, pass the nearest-miss rule together, which keeps
+    the same candidate as scoring the tuples one by one.  Batched
+    perturbation rounds around the kept candidate spend the last tenth of the
+    budget, at most 256, one tuple each, and move the candidate's three
+    coordinates in one pass; exactly ``budget`` candidates are examined.  The kept candidate is
     certified as a suite trial is run, through the check's core at violation
     tolerance; that report's inputs document is ``scenario``, and ``found`` is
     true only when it says "violated".
@@ -777,11 +826,8 @@ def falsify(
     iv = interval if interval is not None else SpectralInterval(1.0, 4.0)
     if entry.needs_positive and iv.lo <= 0.0:
         raise ConfigInvalid(f"{theorem_id!r} needs a positive interval, got {iv.as_pair()}")
-    # the Kantorovich constant depends on hi/lo only, so containment widens by a ratio
-    draw = SpectralInterval(iv.lo / 2.0, 2.0 * iv.hi) if drop == DROP_CONTAINMENT else iv
-    tuples = _search_functions(entry, drop, draw, grid_n)
-    link = entry.options.get("link")
-    constant = kantorovich_constant(iv.lo, iv.hi) if link is not None else None
+    tuples, link, constant = _search_plan(entry, drop, iv, grid_n)
+    draw = _draw_interval(drop, iv)
     rng = trial_rng(seed, entry.ordinal, FALSIFY_STREAM)
     nearest = _NearestMiss()
 
@@ -804,10 +850,14 @@ def falsify(
             scores, thresholds = np.concatenate(scores), np.concatenate(thresholds)
         else:  # one tuple's scores are used as they are, not copied
             scores, thresholds = scores[0], thresholds[0]
-        finite = np.isfinite(scores[:n])
+        scores, thresholds = scores[:n], thresholds[:n]
+        finite = np.isfinite(scores)
+        if not finite.all():
+            scores = np.where(finite, scores, np.inf)
+            thresholds = np.where(finite, thresholds, np.inf)
         nearest.offer(
-            np.where(finite, scores[:n], np.inf),
-            np.where(finite, thresholds[:n], np.inf),
+            scores,
+            thresholds,
             lambda j: (float(l1[j % per]), float(l2[j % per]), float(w[j % per]), ks[j // per]),
         )
 
@@ -821,19 +871,19 @@ def falsify(
         n = min(per * len(tuples), target - examined)
         offer(range(-(-n // per)), l1, l2, w, n)
         examined += n
+    # a round moves (lam1, lam2, w) of the kept candidate by steps scaled to
+    # the draw interval's span (w's by 1), clipped row by row to their ranges
     span = max(draw.width, 1e-9)
+    scale = np.array([[span], [span], [1.0]])
+    lows = np.array([[draw.lo], [draw.lo], [1e-9]])
+    highs = np.array([[draw.hi], [draw.hi], [1.0 - 1e-9]])
     rounds = min(reserve, _ROUNDS)
     for r in range(rounds):
         n = (reserve * (r + 1)) // rounds - (reserve * r) // rounds
         c1, c2, cw, k = nearest.best()
         step = 0.1 * 0.6**r * rng.standard_normal((3, n))
-        offer(
-            [k],
-            np.clip(c1 + step[0] * span, draw.lo, draw.hi),
-            np.clip(c2 + step[1] * span, draw.lo, draw.hi),
-            np.clip(cw + step[2], 1e-9, 1.0 - 1e-9),
-            n,
-        )
+        l1, l2, w = np.clip(np.array([[c1], [c2], [cw]]) + step * scale, lows, highs)
+        offer([k], l1, l2, w, n)
         examined += n
     l1, l2, w, k = nearest.best()
     members = _split(entry, drop, l1, l2, w)
@@ -844,3 +894,7 @@ def falsify(
     return FalsifyResult(
         theorem_id, drop, budget, seed, examined, found, gap, verdict, report.inputs_digest
     )
+
+
+falsify.cache_info = _search_plan.cache_info
+falsify.cache_clear = _search_plan.cache_clear

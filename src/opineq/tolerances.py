@@ -17,6 +17,7 @@ __all__ = [
     "MAX_GRID_N",
     "GRID_N_RANGE",
     "CERTIFY_MEMO_SIZE",
+    "SEARCH_PLAN_MEMO_SIZE",
     "MAX_TRIALS",
     "MAX_BUDGET",
     "MAX_DIM",
@@ -47,6 +48,9 @@ GRID_N_RANGE = (2, MAX_GRID_N)
 # synchrony certificates kept by classify_synchrony's memo; the default suite
 # pool has at most 8^3 (f, g, h) triples on 2 intervals
 CERTIFY_MEMO_SIZE = 1024
+# falsify search plans kept by its memo; the 37 (check, drop) pairs on a few
+# intervals and grid sizes
+SEARCH_PLAN_MEMO_SIZE = 256
 # suite trials per check id; all 23 ids at the cap already run for hours
 MAX_TRIALS = 1_000_000
 # candidates one falsify search examines

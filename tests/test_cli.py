@@ -87,6 +87,32 @@ def test_too_deeply_nested_document_exits_two(tmp_path, capsys, command):
 
 
 # ---------------------------------------------------------------------------
+# the interval option
+
+
+@pytest.mark.parametrize(
+    "written, plain",
+    [
+        (("-1e-3", "2"), ("-0.001", "2")),
+        (("-1E-3", "2"), ("-0.001", "2")),
+        (("-.1e-2", "2"), ("-0.001", "2")),
+        (("-1.e-3", "2e0"), ("-0.001", "2")),
+        (("-2e0", "-1e-3"), ("-2", "-0.001")),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["suite", "--trials", "1", "--theorems", "pc-sign"], ["falsify", "pc-sign", "--budget", "20"]],
+    ids=["suite", "falsify"],
+)
+def test_negative_bound_with_an_exponent_reads_as_a_number(capsys, command, written, plain):
+    assert main([*command, "--interval", *plain]) == 0
+    want = capsys.readouterr().out
+    assert main([*command, "--interval", *written]) == 0
+    assert capsys.readouterr().out == want
+
+
+# ---------------------------------------------------------------------------
 # check
 
 

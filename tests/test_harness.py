@@ -53,7 +53,7 @@ from opineq.harness import (
 from opineq.functionals import ReadPair
 from opineq.functions import power
 from opineq.registry import DROPPABLE, lookup
-from opineq.tolerances import MAX_BUDGET, MAX_TRIALS
+from opineq.tolerances import MAX_BUDGET, MAX_TRIALS, SEARCH_PLAN_MEMO_SIZE
 
 IV12 = SpectralInterval(1.0, 2.0)
 
@@ -668,6 +668,13 @@ class TestFalsify:
         assert isinstance(doc["examined"], int)
 
 
+@pytest.fixture
+def cold_plans():
+    falsify.cache_clear()
+    yield falsify.cache_info
+    falsify.cache_clear()
+
+
 def _per_triple_search_functions(entry, drop, interval, grid_n):
     """_search_functions as it resolved each pool triple on its own."""
     pool = entry.sync_pool
@@ -712,12 +719,16 @@ class TestSearchFunctions:
         monkeypatch.setattr(harness, "function_from_descriptor", counting)
         return calls
 
-    def test_pool_descriptors_are_resolved_once_per_search(self, monkeypatch):
+    def test_pool_descriptors_are_resolved_once_per_search(self, monkeypatch, cold_plans):
         calls = self._count_resolutions(monkeypatch)
         falsify("pc-sign", None, budget=50)
         # 11 distinct triples over 12 distinct descriptors, each resolved once
         assert len(calls) == 12
         assert all(d not in calls[:i] for i, d in enumerate(calls))
+        # a repeat search, on another seed too, reads the memo's plan
+        falsify("pc-sign", None, budget=50)
+        falsify("pc-sign", None, budget=50, seed=1)
+        assert len(calls) == 12
 
     def test_a_search_without_free_slots_resolves_nothing(self, monkeypatch):
         calls = self._count_resolutions(monkeypatch)
@@ -765,3 +776,75 @@ class TestSearchFunctions:
             assert str(err.value) == str(exc)
             return
         assert _search_functions(entry, drop, iv, 64) == want
+
+
+# ---------------------------------------------------------------------------
+# the search-plan memo
+
+
+def _search_doc(*args, **kwargs) -> str:
+    """A search's result document, or its error's type and message."""
+    try:
+        return canonical_json(falsify(*args, **kwargs).to_doc())
+    except OpineqError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestSearchPlanMemo:
+    @pytest.mark.parametrize(
+        "theorem_id, drop",
+        [(e.theorem_id, drop) for e in REGISTRY_ORDER for drop in [None, *sorted(e.drops)]],
+    )
+    def test_warm_search_matches_cold_search(self, cold_plans, theorem_id, drop):
+        cold = _search_doc(theorem_id, drop, budget=50)
+        assert _search_doc(theorem_id, drop, budget=50) == cold
+        assert cold_plans()[:2] == (1, 1)  # hits, misses
+
+    def test_equal_keys_share_a_plan(self, cold_plans):
+        falsify("pc-sign", None, budget=10)
+        falsify("pc-sign", None, budget=10, interval=SpectralInterval(1, 4))
+        falsify("pc-sign", None, budget=10, grid_n=np.int64(128), seed=3)
+        assert cold_plans()[:2] == (2, 1)
+        falsify("pc-sign", None, budget=10, grid_n=64)
+        falsify("pc-sign", "synchrony", budget=10)
+        falsify("pc-sign", None, budget=10, interval=SpectralInterval(1.0, 3.0))
+        falsify("pc-sign-t", None, budget=10)
+        assert cold_plans()[:2] == (2, 5)
+
+    @pytest.mark.parametrize(
+        "theorem_id, drop",
+        [("pc-sign", None), ("pc-two-op", "synchrony"), ("ensemble-pc-sign", None),
+         ("discrete-chebyshev", None)],
+    )
+    def test_signed_zero_endpoints_share_a_plan(self, cold_plans, theorem_id, drop):
+        negative, positive = SpectralInterval(-0.0, 3.0), SpectralInterval(0.0, 3.0)
+        for first, second in ((negative, positive), (positive, negative)):
+            falsify.cache_clear()
+            _search_doc(theorem_id, drop, budget=60, interval=first)
+            warm = _search_doc(theorem_id, drop, budget=60, interval=second)
+            assert cold_plans()[:2] == (1, 1)
+            falsify.cache_clear()
+            assert _search_doc(theorem_id, drop, budget=60, interval=second) == warm
+
+    def test_a_plan_that_raises_is_not_kept(self, cold_plans):
+        for _ in range(2):
+            with pytest.raises(ConfigInvalid, match="no search triple on"):
+                falsify("pc-sign", budget=50, interval=SpectralInterval(-1.0, 2.0))
+        info = cold_plans()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_memo_never_exceeds_its_bound(self, cold_plans):
+        for k in range(SEARCH_PLAN_MEMO_SIZE + 10):
+            falsify("kantorovich-lower", budget=1, interval=SpectralInterval(1.0, 2.0 + k))
+            assert cold_plans().currsize <= SEARCH_PLAN_MEMO_SIZE
+        info = cold_plans()
+        assert info.maxsize == SEARCH_PLAN_MEMO_SIZE
+        assert info.currsize == SEARCH_PLAN_MEMO_SIZE
+        assert info.misses == SEARCH_PLAN_MEMO_SIZE + 10
+
+    def test_a_plan_is_immutable(self, cold_plans):
+        plan = harness._search_plan(lookup("pc-sign"), None, SpectralInterval(1.0, 4.0), 128)
+        assert isinstance(plan.tuples, tuple) and len(plan.tuples) == 11
+        for given, fns, sign in plan.tuples:
+            assert isinstance(given, tuple) and isinstance(fns, tuple)
+            assert all(isinstance(item, tuple) for item in given)
