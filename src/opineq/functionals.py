@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -308,9 +309,9 @@ def _synchrony_bound(
 ) -> Outcome:
     """A bound gated on h-synchrony of (f, g) over the inputs' interval, read off their measures.
 
-    ``sides(*inputs.measures, f, g, h)`` gives its sides in the ``>=``
-    orientation.  With ``direction=None`` the grid classification picks the
-    direction; a mixed verdict dispatches ``>=`` and fails the gate.
+    ``sides(*inputs.measures, _slot_values(f, g, h))`` gives its sides in the
+    ``>=`` orientation.  With ``direction=None`` the grid classification picks
+    the direction; a mixed verdict dispatches ``>=`` and fails the gate.
     ``auto_hypothesis`` marks the f = g parameterizations whose synchrony is
     structural, skipping the classification.  ``notes`` is None for bounds
     whose ``<=`` form is part of the theorem; otherwise ``<=`` adds the
@@ -334,18 +335,23 @@ def _synchrony_bound(
     else:
         hypothesis = evidence.summary()
         hypothesis_ok = evidence.supports(direction) or not gate_hypothesis
-    lhs_raw, rhs_raw = sides(*inputs.measures, f, g, h)
+    lhs_raw, rhs_raw = sides(*inputs.measures, _slot_values(f, g, h))
     favored, other = (lhs_raw, rhs_raw) if direction == GE else (rhs_raw, lhs_raw)
     if notes is not None and direction == LE:
         notes = notes + (REVERSED_NOTE,)
     return Outcome(direction, favored, other, hypothesis, hypothesis_ok, notes or ())
 
 
-def _sign_sides(
-    mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
-) -> tuple:
-    """E[h^2]E[fg] and E[hg]E[hf]; arrays for a batch of measures, as every ``*_sides``."""
-    return mu.expect(h, h) * mu.expect(f, g), mu.expect(h, g) * mu.expect(h, f)
+def _slot_values(*fns: ScalarFunction) -> Callable:
+    """A core's ``values``: the slot functions at ``points``, a list of one evaluation each."""
+    return lambda points: [fn.evaluate(points) for fn in fns]
+
+
+def _sign_sides(mu: SpectralMeasure, values: Callable) -> tuple:
+    """E[h^2]E[fg] and E[hg]E[hf], ``values(points)`` giving f, g, h at ``points``, as every
+    ``*_sides`` reads them; arrays for a batch, under any leading axis ``values`` adds."""
+    f, g, h = values(mu.atoms)
+    return mu.sum(h * h) * mu.sum(f * g), mu.sum(h * g) * mu.sum(h * f)
 
 
 def check_sign_bound(
@@ -370,9 +376,10 @@ def check_sign_bound(
     return _run("pc-sign", read_pair(A, x), tol_factor, functions=functions, **keys)
 
 
-def _square_sides(mu: SpectralMeasure, f: ScalarFunction, h: ScalarFunction) -> tuple:
-    """E[h^2]E[f^2] and E[hf]^2."""
-    return mu.expect(h, h) * mu.expect(f, f), _square(mu.expect(h, f))
+def _square_sides(mu: SpectralMeasure, values: Callable) -> tuple:
+    """E[h^2]E[f^2] and E[hf]^2, ``values`` giving f and h."""
+    f, h = values(mu.atoms)
+    return mu.sum(h * h) * mu.sum(f * f), _square(mu.sum(h * f))
 
 
 @_quiet
@@ -383,7 +390,7 @@ def _square_bound(
     h: ScalarFunction,
 ) -> Outcome:
     """E[hf]^2 <= E[h^2]E[f^2] on a measure, as ``sides`` gives them; nothing to certify."""
-    return Outcome(LE, *sides(*inputs.measures, f, h), AUTOMATIC_HYPOTHESIS, True)
+    return Outcome(LE, *sides(*inputs.measures, _slot_values(f, h)), AUTOMATIC_HYPOTHESIS, True)
 
 
 def check_square_bound(
@@ -402,10 +409,15 @@ def check_square_bound(
 
 def _kantorovich_constants(iv: SpectralInterval) -> tuple[float, float]:
     """(lo+hi)^2 / (4 lo hi) and the difference form (hi-lo)^2 / (4 lo hi) of a
-    positive interval; nan or inf where 4 lo hi underflows or a square overflows.
+    positive interval, read off r = hi/lo as (1+r)^2 / (4r) and (r-1)^2 / (4r) where
+    4 lo hi is not a normal float or (lo+hi)^2 overflows; inf where r does too.
     Its callers run it with numpy's warnings off."""
     lo, hi = iv.require_positive().as_pair()
     denominator = 4.0 * np.float64(lo) * hi
+    if not (sys.float_info.min <= denominator < math.inf and _square(lo + hi) < math.inf):
+        ratio = np.float64(hi) / lo
+        if ratio < math.inf:
+            lo, hi, denominator = 1.0, ratio, 4.0 * ratio
     return float(_square(lo + hi) / denominator), float(_square(hi - lo) / denominator)
 
 
@@ -485,10 +497,11 @@ def _kantorovich_links(
     return Outcome(GE, *upper_sides, containment, True, notes)
 
 
-def _two_operator_sides(mu: SpectralMeasure, nu: SpectralMeasure, f, g, h) -> tuple:
+def _two_operator_sides(mu: SpectralMeasure, nu: SpectralMeasure, values: Callable) -> tuple:
     """The mixed bound's sides: cross products of the two measures' expectations."""
-    main = nu.expect(h, h) * mu.expect(f, g) + mu.expect(h, h) * nu.expect(f, g)
-    cross = nu.expect(h, g) * mu.expect(h, f) + mu.expect(h, g) * nu.expect(h, f)
+    (f, g, h), (fb, gb, hb) = values(mu.atoms), values(nu.atoms)
+    main = nu.sum(hb * hb) * mu.sum(f * g) + mu.sum(h * h) * nu.sum(fb * gb)
+    cross = nu.sum(hb * gb) * mu.sum(h * f) + mu.sum(h * g) * nu.sum(hb * fb)
     return main, cross
 
 
@@ -512,30 +525,15 @@ def check_two_operator(
     return _run("pc-two-op", read_two(A, B, x, y), tol_factor, functions=functions, **keys)
 
 
-def mean_point_sides(
-    f: ScalarFunction,
-    g: ScalarFunction,
-    h: ScalarFunction,
-    mean,
-    e_h2,
-    e_hf,
-    e_hg,
-    e_fg,
-) -> tuple:
-    """Raw (>= orientation) sides of the mean-point bound from its ingredients,
-    scalars or equally shaped arrays."""
-    ha, fa, ga = h.evaluate(mean), f.evaluate(mean), g.evaluate(mean)
+def mean_point_sides(mu: SpectralMeasure, values: Callable) -> tuple:
+    """Raw (>= orientation) sides of the mean-point bound at the mean m = E[s]:
+    h(m)^2 E[fg] - E[hf]E[hg] and (h(m)E[hf] - E[h^2]f(m))g(m) + (h(m)f(m) - E[hf])E[hg]."""
+    f, g, h = values(mu.atoms)
+    e_h2, e_hf, e_hg, e_fg = mu.sum(h * h), mu.sum(h * f), mu.sum(h * g), mu.sum(f * g)
+    fa, ga, ha = values(mu.expect(_IDENTITY))
     lhs_raw = _square(ha) * e_fg - e_hf * e_hg
     rhs_raw = (ha * e_hf - e_h2 * fa) * ga + (ha * fa - e_hf) * e_hg
     return lhs_raw, rhs_raw
-
-
-def _mean_point_sides(
-    mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
-) -> tuple:
-    """mean_point_sides at the measure's mean, from its four product expectations."""
-    terms = (mu.expect(h, h), mu.expect(h, f), mu.expect(h, g), mu.expect(f, g))
-    return mean_point_sides(f, g, h, mu.expect(_IDENTITY), *terms)
 
 
 def check_mean_point(
@@ -571,14 +569,11 @@ def inverse_pair_hull(interval: SpectralInterval) -> SpectralInterval:
     return interval.hull(SpectralInterval(1.0 / hi, 1.0 / lo))
 
 
-def _inverse_pair_sides(
-    mu: SpectralMeasure, f: ScalarFunction, g: ScalarFunction, h: ScalarFunction
-) -> tuple:
+def _inverse_pair_sides(mu: SpectralMeasure, values: Callable) -> tuple:
     """The two-point sides at the measure's mean and inverse mean."""
-    pts = np.asarray([mu.expect(_IDENTITY), mu.expect(_INVERSE)])
-    fv, gv, hv = f.evaluate(pts), g.evaluate(pts), h.evaluate(pts)
-    lhs_raw = hv[0] ** 2 * fv[1] * gv[1] + hv[1] ** 2 * fv[0] * gv[0]
-    rhs_raw = hv[0] * hv[1] * (fv[1] * gv[0] + fv[0] * gv[1])
+    (f0, g0, h0), (f1, g1, h1) = values(mu.expect(_IDENTITY)), values(mu.expect(_INVERSE))
+    lhs_raw = h0**2 * f1 * g1 + h1**2 * f0 * g0
+    rhs_raw = h0 * h1 * (f1 * g0 + f0 * g1)
     return lhs_raw, rhs_raw
 
 

@@ -645,18 +645,32 @@ def _search_functions(
     return out
 
 
-# One function tuple a search scores: the free-slot functions as (slot,
-# function) items, the checker's function arguments and the orienting sign.
-_PlannedTuple = tuple[tuple[tuple[str, ScalarFunction], ...], tuple[ScalarFunction, ...], float]
-
-
 class _SearchPlan(NamedTuple):
-    """What a search scores with: its function tuples, a chain entry's link
-    and the search interval's Kantorovich constant."""
+    """What a search scores with: each tuple's free-slot functions as (slot,
+    function) items, the distinct functions of all tuples by identity (as
+    constant(0.0) == constant(-0.0)), each tuple's as a column of positions in
+    them with its orienting sign (both read-only), a chain's link and constant."""
 
-    tuples: tuple[_PlannedTuple, ...]
+    given: tuple[tuple[tuple[str, ScalarFunction], ...], ...]
+    functions: tuple[ScalarFunction, ...]
+    index: np.ndarray
+    signs: np.ndarray
     link: Optional[int]
     constant: Optional[float]
+
+    def values(self, ks: Sequence[int]) -> Callable:
+        """The tuples ``ks``' values: their slots' values at ``points``, of shape
+        (slots, len(ks), *points.shape), each plan function they use evaluated once."""
+        columns = self.index[:, ks]
+        used = set(columns.ravel().tolist())
+
+        def values(points: np.ndarray) -> np.ndarray:
+            vals = np.empty((len(self.functions), *points.shape))
+            for j in used:
+                vals[j] = self.functions[j].evaluate(points)
+            return vals[columns]
+
+        return values
 
 
 def _draw_interval(drop: Optional[str], interval: SpectralInterval) -> SpectralInterval:
@@ -678,8 +692,14 @@ def _search_plan(
     tuples = _search_functions(entry, drop, _draw_interval(drop, interval), grid_n)
     link = entry.options.get("link")
     constant = kantorovich_constant(interval.lo, interval.hi) if link is not None else None
-    frozen = tuple((tuple(given.items()), tuple(fns), sign) for given, fns, sign in tuples)
-    return _SearchPlan(frozen, link, constant)
+    distinct = {id(fn): fn for _, fns, _ in tuples for fn in fns}
+    position = {key: j for j, key in enumerate(distinct)}
+    index = np.array([[position[id(fn)] for fn in fns] for _, fns, _ in tuples], dtype=np.intp).T
+    signs = np.array([sign for _, _, sign in tuples])
+    index.setflags(write=False)
+    signs.setflags(write=False)
+    given = tuple(tuple(given.items()) for given, _, _ in tuples)
+    return _SearchPlan(given, tuple(distinct.values()), index, signs, link, constant)
 
 
 def _split(entry: TheoremEntry, drop: Optional[str], l1, l2, w) -> list:
@@ -712,7 +732,7 @@ def _columns(rows: list) -> np.ndarray:
 
 
 def _sides_args(entry: TheoremEntry, members: list, constant: Optional[float]) -> tuple:
-    """What the entry's sides function reads of a batch, before its functions,
+    """What the entry's sides function reads of a batch, before its values,
     as the checker passes it; ``constant`` is a chain link's interval constant."""
     if entry.inputs_kind == TUPLES:
         return tuple(members)
@@ -798,13 +818,14 @@ def falsify(
     constant are planned once per (check, drop, interval, grid_n) and kept in
     a process-wide memo of at most SEARCH_PLAN_MEMO_SIZE plans; a plan that
     raises is not kept, and ``falsify.cache_info()`` reports the memo's hits
-    and misses.  A batch's measures are built once and read by every tuple,
-    so each distinct function is evaluated once per batch; the batch's
-    scores, in tuple order, pass the nearest-miss rule together, which keeps
-    the same candidate as scoring the tuples one by one.  Batched
-    perturbation rounds around the kept candidate spend the last tenth of the
-    budget, at most 256, one tuple each, and move the candidate's three
-    coordinates in one pass; exactly ``budget`` candidates are examined.  The kept candidate is
+    and misses.  A batch is scored under all its tuples in one sides call:
+    its ``values`` evaluates each distinct plan function the tuples use once
+    and gives the slots' values with a leading tuple axis.  The scores, tuple
+    after tuple, pass the nearest-miss rule together, which keeps the same
+    candidate as scoring the tuples one by one.  Batched perturbation rounds
+    around the kept candidate spend the last tenth of the budget, at most
+    256, one tuple each, and move the candidate's three coordinates in one
+    pass; exactly ``budget`` candidates are examined.  The kept candidate is
     certified as a suite trial is run, through the check's core at violation
     tolerance; that report's inputs document is ``scenario``, and ``found`` is
     true only when it says "violated".
@@ -826,31 +847,25 @@ def falsify(
     iv = interval if interval is not None else SpectralInterval(1.0, 4.0)
     if entry.needs_positive and iv.lo <= 0.0:
         raise ConfigInvalid(f"{theorem_id!r} needs a positive interval, got {iv.as_pair()}")
-    tuples, link, constant = _search_plan(entry, drop, iv, grid_n)
+    plan = _search_plan(entry, drop, iv, grid_n)
     draw = _draw_interval(drop, iv)
     rng = trial_rng(seed, entry.ordinal, FALSIFY_STREAM)
     nearest = _NearestMiss()
 
     def offer(ks: Sequence[int], l1: np.ndarray, l2: np.ndarray, w: np.ndarray, n: int) -> None:
-        """Score a batch under the tuples ``ks`` in turn, all reading one set of
-        measures, and offer the first ``n`` candidates: candidate j is row
-        j % per under tuple ks[j // per]."""
+        """Score a batch under the tuples ``ks`` in one call and offer the first
+        ``n`` candidates: candidate j is row j % per under tuple ks[j // per]."""
         per = len(w)
-        scores, thresholds = [], []
         with np.errstate(all="ignore"):
-            args = _sides_args(entry, _split(entry, drop, l1, l2, w), constant)
-            for k in ks:
-                _, fns, sign = tuples[k]
-                sides = entry.sides(*args, *fns)
-                favored, other = sides if link is None else sides[link]
-                score = sign * (favored - other)
-                scores.append(score)
-                thresholds.append(score - tol_ineq(favored, other))
-        if len(ks) > 1:
-            scores, thresholds = np.concatenate(scores), np.concatenate(thresholds)
-        else:  # one tuple's scores are used as they are, not copied
-            scores, thresholds = scores[0], thresholds[0]
-        scores, thresholds = scores[:n], thresholds[:n]
+            args = _sides_args(entry, _split(entry, drop, l1, l2, w), plan.constant)
+            if len(plan.index):  # the entry has function slots
+                args += (plan.values(ks),)
+            sides = entry.sides(*args)
+            favored, other = sides if plan.link is None else sides[plan.link]
+            # (len(ks), per) scores, read tuple after tuple
+            score = plan.signs[ks][:, None] * (favored - other)
+            scores = score.reshape(-1)[:n]
+            thresholds = (score - tol_ineq(favored, other)).reshape(-1)[:n]
         finite = np.isfinite(scores)
         if not finite.all():
             scores = np.where(finite, scores, np.inf)
@@ -864,11 +879,11 @@ def falsify(
     reserve = min(256, budget // 10)
     examined, target = 0, budget - reserve
     while examined < target:
-        per = max(1, min(_BATCH, -(-(target - examined) // len(tuples))))
+        per = max(1, min(_BATCH, -(-(target - examined) // len(plan.given))))
         l1 = rng.uniform(draw.lo, draw.hi, per)
         l2 = rng.uniform(draw.lo, draw.hi, per)
         w = rng.uniform(0.0, 1.0, per)
-        n = min(per * len(tuples), target - examined)
+        n = min(per * len(plan.given), target - examined)
         offer(range(-(-n // per)), l1, l2, w, n)
         examined += n
     # a round moves (lam1, lam2, w) of the kept candidate by steps scaled to
@@ -887,7 +902,7 @@ def falsify(
         examined += n
     l1, l2, w, k = nearest.best()
     members = _split(entry, drop, l1, l2, w)
-    parsed = _candidate_parsed(entry, drop, iv, grid_n, tuples[k][0])
+    parsed = _candidate_parsed(entry, drop, iv, grid_n, plan.given[k])
     inputs = _drawn_inputs(entry, _mode(entry, drop), members, draw)
     report = entry.run(parsed, inputs, tol_factor=VIOLATION_FACTOR)
     found, gap, verdict = report.verdict == VIOLATED, report.gap, report.verdict

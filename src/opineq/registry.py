@@ -19,12 +19,12 @@ from .functionals import (
     _inverse_pair_sides,
     _kantorovich_links,
     _kantorovich_sides,
-    _mean_point_sides,
     _sign_sides,
     _square_bound,
     _square_sides,
     _synchrony_bound,
     _two_operator_sides,
+    mean_point_sides,
     read_pair,
     read_two,
 )
@@ -161,8 +161,8 @@ class TheoremEntry:
     # dropped: asynchronous on every positive interval, so the forced >=
     # orientation fails (a check keeps only the slots it takes)
     sync_pool: tuple[tuple[dict, dict, dict], ...]
-    # the *_sides function the core computes the check's sides with; falsify
-    # scores batches of candidates with it
+    # the *_sides function the core computes the check's sides with, reading function
+    # slots through one values(points); falsify scores a batch's tuples in one call
     sides: Callable[..., tuple]
     # how many members a falsify candidate, a two-atom measure, splits into:
     # 2 is one atom per operator or ensemble member, or the two tuples
@@ -266,7 +266,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         sides=_kantorovich_sides,
     )
     # mean-point bounds add the reversal note to their "<=" form
-    mean_point = dict(sign, options={"notes": ()}, sides=_mean_point_sides)
+    mean_point = dict(sign, options={"notes": ()}, sides=mean_point_sides)
     mean_point_square = dict(mean_point, fixed={"g": "f"}, drops=frozenset())
     inverse_pair = dict(
         sign,
@@ -276,7 +276,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
     )
     ensemble = dict(sign, inputs_kind=ENSEMBLE, ensemble_mode=SUM_OF_SQUARES, members=2)
     ensemble_square = dict(ensemble, **square_case)
-    ensemble_mean = dict(ensemble, options={"notes": ()}, sides=_mean_point_sides)
+    ensemble_mean = dict(ensemble, options={"notes": ()}, sides=mean_point_sides)
     ensemble_mean_square = dict(ensemble_mean, fixed={"g": "f"}, drops=frozenset())
     chain = dict(
         ensemble,

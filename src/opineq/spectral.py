@@ -360,14 +360,11 @@ class SpectralMeasure:
     For a unit state the weights sum to 1; an ensemble's measure is its
     members' measures concatenated, so sums over members are one ``expect``.
     Leading axes, when present, index a batch of measures with equally many
-    atoms, and ``expect`` then returns one value per measure.  A measure
-    evaluates each distinct function (by value) at its atoms once, however
-    many expectations read it.
+    atoms, and ``expect`` and ``sum`` then return one value per measure.
     """
 
     atoms: np.ndarray
     weights: np.ndarray
-    _values: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def of(A: HermitianOperator, x: StateVector) -> "SpectralMeasure":
@@ -385,28 +382,19 @@ class SpectralMeasure:
             np.concatenate([m.weights for m in measures], axis=-1),
         )
 
-    def _at_atoms(self, fn: "ScalarFunction") -> np.ndarray:
-        """fn at the atoms, evaluated once per function value.  Values holding a
-        zero are not kept, as equal functions can give zeros of either sign:
-        constant(0.0) == constant(-0.0)."""
-        vals = self._values.get(fn)
-        if vals is None:
-            vals = np.asarray(fn.evaluate(self.atoms), dtype=np.float64)
-            if np.count_nonzero(vals) == vals.size:
-                self._values[fn] = vals
-        return vals
-
-    def expect(self, *fns: "ScalarFunction") -> "float | np.ndarray":
-        """sum_k w_k prod_i fn_i(lam_k), i.e. <fn_1(A)...fn_m(A)x, x>; an array for a batch."""
-        if not fns:
-            vals = np.ones_like(self.weights)
-        else:  # 1.0 * v is v, -0.0 included, so the product starts at the first values
-            vals = self._at_atoms(fns[0])
-            for fn in fns[1:]:
-                vals = vals * self._at_atoms(fn)
+    def sum(self, vals) -> "float | np.ndarray":
+        """sum_k w_k vals[..., k]: a float for one measure; for a batch, one value
+        per measure, under any further leading axes of ``vals``."""
         if self.weights.ndim == 1:
             return float(self.weights @ vals)
         return (self.weights * vals).sum(axis=-1)
+
+    def expect(self, *fns: "ScalarFunction") -> "float | np.ndarray":
+        """sum_k w_k prod_i fn_i(lam_k), i.e. <fn_1(A)...fn_m(A)x, x>; an array for a batch."""
+        vals = np.ones_like(self.weights)
+        for fn in fns:  # 1.0 * v is v, -0.0 included
+            vals = vals * fn.evaluate(self.atoms)
+        return self.sum(vals)
 
 
 def diagonal_measure(

@@ -277,32 +277,21 @@ class TestCheck:
         assert code == 2
         assert next(iter(field)) in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {
-                "theorem": "kantorovich-upper",
-                "operator": {"diagonal": [1e-200, 1e-200], "interval": [1e-200, 1e-200]},
-                "state": [0.7071067811865476, 0.7071067811865476],
-            },
-            {
-                "theorem": "ensemble-kantorovich-upper",
-                "ensemble": {
-                    "operators": [{"diagonal": [1e-200], "interval": [1e-200, 1e-200]}],
-                    "states": [[1.0]],
-                    "normalization": "per_vector",
-                },
-            },
-        ],
-        ids=["kantorovich-upper", "ensemble-kantorovich-upper"],
-    )
-    def test_underflowing_constant_exits_two(self, tmp_path, capsys, doc):
-        # 4 lo hi underflows to 0 on [1e-200, 1e-200], so the constant is 0 / 0
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    @pytest.mark.parametrize("theorem", ["kantorovich-upper", "ensemble-kantorovich-upper"])
+    def test_constant_at_extreme_scales_holds(self, tmp_path, capsys, theorem, scale):
+        # 4 lo hi underflows to 0 at 1e-300 and overflows at 1e300, so the
+        # constant is read off the ratio hi/lo = 1
+        op = {"diagonal": [scale, scale], "interval": [scale, scale]}
+        state = [0.7071067811865476, 0.7071067811865476]
+        doc = {"theorem": theorem, "operator": op, "state": state}
+        if theorem.startswith("ensemble-"):
+            members = {"operators": [op], "states": [state], "normalization": "per_vector"}
+            doc = {"theorem": theorem, "ensemble": members}
         code = main(["check", _write(tmp_path, "s.json", doc)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "not both finite" in err
+        report = load_json(capsys.readouterr().out)
+        assert code == 0
+        assert report["verdict"] == "holds" and report["lhs"] == 1.0
 
     @pytest.mark.parametrize(
         "theorem,reports",
@@ -539,7 +528,8 @@ class TestSuite:
             ["--interval", "300", "400", "--theorems", "pc-square"],
             ["--interval", "300", "400", "--theorems", "mean-point-square"],
             ["--interval", "300", "400", "--theorems", "ensemble-pc-square"],
-            ["--interval", "1e200", "2e200", "--theorems", "kantorovich-upper"],
+            # hi / lo overflows, so the constant does too
+            ["--interval", "1e-200", "1e200", "--theorems", "kantorovich-upper"],
         ],
     )
     def test_non_finite_sides_exit_two(self, capsys, args):
@@ -750,18 +740,29 @@ class TestFalsifyCommand:
 
     @pytest.mark.parametrize(
         "theorem,lo,hi",
-        [("kantorovich-upper", "1e200", "2e200"), ("kantorovich-upper", "1e-200", "1e-200")],
-        ids=["overflow", "underflow"],
+        [
+            ("kantorovich-upper", "1e-200", "1e200"),
+            ("ensemble-kantorovich-upper", "1e-200", "1e200"),
+        ],
+        ids=["kantorovich-upper", "ensemble-kantorovich-upper"],
     )
     def test_non_finite_constant_exits_two(self, capsys, theorem, lo, hi):
+        # hi / lo overflows, so the constant does too
         args = ["falsify", theorem, "--interval", lo, hi, "--budget", "50"]
         assert main(args) == 2
         assert "not both finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lo,hi", [("1e200", "2e200"), ("1e-200", "1e-200")])
+    def test_constant_at_extreme_scales_is_searched(self, capsys, lo, hi):
+        args = ["falsify", "kantorovich-upper", "--interval", lo, hi, "--budget", "50"]
+        assert main(args) == 0
+        doc = load_json(capsys.readouterr().out)
+        assert doc["found"] is False and doc["verdict"] == "holds"
+
     def test_chain_link_search_reads_only_its_own_link(self, capsys):
-        # the upper link's constant is nan on [1e-200, 1e-200]; the lower link's sides are finite
+        # the upper link's constant is inf on [1e-200, 1e200]; the lower link's sides are finite
         args = ["falsify", "ensemble-product-lower", "--drop", "normalization"]
-        args += ["--interval", "1e-200", "1e-200", "--budget", "10"]
+        args += ["--interval", "1e-200", "1e200", "--budget", "10"]
         assert main(args) == 0
         doc = load_json(capsys.readouterr().out)
         assert doc["found"] is True

@@ -48,6 +48,7 @@ from opineq import (
     trial_rng,
 )
 from opineq.ensembles import _chain_sides, _member_means
+from opineq.functionals import _kantorovich_constants
 from opineq.spectral import SpectralMeasure
 
 IV12 = SpectralInterval(1.0, 2.0)
@@ -329,16 +330,33 @@ class TestKantorovichConstant:
             kantorovich_constant(0.0, 1.0)
 
     def test_constant_overflows_to_inf_instead_of_raising(self):
-        assert np.isnan(kantorovich_constant(1e200, 2e200))  # inf / inf
-        assert kantorovich_constant(1.0, 1e160) == np.inf
-        assert np.isnan(kantorovich_constant(1e-200, 1e-200))  # 4 lo hi underflows: 0 / 0
+        assert kantorovich_constant(1.0, 1e160) == np.inf  # (1 + r)^2 overflows
+        assert kantorovich_constant(1e-200, 1e200) == np.inf  # r = hi / lo overflows
+
+    def test_extreme_scales_read_the_ratio(self):
+        # 4 lo hi underflows to 0 at 1e-300; (lo + hi)^2 and 4 lo hi overflow at 1e300
+        assert kantorovich_constant(1e-300, 1e-300) == 1.0
+        assert kantorovich_constant(1e300, 1e300) == 1.0
+        assert kantorovich_constant(1e200, 2e200) == 9.0 / 8.0
+        assert _kantorovich_constants(SpectralInterval(1e-300, 1e-300)) == (1.0, 0.0)
+        # 4 lo hi underflows to 0: (1 + r)^2 / (4 r) and (r - 1)^2 / (4 r) of r = hi / lo
+        r = 1e-160 / 1e-170
+        want = ((1.0 + r) ** 2 / (4.0 * r), (r - 1.0) ** 2 / (4.0 * r))
+        assert _kantorovich_constants(SpectralInterval(1e-170, 1e-160)) == want
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 2.0), (0.5, 30.0), (1e-150, 1e-140), (1e150, 3e150)])
+    def test_other_intervals_keep_the_direct_form(self, lo, hi):
+        denominator = 4.0 * lo * hi
+        want = ((lo + hi) ** 2 / denominator, (hi - lo) ** 2 / denominator)
+        assert _kantorovich_constants(SpectralInterval(lo, hi)) == want
 
     def test_underflowing_constant_warns_nothing(self):
         # the public function holds numpy's warnings off itself; the checks
         # that read the constant are already quiet and do not re-enter it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert kantorovich_constant(1e-170, 1e-160) == np.inf  # 1e-320 / 0
+            assert kantorovich_constant(1e-170, 1e-160) < np.inf  # 4 lo hi underflows to 0
+            assert kantorovich_constant(1e-200, 1e200) == np.inf
 
 
 def _pv(op_list, state_list):

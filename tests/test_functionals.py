@@ -59,9 +59,9 @@ from opineq.functionals import (
     _operator_doc,
     _state_doc,
     _kantorovich_sides,
-    _mean_point_sides,
     _sign_sides,
     _square_sides,
+    _slot_values,
     _two_operator_sides,
     read_pair,
 )
@@ -89,55 +89,83 @@ def _run_entry(theorem_id, functions, A, x):
 
 
 # ---------------------------------------------------------------------------
-# sides on a batch of measures, as the falsifier scores candidates
+# sides on a batch of measures under several function tuples, as the falsifier
+# scores candidates
 
 
-def _leaves(sides) -> list:
-    return [v for item in sides for v in (_leaves(item) if isinstance(item, tuple) else [item])]
+def _tuple_values(tuples):
+    """values(points) under several function tuples, as a falsify plan gives
+    them: shape (slots, len(tuples), *points.shape)."""
+    return lambda points: np.stack([[fn.evaluate(points) for fn in fns] for fns in tuples], axis=1)
 
 
-@pytest.mark.parametrize(
-    "sides, n_measures, args",
-    [
-        (_sign_sides, 1, (SQ, exp_fn(), ID)),
-        (_square_sides, 1, (SQ, ID)),
-        (_mean_point_sides, 1, (SQ, exp_fn(), ID)),
-        (_inverse_pair_sides, 1, (SQ, log_fn(), exp_fn())),
-        (_kantorovich_sides, 1, (2.0,)),
-        (_two_operator_sides, 2, (SQ, exp_fn(), ID)),
-    ],
-)
-def test_sides_of_a_batch_are_each_measures_sides(sides, n_measures, args):
+# every function-taking sides function, how many measures it reads, and
+# function tuples for its slots
+FUNCTION_SIDES = {
+    "sign": (_sign_sides, 1, [(SQ, exp_fn(), ID), (ID, INV, ONE), (exp_fn(), SQ, power(0.5))]),
+    "square": (_square_sides, 1, [(SQ, ID), (exp_fn(), power(0.5)), (INV, INV)]),
+    "mean-point": (mean_point_sides, 1, [(SQ, exp_fn(), ID), (log_fn(), ID, INV), (ID, ID, ONE)]),
+    "inverse-pair": (_inverse_pair_sides, 1, [(SQ, log_fn(), exp_fn()), (ID, INV, power(0.5))]),
+    "two-op": (_two_operator_sides, 2, [(SQ, exp_fn(), ID), (INV, ID, power(3.0))]),
+}
+
+
+def _float_bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("name", list(FUNCTION_SIDES))
+def test_sides_of_a_batch_are_each_measures_sides(name):
+    sides, n_measures, tuples = FUNCTION_SIDES[name]
     rng = np.random.default_rng(0)
     measures = [
         SpectralMeasure(rng.uniform(1.0, 2.0, (6, 3)), rng.dirichlet(np.ones(3), 6))
         for _ in range(n_measures)
     ]
-    batch = [np.broadcast_to(v, (6,)) for v in _leaves(sides(*measures, *args))]
+    batch = sides(*measures, _tuple_values(tuples))
+    assert all(np.shape(v) == (len(tuples), 6) for v in batch)
+    for t, fns in enumerate(tuples):
+        for k in range(6):
+            # the row on its own under the tuple on its own: the same reduction, bit for bit
+            row = [SpectralMeasure(m.atoms[k : k + 1], m.weights[k : k + 1]) for m in measures]
+            alone = sides(*row, _tuple_values([fns]))
+            assert [_float_bits(v[t, k]) for v in batch] == [_float_bits(v[0, 0]) for v in alone]
+            # one measure, as a check's core reads it, reduces by a dot product
+            single = [SpectralMeasure(m.atoms[k], m.weights[k]) for m in measures]
+            want = sides(*single, _slot_values(*fns))
+            assert [float(v[t, k]) for v in batch] == pytest.approx(want, rel=1e-12)
+
+
+def test_kantorovich_sides_of_a_batch_are_each_measures_sides():
+    rng = np.random.default_rng(0)
+    mu = SpectralMeasure(rng.uniform(1.0, 2.0, (6, 3)), rng.dirichlet(np.ones(3), 6))
+    batch = [np.broadcast_to(v, (6,)) for link in _kantorovich_sides(mu, 2.0) for v in link]
     for k in range(6):
-        rows = [SpectralMeasure(m.atoms[k], m.weights[k]) for m in measures]
-        single = _leaves(sides(*rows, *args))
+        row = SpectralMeasure(mu.atoms[k], mu.weights[k])
+        single = [v for link in _kantorovich_sides(row, 2.0) for v in link]
         assert [float(v[k]) for v in batch] == pytest.approx(single, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "sides, args, distinct",
-    [
-        (_sign_sides, (SQ, exp_fn(), ID), 3),
-        (_sign_sides, (SQ, SQ, power(2.0)), 1),
-        (_mean_point_sides, (SQ, exp_fn(), log_fn()), 4),
-        (_mean_point_sides, (SQ, exp_fn(), ID), 3),
-    ],
-)
-def test_sides_evaluate_each_distinct_function_once(monkeypatch, sides, args, distinct):
-    # _mean_point_sides evaluates f, g and h once more at the mean point
-    at_mean = 3 if sides is _mean_point_sides else 0
+@pytest.mark.parametrize("name", list(FUNCTION_SIDES))
+def test_a_cores_values_evaluate_once_per_slot(monkeypatch, name):
+    sides, n_measures, tuples = FUNCTION_SIDES[name]
+    # the same function in every slot is evaluated for each
+    fns = (SQ,) * len(tuples[0])
     mu = SpectralMeasure(np.asarray([1.25, 1.5, 2.0]), np.asarray([0.25, 0.5, 0.25]))
     evaluate = type(ID).evaluate
     calls = []
     monkeypatch.setattr(type(ID), "evaluate", lambda fn, pts: calls.append(fn) or evaluate(fn, pts))
-    sides(mu, *args)
-    assert len(calls) == distinct + at_mean
+    values, counts = _slot_values(*fns), []
+
+    def counted(points):
+        before = len(calls)
+        out = values(points)
+        counts.append(len(calls) - before)
+        assert isinstance(out, list)
+        return out
+
+    sides(*[mu] * n_measures, counted)
+    assert counts and counts == [len(fns)] * len(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +711,8 @@ class TestCheckMeanPoint:
         assert r.gap == pytest.approx(0.0, abs=1e-13)
 
     def test_sides_helper_matches_checker(self):
-        mean = 1.5
-        lhs, rhs = mean_point_sides(ID, ID, ONE, mean, 1.0, 1.5, 1.5, 2.5)
+        mu = SpectralMeasure(np.asarray([1.0, 2.0]), np.asarray([0.5, 0.5]))
+        lhs, rhs = mean_point_sides(mu, _slot_values(ID, ID, ONE))
         assert lhs == pytest.approx(0.25)
         assert rhs == pytest.approx(0.0)
 

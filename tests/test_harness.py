@@ -51,7 +51,7 @@ from opineq.harness import (
     _valid_entries,
 )
 from opineq.functionals import ReadPair
-from opineq.functions import power
+from opineq.functions import ScalarFunction, constant, power
 from opineq.registry import DROPPABLE, lookup
 from opineq.tolerances import MAX_BUDGET, MAX_TRIALS, SEARCH_PLAN_MEMO_SIZE
 
@@ -844,7 +844,79 @@ class TestSearchPlanMemo:
 
     def test_a_plan_is_immutable(self, cold_plans):
         plan = harness._search_plan(lookup("pc-sign"), None, SpectralInterval(1.0, 4.0), 128)
-        assert isinstance(plan.tuples, tuple) and len(plan.tuples) == 11
-        for given, fns, sign in plan.tuples:
-            assert isinstance(given, tuple) and isinstance(fns, tuple)
+        assert isinstance(plan.given, tuple) and len(plan.given) == 11
+        for given in plan.given:
+            assert isinstance(given, tuple)
             assert all(isinstance(item, tuple) for item in given)
+        assert isinstance(plan.functions, tuple)
+        assert plan.index.shape == (3, 11) and plan.signs.shape == (11,)
+        for array in (plan.index, plan.signs):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert plan.link is None and plan.constant is None
+
+
+# ---------------------------------------------------------------------------
+# a plan's values: every tuple of a batch scored in one call
+
+
+def _plan_with(monkeypatch, tuples):
+    """pc-sign's plan on [1, 4] built from the (given, functions, sign) ``tuples``."""
+    monkeypatch.setattr(harness, "_search_functions", lambda *args: tuples)
+    plan = harness._search_plan.__wrapped__  # unmemoized
+    return plan(lookup("pc-sign"), None, SpectralInterval(1.0, 4.0), 128)
+
+
+def test_a_plans_values_keep_each_zeros_sign(monkeypatch):
+    # constant(0.0) == constant(-0.0) as values, but not as bits
+    plus, minus, s = constant(0.0), constant(-0.0), power(1.0)
+    assert plus == minus
+    tuples = [({"f": plus}, [plus, s, s], 1.0), ({"f": minus}, [minus, s, s], -1.0)]
+    plan = _plan_with(monkeypatch, tuples)
+    assert len(plan.functions) == 3
+    f, g, h = plan.values(range(2))(np.ones((4, 2)))
+    assert f.shape == (2, 4, 2)
+    assert not np.signbit(f[0]).any() and np.signbit(f[1]).all()
+    f, _, _ = plan.values([1])(np.ones((4, 2)))
+    assert np.signbit(f).all()
+
+
+def test_a_plans_values_stack_its_tuples(monkeypatch):
+    a, b, c = power(2.0), power(3.0), power(0.5)
+    tuples = [[a, b, c], [c, c, a], [b, a, a]]
+    plan = _plan_with(monkeypatch, [({}, fns, 1.0) for fns in tuples])
+    points = np.asarray([[1.0, 2.0], [1.5, 4.0]])
+    for ks in ([0, 1, 2], [2], [2, 0]):
+        got = plan.values(ks)(points)
+        want = np.stack([[fn.evaluate(points) for fn in tuples[k]] for k in ks], axis=1)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_batch_evaluates_each_plan_function_once_per_values_call(monkeypatch, cold_plans):
+    plan = harness._search_plan(lookup("pc-sign"), None, SpectralInterval(1.0, 4.0), 128)
+    evaluate, plan_values = ScalarFunction.evaluate, harness._SearchPlan.values
+    calls, per_call = [], []
+    monkeypatch.setattr(
+        ScalarFunction, "evaluate", lambda fn, pts: calls.append(fn) or evaluate(fn, pts)
+    )
+
+    def counting(plan, ks):
+        values = plan_values(plan, ks)
+
+        def counted(points):
+            before = len(calls)
+            out = values(points)
+            per_call.append(calls[before:])
+            return out
+
+        return counted
+
+    monkeypatch.setattr(harness._SearchPlan, "values", counting)
+    falsify("pc-sign", None, budget=300)
+    # the first batch scores all 11 tuples in one sides call, with one values call
+    first = per_call[0]
+    assert len(plan.functions) == 12
+    assert sorted(map(id, first)) == sorted(map(id, plan.functions))
+    # each perturbation round scores one tuple, and evaluates only its functions
+    assert len(per_call) == 9 and all(len(c) == len(set(map(id, c))) <= 3 for c in per_call[1:])

@@ -236,7 +236,7 @@ def test_expect_equals_the_ones_product_bit_for_bit(count):
         for fns in itertools.product(FUNCTIONS, repeat=count):
             fresh = SpectralMeasure(mu.atoms, mu.weights)
             got = fresh.expect(*fns)
-            again = fresh.expect(*fns)  # served from the measure's value cache
+            again = fresh.expect(*fns)  # a second read of the same measure
             want = _ones_product(mu, fns)
             assert _bits(np.asarray(got)) == _bits(np.asarray(want)), fns
             assert _bits(np.asarray(again)) == _bits(np.asarray(want)), fns
