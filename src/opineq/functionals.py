@@ -411,12 +411,16 @@ def _kantorovich_constants(iv: SpectralInterval) -> tuple[float, float]:
     """(lo+hi)^2 / (4 lo hi) and the difference form (hi-lo)^2 / (4 lo hi) of a
     positive interval, read off r = hi/lo as (1+r)^2 / (4r) and (r-1)^2 / (4r) where
     4 lo hi is not a normal float or (lo+hi)^2 overflows; inf where r does too.
-    Its callers run it with numpy's warnings off."""
+    Where (1+r)^2 overflows too, they are ((1+r)/4) ((1+r)/r) and ((r-1)/4)
+    ((r-1)/r), about r/4.  Its callers run it with numpy's warnings off."""
     lo, hi = iv.require_positive().as_pair()
     denominator = 4.0 * np.float64(lo) * hi
     if not (sys.float_info.min <= denominator < math.inf and _square(lo + hi) < math.inf):
         ratio = np.float64(hi) / lo
         if ratio < math.inf:
+            if _square(1.0 + ratio) == math.inf:
+                plus, minus = 1.0 + ratio, ratio - 1.0
+                return float(plus / 4.0 * (plus / ratio)), float(minus / 4.0 * (minus / ratio))
             lo, hi, denominator = 1.0, ratio, 4.0 * ratio
     return float(_square(lo + hi) / denominator), float(_square(hi - lo) / denominator)
 

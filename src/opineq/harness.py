@@ -6,6 +6,9 @@ Reproducibility contract: every suite trial draws from a fresh
 stream therefore depends only on (seed, check, trial): adding checks, selecting
 subsets, or changing trial counts never perturbs other trials.  Falsification
 searches use the fixed stream tag ``[seed, check_ordinal, FALSIFY_STREAM]``.
+``trial_rng`` builds that generator; ``run_suite`` computes the SeedSequence
+words of a chunk of trials in one numpy pass instead, equal to ``trial_rng``'s
+bit for bit, and seeds each trial's PCG64 with its row.
 
 Within one trial the draw order is fixed: structural sizes first (dimensions,
 block counts, tuple lengths), then function-pool indices, then the inputs.  A
@@ -14,10 +17,11 @@ draws that measure directly (sampling version 2): each block's atoms
 (eigenvalues), sorted uniform on the interval, for every block in turn, then
 the weights, Dirichlet(1, ..., 1) over all atoms of a single operator or a
 sum-of-squares ensemble, or one Dirichlet per block for two operators and
-per-vector ensembles.  That is the law of a Haar-random eigenbasis with a
-complex-Gaussian state.  The check reads the measure of ``diag(atoms)`` with
-the real state ``c = sqrt(weights)``, weighted ``c * c``, and its inputs
-document writes that operator and state, but neither is built.
+per-vector ensembles, drawn as normalised exponentials, bit for bit as
+numpy's ``Generator.dirichlet`` draws them.  That is the law of a Haar-random
+eigenbasis with a complex-Gaussian state.  The check reads the measure of
+``diag(atoms)`` with the real state ``c = sqrt(weights)``, weighted ``c * c``,
+and its inputs document writes that operator and state, but neither is built.
 ``random_operator``, ``random_state`` and ``random_ensemble`` still sample the
 eigenbasis itself.
 """
@@ -29,7 +33,7 @@ import functools
 import itertools
 import math
 import time
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -137,6 +141,97 @@ def trial_rng(seed: int, ordinal: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, ordinal, trial])))
 
 
+# numpy's SeedSequence (O'Neill's seed_seq mixing): a pool of four uint32
+# words, and the multipliers of its two running hash constants and its mix
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+# Most suite trials one seeding pass covers.  Its rows run on across check
+# ids, so the pass's cost falls on one trial in 4096 and its arrays stay small.
+_SEED_CHUNK = 4096
+
+
+def _hash_run(init: int, mult: int, n: int) -> list[int]:
+    """A hash constant before each of n hashes, and after the last."""
+    run = [init]
+    for _ in range(n):
+        run.append(run[-1] * mult & _MASK32)
+    return run
+
+
+# the pool's 4 + 12 hashes, and the 8 uint32 words of generate_state(4, uint64)
+_HASH_A = _hash_run(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_HASH_B = _hash_run(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _seed_words(seed: int, ordinals: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, ordinal, trial]).generate_state(4, np.uint64)`` of
+    every row (ordinal, trial), of shape (rows, 4), in one pass over uint32 columns.
+
+    The seed is one uint32 word, or two from 2**32 on, and an ordinal and a
+    trial one each, so the entropy fits the pool and no word is mixed in after it.
+    """
+    rows = len(ordinals)
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(rows, w, np.uint32) for w in words]
+    entropy += [np.asarray(ordinals, np.uint32), np.asarray(trials, np.uint32)]
+    entropy += [np.zeros(rows, np.uint32)] * (_POOL_SIZE - len(entropy))
+    hashes = iter(zip(_HASH_A, _HASH_A[1:]))
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        xor, mult = next(hashes)
+        value = (value ^ xor) * mult
+        return value ^ (value >> 16)
+
+    pool = [hashmix(value) for value in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    state = np.empty((rows, 2 * _POOL_SIZE), np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = (pool[i % _POOL_SIZE] ^ _HASH_B[i]) * _HASH_B[i + 1]
+        state[:, i] = value ^ (value >> 16)
+    # pairs of words as little-endian uint64, as SeedSequence reads them
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A seed sequence that holds PCG64's four seeding words, and gives nothing
+    else.  Its base loads numpy.random, which importing opineq does not, so it
+    is made on first use."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                asked = f"{n_words} {np.dtype(dtype)}"
+                raise ValueError(f"holds only 4 uint64 words, asked for {asked}")
+            return self.words
+
+    return SeedWords
+
+
+def _trial_rngs(seed: int, ordinals: Sequence[int], trials: int) -> Iterator[np.random.Generator]:
+    """``trial_rng(seed, ordinal, trial)`` for every ordinal in turn and each of
+    its trials, their seeding words computed a chunk of rows at a time."""
+    seed_words = _seed_words_type()
+    total = len(ordinals) * trials
+    for start in range(0, total, _SEED_CHUNK):
+        rows = np.arange(start, min(start + _SEED_CHUNK, total))
+        chunk = _seed_words(seed, np.asarray(ordinals)[rows // trials], rows % trials)
+        for words in chunk:
+            yield np.random.Generator(np.random.PCG64(seed_words(words)))
+
+
 def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-style random unitary: QR of a complex Gaussian matrix, phases fixed."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
@@ -203,11 +298,18 @@ def _random_blocks(
     when ``joint`` (their squared norms add to 1), else per block."""
     atoms = [np.sort(rng.uniform(interval.lo, interval.hi, d)) for d in dims]
     if joint:
-        w = rng.dirichlet(np.ones(sum(dims)))
+        w = _flat_dirichlet(rng, sum(dims))
         weights = [w[end - d : end] for d, end in zip(dims, itertools.accumulate(dims))]
     else:
-        weights = [rng.dirichlet(np.ones(d)) for d in dims]
+        weights = [_flat_dirichlet(rng, d) for d in dims]
     return list(zip(atoms, weights))
+
+
+def _flat_dirichlet(rng: np.random.Generator, d: int) -> np.ndarray:
+    """``rng.dirichlet(np.ones(d))`` bit for bit, as numpy draws it: d standard
+    exponentials (its gamma(1) draws), times the inverse of their sum from left to right."""
+    e = rng.standard_exponential(d)
+    return e * (1.0 / np.add.accumulate(e)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +631,11 @@ def run_suite(
     ctx = _build_ctx(config, [e.theorem_id for e in selected])
     tallies: dict[str, TheoremTally] = {}
     worst: Optional[dict] = None
+    rngs = _trial_rngs(config.seed, [e.ordinal for e in selected], config.trials)
     for entry in selected:
         tally = TheoremTally()
         tallies[entry.theorem_id] = tally
-        for trial in range(config.trials):
-            rng = trial_rng(config.seed, entry.ordinal, trial)
+        for trial, rng in zip(range(config.trials), rngs):
             parsed, inputs = _trial_parsed(entry, ctx, rng)
             report = entry.run(parsed, inputs, tol_factor=VIOLATION_FACTOR)
             tally.record(trial, report)

@@ -293,6 +293,15 @@ class TestCheck:
         assert code == 0
         assert report["verdict"] == "holds" and report["lhs"] == 1.0
 
+    def test_constant_whose_ratio_squared_overflows_holds(self, tmp_path, capsys):
+        # (1 + r)^2 overflows for r = 1e160, though the constant is about r / 4
+        op = {"diagonal": [1.0, 1e160], "interval": [1.0, 1e160]}
+        doc = {"theorem": "kantorovich-upper", "operator": op, "state": [0.7071067811865476] * 2}
+        code = main(["check", _write(tmp_path, "s.json", doc)])
+        report = load_json(capsys.readouterr().out)
+        assert code == 0
+        assert report["verdict"] == "holds" and report["lhs"] == pytest.approx(2.5e159, rel=1e-15)
+
     @pytest.mark.parametrize(
         "theorem,reports",
         [

@@ -24,6 +24,22 @@ SUITE_DIGESTS = {
     "reports.jsonl": "b0f82613dd9ffdf7e9fd0ce55c33f5f3ad91389c0d3a3c9c04190566c4df101a",
 }
 
+# the same run at a seed of two SeedSequence words, 2**64 - 1, and at 0
+OTHER_SEED_SUITE_DIGESTS = {
+    "18446744073709551615": {
+        "stdout": "12668fd82e82471c7b01131c7eb16fb0dc2ae5d979de8c570be44d60ad95b63d",
+        "summary.json": "12668fd82e82471c7b01131c7eb16fb0dc2ae5d979de8c570be44d60ad95b63d",
+        "summary.csv": "9b686d956e7db5e9e4bd848171de783444427134929d4f7190444c560e42749b",
+        "reports.jsonl": "840dbd6c9d3ff7d5c489574afa6ed02567abaa860ef2196a0d20cd36411052e4",
+    },
+    "0": {
+        "stdout": "4d0a73bda416972da0104cf5f8a903f68e7709edd4ab045aff4df90394488737",
+        "summary.json": "4d0a73bda416972da0104cf5f8a903f68e7709edd4ab045aff4df90394488737",
+        "summary.csv": "9003ffd4f913870756621ff5ac7406a7c8bfb7f46ad10a0e68cd01a009ed4f52",
+        "reports.jsonl": "ed2869ed66100c30025a4e1eb21ec6b00add2012786d11d45cff48fef1330914",
+    },
+}
+
 # reports.csv of the same run with `--format csv`
 REPORTS_CSV_DIGEST = "a99b58861514a0ecc5ebd896e4da1035f5de50dff28b59291c4d46a3fae72aa3"
 
@@ -67,12 +83,21 @@ def _stdout(capsys, argv: list[str]) -> str:
     return capsys.readouterr().out
 
 
-def test_suite_outputs_are_pinned(tmp_path, capsys):
-    out = _stdout(capsys, ["suite", "--seed", "7", "--trials", "5", "--out", str(tmp_path)])
+def _suite_digests(tmp_path, capsys, seed: str) -> dict:
+    out = _stdout(capsys, ["suite", "--seed", seed, "--trials", "5", "--out", str(tmp_path)])
     got = {"stdout": _sha(out)}
     for name in ("summary.json", "summary.csv", "reports.jsonl"):
         got[name] = _sha((tmp_path / name).read_text(encoding="utf-8"))
-    assert got == SUITE_DIGESTS
+    return got
+
+
+def test_suite_outputs_are_pinned(tmp_path, capsys):
+    assert _suite_digests(tmp_path, capsys, "7") == SUITE_DIGESTS
+
+
+@pytest.mark.parametrize("seed", list(OTHER_SEED_SUITE_DIGESTS))
+def test_suite_outputs_at_other_seeds_are_pinned(tmp_path, capsys, seed):
+    assert _suite_digests(tmp_path, capsys, seed) == OTHER_SEED_SUITE_DIGESTS[seed]
 
 
 def test_suite_csv_outputs_are_pinned(tmp_path, capsys):

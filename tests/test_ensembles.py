@@ -330,8 +330,26 @@ class TestKantorovichConstant:
             kantorovich_constant(0.0, 1.0)
 
     def test_constant_overflows_to_inf_instead_of_raising(self):
-        assert kantorovich_constant(1.0, 1e160) == np.inf  # (1 + r)^2 overflows
+        # (1 + r)^2 overflows, but not (1 + r)^2 / (4 r), about r / 4
+        assert kantorovich_constant(1.0, 1e160) == pytest.approx(2.5e159, rel=1e-15)
         assert kantorovich_constant(1e-200, 1e200) == np.inf  # r = hi / lo overflows
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(1.0, 1.35e154), (1.0, 1e160), (1e-7, 1e300), (1.0, 1.7e308), (1e-300, 1e-100)]
+    )
+    def test_a_ratio_whose_square_overflows_is_not_squared(self, lo, hi):
+        r = hi / lo
+        plus, minus = 1.0 + r, r - 1.0
+        want = (plus / 4.0 * (plus / r), minus / 4.0 * (minus / r))
+        with np.errstate(all="ignore"):  # as its callers run it
+            assert _kantorovich_constants(SpectralInterval(lo, hi)) == want
+        assert want == pytest.approx((r / 4.0, r / 4.0), rel=1e-15)
+
+    def test_a_ratio_whose_square_is_finite_keeps_its_form(self):
+        # (1 + r)^2 is finite just below 1.34e154: the constant squares it as before
+        r = 1.3e154
+        want = ((1.0 + r) ** 2 / (4.0 * r), (r - 1.0) ** 2 / (4.0 * r))
+        assert _kantorovich_constants(SpectralInterval(1e-160, 1e-160 * r)) == want
 
     def test_extreme_scales_read_the_ratio(self):
         # 4 lo hi underflows to 0 at 1e-300; (lo + hi)^2 and 4 lo hi overflow at 1e300

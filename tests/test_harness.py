@@ -45,15 +45,21 @@ from opineq.harness import (
     DROP_NORMALIZATION,
     DROP_SYNCHRONY,
     SYNC_TRIPLE_POOL,
+    _SEED_CHUNK,
     _NearestMiss,
+    _flat_dirichlet,
     _random_blocks,
     _search_functions,
+    _seed_words,
+    _seed_words_type,
+    _trial_parsed,
+    _trial_rngs,
     _valid_entries,
 )
 from opineq.functionals import ReadPair
 from opineq.functions import ScalarFunction, constant, power
 from opineq.registry import DROPPABLE, lookup
-from opineq.tolerances import MAX_BUDGET, MAX_TRIALS, SEARCH_PLAN_MEMO_SIZE
+from opineq.tolerances import MAX_BUDGET, MAX_DIM, MAX_TRIALS, SEARCH_PLAN_MEMO_SIZE
 
 IV12 = SpectralInterval(1.0, 2.0)
 
@@ -86,6 +92,59 @@ class TestTrialRng:
         second = random_operator(trial_rng(42, 0, 0), 4, IV12)
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
         assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+
+SEEDER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+SEEDER_TRIALS = [0, _SEED_CHUNK - 1, _SEED_CHUNK, _SEED_CHUNK + 1, MAX_TRIALS - 1]
+
+
+class TestBatchSeeder:
+    @pytest.mark.parametrize("seed", SEEDER_SEEDS)
+    def test_words_and_generators_are_trial_rngs(self, seed):
+        rows = [(e.ordinal, t) for e in REGISTRY_ORDER for t in SEEDER_TRIALS]
+        ordinals, trials = (np.array(column) for column in zip(*rows))
+        words = _seed_words(seed, ordinals, trials)
+        assert words.shape == (len(rows), 4) and words.dtype == np.uint64
+        for (ordinal, trial), row in zip(rows, words):
+            want = np.random.SeedSequence([seed, ordinal, trial]).generate_state(4, np.uint64)
+            assert row.tobytes() == want.tobytes(), (ordinal, trial)
+            got = np.random.Generator(np.random.PCG64(_seed_words_type()(row)))
+            oracle = trial_rng(seed, ordinal, trial)
+            assert got.random(3).tobytes() == oracle.random(3).tobytes()
+            assert got.integers(1, 9) == oracle.integers(1, 9)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_a_suites_generators_run_across_chunks_in_order(self, seed):
+        ordinals, trials = [3, 11], _SEED_CHUNK // 2 + 1
+        drawn = [rng.random() for rng in _trial_rngs(seed, ordinals, trials)]
+        assert len(drawn) == len(ordinals) * trials == _SEED_CHUNK + 2
+        for row in (0, trials - 1, trials, _SEED_CHUNK - 1, _SEED_CHUNK, _SEED_CHUNK + 1):
+            ordinal, trial = ordinals[row // trials], row % trials
+            assert drawn[row] == trial_rng(seed, ordinal, trial).random(), row
+
+    @pytest.mark.parametrize(
+        "n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64),
+                           (4, np.int64), (4, np.float64)]
+    )
+    def test_the_stub_gives_only_pcg64s_words(self, n_words, dtype):
+        words = _seed_words(7, np.array([0]), np.array([0]))[0]
+        stub = _seed_words_type()(words)
+        assert stub.generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            stub.generate_state(n_words, dtype)
+
+
+class TestFlatDirichlet:
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4])
+    def test_exponential_weights_are_numpys_dirichlet(self, blocks):
+        # one block's weights, or up to four blocks' drawn jointly
+        for d in range((blocks - 1) * MAX_DIM + 1, blocks * MAX_DIM + 1):
+            for t in range(20):
+                ours, numpys = trial_rng(9, d, t), trial_rng(9, d, t)
+                w = _flat_dirichlet(ours, d)
+                want = numpys.dirichlet(np.ones(d))
+                assert w.tobytes() == want.tobytes(), (d, t)
+                assert ours.random() == numpys.random(), (d, t)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +555,20 @@ class TestRunSuite:
         assert seen == (
             ["pc-sign"] * 2 + ["kantorovich-lower"] * 2 + ["discrete-chebyshev"] * 2
         )
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_each_trial_draws_from_its_trial_rng(self, seed):
+        cfg = _small_config(seed=seed, trials=3)
+        got = []
+        run_suite(cfg, on_report=lambda _t, _k, r: got.append(canonical_json(r.to_record())))
+        ctx = harness._build_ctx(cfg, DEFAULT_THEOREMS)
+        want = []
+        for entry in REGISTRY_ORDER:
+            for trial in range(cfg.trials):
+                parsed, inputs = _trial_parsed(entry, ctx, trial_rng(seed, entry.ordinal, trial))
+                report = entry.run(parsed, inputs, tol_factor=VIOLATION_FACTOR)
+                want.append(canonical_json(report.to_record()))
+        assert got == want
 
     def test_on_report_receives_every_trial(self):
         count = [0]
