@@ -924,10 +924,13 @@ def falsify(
     its ``values`` evaluates each distinct plan function the tuples use once
     and gives the slots' values with a leading tuple axis.  The scores, tuple
     after tuple, pass the nearest-miss rule together, which keeps the same
-    candidate as scoring the tuples one by one.  Batched perturbation rounds
-    around the kept candidate spend the last tenth of the budget, at most
-    256, one tuple each, and move the candidate's three coordinates in one
-    pass; exactly ``budget`` candidates are examined.  The kept candidate is
+    candidate as scoring the tuples one by one.  Up to eight perturbation rounds
+    around the kept candidate, under its tuple, spend the last tenth of the
+    budget, at most 256; their steps come from one normal draw.  The rounds
+    left are scored in one call around the kept candidate and offered round
+    by round, and scored again from the first round after which that
+    candidate moves, which keeps the results of scoring round by round;
+    exactly ``budget`` candidates are examined.  The kept candidate is
     certified as a suite trial is run, through the check's core at violation
     tolerance; that report's inputs document is ``scenario``, and ``found`` is
     true only when it says "violated".
@@ -954,10 +957,10 @@ def falsify(
     rng = trial_rng(seed, entry.ordinal, FALSIFY_STREAM)
     nearest = _NearestMiss()
 
-    def offer(ks: Sequence[int], l1: np.ndarray, l2: np.ndarray, w: np.ndarray, n: int) -> None:
-        """Score a batch under the tuples ``ks`` in one call and offer the first
-        ``n`` candidates: candidate j is row j % per under tuple ks[j // per]."""
-        per = len(w)
+    def score(ks: Sequence[int], l1: np.ndarray, l2: np.ndarray, w: np.ndarray, n: int) -> tuple:
+        """The scores and thresholds of a batch's first ``n`` candidates under the
+        tuples ``ks``, in one sides call: candidate j is row j % per under tuple
+        ks[j // per].  Each candidate's score reads only its own two atoms."""
         with np.errstate(all="ignore"):
             args = _sides_args(entry, _split(entry, drop, l1, l2, w), plan.constant)
             if len(plan.index):  # the entry has function slots
@@ -972,11 +975,7 @@ def falsify(
         if not finite.all():
             scores = np.where(finite, scores, np.inf)
             thresholds = np.where(finite, thresholds, np.inf)
-        nearest.offer(
-            scores,
-            thresholds,
-            lambda j: (float(l1[j % per]), float(l2[j % per]), float(w[j % per]), ks[j // per]),
-        )
+        return scores, thresholds
 
     reserve = min(256, budget // 10)
     examined, target = 0, budget - reserve
@@ -986,22 +985,47 @@ def falsify(
         l2 = rng.uniform(draw.lo, draw.hi, per)
         w = rng.uniform(0.0, 1.0, per)
         n = min(per * len(plan.given), target - examined)
-        offer(range(-(-n // per)), l1, l2, w, n)
+        ks = range(-(-n // per))
+        nearest.offer(
+            *score(ks, l1, l2, w, n),
+            lambda j: (float(l1[j % per]), float(l2[j % per]), float(w[j % per]), ks[j // per]),
+        )
         examined += n
-    # a round moves (lam1, lam2, w) of the kept candidate by steps scaled to
-    # the draw interval's span (w's by 1), clipped row by row to their ranges
-    span = max(draw.width, 1e-9)
-    scale = np.array([[span], [span], [1.0]])
+    # round r moves (lam1, lam2, w) of the kept candidate by 0.1 * 0.6**r times
+    # its block of one normal draw, scaled to the draw interval's span (w's by
+    # 1) and clipped row by row to their ranges.  The rounds left are scored
+    # together around the kept candidate, and again from the first round after
+    # which it moves, so each round still moves the candidate kept before it.
+    rounds = min(reserve, _ROUNDS)
+    ends = [(reserve * (r + 1)) // rounds for r in range(rounds)]
+    starts = [0, *ends[:-1]]
+    if rounds:
+        normal = rng.standard_normal(3 * reserve)
+        blocks = [
+            0.1 * 0.6**r * normal[3 * a : 3 * b].reshape(3, b - a)
+            for r, (a, b) in enumerate(zip(starts, ends))
+        ]
+        span = max(draw.width, 1e-9)
+        moves = np.concatenate(blocks, axis=1) * np.array([[span], [span], [1.0]])
     lows = np.array([[draw.lo], [draw.lo], [1e-9]])
     highs = np.array([[draw.hi], [draw.hi], [1.0 - 1e-9]])
-    rounds = min(reserve, _ROUNDS)
-    for r in range(rounds):
-        n = (reserve * (r + 1)) // rounds - (reserve * r) // rounds
-        c1, c2, cw, k = nearest.best()
-        step = 0.1 * 0.6**r * rng.standard_normal((3, n))
-        l1, l2, w = np.clip(np.array([[c1], [c2], [cw]]) + step * scale, lows, highs)
-        offer([k], l1, l2, w, n)
-        examined += n
+    r = 0
+    while r < rounds:
+        center = c1, c2, cw, k = nearest.best()
+        first = starts[r]
+        l1, l2, w = np.clip(np.array([[c1], [c2], [cw]]) + moves[:, first:], lows, highs)
+        scores, thresholds = score([k], l1, l2, w, reserve - first)
+        for a, b in zip(starts[r:], ends[r:]):
+            a, b = a - first, b - first
+            nearest.offer(
+                scores[a:b],
+                thresholds[a:b],
+                lambda j: (float(l1[a + j]), float(l2[a + j]), float(w[a + j]), k),
+            )
+            r += 1
+            if nearest.best() is not center:
+                break
+    examined += reserve
     l1, l2, w, k = nearest.best()
     members = _split(entry, drop, l1, l2, w)
     parsed = _candidate_parsed(entry, drop, iv, grid_n, plan.given[k])

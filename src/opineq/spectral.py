@@ -350,7 +350,8 @@ def eigenbasis_weights(A: HermitianOperator, x: StateVector) -> np.ndarray:
     if x.dim != A.dim:
         raise DimensionMismatch(f"state dim {x.dim} vs operator dim {A.dim}")
     y = A.eigenvectors.conj().T @ x.components
-    return (y.conj() * y).real
+    with np.errstate(over="ignore"):  # a huge state's weights are inf, as its norm is
+        return (y.conj() * y).real
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

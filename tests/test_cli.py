@@ -6,8 +6,17 @@ import warnings
 
 import pytest
 
-from opineq import SCENARIOS, SCENARIOS_BY_NAME, canonical_json, load_json, rows_to_csv
+from opineq import (
+    SCENARIOS,
+    SCENARIOS_BY_NAME,
+    canonical_json,
+    load_json,
+    rows_to_csv,
+    run_scenario,
+    scenario_from_doc,
+)
 from opineq.cli import main
+from opineq.errors import NotUnitState
 from opineq.tolerances import MAX_DIM, MAX_GRID_N, MAX_LITERAL_DEPTH, MAX_R_VALUES
 
 CHECK_DOC = {
@@ -38,6 +47,25 @@ ENSEMBLE = {
 EXP = {"kind": "exp"}
 NEG_EXP = {"kind": "sum", "terms": [{"coef": -1.0, "fn": EXP}]}
 ONE = {"kind": "constant", "c": 1.0}
+
+# a state whose norm and eigenbasis weights overflow to inf
+HUGE_STATE = {"components": [[1e300, 0.0], [1e300, 0.0]]}
+HUGE_STATE_DOCS = {
+    "pc-sign": {
+        "theorem": "pc-sign",
+        "functions": CHECK_DOC["functions"],
+        "operator": DIAG,
+        "state": HUGE_STATE,
+    },
+    "pc-two-op": {
+        "theorem": "pc-two-op",
+        "functions": CHECK_DOC["functions"],
+        "operator": DIAG,
+        "operator_b": DIAG,
+        "state": HUGE_STATE,
+        "state_b": CHECK_DOC["state"],
+    },
+}
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
@@ -226,6 +254,27 @@ class TestCheck:
             assert load_json(out)["inputs_digest"]["functions"]["f"] == f
         else:
             assert out == "" and "MAX_LITERAL_DEPTH" in err
+
+    @pytest.mark.parametrize("theorem", list(HUGE_STATE_DOCS))
+    def test_huge_state_raises_its_typed_error(self, theorem):
+        with pytest.raises(NotUnitState):
+            run_scenario(scenario_from_doc(HUGE_STATE_DOCS[theorem]))
+
+    @pytest.mark.parametrize("warning_action", ["always", "error"])
+    @pytest.mark.parametrize("theorem", list(HUGE_STATE_DOCS))
+    def test_huge_state_prints_only_its_error(self, tmp_path, capsys, theorem, warning_action):
+        # the weights overflow as the norm does: the norm error alone reaches
+        # stderr, with numpy's RuntimeWarning neither printed nor raised
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_action, RuntimeWarning)
+            warnings.showwarning = _print_warning
+            code = main(["check", _write(tmp_path, "s.json", HUGE_STATE_DOCS[theorem])])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "state norm inf" in lines[0]
 
     def test_oversized_grid_exits_two(self, tmp_path, capsys):
         doc = dict(CHECK_DOC, grid_n=1_000_000)

@@ -72,6 +72,9 @@ FALSIFY_DIGESTS = {
 ALL_PAIRS_FALSIFY_DIGEST = "632b2582622d179405f09da59dbf010d8739b7e58a8ae92af4d6d8a5608bd260"
 # the [1, 4] half of the digest above on its own
 POSITIVE_PAIRS_FALSIFY_DIGEST = "f645daa433d6734401625ae070acd9468e47c55200cd1b3a8e756a44f6bc2c64"
+# every pair on [1, 4] at budgets 80, 300 and 2560 (a reserve of 256, eight
+# perturbation rounds of 32) with seeds 1, 2 and 3
+ROUNDS_FALSIFY_DIGEST = "788f3dc731853ae7f6b026f618219ab3842647ac4cfe1fe992b223047365f779"
 
 
 def _sha(data: str) -> str:
@@ -131,21 +134,24 @@ def test_falsify_output_is_pinned(capsys, theorem, drop):
     assert _sha(_stdout(capsys, argv)) == FALSIFY_DIGESTS[(theorem, drop)]
 
 
-def _every_pair_digest(*intervals: SpectralInterval) -> str:
+def _every_pair_digest(
+    *intervals: SpectralInterval, budgets: tuple = (1, 7, 50, 1000), seeds: tuple = (0,)
+) -> str:
     pairs = [(e.theorem_id, d) for e in REGISTRY_ORDER for d in (None, *sorted(e.drops))]
     assert len(pairs) == 37
     digest = hashlib.sha256()
     for interval in intervals:
         for theorem, drop in pairs:
-            for budget in (1, 7, 50, 1000):
-                try:
-                    result = falsify(theorem, drop, budget=budget, seed=0, interval=interval)
-                except OpineqError as exc:
-                    doc = {"error": type(exc).__name__, "message": str(exc)}
-                else:
-                    assert result.examined == budget
-                    doc = result.to_doc()
-                digest.update(canonical_json(doc).encode("utf-8") + b"\n")
+            for budget in budgets:
+                for seed in seeds:
+                    try:
+                        result = falsify(theorem, drop, budget=budget, seed=seed, interval=interval)
+                    except OpineqError as exc:
+                        doc = {"error": type(exc).__name__, "message": str(exc)}
+                    else:
+                        assert result.examined == budget
+                        doc = result.to_doc()
+                    digest.update(canonical_json(doc).encode("utf-8") + b"\n")
     return digest.hexdigest()
 
 
@@ -156,3 +162,8 @@ def test_every_falsify_pair_is_pinned():
 
 def test_every_falsify_pair_on_a_positive_interval_is_pinned():
     assert _every_pair_digest(SpectralInterval(1.0, 4.0)) == POSITIVE_PAIRS_FALSIFY_DIGEST
+
+
+def test_every_falsify_pair_with_full_perturbation_rounds_is_pinned():
+    got = _every_pair_digest(SpectralInterval(1.0, 4.0), budgets=(80, 300, 2560), seeds=(1, 2, 3))
+    assert got == ROUNDS_FALSIFY_DIGEST

@@ -966,8 +966,10 @@ def test_a_plans_values_stack_its_tuples(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-def test_a_batch_evaluates_each_plan_function_once_per_values_call(monkeypatch, cold_plans):
-    plan = harness._search_plan(lookup("pc-sign"), None, SpectralInterval(1.0, 4.0), 128)
+def _values_calls(monkeypatch, drop) -> tuple:
+    """The plan of a pc-sign search at budget 300 and seed 0, and the functions
+    each of its values calls evaluated."""
+    plan = harness._search_plan(lookup("pc-sign"), drop, SpectralInterval(1.0, 4.0), 128)
     evaluate, plan_values = ScalarFunction.evaluate, harness._SearchPlan.values
     calls, per_call = [], []
     monkeypatch.setattr(
@@ -986,10 +988,23 @@ def test_a_batch_evaluates_each_plan_function_once_per_values_call(monkeypatch, 
         return counted
 
     monkeypatch.setattr(harness._SearchPlan, "values", counting)
-    falsify("pc-sign", None, budget=300)
-    # the first batch scores all 11 tuples in one sides call, with one values call
-    first = per_call[0]
+    falsify("pc-sign", drop, budget=300)
+    # the first batch scores all the plan's tuples in one sides call, with one values call
+    assert sorted(map(id, per_call[0])) == sorted(map(id, plan.functions))
+    # each round scoring call scores one tuple and evaluates only its functions
+    assert all(len(c) == len(set(map(id, c))) <= 3 for c in per_call[1:])
+    return plan, per_call
+
+
+def test_a_batch_evaluates_each_plan_function_once_per_values_call(monkeypatch, cold_plans):
+    plan, per_call = _values_calls(monkeypatch, None)
     assert len(plan.functions) == 12
-    assert sorted(map(id, first)) == sorted(map(id, plan.functions))
-    # each perturbation round scores one tuple, and evaluates only its functions
-    assert len(per_call) == 9 and all(len(c) == len(set(map(id, c))) <= 3 for c in per_call[1:])
+    # no round before the last moves the kept candidate: one call scores all eight
+    assert len(per_call) == 1 + 1
+
+
+def test_rounds_are_scored_again_each_time_the_kept_candidate_moves(monkeypatch, cold_plans):
+    plan, per_call = _values_calls(monkeypatch, "synchrony")
+    assert len(plan.functions) == 4
+    # the rounds left are scored again after each round that moves the candidate
+    assert len(per_call) == 1 + 6
