@@ -3,9 +3,12 @@ raise ``ConfigInvalid`` for a malformed document field."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
+
+from .tolerances import MAX_DIM
 
 __all__ = [
     "OpineqError",
@@ -89,6 +92,20 @@ def read_number(value, what: str) -> float:
     return number
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float or complex array ``a`` is finite.
+
+    An array of at most MAX_DIM entries is checked in one pass over its
+    entries as Python numbers, which costs less than a numpy call: their sum
+    is inf or NaN when an entry is, and finite otherwise unless it overflows,
+    which numpy's reduction then decides.  A larger array takes that
+    reduction alone.
+    """
+    if a.size <= MAX_DIM and cmath.isfinite(sum((a if a.ndim == 1 else a.ravel()).tolist())):
+        return True
+    return bool(np.isfinite(a).all())
+
+
 _NUMBERS = {float, int}
 
 
@@ -105,7 +122,7 @@ def read_numbers(values: list, what: str) -> np.ndarray:
         except OverflowError:
             pass
         else:
-            if np.isfinite(row).all():
+            if all_finite(row):
                 return row
     return np.array([read_number(v, what) for v in values], dtype=np.float64)
 

@@ -11,15 +11,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from functools import cached_property
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArgumentOrder, ConfigInvalid, DomainViolation, read_list, read_number
-from .errors import read_object
+from .errors import ArgumentOrder, ConfigInvalid, DomainViolation, all_finite, read_list
+from .errors import read_number, read_object
 from .spectral import SpectralInterval, read_grid_n
-from .tolerances import CERTIFY_MEMO_SIZE, DEFAULT_GRID_N, MAX_LITERAL_DEPTH, MAX_R_VALUES
-from .tolerances import TOL_KNOT, tol_sync
+from .tolerances import CERTIFY_MEMO_SIZE, DEFAULT_GRID_N, MAX_DIM, MAX_LITERAL_DEPTH
+from .tolerances import MAX_R_VALUES, TOL_KNOT, tol_sync
 
 __all__ = [
     "ScalarFunction",
@@ -86,11 +87,11 @@ class ScalarFunction:
         scalar = pts.ndim == 0
         if scalar:
             pts = pts.reshape(1)
-        if not np.isfinite(pts).all():
+        if not all_finite(pts):
             raise DomainViolation(f"{self._name()} evaluated at non-finite points")
         self.check_domain(pts)
         out = self._eval(pts)
-        if not np.isfinite(out).all():
+        if not all_finite(out):
             raise DomainViolation(f"{self._name()} produced non-finite values")
         return out[0] if scalar else out
 
@@ -100,39 +101,62 @@ class ScalarFunction:
         """Scalar evaluation with the same domain checks."""
         return float(self.evaluate(np.asarray([float(point)]))[0])
 
-    def check_domain(self, pts: np.ndarray) -> None:
-        if self.domain is not None:
-            if (pts < self.domain.lo).any() or (pts > self.domain.hi).any():
-                raise DomainViolation(
-                    f"{self._name()} evaluated outside its declared domain "
-                    f"[{self.domain.lo}, {self.domain.hi}]"
-                )
+    def check_domain(self, pts: np.ndarray, span: Optional["_Span"] = None) -> None:
+        """Raise DomainViolation unless every finite point in ``pts`` lies in the
+        function's domain.  Each rule compares the points' least or greatest
+        value, ``span``, made here when a rule first needs it; only a span
+        that crosses the rule's boundary looks for the bad point itself."""
+        if not self._restricted:
+            return
+        if span is None:
+            span = _Span(pts)
         kind = self.kind
+        if self.domain is not None and (span.lo < self.domain.lo or span.hi > self.domain.hi):
+            raise DomainViolation(
+                f"{self._name()} evaluated outside its declared domain "
+                f"[{self.domain.lo}, {self.domain.hi}]"
+            )
         if kind == "power":
             p = self.params[0]
-            if p < 0.0 and (pts == 0.0).any():
+            if p < 0.0 and span.lo <= 0.0 <= span.hi and (pts == 0.0).any():
                 raise DomainViolation(f"{self._name()} is undefined at 0")
-            if not float(p).is_integer() and (pts < 0.0).any():
+            if not float(p).is_integer() and span.lo < 0.0:
                 bad = float(pts[pts < 0.0][0])
                 raise DomainViolation(f"{self._name()} is undefined at negative point {bad!r}")
         elif kind == "log":
-            if (pts <= 0.0).any():
+            if span.lo <= 0.0:
                 bad = float(pts[pts <= 0.0][0])
                 raise DomainViolation(f"log is undefined at point {bad!r} <= 0")
         elif kind == "tabulated":
             knots = self.params[0]
             slack = TOL_KNOT * (1.0 + max(abs(knots[0]), abs(knots[-1])))
-            if (pts < knots[0] - slack).any() or (pts > knots[-1] + slack).any():
+            if span.lo < knots[0] - slack or span.hi > knots[-1] + slack:
                 raise DomainViolation(
                     f"tabulated function evaluated outside its knot range "
                     f"[{knots[0]}, {knots[-1]}]"
                 )
-        elif kind == "product":
-            for child in self.params:
-                child.check_domain(pts)
-        elif kind == "sum":
-            for _, child in self.params[0]:
-                child.check_domain(pts)
+        for child in self._children():
+            child.check_domain(pts, span)
+
+    def _children(self) -> tuple:
+        """A product's factors or a sum's terms' functions."""
+        if self.kind == "product":
+            return self.params
+        if self.kind == "sum":
+            return tuple(child for _, child in self.params[0])
+        return ()
+
+    @cached_property
+    def _restricted(self) -> bool:
+        """Whether a domain rule applies: a declared domain, a kind defined on
+        less than the real line, or such a factor or term."""
+        kind = self.kind
+        if self.domain is not None or kind == "log" or kind == "tabulated":
+            return True
+        if kind == "power":
+            p = self.params[0]
+            return p < 0.0 or not float(p).is_integer()
+        return any(child._restricted for child in self._children())
 
     def _eval(self, pts: np.ndarray) -> np.ndarray:
         kind = self.kind
@@ -187,6 +211,35 @@ class ScalarFunction:
         if self.domain is not None:
             doc["domain"] = [self.domain.lo, self.domain.hi]
         return doc
+
+
+class _Span:
+    """The least and the greatest of the finite points ``pts`` as Python floats:
+    at most MAX_DIM points compared in Python at once, more by one numpy
+    reduction for each bound a rule reads.  No points span (inf, -inf), which
+    crosses no boundary."""
+
+    __slots__ = ("_pts", "_lo", "_hi")
+
+    def __init__(self, pts: np.ndarray) -> None:
+        self._pts = pts
+        self._lo = self._hi = None
+        if pts.size <= MAX_DIM:
+            values = (pts if pts.ndim == 1 else pts.ravel()).tolist()
+            self._lo = min(values, default=math.inf)
+            self._hi = max(values, default=-math.inf)
+
+    @property
+    def lo(self) -> float:
+        if self._lo is None:
+            self._lo = float(self._pts.min())
+        return self._lo
+
+    @property
+    def hi(self) -> float:
+        if self._hi is None:
+            self._hi = float(self._pts.max())
+        return self._hi
 
 
 def constant(c: float) -> ScalarFunction:
@@ -431,16 +484,19 @@ def _grid_values(pts: np.ndarray, *fns: ScalarFunction) -> list[np.ndarray]:
 
 
 def _certify(verdict: type, pts: np.ndarray, pair_values: Callable):
-    """The one pair-sign certificate: ``pair_values(i, j)`` over the index pairs
-    i < j of ``pts``, classified as ``verdict.signs`` (nonnegative, nonpositive)
-    or MIXED, with the points of the pairs where the extremes occur.  The
-    tolerance is set by the largest finite value, as an overflowing one carries
-    no scale; a NaN value has no sign."""
+    """The one pair-sign certificate: ``pair_values(row, j)`` over the index
+    pairs i < j of ``pts``, classified as ``verdict.signs`` (nonnegative,
+    nonpositive) or MIXED, with the points of the pairs where the extremes
+    occur.  ``row(v)`` is ``v[i]``, each value repeated once per pair in its
+    row, a fresh array as the gather ``v[j]`` is.  The tolerance is set by the
+    largest finite value, as an overflowing one carries no scale; a NaN value
+    has no sign."""
     i, j = _index_pairs(pts.size)
     if i.size == 0:
         return verdict(verdict.signs[0], 0.0, 0.0, None, None, int(pts.size), tol_sync(0.0))
+    counts = np.arange(pts.size - 1, -1, -1)  # the pairs in row i: n - 1 - i
     with np.errstate(over="ignore", invalid="ignore"):
-        values = pair_values(i, j)
+        values = pair_values(lambda v: v.repeat(counts), j)
     mn_idx = int(np.argmin(values))
     mx_idx = int(np.argmax(values))
     mn = float(values[mn_idx])
@@ -462,9 +518,22 @@ def _certify(verdict: type, pts: np.ndarray, pair_values: Callable):
 def _synchrony(pts: np.ndarray, fv, gv, hv) -> SynchronyVerdict:
     """Certify the product of the defects of f/h and g/h from their values at pts,
     each at the swapped pair (j, i) as sync_product writes it: a zero keeps its sign."""
-    return _certify(
-        SynchronyVerdict, pts, lambda i, j: _defect(fv, hv, j, i) * _defect(gv, hv, j, i)
-    )
+
+    def pair_values(row, j):
+        # _defect(fv, hv, j, i) * _defect(gv, hv, j, i), the same roundings
+        # taken in place on three repeated rows and three gathers
+        fi, gi, hi = row(fv), row(gv), row(hv)
+        fj, gj, hj = fv[j], gv[j], hv[j]
+        fi *= hj
+        fj *= hi
+        fi -= fj
+        gi *= hj
+        gj *= hi
+        gi -= gj
+        fi *= gi
+        return fi
+
+    return _certify(SynchronyVerdict, pts, pair_values)
 
 
 @functools.lru_cache(maxsize=CERTIFY_MEMO_SIZE)
@@ -510,7 +579,17 @@ def classify_monotonicity(
         raise DomainViolation(
             f"relative monotonicity needs h > 0 on the interval; h({bad!r}) <= 0"
         )
-    return _certify(MonotonicityVerdict, pts, lambda i, j: _defect(fv, hv, i, j))
+
+    def pair_values(row, j):
+        # _defect(fv, hv, i, j) taken in place on two repeated rows and two gathers
+        hi, fi = row(hv), row(fv)
+        fj, hj = fv[j], hv[j]
+        hi *= fj
+        fi *= hj
+        hi -= fi
+        return hi
+
+    return _certify(MonotonicityVerdict, pts, pair_values)
 
 
 def scan_tr_regions(

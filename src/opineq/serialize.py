@@ -7,6 +7,7 @@ IEEE doubles exactly, so identical data always produces identical bytes.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from itertools import chain
@@ -80,22 +81,50 @@ def _write_list(obj, out: list) -> None:
     out.append("]")
 
 
+# Quoted keys kept by _key_text: documents use a few dozen distinct keys.
+_KEY_TEXT_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_KEY_TEXT_MEMO_SIZE)
+def _key_text(key: str) -> str:
+    """A key as it opens its member: quoted, then a colon."""
+    return _quoted(key) + ":"
+
+
 def _write_dict(obj: dict, out: list) -> None:
-    out.append("{")
-    first = True
-    for key in sorted(obj):
-        if not isinstance(key, str):
+    # the key types are checked before sorting, which raises TypeError on
+    # keys of mixed types
+    for key in obj:
+        if type(key) is not str and not isinstance(key, str):
             raise ConfigInvalid(f"document keys must be strings, got {key!r}")
-        if not first:
-            out.append(",")
-        first = False
-        out.append(_quoted(key) + ":")
+    keys = sorted(obj)
+    sep = "{"  # opens the object at its first member, then separates the rest
+    for key in keys:
+        out.append(sep)
+        out.append(_key_text(key))
+        sep = ","
         _write(obj[key], out)
-    out.append("}")
+    out.append("}" if keys else "{}")
 
 
 def _write(obj, out: list) -> None:
-    # the kinds documents are made of first; a bool is an int, not a float
+    # the kinds documents are made of first, by exact type
+    kind = type(obj)
+    if kind is float:
+        out.append(_finite("%.17g" % obj))
+    elif kind is dict:
+        _write_dict(obj, out)
+    elif kind is list or kind is tuple:
+        _write_list(obj, out)
+    elif kind is str:
+        out.append(_quoted(obj))
+    else:
+        _write_other(obj, out)
+
+
+def _write_other(obj, out: list) -> None:
+    """The subclasses of the kinds above, and the constants, integers and numpy
+    scalars; a bool is an int, not a float."""
     if isinstance(obj, float):
         out.append(_finite("%.17g" % obj))
     elif isinstance(obj, (list, tuple)):

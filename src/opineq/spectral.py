@@ -11,7 +11,9 @@ independent oracle the tests compare against.
 from __future__ import annotations
 
 import dataclasses
-from functools import cached_property
+import math
+import operator
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -25,6 +27,7 @@ from .errors import (
     NotHermitian,
     NotUnitState,
     SpectrumOutOfInterval,
+    all_finite,
     read_integer,
 )
 from .tolerances import (
@@ -77,7 +80,7 @@ class SpectralInterval:
 
     def __post_init__(self) -> None:
         lo, hi = float(self.lo), float(self.hi)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigInvalid(f"interval endpoints must be finite, got [{lo}, {hi}]")
         if lo > hi:
             raise ConfigInvalid(f"interval needs lo <= hi, got [{lo}, {hi}]")
@@ -133,10 +136,12 @@ def _spectrum_array(values) -> np.ndarray:
 
 
 def _sorting(lam: np.ndarray) -> Optional[np.ndarray]:
-    """The stable permutation that sorts finite eigenvalues, or None when they ascend."""
-    if not np.isfinite(lam).all():
+    """The stable permutation that sorts finite eigenvalues, or None when they
+    ascend; at most MAX_DIM of them, compared as Python floats."""
+    if not all_finite(lam):
         raise ConfigInvalid("eigenvalues must be finite")
-    if (lam[1:] < lam[:-1]).any():
+    values = lam.tolist()
+    if any(map(operator.lt, values[1:], values)):
         return np.argsort(lam, kind="stable")
     return None
 
@@ -145,15 +150,24 @@ def _contained(lam: np.ndarray, interval: "SpectralInterval") -> np.ndarray:
     """Ascending eigenvalues within ``interval`` up to TOL_SPEC, clipped into it,
     read-only; ``lam`` is a fresh array, as each rule above makes it."""
     lo, hi = interval.as_pair()
-    if not interval.contains_spectrum(lam):
+    first, last = float(lam[0]), float(lam[-1])
+    if not (interval.contains(first, TOL_SPEC) and interval.contains(last, TOL_SPEC)):
         raise SpectrumOutOfInterval(
-            f"spectrum [{float(lam[0])!r}, {float(lam[-1])!r}] outside [{lo}, {hi}] "
-            f"by more than {TOL_SPEC}"
+            f"spectrum [{first!r}, {last!r}] outside [{lo}, {hi}] by more than {TOL_SPEC}"
         )
-    if lam[0] < lo or lam[-1] > hi:
+    if first < lo or last > hi:
         lam = np.clip(lam, lo, hi)
     lam.setflags(write=False)
     return lam
+
+
+@lru_cache(maxsize=MAX_DIM)
+def _standard_basis(d: int) -> np.ndarray:
+    """The identity of dimension d as a read-only complex basis, shared by every
+    operator on the standard basis."""
+    vec = np.eye(d, dtype=np.complex128)
+    vec.setflags(write=False)
+    return vec
 
 
 def _is_unit(norm: float) -> bool:
@@ -203,12 +217,16 @@ class StateVector:
         comp = np.array(self.components, dtype=np.complex128)
         if comp.ndim != 1 or comp.size == 0:
             raise ConfigInvalid(f"state must be a nonempty 1-d vector, got shape {comp.shape}")
-        if not np.isfinite(comp).all():
+        if not all_finite(comp):
             raise ConfigInvalid("state components must be finite")
         comp.setflags(write=False)
         object.__setattr__(self, "components", comp)
-        with np.errstate(over="ignore"):  # a huge state's norm is inf, which no check accepts
-            object.__setattr__(self, "norm", float(np.linalg.norm(comp)))
+        # np.linalg.norm's own formula for a complex vector, without its wrapper;
+        # a huge state's norm is inf, which no check accepts
+        re, im = comp.real, comp.imag
+        with np.errstate(over="ignore"):
+            sqnorm = float(re.dot(re)) + float(im.dot(im))
+        object.__setattr__(self, "norm", math.sqrt(sqnorm))
 
     @property
     def dim(self) -> int:
@@ -260,7 +278,7 @@ class HermitianOperator:
         d = lam.size
         standard = self.eigenvectors is None
         if standard:
-            vec = np.eye(d, dtype=np.complex128)
+            vec = _standard_basis(d)
         else:
             # C order whatever the source, so products with the basis take one BLAS path
             vec = np.array(self.eigenvectors, dtype=np.complex128, order="C")
@@ -349,7 +367,8 @@ def eigenbasis_weights(A: HermitianOperator, x: StateVector) -> np.ndarray:
     """|<u_k, x>|^2 for each eigenvector column u_k."""
     if x.dim != A.dim:
         raise DimensionMismatch(f"state dim {x.dim} vs operator dim {A.dim}")
-    y = A.eigenvectors.conj().T @ x.components
+    # the identity's product gives x's components, up to the sign of a zero
+    y = x.components if A.standard_basis else A.eigenvectors.conj().T @ x.components
     with np.errstate(over="ignore"):  # a huge state's weights are inf, as its norm is
         return (y.conj() * y).real
 

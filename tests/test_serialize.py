@@ -113,9 +113,10 @@ def _reference_write(obj, out: list) -> None:
     elif isinstance(obj, dict):
         out.append("{")
         first = True
-        for key in sorted(obj):
+        for key in obj:  # before sorting, which raises TypeError on mixed key types
             if not isinstance(key, str):
                 raise ConfigInvalid(f"document keys must be strings, got {key!r}")
+        for key in sorted(obj):
             if not first:
                 out.append(",")
             first = False
@@ -221,6 +222,23 @@ class TestWriterOracle:
         got = _outcome(canonical_json, doc)
         assert got == _outcome(_reference_json, doc)
         assert got[0] is ConfigInvalid
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [({1: 2}, 1), ({1: 2, "a": 3}, 1), ({"a": 3, 2: 4}, 2), ({"b": {"a": 1, None: 2}}, None)],
+    )
+    def test_non_string_keys_are_refused_mixed_or_not(self, doc, key):
+        with pytest.raises(ConfigInvalid) as err:
+            canonical_json(doc)
+        assert str(err.value) == f"document keys must be strings, got {key!r}"
+
+    def test_quoted_keys_are_kept_in_a_bounded_memo(self):
+        from opineq.serialize import _key_text
+
+        canonical_json({f"k{n}": n for n in range(3 * _key_text.cache_info().maxsize)})
+        info = _key_text.cache_info()
+        assert info.currsize <= info.maxsize == 256
+        assert canonical_json({"é": 1, "a\nb": 2}) == '{"a\\nb":2,"\\u00e9":1}'
 
     def test_rows_are_written_as_before(self):
         doc = {
