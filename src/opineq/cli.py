@@ -324,7 +324,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_falsify._negative_number_matcher = _NEGATIVE_NUMBER
     p_falsify.add_argument("theorem", help="check id to attack")
     p_falsify.add_argument("--drop", choices=DROPPABLE, default=None)
-    p_falsify.add_argument("--budget", type=int, default=100_000)
+    p_falsify.add_argument(
+        "--budget",
+        type=int,
+        default=100_000,
+        help="candidates to examine (default 100000); a search with synchrony dropped that the "
+        "synchrony certificate's witness answers examines one",
+    )
     p_falsify.add_argument("--seed", type=int)
     p_falsify.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
     p_falsify.add_argument("--grid", type=int)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .ensembles import PER_VECTOR, SUM_OF_SQUARES, OperatorEnsemble, _member_means, ensemble_inputs
 from .ensembles import tuples_inputs
-from .errors import ConfigInvalid, OpineqError, read_integer, read_list
+from .errors import ConfigInvalid, DomainViolation, OpineqError, read_integer, read_list
 from .functionals import (
     HYPOTHESIS_NOT_MET,
     VIOLATED,
@@ -751,7 +751,8 @@ class _SearchPlan(NamedTuple):
     """What a search scores with: each tuple's free-slot functions as (slot,
     function) items, the distinct functions of all tuples by identity (as
     constant(0.0) == constant(-0.0)), each tuple's as a column of positions in
-    them with its orienting sign (both read-only), a chain's link and constant."""
+    them with its orienting sign (both read-only), a chain's link and constant,
+    and the candidate that answers the search without a search, if any."""
 
     given: tuple[tuple[tuple[str, ScalarFunction], ...], ...]
     functions: tuple[ScalarFunction, ...]
@@ -759,6 +760,7 @@ class _SearchPlan(NamedTuple):
     signs: np.ndarray
     link: Optional[int]
     constant: Optional[float]
+    witness: Optional[tuple[float, float, float, int]]
 
     def values(self, ks: Sequence[int]) -> Callable:
         """The tuples ``ks``' values: their slots' values at ``points``, of shape
@@ -783,6 +785,40 @@ def _draw_interval(drop: Optional[str], interval: SpectralInterval) -> SpectralI
     return interval
 
 
+def _witness(
+    entry: TheoremEntry, plan: _SearchPlan, draw: SpectralInterval, grid_n: int
+) -> Optional[tuple[float, float, float, int]]:
+    """The one candidate (s, t, w, k) that answers a dropped-synchrony search
+    of a ``synchrony_witness`` entry, whose gap is a non-negative multiple of
+    the defect product D(s, t) = d_f(s, t) d_g(s, t), where
+    d_f(s, t) = h(s)f(t) - h(t)f(s).
+
+    Each tuple's certificate on the draw interval names the pair (s, t) of its
+    most negative D.  The tuple k with the most negative, the first of equals,
+    gives the two-atom measure (s, t; 1/2, 1/2), of gap D(s, t)/4, or one atom
+    per operator, of gap D(s, t).  Tuples take a = (lo, hi) against b = (1, 0),
+    of gap -(hi - lo)/4.  None, and the search runs, when no grid pair makes D
+    negative, a certificate meets a NaN, or the candidate's sides overflow.
+    """
+    if entry.inputs_kind == TUPLES:
+        witness = (draw.lo, draw.hi, 0.0, 0) if draw.lo < draw.hi else None
+    else:
+        least, witness = 0.0, None
+        for k in range(len(plan.given)):
+            fns = [plan.functions[j] for j in plan.index[:, k]]
+            try:
+                verdict = classify_synchrony(*fns, draw, grid_n)
+            except DomainViolation:
+                return None
+            if verdict.witness_neg is not None and verdict.min_product < least:
+                least, witness = verdict.min_product, (*verdict.witness_neg, 0.5, k)
+    if witness is None:
+        return None
+    s, t, w, k = witness
+    scores, _ = _scores(entry, DROP_SYNCHRONY, plan, [k], *np.array([[s], [t], [w]]), 1)
+    return witness if np.isfinite(scores[0]) else None
+
+
 @functools.lru_cache(maxsize=SEARCH_PLAN_MEMO_SIZE)
 def _search_plan(
     entry: TheoremEntry, drop: Optional[str], interval: SpectralInterval, grid_n: int
@@ -791,7 +827,8 @@ def _search_plan(
     interval, not the draw interval, is the key, as the constant reads it.  An
     endpoint -0.0 shares its entry with 0.0: the pools probe and classify both
     alike."""
-    tuples = _search_functions(entry, drop, _draw_interval(drop, interval), grid_n)
+    draw = _draw_interval(drop, interval)
+    tuples = _search_functions(entry, drop, draw, grid_n)
     link = entry.options.get("link")
     constant = kantorovich_constant(interval.lo, interval.hi) if link is not None else None
     distinct = {id(fn): fn for _, fns, _ in tuples for fn in fns}
@@ -801,7 +838,10 @@ def _search_plan(
     index.setflags(write=False)
     signs.setflags(write=False)
     given = tuple(tuple(given.items()) for given, _, _ in tuples)
-    return _SearchPlan(given, tuple(distinct.values()), index, signs, link, constant)
+    plan = _SearchPlan(given, tuple(distinct.values()), index, signs, link, constant, None)
+    if drop == DROP_SYNCHRONY and entry.synchrony_witness:
+        return plan._replace(witness=_witness(entry, plan, draw, grid_n))
+    return plan
 
 
 def _split(entry: TheoremEntry, drop: Optional[str], l1, l2, w) -> list:
@@ -845,6 +885,36 @@ def _sides_args(entry: TheoremEntry, members: list, constant: Optional[float]) -
         return (*_member_means(measures), [constant] * len(measures))
     mu = measures[0] if len(measures) == 1 else SpectralMeasure.concat(measures)
     return (mu,) if constant is None else (mu, constant)
+
+
+def _scores(
+    entry: TheoremEntry,
+    drop: Optional[str],
+    plan: _SearchPlan,
+    ks: Sequence[int],
+    l1: np.ndarray,
+    l2: np.ndarray,
+    w: np.ndarray,
+    n: int,
+) -> tuple:
+    """The scores and thresholds of a batch's first ``n`` candidates under the
+    tuples ``ks``, in one sides call: candidate j is row j % per under tuple
+    ks[j // per].  Each candidate's score reads only its own two atoms."""
+    with np.errstate(all="ignore"):
+        args = _sides_args(entry, _split(entry, drop, l1, l2, w), plan.constant)
+        if len(plan.index):  # the entry has function slots
+            args += (plan.values(ks),)
+        sides = entry.sides(*args)
+        favored, other = sides if plan.link is None else sides[plan.link]
+        # (len(ks), per) scores, read tuple after tuple
+        score = plan.signs[ks][:, None] * (favored - other)
+        scores = score.reshape(-1)[:n]
+        thresholds = (score - tol_ineq(favored, other)).reshape(-1)[:n]
+    finite = np.isfinite(scores)
+    if not finite.all():
+        scores = np.where(finite, scores, np.inf)
+        thresholds = np.where(finite, thresholds, np.inf)
+    return scores, thresholds
 
 
 def _candidate_parsed(
@@ -896,87 +966,19 @@ class _NearestMiss:
         return next(c for threshold, c in self.records if threshold <= self.least)
 
 
-def falsify(
-    theorem_id: str,
-    drop: Optional[str] = None,
-    *,
-    budget: int = 100_000,
-    seed: int = 0,
-    interval: Optional[SpectralInterval] = None,
-    grid_n: int = DEFAULT_GRID_N,
-) -> FalsifyResult:
-    """Search for the most negative oriented gap, optionally dropping a hypothesis.
-
-    ``drop`` disables exactly one precondition: "synchrony" forces the >=
-    orientation with the gate off (tuples oppositely ordered),
-    "spectral-containment" draws the spectrum from [lo/2, 2 hi] while the
-    bound keeps [lo, hi], "normalization" feeds the averaged chain a
-    sum-of-squares ensemble.
-
-    Every check is searched one way.  A candidate is a two-atom measure
-    (lam1, lam2; w, 1 - w), read as the entry's members and scored in batches
-    under each function tuple by the checker's own sides function (+inf when
-    not finite).  The function tuples, their orientation and the interval's
-    constant are planned once per (check, drop, interval, grid_n) and kept in
-    a process-wide memo of at most SEARCH_PLAN_MEMO_SIZE plans; a plan that
-    raises is not kept, and ``falsify.cache_info()`` reports the memo's hits
-    and misses.  A batch is scored under all its tuples in one sides call:
-    its ``values`` evaluates each distinct plan function the tuples use once
-    and gives the slots' values with a leading tuple axis.  The scores, tuple
-    after tuple, pass the nearest-miss rule together, which keeps the same
-    candidate as scoring the tuples one by one.  Up to eight perturbation rounds
-    around the kept candidate, under its tuple, spend the last tenth of the
-    budget, at most 256; their steps come from one normal draw.  The rounds
-    left are scored in one call around the kept candidate and offered round
-    by round, and scored again from the first round after which that
-    candidate moves, which keeps the results of scoring round by round;
-    exactly ``budget`` candidates are examined.  The kept candidate is
-    certified as a suite trial is run, through the check's core at violation
-    tolerance; that report's inputs document is ``scenario``, and ``found`` is
-    true only when it says "violated".
-    """
-    if interval is not None and not isinstance(interval, SpectralInterval):
-        raise ConfigInvalid("interval must be a SpectralInterval")
-    entry = lookup(theorem_id)
-    if drop is not None:
-        if drop not in DROPPABLE:
-            raise ConfigInvalid(f"drop must be one of {sorted(DROPPABLE)} or None, got {drop!r}")
-        if drop not in entry.drops:
-            applicable = ", ".join(sorted(e.theorem_id for e in REGISTRY_ORDER if drop in e.drops))
-            raise ConfigInvalid(
-                f"dropping {drop!r} does not apply to {theorem_id!r} (applies to: {applicable})"
-            )
-    read_integer(budget, "budget", (1, MAX_BUDGET))
-    read_integer(seed, "seed", _SEED_RANGE)
-    grid_n = read_grid_n(grid_n)
-    iv = interval if interval is not None else SpectralInterval(1.0, 4.0)
-    if entry.needs_positive and iv.lo <= 0.0:
-        raise ConfigInvalid(f"{theorem_id!r} needs a positive interval, got {iv.as_pair()}")
-    plan = _search_plan(entry, drop, iv, grid_n)
-    draw = _draw_interval(drop, iv)
+def _search(
+    entry: TheoremEntry,
+    drop: Optional[str],
+    plan: _SearchPlan,
+    draw: SpectralInterval,
+    budget: int,
+    seed: int,
+) -> tuple[float, float, float, int]:
+    """The candidate (lam1, lam2, w, k) a random search of ``budget`` candidates
+    drawn on ``draw`` keeps, as ``falsify`` describes it."""
     rng = trial_rng(seed, entry.ordinal, FALSIFY_STREAM)
     nearest = _NearestMiss()
-
-    def score(ks: Sequence[int], l1: np.ndarray, l2: np.ndarray, w: np.ndarray, n: int) -> tuple:
-        """The scores and thresholds of a batch's first ``n`` candidates under the
-        tuples ``ks``, in one sides call: candidate j is row j % per under tuple
-        ks[j // per].  Each candidate's score reads only its own two atoms."""
-        with np.errstate(all="ignore"):
-            args = _sides_args(entry, _split(entry, drop, l1, l2, w), plan.constant)
-            if len(plan.index):  # the entry has function slots
-                args += (plan.values(ks),)
-            sides = entry.sides(*args)
-            favored, other = sides if plan.link is None else sides[plan.link]
-            # (len(ks), per) scores, read tuple after tuple
-            score = plan.signs[ks][:, None] * (favored - other)
-            scores = score.reshape(-1)[:n]
-            thresholds = (score - tol_ineq(favored, other)).reshape(-1)[:n]
-        finite = np.isfinite(scores)
-        if not finite.all():
-            scores = np.where(finite, scores, np.inf)
-            thresholds = np.where(finite, thresholds, np.inf)
-        return scores, thresholds
-
+    score = functools.partial(_scores, entry, drop, plan)
     reserve = min(256, budget // 10)
     examined, target = 0, budget - reserve
     while examined < target:
@@ -1025,8 +1027,80 @@ def falsify(
             r += 1
             if nearest.best() is not center:
                 break
-    examined += reserve
-    l1, l2, w, k = nearest.best()
+    return nearest.best()
+
+
+def falsify(
+    theorem_id: str,
+    drop: Optional[str] = None,
+    *,
+    budget: int = 100_000,
+    seed: int = 0,
+    interval: Optional[SpectralInterval] = None,
+    grid_n: int = DEFAULT_GRID_N,
+) -> FalsifyResult:
+    """Search for the most negative oriented gap, optionally dropping a hypothesis.
+
+    ``drop`` disables exactly one precondition: "synchrony" forces the >=
+    orientation with the gate off (tuples oppositely ordered),
+    "spectral-containment" draws the spectrum from [lo/2, 2 hi] while the
+    bound keeps [lo, hi], "normalization" feeds the averaged chain a
+    sum-of-squares ensemble.
+
+    Every check is searched one way.  A candidate is a two-atom measure
+    (lam1, lam2; w, 1 - w), read as the entry's members and scored in batches
+    under each function tuple by the checker's own sides function (+inf when
+    not finite).  The function tuples, their orientation and the interval's
+    constant are planned once per (check, drop, interval, grid_n) and kept in
+    a process-wide memo of at most SEARCH_PLAN_MEMO_SIZE plans; a plan that
+    raises is not kept, and ``falsify.cache_info()`` reports the memo's hits
+    and misses.  A batch is scored under all its tuples in one sides call:
+    its ``values`` evaluates each distinct plan function the tuples use once
+    and gives the slots' values with a leading tuple axis.  The scores, tuple
+    after tuple, pass the nearest-miss rule together, which keeps the same
+    candidate as scoring the tuples one by one.  Up to eight perturbation rounds
+    around the kept candidate, under its tuple, spend the last tenth of the
+    budget, at most 256; their steps come from one normal draw.  The rounds
+    left are scored in one call around the kept candidate and offered round
+    by round, and scored again from the first round after which that
+    candidate moves, which keeps the results of scoring round by round;
+    exactly ``budget`` candidates are examined.
+
+    A check whose registry entry sets ``synchrony_witness`` is not searched
+    with synchrony dropped: its gap is a non-negative multiple of the defect
+    product D(s, t), and the plan holds the one candidate that the synchrony
+    certificates name (see ``_witness``), so one candidate is examined
+    whatever the budget and seed.  Where no grid pair makes D negative (a
+    degenerate interval), a certificate meets a NaN or that candidate's
+    sides overflow, it is searched as above.
+
+    The kept candidate is certified as a suite trial is run, through the
+    check's core at violation tolerance; that report's inputs document is
+    ``scenario``, and ``found`` is true only when it says "violated".
+    """
+    if interval is not None and not isinstance(interval, SpectralInterval):
+        raise ConfigInvalid("interval must be a SpectralInterval")
+    entry = lookup(theorem_id)
+    if drop is not None:
+        if drop not in DROPPABLE:
+            raise ConfigInvalid(f"drop must be one of {sorted(DROPPABLE)} or None, got {drop!r}")
+        if drop not in entry.drops:
+            applicable = ", ".join(sorted(e.theorem_id for e in REGISTRY_ORDER if drop in e.drops))
+            raise ConfigInvalid(
+                f"dropping {drop!r} does not apply to {theorem_id!r} (applies to: {applicable})"
+            )
+    read_integer(budget, "budget", (1, MAX_BUDGET))
+    read_integer(seed, "seed", _SEED_RANGE)
+    grid_n = read_grid_n(grid_n)
+    iv = interval if interval is not None else SpectralInterval(1.0, 4.0)
+    if entry.needs_positive and iv.lo <= 0.0:
+        raise ConfigInvalid(f"{theorem_id!r} needs a positive interval, got {iv.as_pair()}")
+    plan = _search_plan(entry, drop, iv, grid_n)
+    draw = _draw_interval(drop, iv)
+    if plan.witness is not None:
+        examined, (l1, l2, w, k) = 1, plan.witness
+    else:
+        examined, (l1, l2, w, k) = budget, _search(entry, drop, plan, draw, budget, seed)
     members = _split(entry, drop, l1, l2, w)
     parsed = _candidate_parsed(entry, drop, iv, grid_n, plan.given[k])
     inputs = _drawn_inputs(entry, _mode(entry, drop), members, draw)

@@ -167,6 +167,11 @@ class TheoremEntry:
     # how many members a falsify candidate, a two-atom measure, splits into:
     # 2 is one atom per operator or ensemble member, or the two tuples
     members: int
+    # whether a candidate's gap with synchrony dropped is a non-negative multiple
+    # of the defect product D(s, t) = d_f(s, t) d_g(s, t) at its two atoms (for
+    # tuples, of (a_1 - a_2)(b_1 - b_2)), so falsify answers that drop with the
+    # pair the certificate names instead of a search
+    synchrony_witness: bool = False
 
     def __post_init__(self) -> None:
         # Derived once, for run: each function slot in f, g, h order with what
@@ -291,6 +296,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-sign",
+            synchrony_witness=True,
             summary="weighted covariance product bound under grid-certified (a)synchrony",
             slots=("f", "g", "h"),
         ),
@@ -303,6 +309,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-sign-t",
+            synchrony_witness=True,
             summary="sign bound with the identity weight",
             slots=("f", "g"),
             fixed=identity_h,
@@ -311,6 +318,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-moment",
+            synchrony_witness=True,
             summary="sign bound with the second factor fixed to one",
             slots=("f", "h"),
             fixed={"g": constant(1.0)},
@@ -319,6 +327,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-moment-t",
+            synchrony_witness=True,
             summary="sign bound with identity weight and second factor one",
             slots=("f",),
             fixed={"g": constant(1.0), **identity_h},
@@ -342,6 +351,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-two-op",
+            synchrony_witness=True,
             summary="mixed bound over two operators and two states",
             inputs_kind=TWO_OP,
             slots=("f", "g", "h"),
@@ -384,6 +394,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             ensemble,
             theorem_id="ensemble-pc-sign",
+            synchrony_witness=True,
             summary="summed covariance product bound over an operator family",
             slots=("f", "g", "h"),
         ),
@@ -448,6 +459,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="discrete-chebyshev",
+            synchrony_witness=True,
             summary="mean of products dominates product of means for similarly ordered tuples",
             inputs_kind=TUPLES,
             slots=(),

@@ -1,5 +1,7 @@
 """Random generators, the property suite, and the counterexample search."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,7 @@ from opineq.harness import (
     _valid_entries,
 )
 from opineq.functionals import ReadPair
-from opineq.functions import ScalarFunction, constant, power
+from opineq.functions import ScalarFunction, constant, power, sync_product
 from opineq.registry import DROPPABLE, lookup
 from opineq.tolerances import MAX_BUDGET, MAX_DIM, MAX_TRIALS, SEARCH_PLAN_MEMO_SIZE
 
@@ -674,10 +676,12 @@ class TestFalsify:
         [(e.theorem_id, drop) for e in REGISTRY_ORDER for drop in [None, *sorted(e.drops)]],
     )
     def test_vectorised_search_examines_exactly_the_budget(self, theorem_id, drop, budget):
+        # a search answered by the synchrony certificate's witness examines one candidate
+        constructed = drop == DROP_SYNCHRONY and lookup(theorem_id).synchrony_witness
         seeds = range(5) if budget == 50 else range(1)
         for seed in seeds:
             result = falsify(theorem_id, drop, budget=budget, seed=seed)
-            assert result.examined == budget
+            assert result.examined == (1 if constructed else budget)
             if budget == 50:
                 # a dropped hypothesis always yields a counterexample, an intact one never
                 assert result.found == (drop is not None)
@@ -966,18 +970,19 @@ def test_a_plans_values_stack_its_tuples(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-def _values_calls(monkeypatch, drop) -> tuple:
-    """The plan of a pc-sign search at budget 300 and seed 0, and the functions
-    each of its values calls evaluated."""
-    plan = harness._search_plan(lookup("pc-sign"), drop, SpectralInterval(1.0, 4.0), 128)
+def _values_calls(monkeypatch, theorem_id, drop) -> tuple:
+    """The plan of a search at budget 300 and seed 0, and for each of its
+    scoring calls, the functions each call of its values evaluated."""
+    plan = harness._search_plan(lookup(theorem_id), drop, SpectralInterval(1.0, 4.0), 128)
     evaluate, plan_values = ScalarFunction.evaluate, harness._SearchPlan.values
-    calls, per_call = [], []
+    calls, per_score = [], []
     monkeypatch.setattr(
         ScalarFunction, "evaluate", lambda fn, pts: calls.append(fn) or evaluate(fn, pts)
     )
 
     def counting(plan, ks):
-        values = plan_values(plan, ks)
+        values, per_call = plan_values(plan, ks), []
+        per_score.append(per_call)
 
         def counted(points):
             before = len(calls)
@@ -988,23 +993,137 @@ def _values_calls(monkeypatch, drop) -> tuple:
         return counted
 
     monkeypatch.setattr(harness._SearchPlan, "values", counting)
-    falsify("pc-sign", drop, budget=300)
-    # the first batch scores all the plan's tuples in one sides call, with one values call
-    assert sorted(map(id, per_call[0])) == sorted(map(id, plan.functions))
+    falsify(theorem_id, drop, budget=300)
+    # the first batch scores all the plan's tuples in one sides call, each of
+    # its values calls evaluating every plan function once
+    assert all(sorted(map(id, c)) == sorted(map(id, plan.functions)) for c in per_score[0])
     # each round scoring call scores one tuple and evaluates only its functions
-    assert all(len(c) == len(set(map(id, c))) <= 3 for c in per_call[1:])
-    return plan, per_call
+    assert all(len(c) == len(set(map(id, c))) <= 3 for s in per_score[1:] for c in s)
+    return plan, per_score
 
 
 def test_a_batch_evaluates_each_plan_function_once_per_values_call(monkeypatch, cold_plans):
-    plan, per_call = _values_calls(monkeypatch, None)
+    plan, per_score = _values_calls(monkeypatch, "pc-sign", None)
     assert len(plan.functions) == 12
     # no round before the last moves the kept candidate: one call scores all eight
-    assert len(per_call) == 1 + 1
+    assert len(per_score) == 1 + 1
 
 
 def test_rounds_are_scored_again_each_time_the_kept_candidate_moves(monkeypatch, cold_plans):
-    plan, per_call = _values_calls(monkeypatch, "synchrony")
+    plan, per_score = _values_calls(monkeypatch, "mean-point", "synchrony")
     assert len(plan.functions) == 4
     # the rounds left are scored again after each round that moves the candidate
-    assert len(per_call) == 1 + 6
+    assert len(per_score) == 1 + 7
+    # mean-point's sides read the functions at the atoms and at the mean
+    assert all(len(s) == 2 for s in per_score)
+
+
+# ---------------------------------------------------------------------------
+# searches answered by the synchrony certificate's witness
+
+WITNESS_IDS = (
+    "pc-sign",
+    "pc-sign-t",
+    "pc-moment",
+    "pc-moment-t",
+    "pc-two-op",
+    "ensemble-pc-sign",
+    "discrete-chebyshev",
+)
+
+# The random search each witness replaces, before it did: the median and the
+# least gap over seeds 0-19 at budget 300 on [1, 4].
+SEARCHED_GAPS = {
+    "pc-sign": (-0.8560346437563435, -0.8749998228578071),
+    "pc-sign-t": (-7.028003306351508, -7.142162382575435),
+    "pc-moment": (-50.24757035884234, -51.63472297405377),
+    "pc-moment-t": (-51.10831741173132, -51.631355293403885),
+    "pc-two-op": (-3.5, -3.5),
+    "ensemble-pc-sign": (-0.821216511049486, -0.8727444936023523),
+    "discrete-chebyshev": (-0.7499999985, -0.7499999985000001),
+}
+
+# Searches that find no usable witness and run as before it was added, with the
+# digest of their results at budgets 1, 50 and 300 from before then: no grid
+# pair makes D negative (a degenerate or a very narrow interval), a certificate
+# meets a NaN, or the witness's sides overflow.
+FALLBACK_SEARCHES = (
+    ((1.0, 1.0), WITNESS_IDS),
+    ((1.0, 1.0 + 1e-13), WITNESS_IDS[:-1]),
+    ((1.0, 1e200), ("pc-sign", "pc-two-op", "ensemble-pc-sign")),
+    ((1.0, 1e100), ("pc-sign-t", "pc-moment", "pc-moment-t")),
+    ((1.0, 700.0), ("pc-moment-t",)),
+)
+FALLBACK_DIGEST = "01d30c95bccaa87fb220c0a91b3dfa90ebae4aa103a39c7d85b3eee4c2a92f58"
+
+
+def test_the_witness_entries_are_the_sign_family_the_two_operator_bound_and_tuples():
+    assert tuple(e.theorem_id for e in REGISTRY_ORDER if e.synchrony_witness) == WITNESS_IDS
+    assert all(DROP_SYNCHRONY in lookup(tid).drops for tid in WITNESS_IDS)
+
+
+@pytest.mark.parametrize("interval", [(1.0, 4.0), (0.5, 2.0), (1.0, 1.5), (2.0, 100.0)])
+@pytest.mark.parametrize("theorem_id", WITNESS_IDS)
+def test_a_witness_answers_the_search_with_one_candidate(theorem_id, interval):
+    iv = SpectralInterval(*interval)
+    result = falsify(theorem_id, DROP_SYNCHRONY, budget=1, interval=iv)
+    assert (result.examined, result.found, result.verdict) == (1, True, "violated")
+    doc = load_json(canonical_json(result.scenario))
+    replay = run_scenario(scenario_from_doc(doc), tol_factor=VIOLATION_FACTOR)
+    assert (replay.gap, replay.verdict) == (result.gap, result.verdict)
+    # neither the seed nor the budget moves it
+    answer = result.to_doc()
+    for seed in range(5):
+        for budget in (1, 1000):
+            other = falsify(theorem_id, DROP_SYNCHRONY, budget=budget, seed=seed, interval=iv)
+            assert {**other.to_doc(), "budget": 1, "seed": 0} == answer
+
+
+@pytest.mark.parametrize("interval", [(1.0, 4.0), (0.5, 2.0), (2.0, 100.0)])
+@pytest.mark.parametrize("theorem_id", WITNESS_IDS)
+def test_a_witness_gap_is_its_defect_product(theorem_id, interval):
+    """D(s, t)/4 for a two-atom measure, D(s, t) for one atom per operator, and
+    -(hi - lo)/4 for tuples, at the pair of the most negative certificate."""
+    entry, iv = lookup(theorem_id), SpectralInterval(*interval)
+    gap = falsify(theorem_id, DROP_SYNCHRONY, budget=1, interval=iv).gap
+    if entry.inputs_kind == "tuples":
+        assert gap == -(iv.hi - iv.lo) / 4
+        return
+    plan = harness._search_plan(entry, DROP_SYNCHRONY, iv, 128)
+    s, t, w, k = plan.witness
+    verdicts = [classify_synchrony(*entry.functions(dict(g)), iv, 128) for g in plan.given]
+    assert verdicts[k].min_product == min(v.min_product for v in verdicts)
+    assert ((s, t), w) == (verdicts[k].witness_neg, 0.5)
+    product = sync_product(*entry.functions(dict(plan.given[k])), s, t)
+    assert gap == pytest.approx(product if entry.inputs_kind == "two_op" else product / 4)
+
+
+def test_the_first_of_equally_negative_certificates_wins(monkeypatch):
+    entry, iv = lookup("pc-sign"), SpectralInterval(1.0, 4.0)
+    tuples = _search_functions(entry, DROP_SYNCHRONY, iv, 128)
+    least = [classify_synchrony(*fns, iv, 128).min_product for _, fns, _ in tuples]
+    for order in (tuples + tuples, tuples[::-1] + tuples):
+        monkeypatch.setattr(harness, "_search_functions", lambda *args: order)
+        plan = harness._search_plan.__wrapped__(entry, DROP_SYNCHRONY, iv, 128)
+        products = [least[tuples.index(t)] for t in order]
+        assert plan.witness[3] == products.index(min(products))
+
+
+@pytest.mark.parametrize("theorem_id", WITNESS_IDS)
+def test_a_witness_is_as_strong_as_the_search_it_replaces(theorem_id):
+    median, best = SEARCHED_GAPS[theorem_id]
+    gap = falsify(theorem_id, DROP_SYNCHRONY, budget=1).gap
+    assert gap <= median
+    # short of the least by at most 1e-3 of it
+    assert gap <= best + 1e-3 * abs(best)
+
+
+def test_a_search_without_a_usable_witness_runs_as_before():
+    digest = hashlib.sha256()
+    for interval, theorems in FALLBACK_SEARCHES:
+        for theorem in theorems:
+            for budget in (1, 50, 300):
+                iv = SpectralInterval(*interval)
+                doc = _search_doc(theorem, DROP_SYNCHRONY, budget=budget, interval=iv)
+                digest.update(doc.encode("utf-8") + b"\n")
+    assert digest.hexdigest() == FALLBACK_DIGEST
