@@ -786,7 +786,7 @@ def _draw_interval(drop: Optional[str], interval: SpectralInterval) -> SpectralI
 
 
 def _witness(
-    entry: TheoremEntry, plan: _SearchPlan, draw: SpectralInterval, grid_n: int
+    entry: TheoremEntry, plan: _SearchPlan, interval: SpectralInterval, grid_n: int
 ) -> Optional[tuple[float, float, float, int]]:
     """The one candidate (s, t, w, k) that answers a dropped-synchrony search
     of a ``synchrony_witness`` entry, whose gap is a non-negative multiple of
@@ -797,9 +797,13 @@ def _witness(
     most negative D.  The tuple k with the most negative, the first of equals,
     gives the two-atom measure (s, t; 1/2, 1/2), of gap D(s, t)/4, or one atom
     per operator, of gap D(s, t).  Tuples take a = (lo, hi) against b = (1, 0),
-    of gap -(hi - lo)/4.  None, and the search runs, when no grid pair makes D
-    negative, a certificate meets a NaN, or the candidate's sides overflow.
+    of gap -(hi - lo)/4.  The candidate answers the search only when its
+    certification says "violated"; None, and the search runs, when no grid pair
+    makes D negative, a certificate meets a NaN, or the certification raises or
+    finds no violation (its sides overflow, or its gap is within the violation
+    tolerance of 0).
     """
+    draw = _draw_interval(DROP_SYNCHRONY, interval)
     if entry.inputs_kind == TUPLES:
         witness = (draw.lo, draw.hi, 0.0, 0) if draw.lo < draw.hi else None
     else:
@@ -814,9 +818,11 @@ def _witness(
                 least, witness = verdict.min_product, (*verdict.witness_neg, 0.5, k)
     if witness is None:
         return None
-    s, t, w, k = witness
-    scores, _ = _scores(entry, DROP_SYNCHRONY, plan, [k], *np.array([[s], [t], [w]]), 1)
-    return witness if np.isfinite(scores[0]) else None
+    try:
+        report = _certify(entry, DROP_SYNCHRONY, plan, interval, grid_n, witness)
+    except OpineqError:
+        return None
+    return witness if report.verdict == VIOLATED else None
 
 
 @functools.lru_cache(maxsize=SEARCH_PLAN_MEMO_SIZE)
@@ -840,7 +846,7 @@ def _search_plan(
     given = tuple(tuple(given.items()) for given, _, _ in tuples)
     plan = _SearchPlan(given, tuple(distinct.values()), index, signs, link, constant, None)
     if drop == DROP_SYNCHRONY and entry.synchrony_witness:
-        return plan._replace(witness=_witness(entry, plan, draw, grid_n))
+        return plan._replace(witness=_witness(entry, plan, interval, grid_n))
     return plan
 
 
@@ -937,6 +943,23 @@ def _candidate_parsed(
         else:
             parsed["per_op_intervals"] = [interval.as_pair()] * entry.members
     return parsed
+
+
+def _certify(
+    entry: TheoremEntry,
+    drop: Optional[str],
+    plan: _SearchPlan,
+    interval: SpectralInterval,
+    grid_n: int,
+    candidate: tuple[float, float, float, int],
+) -> InequalityReport:
+    """The report of a candidate (lam1, lam2, w, k) of a search on ``interval``,
+    run as a suite trial is, through the check's core at violation tolerance."""
+    l1, l2, w, k = candidate
+    members = _split(entry, drop, l1, l2, w)
+    parsed = _candidate_parsed(entry, drop, interval, grid_n, plan.given[k])
+    inputs = _drawn_inputs(entry, _mode(entry, drop), members, _draw_interval(drop, interval))
+    return entry.run(parsed, inputs, tol_factor=VIOLATION_FACTOR)
 
 
 class _NearestMiss:
@@ -1072,7 +1095,7 @@ def falsify(
     certificates name (see ``_witness``), so one candidate is examined
     whatever the budget and seed.  Where no grid pair makes D negative (a
     degenerate interval), a certificate meets a NaN or that candidate's
-    sides overflow, it is searched as above.
+    certification raises or finds no violation, it is searched as above.
 
     The kept candidate is certified as a suite trial is run, through the
     check's core at violation tolerance; that report's inputs document is
@@ -1096,15 +1119,12 @@ def falsify(
     if entry.needs_positive and iv.lo <= 0.0:
         raise ConfigInvalid(f"{theorem_id!r} needs a positive interval, got {iv.as_pair()}")
     plan = _search_plan(entry, drop, iv, grid_n)
-    draw = _draw_interval(drop, iv)
     if plan.witness is not None:
-        examined, (l1, l2, w, k) = 1, plan.witness
+        examined, candidate = 1, plan.witness
     else:
-        examined, (l1, l2, w, k) = budget, _search(entry, drop, plan, draw, budget, seed)
-    members = _split(entry, drop, l1, l2, w)
-    parsed = _candidate_parsed(entry, drop, iv, grid_n, plan.given[k])
-    inputs = _drawn_inputs(entry, _mode(entry, drop), members, draw)
-    report = entry.run(parsed, inputs, tol_factor=VIOLATION_FACTOR)
+        draw = _draw_interval(drop, iv)
+        examined, candidate = budget, _search(entry, drop, plan, draw, budget, seed)
+    report = _certify(entry, drop, plan, iv, grid_n, candidate)
     found, gap, verdict = report.verdict == VIOLATED, report.gap, report.verdict
     return FalsifyResult(
         theorem_id, drop, budget, seed, examined, found, gap, verdict, report.inputs_digest

@@ -996,6 +996,7 @@ def _values_calls(monkeypatch, theorem_id, drop) -> tuple:
     falsify(theorem_id, drop, budget=300)
     # the first batch scores all the plan's tuples in one sides call, each of
     # its values calls evaluating every plan function once
+    assert per_score[0]
     assert all(sorted(map(id, c)) == sorted(map(id, plan.functions)) for c in per_score[0])
     # each round scoring call scores one tuple and evaluates only its functions
     assert all(len(c) == len(set(map(id, c))) <= 3 for s in per_score[1:] for c in s)
@@ -1005,8 +1006,9 @@ def _values_calls(monkeypatch, theorem_id, drop) -> tuple:
 def test_a_batch_evaluates_each_plan_function_once_per_values_call(monkeypatch, cold_plans):
     plan, per_score = _values_calls(monkeypatch, "pc-sign", None)
     assert len(plan.functions) == 12
-    # no round before the last moves the kept candidate: one call scores all eight
-    assert len(per_score) == 1 + 1
+    # no round before the last moves the kept candidate: one call scores all
+    # eight, and pc-sign's sides make one values call per scoring call
+    assert [len(s) for s in per_score] == [1, 1]
 
 
 def test_rounds_are_scored_again_each_time_the_kept_candidate_moves(monkeypatch, cold_plans):
@@ -1055,6 +1057,17 @@ FALLBACK_SEARCHES = (
     ((1.0, 700.0), ("pc-moment-t",)),
 )
 FALLBACK_DIGEST = "01d30c95bccaa87fb220c0a91b3dfa90ebae4aa103a39c7d85b3eee4c2a92f58"
+
+# Searches whose witness makes D negative with finite sides, but whose gap lies
+# within the violation tolerance of 0 on a narrow interval, so it certifies no
+# violation and the search runs; digested as above, from before the witness.
+UNCERTIFIED_SEARCHES = (
+    ((1.0, 1.0 + 1e-13), WITNESS_IDS[-1:]),
+    ((1.0, 1.0 + 1e-8), WITNESS_IDS[-1:]),
+    ((1.0, 1.0 + 1e-6), ("pc-moment", "pc-moment-t")),
+    ((1.0, 1.0 + 1e-5), WITNESS_IDS[:-1]),
+)
+UNCERTIFIED_DIGEST = "574d3b1e077ac9bb8f636f83a68671b88c380078bd046e8b7d9146302a2d18fb"
 
 
 def test_the_witness_entries_are_the_sign_family_the_two_operator_bound_and_tuples():
@@ -1118,12 +1131,32 @@ def test_a_witness_is_as_strong_as_the_search_it_replaces(theorem_id):
     assert gap <= best + 1e-3 * abs(best)
 
 
-def test_a_search_without_a_usable_witness_runs_as_before():
+def _searches_digest(searches) -> str:
     digest = hashlib.sha256()
-    for interval, theorems in FALLBACK_SEARCHES:
+    for interval, theorems in searches:
         for theorem in theorems:
             for budget in (1, 50, 300):
                 iv = SpectralInterval(*interval)
                 doc = _search_doc(theorem, DROP_SYNCHRONY, budget=budget, interval=iv)
                 digest.update(doc.encode("utf-8") + b"\n")
-    assert digest.hexdigest() == FALLBACK_DIGEST
+    return digest.hexdigest()
+
+
+def test_a_search_without_a_usable_witness_runs_as_before():
+    assert _searches_digest(FALLBACK_SEARCHES) == FALLBACK_DIGEST
+
+
+def test_a_witness_that_certifies_no_violation_leaves_the_search_as_before():
+    for interval, theorems in UNCERTIFIED_SEARCHES:
+        iv = SpectralInterval(*interval)
+        for theorem in theorems:
+            entry = lookup(theorem)
+            plan = harness._search_plan(entry, DROP_SYNCHRONY, iv, 128)
+            assert plan.witness is None
+            if entry.inputs_kind != "tuples":
+                # the certificates do name a pair of negative D
+                fns = [entry.functions(dict(g)) for g in plan.given]
+                assert any(classify_synchrony(*f, iv, 128).witness_neg is not None for f in fns)
+            result = falsify(theorem, DROP_SYNCHRONY, budget=50, interval=iv)
+            assert (result.examined, result.found) == (50, False)
+    assert _searches_digest(UNCERTIFIED_SEARCHES) == UNCERTIFIED_DIGEST
