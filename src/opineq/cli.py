@@ -328,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=100_000,
-        help="candidates to examine (default 100000); a search with synchrony dropped that the "
-        "synchrony certificate's witness answers examines one",
+        help="candidates to examine (default 100000); a dropped hypothesis that the check "
+        "answers with a constructed candidate examines one",
     )
     p_falsify.add_argument("--seed", type=int)
     p_falsify.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))

@@ -752,7 +752,8 @@ class _SearchPlan(NamedTuple):
     function) items, the distinct functions of all tuples by identity (as
     constant(0.0) == constant(-0.0)), each tuple's as a column of positions in
     them with its orienting sign (both read-only), a chain's link and constant,
-    and the candidate that answers the search without a search, if any."""
+    and the constructed candidate that answers the search without a search,
+    if the drop is one of the entry's ``constructed`` and it certifies."""
 
     given: tuple[tuple[tuple[str, ScalarFunction], ...], ...]
     functions: tuple[ScalarFunction, ...]
@@ -760,7 +761,7 @@ class _SearchPlan(NamedTuple):
     signs: np.ndarray
     link: Optional[int]
     constant: Optional[float]
-    witness: Optional[tuple[float, float, float, int]]
+    constructed: Optional[tuple[float, float, float, int]]
 
     def values(self, ks: Sequence[int]) -> Callable:
         """The tuples ``ks``' values: their slots' values at ``points``, of shape
@@ -785,29 +786,45 @@ def _draw_interval(drop: Optional[str], interval: SpectralInterval) -> SpectralI
     return interval
 
 
-def _witness(
-    entry: TheoremEntry, plan: _SearchPlan, interval: SpectralInterval, grid_n: int
+def _constructed(
+    entry: TheoremEntry,
+    drop: str,
+    plan: _SearchPlan,
+    interval: SpectralInterval,
+    grid_n: int,
 ) -> Optional[tuple[float, float, float, int]]:
-    """The one candidate (s, t, w, k) that answers a dropped-synchrony search
-    of a ``synchrony_witness`` entry, whose gap is a non-negative multiple of
-    the defect product D(s, t) = d_f(s, t) d_g(s, t), where
-    d_f(s, t) = h(s)f(t) - h(t)f(s).
+    """The one candidate (s, t, w, k) that answers a search with ``drop`` in
+    the entry's ``constructed`` drops, or None, and the search runs.
 
-    Each tuple's certificate on the draw interval names the pair (s, t) of its
-    most negative D.  The tuple k with the most negative, the first of equals,
-    gives the two-atom measure (s, t; 1/2, 1/2), of gap D(s, t)/4, or one atom
-    per operator, of gap D(s, t).  Tuples take a = (lo, hi) against b = (1, 0),
-    of gap -(hi - lo)/4.  The candidate answers the search only when its
-    certification says "violated"; None, and the search runs, when no grid pair
-    makes D negative, a certificate meets a NaN, or the certification raises or
-    finds no violation (its sides overflow, or its gap is within the violation
-    tolerance of 0).
+    - Synchrony: the gap is a non-negative multiple of the defect product
+      D(s, t) = d_f(s, t) d_g(s, t), where d_f(s, t) = h(s)f(t) - h(t)f(s).
+      Each tuple's certificate on the draw interval names the pair (s, t) of
+      its most negative D.  The tuple k with the most negative, the first of
+      equals, gives the two-atom measure (s, t; 1/2, 1/2), of gap D(s, t)/4,
+      or one atom per operator, of gap D(s, t).  Tuples take a = (lo, hi)
+      against b = (1, 0), of gap -(hi - lo)/4.
+    - Spectral containment: the measure (lo/2, 2 hi; 1/2, 1/2) at the draw
+      interval's endpoints attains Kantorovich's bound E[s]E[1/s] <= K(lo/2, 2 hi),
+      the most of any measure there, so its gap K(lo, hi) - K(lo/2, 2 hi) is
+      the most negative.
+    - Normalization: two one-atom members at hi with weights 1/2, 1/2, of
+      mean(a) mean(b) = 1/4 + w(1 - w)(l1 - l2)^2/(4 l1 l2) at its least and
+      gap -3/4.
+
+    The candidate answers the search only when its certification says
+    "violated"; None when no grid pair makes D negative, a certificate meets
+    a NaN, or the certification raises or finds no violation (its sides
+    overflow, or its gap is within the violation tolerance of 0).
     """
-    draw = _draw_interval(DROP_SYNCHRONY, interval)
-    if entry.inputs_kind == TUPLES:
-        witness = (draw.lo, draw.hi, 0.0, 0) if draw.lo < draw.hi else None
+    draw = _draw_interval(drop, interval)
+    if drop == DROP_CONTAINMENT:
+        candidate = (draw.lo, draw.hi, 0.5, 0)
+    elif drop == DROP_NORMALIZATION:
+        candidate = (draw.hi, draw.hi, 0.5, 0)
+    elif entry.inputs_kind == TUPLES:
+        candidate = (draw.lo, draw.hi, 0.0, 0) if draw.lo < draw.hi else None
     else:
-        least, witness = 0.0, None
+        least, candidate = 0.0, None
         for k in range(len(plan.given)):
             fns = [plan.functions[j] for j in plan.index[:, k]]
             try:
@@ -815,14 +832,14 @@ def _witness(
             except DomainViolation:
                 return None
             if verdict.witness_neg is not None and verdict.min_product < least:
-                least, witness = verdict.min_product, (*verdict.witness_neg, 0.5, k)
-    if witness is None:
+                least, candidate = verdict.min_product, (*verdict.witness_neg, 0.5, k)
+    if candidate is None:
         return None
     try:
-        report = _certify(entry, DROP_SYNCHRONY, plan, interval, grid_n, witness)
+        report = _certify(entry, drop, plan, interval, grid_n, candidate)
     except OpineqError:
         return None
-    return witness if report.verdict == VIOLATED else None
+    return candidate if report.verdict == VIOLATED else None
 
 
 @functools.lru_cache(maxsize=SEARCH_PLAN_MEMO_SIZE)
@@ -845,8 +862,8 @@ def _search_plan(
     signs.setflags(write=False)
     given = tuple(tuple(given.items()) for given, _, _ in tuples)
     plan = _SearchPlan(given, tuple(distinct.values()), index, signs, link, constant, None)
-    if drop == DROP_SYNCHRONY and entry.synchrony_witness:
-        return plan._replace(witness=_witness(entry, plan, interval, grid_n))
+    if drop in entry.constructed:
+        return plan._replace(constructed=_constructed(entry, drop, plan, interval, grid_n))
     return plan
 
 
@@ -1089,13 +1106,17 @@ def falsify(
     candidate moves, which keeps the results of scoring round by round;
     exactly ``budget`` candidates are examined.
 
-    A check whose registry entry sets ``synchrony_witness`` is not searched
-    with synchrony dropped: its gap is a non-negative multiple of the defect
-    product D(s, t), and the plan holds the one candidate that the synchrony
-    certificates name (see ``_witness``), so one candidate is examined
-    whatever the budget and seed.  Where no grid pair makes D negative (a
-    degenerate interval), a certificate meets a NaN or that candidate's
-    certification raises or finds no violation, it is searched as above.
+    A drop in the entry's ``constructed`` drops is not searched: the plan
+    holds one candidate built for it (see ``_constructed``), so one candidate
+    is examined whatever the budget and seed.  With synchrony dropped it is
+    the pair the synchrony certificates name, as the gap is a non-negative
+    multiple of the defect product D(s, t); with spectral containment
+    dropped, the measure (lo/2, 2 hi; 1/2, 1/2) that attains Kantorovich's
+    bound on the draw interval; with normalization dropped, two one-atom
+    members at hi of weight 1/2 each, of gap -3/4.  Where no grid pair makes
+    D negative (a degenerate interval), a certificate meets a NaN or that
+    candidate's certification raises or finds no violation, it is searched
+    as above.
 
     The kept candidate is certified as a suite trial is run, through the
     check's core at violation tolerance; that report's inputs document is
@@ -1119,8 +1140,8 @@ def falsify(
     if entry.needs_positive and iv.lo <= 0.0:
         raise ConfigInvalid(f"{theorem_id!r} needs a positive interval, got {iv.as_pair()}")
     plan = _search_plan(entry, drop, iv, grid_n)
-    if plan.witness is not None:
-        examined, candidate = 1, plan.witness
+    if plan.constructed is not None:
+        examined, candidate = 1, plan.constructed
     else:
         draw = _draw_interval(drop, iv)
         examined, candidate = budget, _search(entry, drop, plan, draw, budget, seed)

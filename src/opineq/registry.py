@@ -167,11 +167,12 @@ class TheoremEntry:
     # how many members a falsify candidate, a two-atom measure, splits into:
     # 2 is one atom per operator or ensemble member, or the two tuples
     members: int
-    # whether a candidate's gap with synchrony dropped is a non-negative multiple
-    # of the defect product D(s, t) = d_f(s, t) d_g(s, t) at its two atoms (for
-    # tuples, of (a_1 - a_2)(b_1 - b_2)), so falsify answers that drop with the
-    # pair the certificate names instead of a search
-    synchrony_witness: bool = False
+    # the drops (a subset of drops) falsify answers with one constructed
+    # candidate instead of a search: synchrony where a candidate's gap is a
+    # non-negative multiple of the defect product D(s, t) = d_f(s, t) d_g(s, t)
+    # at its two atoms (for tuples, of (a_1 - a_2)(b_1 - b_2)), containment and
+    # normalization where the extremal measure is known in closed form
+    constructed: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         # Derived once, for run: each function slot in f, g, h order with what
@@ -296,7 +297,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-sign",
-            synchrony_witness=True,
+            constructed=frozenset({DROP_SYNCHRONY}),
             summary="weighted covariance product bound under grid-certified (a)synchrony",
             slots=("f", "g", "h"),
         ),
@@ -309,7 +310,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-sign-t",
-            synchrony_witness=True,
+            constructed=frozenset({DROP_SYNCHRONY}),
             summary="sign bound with the identity weight",
             slots=("f", "g"),
             fixed=identity_h,
@@ -318,7 +319,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-moment",
-            synchrony_witness=True,
+            constructed=frozenset({DROP_SYNCHRONY}),
             summary="sign bound with the second factor fixed to one",
             slots=("f", "h"),
             fixed={"g": constant(1.0)},
@@ -327,7 +328,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-moment-t",
-            synchrony_witness=True,
+            constructed=frozenset({DROP_SYNCHRONY}),
             summary="sign bound with identity weight and second factor one",
             slots=("f",),
             fixed={"g": constant(1.0), **identity_h},
@@ -347,11 +348,12 @@ def _entries() -> tuple[TheoremEntry, ...]:
             slots=(),
             options={"link": 1},
             drops=frozenset({DROP_CONTAINMENT}),
+            constructed=frozenset({DROP_CONTAINMENT}),
         ),
         dict(
             sign,
             theorem_id="pc-two-op",
-            synchrony_witness=True,
+            constructed=frozenset({DROP_SYNCHRONY}),
             summary="mixed bound over two operators and two states",
             inputs_kind=TWO_OP,
             slots=("f", "g", "h"),
@@ -394,7 +396,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             ensemble,
             theorem_id="ensemble-pc-sign",
-            synchrony_witness=True,
+            constructed=frozenset({DROP_SYNCHRONY}),
             summary="summed covariance product bound over an operator family",
             slots=("f", "g", "h"),
         ),
@@ -438,6 +440,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
             slots=(),
             options={"link": 0},
             drops=frozenset({DROP_NORMALIZATION}),
+            constructed=frozenset({DROP_NORMALIZATION}),
         ),
         dict(
             chain,
@@ -454,12 +457,13 @@ def _entries() -> tuple[TheoremEntry, ...]:
             slots=(),
             options={"link": 2},
             drops=frozenset({DROP_CONTAINMENT}),
+            constructed=frozenset({DROP_CONTAINMENT}),
             members=1,
         ),
         dict(
             sign,
             theorem_id="discrete-chebyshev",
-            synchrony_witness=True,
+            constructed=frozenset({DROP_SYNCHRONY}),
             summary="mean of products dominates product of means for similarly ordered tuples",
             inputs_kind=TUPLES,
             slots=(),

@@ -1,6 +1,7 @@
 """Random generators, the property suite, and the counterexample search."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from opineq import (
     ConfigInvalid,
     DEFAULT_THEOREMS,
+    DomainViolation,
     OpineqError,
     HOLDS,
     MAX_GRID_N,
@@ -38,6 +40,7 @@ from opineq import (
     scenario_from_doc,
     state_from_doc,
     tol_calc,
+    tol_ineq,
     trial_rng,
 )
 from opineq import harness
@@ -676,8 +679,8 @@ class TestFalsify:
         [(e.theorem_id, drop) for e in REGISTRY_ORDER for drop in [None, *sorted(e.drops)]],
     )
     def test_vectorised_search_examines_exactly_the_budget(self, theorem_id, drop, budget):
-        # a search answered by the synchrony certificate's witness examines one candidate
-        constructed = drop == DROP_SYNCHRONY and lookup(theorem_id).synchrony_witness
+        # a search answered by a constructed candidate examines one candidate
+        constructed = drop in lookup(theorem_id).constructed
         seeds = range(5) if budget == 50 else range(1)
         for seed in seeds:
             result = falsify(theorem_id, drop, budget=budget, seed=seed)
@@ -1021,7 +1024,8 @@ def test_rounds_are_scored_again_each_time_the_kept_candidate_moves(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# searches answered by the synchrony certificate's witness
+# searches answered by a constructed candidate: the synchrony certificate's
+# witness, or a closed-form extremal measure
 
 WITNESS_IDS = (
     "pc-sign",
@@ -1032,6 +1036,23 @@ WITNESS_IDS = (
     "ensemble-pc-sign",
     "discrete-chebyshev",
 )
+
+# Dropped containment and normalization, answered by a closed-form extremal
+# candidate, and the intervals it is checked on.
+CLOSED_FORM_PAIRS = (
+    ("kantorovich-upper", DROP_CONTAINMENT),
+    ("ensemble-kantorovich-upper", DROP_CONTAINMENT),
+    ("ensemble-product-lower", DROP_NORMALIZATION),
+)
+CLOSED_FORM_INTERVALS = [
+    (1.0, 4.0),
+    (0.5, 2.0),
+    (1.0, 1.5),
+    (2.0, 100.0),
+    (3.0, 3.0),
+    (1e-3, 1e3),
+    (1e-300, 1e-300),
+]
 
 # The random search each witness replaces, before it did: the median and the
 # least gap over seeds 0-19 at budget 300 on [1, 4].
@@ -1070,16 +1091,26 @@ UNCERTIFIED_SEARCHES = (
 UNCERTIFIED_DIGEST = "574d3b1e077ac9bb8f636f83a68671b88c380078bd046e8b7d9146302a2d18fb"
 
 
-def test_the_witness_entries_are_the_sign_family_the_two_operator_bound_and_tuples():
-    assert tuple(e.theorem_id for e in REGISTRY_ORDER if e.synchrony_witness) == WITNESS_IDS
-    assert all(DROP_SYNCHRONY in lookup(tid).drops for tid in WITNESS_IDS)
+def test_every_constructed_drop_is_one_of_its_rows_drops():
+    assert all(e.constructed <= e.drops for e in REGISTRY_ORDER)
+    pairs = {(e.theorem_id, drop) for e in REGISTRY_ORDER for drop in e.constructed}
+    assert pairs == {(tid, DROP_SYNCHRONY) for tid in WITNESS_IDS} | set(CLOSED_FORM_PAIRS)
 
 
-@pytest.mark.parametrize("interval", [(1.0, 4.0), (0.5, 2.0), (1.0, 1.5), (2.0, 100.0)])
-@pytest.mark.parametrize("theorem_id", WITNESS_IDS)
-def test_a_witness_answers_the_search_with_one_candidate(theorem_id, interval):
+@pytest.mark.parametrize(
+    "theorem_id, drop, interval",
+    [
+        *[
+            (tid, DROP_SYNCHRONY, interval)
+            for tid in WITNESS_IDS
+            for interval in [(1.0, 4.0), (0.5, 2.0), (1.0, 1.5), (2.0, 100.0)]
+        ],
+        *[(*pair, interval) for pair in CLOSED_FORM_PAIRS for interval in CLOSED_FORM_INTERVALS],
+    ],
+)
+def test_a_constructed_candidate_answers_the_search_with_one_candidate(theorem_id, drop, interval):
     iv = SpectralInterval(*interval)
-    result = falsify(theorem_id, DROP_SYNCHRONY, budget=1, interval=iv)
+    result = falsify(theorem_id, drop, budget=1, interval=iv)
     assert (result.examined, result.found, result.verdict) == (1, True, "violated")
     doc = load_json(canonical_json(result.scenario))
     replay = run_scenario(scenario_from_doc(doc), tol_factor=VIOLATION_FACTOR)
@@ -1088,7 +1119,7 @@ def test_a_witness_answers_the_search_with_one_candidate(theorem_id, interval):
     answer = result.to_doc()
     for seed in range(5):
         for budget in (1, 1000):
-            other = falsify(theorem_id, DROP_SYNCHRONY, budget=budget, seed=seed, interval=iv)
+            other = falsify(theorem_id, drop, budget=budget, seed=seed, interval=iv)
             assert {**other.to_doc(), "budget": 1, "seed": 0} == answer
 
 
@@ -1103,7 +1134,7 @@ def test_a_witness_gap_is_its_defect_product(theorem_id, interval):
         assert gap == -(iv.hi - iv.lo) / 4
         return
     plan = harness._search_plan(entry, DROP_SYNCHRONY, iv, 128)
-    s, t, w, k = plan.witness
+    s, t, w, k = plan.constructed
     verdicts = [classify_synchrony(*entry.functions(dict(g)), iv, 128) for g in plan.given]
     assert verdicts[k].min_product == min(v.min_product for v in verdicts)
     assert ((s, t), w) == (verdicts[k].witness_neg, 0.5)
@@ -1119,7 +1150,7 @@ def test_the_first_of_equally_negative_certificates_wins(monkeypatch):
         monkeypatch.setattr(harness, "_search_functions", lambda *args: order)
         plan = harness._search_plan.__wrapped__(entry, DROP_SYNCHRONY, iv, 128)
         products = [least[tuples.index(t)] for t in order]
-        assert plan.witness[3] == products.index(min(products))
+        assert plan.constructed[3] == products.index(min(products))
 
 
 @pytest.mark.parametrize("theorem_id", WITNESS_IDS)
@@ -1132,12 +1163,15 @@ def test_a_witness_is_as_strong_as_the_search_it_replaces(theorem_id):
 
 
 def _searches_digest(searches) -> str:
+    """The digest of each search's results at budgets 1, 50 and 300, each
+    check dropping its constructed hypothesis."""
     digest = hashlib.sha256()
     for interval, theorems in searches:
         for theorem in theorems:
+            (drop,) = lookup(theorem).constructed
             for budget in (1, 50, 300):
                 iv = SpectralInterval(*interval)
-                doc = _search_doc(theorem, DROP_SYNCHRONY, budget=budget, interval=iv)
+                doc = _search_doc(theorem, drop, budget=budget, interval=iv)
                 digest.update(doc.encode("utf-8") + b"\n")
     return digest.hexdigest()
 
@@ -1152,7 +1186,7 @@ def test_a_witness_that_certifies_no_violation_leaves_the_search_as_before():
         for theorem in theorems:
             entry = lookup(theorem)
             plan = harness._search_plan(entry, DROP_SYNCHRONY, iv, 128)
-            assert plan.witness is None
+            assert plan.constructed is None
             if entry.inputs_kind != "tuples":
                 # the certificates do name a pair of negative D
                 fns = [entry.functions(dict(g)) for g in plan.given]
@@ -1160,3 +1194,80 @@ def test_a_witness_that_certifies_no_violation_leaves_the_search_as_before():
             result = falsify(theorem, DROP_SYNCHRONY, budget=50, interval=iv)
             assert (result.examined, result.found) == (50, False)
     assert _searches_digest(UNCERTIFIED_SEARCHES) == UNCERTIFIED_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# searches answered by a closed-form extremal candidate
+
+# The random search each closed form replaces, before it did: the median and
+# the least gap over seeds 0-19 at budget 1000 on [1, 4].
+CLOSED_FORM_SEARCHED_GAPS = {
+    "kantorovich-upper": (-2.953115894980468, -2.9531249984967793),
+    "ensemble-kantorovich-upper": (-2.9531148663645466, -2.953124998096162),
+    "ensemble-product-lower": (-0.7499999989924226, -0.75),
+}
+
+# Searches whose closed-form candidate raises or certifies no violation, so
+# the search runs, with the digest of their results (or errors) at budgets 1,
+# 50 and 300 from before the construction: the containment candidate's
+# 1/(lo/2) overflows ([1e-308, 1] reports "holds"), its lo/2 is 0 (5e-324), its
+# sides overflow (the search's raise DomainViolation too), or 1/hi overflows.
+_CONTAINMENT_IDS = ("kantorovich-upper", "ensemble-kantorovich-upper")
+CLOSED_FORM_FALLBACKS = (
+    ((1e-308, 1.0), _CONTAINMENT_IDS),
+    ((5e-324, 1.0), _CONTAINMENT_IDS),
+    ((1e-300, 1e300), _CONTAINMENT_IDS),
+    ((1e-200, 1e200), _CONTAINMENT_IDS),
+    ((1e-320, 1e-320), (*_CONTAINMENT_IDS, "ensemble-product-lower")),
+)
+CLOSED_FORM_FALLBACK_DIGEST = "2b10ddff36e9e1b893280a1ade7fc8930a6bf1799735957920bc3eef4104ac99"
+
+
+def _kantorovich(lo: float, hi: float) -> Fraction:
+    """(m + M)^2 / (4 m M), exactly."""
+    m, big = Fraction(lo), Fraction(hi)
+    return (m + big) ** 2 / (4 * m * big)
+
+
+@pytest.mark.parametrize("interval", CLOSED_FORM_INTERVALS)
+@pytest.mark.parametrize("theorem_id, drop", CLOSED_FORM_PAIRS)
+def test_a_closed_form_gap_is_its_extremal_value(theorem_id, drop, interval):
+    """K(lo, hi) - K(lo/2, 2 hi) with containment dropped: the measure
+    (lo/2, 2 hi; 1/2, 1/2) attains Kantorovich's bound on the draw interval;
+    -3/4 with normalization dropped: two one-atom members at one point."""
+    lo, hi = interval
+    gap = falsify(theorem_id, drop, budget=1, interval=SpectralInterval(lo, hi)).gap
+    if drop == DROP_CONTAINMENT:
+        favored, other = _kantorovich(lo, hi), _kantorovich(lo / 2, 2 * hi)
+    else:
+        favored, other = Fraction(1, 4), Fraction(1)
+    assert abs(gap - float(favored - other)) <= tol_ineq(float(favored), float(other))
+
+
+@pytest.mark.parametrize("theorem_id, drop", CLOSED_FORM_PAIRS)
+def test_a_closed_form_is_as_strong_as_the_search_it_replaces(theorem_id, drop):
+    median, best = CLOSED_FORM_SEARCHED_GAPS[theorem_id]
+    gap = falsify(theorem_id, drop, budget=1).gap
+    assert gap <= median
+    # short of the least by at most 1e-12 of it
+    assert gap <= best + 1e-12 * abs(best)
+
+
+def test_normalization_is_constructed_at_hi_where_an_atom_at_lo_would_overflow():
+    iv = SpectralInterval(5e-324, 1.0)
+    result = falsify("ensemble-product-lower", DROP_NORMALIZATION, budget=50, interval=iv)
+    assert (result.examined, result.verdict) == (1, "violated")
+    assert abs(result.gap + 0.75) <= tol_ineq(0.25, 1.0)
+
+
+def test_a_closed_form_that_raises_or_certifies_nothing_leaves_the_search_as_before():
+    iv = SpectralInterval(1e-308, 1.0)
+    for theorem_id in _CONTAINMENT_IDS:
+        plan = harness._search_plan(lookup(theorem_id), DROP_CONTAINMENT, iv, 128)
+        assert plan.constructed is None
+        result = falsify(theorem_id, DROP_CONTAINMENT, budget=50, interval=iv)
+        assert (result.examined, result.found, result.verdict) == (50, False, HOLDS)
+    huge = SpectralInterval(1e-300, 1e300)
+    with pytest.raises(DomainViolation):
+        falsify("kantorovich-upper", DROP_CONTAINMENT, budget=50, interval=huge)
+    assert _searches_digest(CLOSED_FORM_FALLBACKS) == CLOSED_FORM_FALLBACK_DIGEST
