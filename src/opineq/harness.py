@@ -753,7 +753,11 @@ class _SearchPlan(NamedTuple):
     constant(0.0) == constant(-0.0)), each tuple's as a column of positions in
     them with its orienting sign (both read-only), a chain's link and constant,
     and the constructed candidate that answers the search without a search,
-    if the drop is one of the entry's ``constructed`` and it certifies."""
+    if the drop is one of the entry's ``constructed`` and it certifies, with
+    its report and the signs of the endpoints of the interval it was
+    certified on.  ``falsify`` answers from that report only on an interval
+    of the same signs and returns a copy of its scenario, so the report is
+    never written to."""
 
     given: tuple[tuple[tuple[str, ScalarFunction], ...], ...]
     functions: tuple[ScalarFunction, ...]
@@ -762,6 +766,7 @@ class _SearchPlan(NamedTuple):
     link: Optional[int]
     constant: Optional[float]
     constructed: Optional[tuple[float, float, float, int]]
+    certified: Optional[tuple[tuple[float, float], InequalityReport]]
 
     def values(self, ks: Sequence[int]) -> Callable:
         """The tuples ``ks``' values: their slots' values at ``points``, of shape
@@ -779,11 +784,32 @@ class _SearchPlan(NamedTuple):
 
 
 def _draw_interval(drop: Optional[str], interval: SpectralInterval) -> SpectralInterval:
-    """Where a search draws its atoms: [lo/2, 2 hi] with containment dropped."""
+    """Where a search draws its atoms: [lo/2, 2 hi] with containment dropped,
+    which must be finite and positive."""
     # the Kantorovich constant depends on hi/lo only, so containment widens by a ratio
     if drop == DROP_CONTAINMENT:
-        return SpectralInterval(interval.lo / 2.0, 2.0 * interval.hi)
+        lo, hi = interval.lo / 2.0, 2.0 * interval.hi
+        if not (0.0 < lo and math.isfinite(hi)):
+            raise ConfigInvalid(
+                f"with {DROP_CONTAINMENT} dropped the search draws from [lo/2, 2 hi], which is "
+                f"not finite and positive for the interval [{interval.lo}, {interval.hi}]"
+            )
+        return SpectralInterval(lo, hi)
     return interval
+
+
+def _signs(interval: SpectralInterval) -> tuple[float, float]:
+    """The signs of the interval's endpoints, which tell -0.0 from 0.0."""
+    return math.copysign(1.0, interval.lo), math.copysign(1.0, interval.hi)
+
+
+def _json_copy(doc):
+    """A copy of a JSON tree of dicts and lists; its scalars are immutable."""
+    if isinstance(doc, dict):
+        return {key: _json_copy(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_json_copy(value) for value in doc]
+    return doc
 
 
 def _constructed(
@@ -792,9 +818,10 @@ def _constructed(
     plan: _SearchPlan,
     interval: SpectralInterval,
     grid_n: int,
-) -> Optional[tuple[float, float, float, int]]:
+) -> Optional[tuple[tuple[float, float, float, int], InequalityReport]]:
     """The one candidate (s, t, w, k) that answers a search with ``drop`` in
-    the entry's ``constructed`` drops, or None, and the search runs.
+    the entry's ``constructed`` drops, with its report on ``interval``, or
+    None, and the search runs.
 
     - Synchrony: the gap is a non-negative multiple of the defect product
       D(s, t) = d_f(s, t) d_g(s, t), where d_f(s, t) = h(s)f(t) - h(t)f(s).
@@ -811,10 +838,11 @@ def _constructed(
       mean(a) mean(b) = 1/4 + w(1 - w)(l1 - l2)^2/(4 l1 l2) at its least and
       gap -3/4.
 
-    The candidate answers the search only when its certification says
-    "violated"; None when no grid pair makes D negative, a certificate meets
-    a NaN, or the certification raises or finds no violation (its sides
-    overflow, or its gap is within the violation tolerance of 0).
+    The candidate answers the search only when its certification, made here
+    once per plan, says "violated"; None when no grid pair makes D negative,
+    a certificate meets a NaN, or the certification raises or finds no
+    violation (its sides overflow, or its gap is within the violation
+    tolerance of 0).
     """
     draw = _draw_interval(drop, interval)
     if drop == DROP_CONTAINMENT:
@@ -839,7 +867,7 @@ def _constructed(
         report = _certify(entry, drop, plan, interval, grid_n, candidate)
     except OpineqError:
         return None
-    return candidate if report.verdict == VIOLATED else None
+    return (candidate, report) if report.verdict == VIOLATED else None
 
 
 @functools.lru_cache(maxsize=SEARCH_PLAN_MEMO_SIZE)
@@ -861,9 +889,13 @@ def _search_plan(
     index.setflags(write=False)
     signs.setflags(write=False)
     given = tuple(tuple(given.items()) for given, _, _ in tuples)
-    plan = _SearchPlan(given, tuple(distinct.values()), index, signs, link, constant, None)
+    plan = _SearchPlan(given, tuple(distinct.values()), index, signs, link, constant, None, None)
+    answer = None
     if drop in entry.constructed:
-        return plan._replace(constructed=_constructed(entry, drop, plan, interval, grid_n))
+        answer = _constructed(entry, drop, plan, interval, grid_n)
+    if answer is not None:
+        candidate, report = answer
+        return plan._replace(constructed=candidate, certified=(_signs(interval), report))
     return plan
 
 
@@ -1120,7 +1152,12 @@ def falsify(
 
     The kept candidate is certified as a suite trial is run, through the
     check's core at violation tolerance; that report's inputs document is
-    ``scenario``, and ``found`` is true only when it says "violated".
+    ``scenario``, and ``found`` is true only when it says "violated".  A
+    constructed candidate is certified once, when its plan is built, and
+    the plan keeps the report: a later call answers from it with its own
+    copy of the scenario.  It is certified again only on an interval whose
+    zero endpoint has the other sign than the plan's, as the memo shares
+    their plan but the scenario writes the interval as given.
     """
     if interval is not None and not isinstance(interval, SpectralInterval):
         raise ConfigInvalid("interval must be a SpectralInterval")
@@ -1140,16 +1177,19 @@ def falsify(
     if entry.needs_positive and iv.lo <= 0.0:
         raise ConfigInvalid(f"{theorem_id!r} needs a positive interval, got {iv.as_pair()}")
     plan = _search_plan(entry, drop, iv, grid_n)
-    if plan.constructed is not None:
-        examined, candidate = 1, plan.constructed
+    if plan.certified is not None and plan.certified[0] == _signs(iv):
+        report = plan.certified[1]
+        examined, scenario = 1, _json_copy(report.inputs_digest)
     else:
-        draw = _draw_interval(drop, iv)
-        examined, candidate = budget, _search(entry, drop, plan, draw, budget, seed)
-    report = _certify(entry, drop, plan, iv, grid_n, candidate)
+        if plan.constructed is not None:
+            examined, candidate = 1, plan.constructed
+        else:
+            draw = _draw_interval(drop, iv)
+            examined, candidate = budget, _search(entry, drop, plan, draw, budget, seed)
+        report = _certify(entry, drop, plan, iv, grid_n, candidate)
+        scenario = report.inputs_digest
     found, gap, verdict = report.verdict == VIOLATED, report.gap, report.verdict
-    return FalsifyResult(
-        theorem_id, drop, budget, seed, examined, found, gap, verdict, report.inputs_digest
-    )
+    return FalsifyResult(theorem_id, drop, budget, seed, examined, found, gap, verdict, scenario)
 
 
 falsify.cache_info = _search_plan.cache_info

@@ -833,6 +833,20 @@ class TestFalsifyCommand:
         assert "1/lo" in err and "5e-324" in err
         assert "inf" not in err
 
+    @pytest.mark.parametrize("theorem", ["kantorovich-upper", "ensemble-kantorovich-upper"])
+    @pytest.mark.parametrize(
+        "lo, hi, given", [("1", "1e308", "[1.0, 1e+308]"), ("5e-324", "1", "[5e-324, 1.0]")]
+    )
+    def test_a_containment_draw_interval_out_of_range_names_the_given_one(
+        self, capsys, theorem, lo, hi, given
+    ):
+        # [lo/2, 2 hi] is [0.5, inf] or [0.0, 2.0], neither of which was given
+        args = ["falsify", theorem, "--drop", "spectral-containment", "--interval", lo, hi]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert given in err and "not finite and positive" in err
+        assert "[0.5, inf]" not in err and "(0.0, 2.0)" not in err
+
     def test_pole_inside_the_interval_exits_two(self, capsys):
         # s^-1 is undefined at 0; no other pool triple is defined and not mixed on [-1, 2]
         args = ["falsify", "pc-sign", "--interval", "-1", "2", "--budget", "50"]

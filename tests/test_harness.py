@@ -1210,8 +1210,9 @@ CLOSED_FORM_SEARCHED_GAPS = {
 # Searches whose closed-form candidate raises or certifies no violation, so
 # the search runs, with the digest of their results (or errors) at budgets 1,
 # 50 and 300 from before the construction: the containment candidate's
-# 1/(lo/2) overflows ([1e-308, 1] reports "holds"), its lo/2 is 0 (5e-324), its
-# sides overflow (the search's raise DomainViolation too), or 1/hi overflows.
+# 1/(lo/2) overflows ([1e-308, 1] reports "holds"), its sides overflow (the
+# search's raise DomainViolation too), or 1/hi overflows.  On [5e-324, 1] lo/2
+# is 0, and the search refuses the interval before it plans (ConfigInvalid).
 _CONTAINMENT_IDS = ("kantorovich-upper", "ensemble-kantorovich-upper")
 CLOSED_FORM_FALLBACKS = (
     ((1e-308, 1.0), _CONTAINMENT_IDS),
@@ -1220,7 +1221,7 @@ CLOSED_FORM_FALLBACKS = (
     ((1e-200, 1e200), _CONTAINMENT_IDS),
     ((1e-320, 1e-320), (*_CONTAINMENT_IDS, "ensemble-product-lower")),
 )
-CLOSED_FORM_FALLBACK_DIGEST = "2b10ddff36e9e1b893280a1ade7fc8930a6bf1799735957920bc3eef4104ac99"
+CLOSED_FORM_FALLBACK_DIGEST = "8fb550c07985f2662f1974ce4e0c9645359cd70e84e4acb083c1fc2adae6519f"
 
 
 def _kantorovich(lo: float, hi: float) -> Fraction:
@@ -1271,3 +1272,131 @@ def test_a_closed_form_that_raises_or_certifies_nothing_leaves_the_search_as_bef
     with pytest.raises(DomainViolation):
         falsify("kantorovich-upper", DROP_CONTAINMENT, budget=50, interval=huge)
     assert _searches_digest(CLOSED_FORM_FALLBACKS) == CLOSED_FORM_FALLBACK_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# a constructed answer is certified once per plan
+
+CONSTRUCTED_PAIRS = [(tid, DROP_SYNCHRONY) for tid in WITNESS_IDS] + list(CLOSED_FORM_PAIRS)
+
+
+def _counting_certify(monkeypatch) -> list:
+    """The arguments of every ``_certify`` call from here on."""
+    calls, certify = [], harness._certify
+
+    def counting(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(harness, "_certify", counting)
+    return calls
+
+
+def _certified_doc(theorem_id, drop, iv, budget, seed) -> str:
+    """The result document of certifying the plan's constructed candidate on
+    ``iv`` afresh, as every call did before the plan kept its report."""
+    entry = lookup(theorem_id)
+    plan = harness._search_plan(entry, drop, iv, 128)
+    report = harness._certify(entry, drop, plan, iv, 128, plan.constructed)
+    found = report.verdict == "violated"
+    args = (budget, seed, 1, found, report.gap, report.verdict, report.inputs_digest)
+    return canonical_json(harness.FalsifyResult(theorem_id, drop, *args).to_doc())
+
+
+def _scribble(doc) -> None:
+    """Edit a JSON tree in place at every level: each dict and list gains an entry."""
+    for child in list(doc.values() if isinstance(doc, dict) else doc):
+        if isinstance(child, (dict, list)):
+            _scribble(child)
+    if isinstance(doc, dict):
+        doc["scribbled"] = True
+    else:
+        doc.append("scribbled")
+
+
+@pytest.mark.parametrize("theorem_id, drop", CONSTRUCTED_PAIRS)
+def test_a_warm_constructed_search_answers_from_its_plan(monkeypatch, cold_plans, theorem_id, drop):
+    for seed, budget in [(0, 1), (1, 50), (7, 1000), (2**64 - 1, MAX_BUDGET)]:
+        falsify.cache_clear()
+        fresh = _certified_doc(theorem_id, drop, SpectralInterval(1.0, 4.0), budget, seed)
+        falsify.cache_clear()
+        calls = _counting_certify(monkeypatch)
+        cold = canonical_json(falsify(theorem_id, drop, budget=budget, seed=seed).to_doc())
+        assert len(calls) == 1  # the plan's, when it is built
+        warm = canonical_json(falsify(theorem_id, drop, budget=budget, seed=seed).to_doc())
+        assert len(calls) == 1
+        assert warm == cold == fresh
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("theorem_id, drop", CONSTRUCTED_PAIRS)
+def test_editing_a_returned_scenario_leaves_later_results_alone(cold_plans, theorem_id, drop):
+    first = falsify(theorem_id, drop, budget=1)
+    want = canonical_json(first.to_doc())
+    second = falsify(theorem_id, drop, budget=1)
+    assert second.scenario is not first.scenario
+    for result in (first, second):
+        _scribble(result.scenario)
+    assert "scribbled" in first.scenario
+    assert canonical_json(falsify(theorem_id, drop, budget=1).to_doc()) == want
+
+
+@pytest.mark.parametrize("theorem_id", ["pc-two-op", "discrete-chebyshev"])
+def test_a_zero_endpoint_of_the_other_sign_is_certified_again(monkeypatch, cold_plans, theorem_id):
+    negative, positive = SpectralInterval(-0.0, 3.0), SpectralInterval(0.0, 3.0)
+    for ivs in ((negative, positive), (positive, negative)):
+        first, second = ivs
+        falsify.cache_clear()
+        calls = _counting_certify(monkeypatch)
+        results = [falsify(theorem_id, DROP_SYNCHRONY, budget=1, interval=iv) for iv in ivs]
+        assert len(calls) == 2  # the plan's on ``first``, and ``second``'s own
+        again = [falsify(theorem_id, DROP_SYNCHRONY, budget=1, interval=iv) for iv in ivs]
+        assert len(calls) == 3  # ``first`` answers from the plan
+        monkeypatch.undo()
+        for iv, result, repeat in zip(ivs, results, again):
+            doc = canonical_json(result.to_doc())
+            assert canonical_json(repeat.to_doc()) == doc
+            assert doc == _certified_doc(theorem_id, DROP_SYNCHRONY, iv, 1, 0)
+            if theorem_id == "pc-two-op":
+                # each writes the interval it was given
+                for key in ("operator", "operator_b"):
+                    lo, hi = result.scenario[key]["interval"]
+                    assert (np.signbit(lo), hi) == (np.signbit(iv.lo), 3.0)
+
+
+@pytest.mark.parametrize(
+    "theorem_id, drop, interval",
+    [
+        *[(tid, DROP_CONTAINMENT, (1e-308, 1.0)) for tid in _CONTAINMENT_IDS],
+        *[(tid, DROP_SYNCHRONY, (1.0, 1.0)) for tid in WITNESS_IDS],
+    ],
+)
+def test_a_construction_that_falls_back_searches_and_certifies_every_call(
+    monkeypatch, cold_plans, theorem_id, drop, interval
+):
+    iv = SpectralInterval(*interval)
+    plan = harness._search_plan(lookup(theorem_id), drop, iv, 128)
+    assert plan.constructed is None and plan.certified is None
+    calls = _counting_certify(monkeypatch)
+    # seeds 0-2: on [1e-308, 1] the containment search itself raises
+    # DomainViolation at seed 3 (kantorovich-upper) or 5, as 1/s of a drawn atom
+    # near lo/2 overflows while it scores, before anything is certified
+    for n in range(1, 4):
+        result = falsify(theorem_id, drop, budget=50, seed=n - 1, interval=iv)
+        assert (result.examined, result.found) == (50, False)
+        assert len(calls) == n
+
+
+@pytest.mark.parametrize("theorem_id", _CONTAINMENT_IDS)
+@pytest.mark.parametrize("interval", [(1.0, 1e308), (5e-324, 1.0)])
+def test_a_containment_draw_interval_out_of_range_names_the_given_interval(
+    cold_plans, theorem_id, interval
+):
+    iv = SpectralInterval(*interval)
+    for _ in range(2):
+        with pytest.raises(ConfigInvalid) as err:
+            falsify(theorem_id, DROP_CONTAINMENT, budget=50, interval=iv)
+        message = str(err.value)
+        assert f"[{iv.lo}, {iv.hi}]" in message and "not finite and positive" in message
+        assert "inf" not in message.replace("finite", "")
+    assert cold_plans().currsize == 0
