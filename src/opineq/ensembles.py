@@ -18,6 +18,7 @@ from .errors import (
     NormalizationViolation,
     NotSimilarlyOrdered,
     SpectrumOutOfInterval,
+    quiet,
 )
 from .functions import GE, SYNCHRONOUS, ScalarFunction, _evidence_doc, _synchrony
 from .functionals import (
@@ -29,7 +30,6 @@ from .functionals import (
     _INVERSE,
     _chain,
     _kantorovich_constants,
-    _quiet,
     _run,
     fmt,
     kantorovich_constant,
@@ -219,6 +219,7 @@ def check_ensemble_mean_point(
     return _run("ensemble-mean-point", read_ensemble(E), tol_factor, functions=functions, **keys)
 
 
+@quiet
 def similarly_ordered(
     a: Sequence[float], b: Sequence[float]
 ) -> tuple[bool, Optional[tuple[int, int]], float]:
@@ -228,6 +229,11 @@ def similarly_ordered(
 
     Returns (ordered, witness pair or None, most negative pair product).
     """
+    return _similarly_ordered(a, b)
+
+
+def _similarly_ordered(a, b) -> tuple[bool, Optional[tuple[int, int]], float]:
+    """similarly_ordered, for the check cores, which already run under ``quiet``."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
     if av.shape != bv.shape or av.ndim != 1 or av.size == 0:
@@ -272,12 +278,11 @@ def discrete_chebyshev(
     return _run("discrete-chebyshev", tuples_inputs(a, b), tol_factor, gate_hypothesis=gate)
 
 
-@_quiet
 def _chebyshev(
     sides: Callable[..., tuple], inputs: ReadTuples, *, gate_hypothesis: bool = True
 ) -> Outcome:
     """discrete_chebyshev on read tuples, its sides as ``sides`` gives them."""
-    ordered, witness, worst = similarly_ordered(inputs.a, inputs.b)
+    ordered, witness, worst = _similarly_ordered(inputs.a, inputs.b)
     if not ordered and gate_hypothesis:
         i, j = witness
         raise NotSimilarlyOrdered(
@@ -329,7 +334,6 @@ def kantorovich_ensemble_chain(
     return _chain(ids, link, lambda: read_ensemble(E), tol_factor, **keys)
 
 
-@_quiet
 def _chain_links(
     sides: Callable[..., tuple],
     inputs: ReadInputs,
@@ -378,7 +382,7 @@ def _chain_links(
         )
         return Outcome(GE, *lower_sides, hypothesis, True, notes)
     if link == 1:
-        ordered, witness, worst = similarly_ordered(a, b)
+        ordered, witness, worst = _similarly_ordered(a, b)
         hypothesis = _evidence_doc("similarly-ordered", min_pair_product=worst, witness=witness)
         return Outcome(GE, *middle_sides, hypothesis, ordered or not gate_hypothesis)
     notes = (

@@ -1,5 +1,6 @@
-"""Exception taxonomy shared across the package, and the typed readers that
-raise ``ConfigInvalid`` for a malformed document field."""
+"""Exception taxonomy shared across the package, the typed readers that
+raise ``ConfigInvalid`` for a malformed document field, and the one numpy
+floating-point error policy."""
 
 from __future__ import annotations
 
@@ -77,6 +78,13 @@ class UnknownTheorem(OpineqError):
 
 class ConfigInvalid(OpineqError):
     """A configuration value or input document is malformed."""
+
+
+# The one numpy error policy, applied as a decorator (reentrant, where a second
+# ``with`` of one errstate object raises) at each public entry point: functions
+# such as exp overflow on spectra of any scale, the inf or NaN that lands ends
+# in an explicit check's typed error or in the result, and numpy's warning is noise.
+quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def read_number(value, what: str) -> float:

@@ -15,12 +15,11 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, DomainViolation, read_integer
+from .errors import ConfigInvalid, DomainViolation, quiet, read_integer
 from .functions import (
     GE,
     LE,
     ScalarFunction,
-    _quiet,
     classify_synchrony,
     identity,
     power,
@@ -293,7 +292,6 @@ def pompeiu_cebysev(
     ) * expectation_product(A, h, f, x)
 
 
-@_quiet
 def _synchrony_bound(
     sides: Callable[..., tuple],
     inputs: ReadInputs,
@@ -382,7 +380,6 @@ def _square_sides(mu: SpectralMeasure, values: Callable) -> tuple:
     return mu.sum(h * h) * mu.sum(f * f), _square(mu.sum(h * f))
 
 
-@_quiet
 def _square_bound(
     sides: Callable[..., tuple],
     inputs: ReadInputs,
@@ -412,7 +409,7 @@ def _kantorovich_constants(iv: SpectralInterval) -> tuple[float, float]:
     positive interval, read off r = hi/lo as (1+r)^2 / (4r) and (r-1)^2 / (4r) where
     4 lo hi is not a normal float or (lo+hi)^2 overflows; inf where r does too.
     Where (1+r)^2 overflows too, they are ((1+r)/4) ((1+r)/r) and ((r-1)/4)
-    ((r-1)/r), about r/4.  Its callers run it with numpy's warnings off."""
+    ((r-1)/r), about r/4.  Its callers run it under ``quiet``."""
     lo, hi = iv.require_positive().as_pair()
     denominator = 4.0 * np.float64(lo) * hi
     if not (sys.float_info.min <= denominator < math.inf and _square(lo + hi) < math.inf):
@@ -425,7 +422,7 @@ def _kantorovich_constants(iv: SpectralInterval) -> tuple[float, float]:
     return float(_square(lo + hi) / denominator), float(_square(hi - lo) / denominator)
 
 
-@_quiet
+@quiet
 def kantorovich_constant(lo: float, hi: float) -> float:
     """(lo + hi)^2 / (4 lo hi) for 0 < lo <= hi."""
     return _kantorovich_constants(SpectralInterval(lo, hi))[0]
@@ -469,7 +466,6 @@ def kantorovich_chain(
     return _chain(ids, link, lambda: read_pair(A, x), tol_factor, **keys)
 
 
-@_quiet
 def _kantorovich_links(
     sides: Callable[..., tuple],
     inputs: ReadInputs,

@@ -16,7 +16,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArgumentOrder, ConfigInvalid, DomainViolation, all_finite, read_list
+from .errors import ArgumentOrder, ConfigInvalid, DomainViolation, all_finite, quiet, read_list
 from .errors import read_number, read_object
 from .spectral import SpectralInterval, read_grid_n
 from .tolerances import CERTIFY_MEMO_SIZE, DEFAULT_GRID_N, MAX_DIM, MAX_LITERAL_DEPTH
@@ -62,11 +62,6 @@ LE = "<="
 
 # Grid sizes whose index pairs are kept: the grids in use plus a few short tuples.
 _PAIR_INDEX_CACHE_SIZE = 8
-
-# Decorates each check, constant and certification grid: an overflowing value,
-# or one whose denominator underflowed, becomes a DomainViolation or an inf or
-# nan where it lands, so numpy's warning about it is noise.
-_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -444,6 +439,7 @@ def _defect(fv, hv, i, j):
     return hv[i] * fv[j] - hv[j] * fv[i]
 
 
+@quiet
 def sync_product(
     f: ScalarFunction, g: ScalarFunction, h: ScalarFunction, x: float, y: float
 ) -> float:
@@ -453,6 +449,7 @@ def sync_product(
     return float(_defect(fv, hv, 1, 0) * _defect(gv, hv, 1, 0))
 
 
+@quiet
 def mono_defect(f: ScalarFunction, h: ScalarFunction, x: float, t: float) -> float:
     """h(x)f(t) - h(t)f(x) for x <= t; nonnegative across pairs means f/h grows."""
     if x > t:
@@ -478,11 +475,6 @@ def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _pair_indices.__wrapped__(n)
 
 
-@_quiet
-def _grid_values(pts: np.ndarray, *fns: ScalarFunction) -> list[np.ndarray]:
-    return [fn.evaluate(pts) for fn in fns]
-
-
 def _certify(verdict: type, pts: np.ndarray, pair_values: Callable):
     """The one pair-sign certificate: ``pair_values(row, j)`` over the index
     pairs i < j of ``pts``, classified as ``verdict.signs`` (nonnegative,
@@ -490,13 +482,12 @@ def _certify(verdict: type, pts: np.ndarray, pair_values: Callable):
     occur.  ``row(v)`` is ``v[i]``, each value repeated once per pair in its
     row, a fresh array as the gather ``v[j]`` is.  The tolerance is set by the
     largest finite value, as an overflowing one carries no scale; a NaN value
-    has no sign."""
+    has no sign.  Its callers run it under ``quiet``."""
     i, j = _index_pairs(pts.size)
     if i.size == 0:
         return verdict(verdict.signs[0], 0.0, 0.0, None, None, int(pts.size), tol_sync(0.0))
     counts = np.arange(pts.size - 1, -1, -1)  # the pairs in row i: n - 1 - i
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = pair_values(lambda v: v.repeat(counts), j)
+    values = pair_values(lambda v: v.repeat(counts), j)
     mn_idx = int(np.argmin(values))
     mx_idx = int(np.argmax(values))
     mn = float(values[mn_idx])
@@ -537,10 +528,11 @@ def _synchrony(pts: np.ndarray, fv, gv, hv) -> SynchronyVerdict:
 
 
 @functools.lru_cache(maxsize=CERTIFY_MEMO_SIZE)
+@quiet  # under the memo: a hit enters no context
 def _memo_synchrony(f, g, h, interval, grid_n) -> SynchronyVerdict:
     # + 0.0: an endpoint -0.0 shares its entry with 0.0, so both certify on 0.0
     pts = interval.grid(grid_n) + 0.0
-    return _synchrony(pts, *_grid_values(pts, f, g, h))
+    return _synchrony(pts, f.evaluate(pts), g.evaluate(pts), h.evaluate(pts))
 
 
 def classify_synchrony(
@@ -565,6 +557,7 @@ classify_synchrony.cache_info = _memo_synchrony.cache_info
 classify_synchrony.cache_clear = _memo_synchrony.cache_clear
 
 
+@quiet
 def classify_monotonicity(
     f: ScalarFunction,
     h: ScalarFunction,
@@ -573,7 +566,7 @@ def classify_monotonicity(
 ) -> MonotonicityVerdict:
     """Evaluate mono_defect on all ordered grid pairs x <= t; requires h > 0 throughout."""
     pts = interval.grid(grid_n)
-    fv, hv = _grid_values(pts, f, h)
+    fv, hv = f.evaluate(pts), h.evaluate(pts)
     if np.any(hv <= 0.0):
         bad = float(pts[hv <= 0.0][0])
         raise DomainViolation(

@@ -39,7 +39,7 @@ import numpy as np
 
 from .ensembles import PER_VECTOR, SUM_OF_SQUARES, OperatorEnsemble, _member_means, ensemble_inputs
 from .ensembles import tuples_inputs
-from .errors import ConfigInvalid, DomainViolation, OpineqError, read_integer, read_list
+from .errors import ConfigInvalid, DomainViolation, OpineqError, quiet, read_integer, read_list
 from .functionals import (
     HYPOTHESIS_NOT_MET,
     VIOLATED,
@@ -407,32 +407,32 @@ def config_from_doc(doc: dict) -> TrialConfig:
 
 
 def _valid_entries(
-    descriptors: Sequence[dict], lo: float, hi: float
+    descriptors: Sequence[dict], interval: SpectralInterval
 ) -> list[tuple[dict, ScalarFunction]]:
-    """Resolve descriptors and keep only those finite on [lo, hi]: on 9 points
-    and, for an interval that contains it, on 0, where a negative power has its pole."""
-    probe = np.linspace(lo, hi, 9)
-    if lo < 0.0 < hi:
+    """Resolve descriptors and keep only those finite on the interval: on its
+    grid of 9 points and, for an interval that contains it, on 0, where a
+    negative power has its pole."""
+    probe = interval.grid(9)
+    if interval.lo < 0.0 < interval.hi:
         probe = np.append(probe, 0.0)
     out: list[tuple[dict, ScalarFunction]] = []
-    resolved = [(desc, function_from_descriptor(desc)) for desc in descriptors]
-    with np.errstate(all="ignore"):
-        for desc, fn in resolved:
-            try:
-                vals = np.asarray(fn(probe), dtype=np.float64)
-            except (OpineqError, ValueError, FloatingPointError, ZeroDivisionError):
-                continue
-            if vals.shape == probe.shape and bool(np.all(np.isfinite(vals))):
-                out.append((desc, fn))
+    for desc in descriptors:
+        fn = function_from_descriptor(desc)
+        try:
+            vals = np.asarray(fn(probe), dtype=np.float64)
+        except (OpineqError, ValueError, FloatingPointError, ZeroDivisionError):
+            continue
+        if vals.shape == probe.shape and bool(np.all(np.isfinite(vals))):
+            out.append((desc, fn))
     return out
 
 
 def _valid_triples(
-    triples: Sequence[tuple[dict, dict, dict]], lo: float, hi: float
+    triples: Sequence[tuple[dict, dict, dict]], interval: SpectralInterval
 ) -> list[tuple[tuple[dict, dict, dict], tuple[ScalarFunction, ScalarFunction, ScalarFunction]]]:
     out = []
     for t in triples:
-        resolved = _valid_entries(t, lo, hi)
+        resolved = _valid_entries(t, interval)
         if len(resolved) == 3:
             out.append((tuple(t), tuple(fn for _, fn in resolved)))
     return out
@@ -449,12 +449,12 @@ def _resolve_pools(
     interval: SpectralInterval,
     where: str,
 ) -> _Pools:
-    functions = _valid_entries(function_pool, interval.lo, interval.hi)
+    functions = _valid_entries(function_pool, interval)
     if not functions:
         raise ConfigInvalid(f"no pool function is defined everywhere on {where}")
     triples = None
     if triple_pool is not None:
-        triples = _valid_triples(triple_pool, interval.lo, interval.hi)
+        triples = _valid_triples(triple_pool, interval)
         if not triples:
             raise ConfigInvalid(f"no pool triple is defined everywhere on {where}")
     return functions, triples
@@ -615,6 +615,7 @@ class SuiteSummary:
         return 1 if self.totals()["violated"] > 0 else 0
 
 
+@quiet
 def run_suite(
     config: TrialConfig,
     *,
@@ -726,7 +727,7 @@ def _search_functions(
     for desc in (d for free in frees for d in free.values()):
         if desc not in distinct:
             distinct.append(desc)
-    valid = _valid_entries(distinct, domain.lo, domain.hi)
+    valid = _valid_entries(distinct, domain)
     out: list[tuple[dict, list[ScalarFunction], float]] = []
     for free in frees:
         resolved = [fn for desc in free.values() for d, fn in valid if d == desc]
@@ -828,8 +829,8 @@ def _constructed(
       Each tuple's certificate on the draw interval names the pair (s, t) of
       its most negative D.  The tuple k with the most negative, the first of
       equals, gives the two-atom measure (s, t; 1/2, 1/2), of gap D(s, t)/4,
-      or one atom per operator, of gap D(s, t).  Tuples take a = (lo, hi)
-      against b = (1, 0), of gap -(hi - lo)/4.
+      or one atom per operator, of gap D(s, t).  Tuples take
+      a = (lo + 0.0, hi + 0.0) against b = (1, 0), of gap -(hi - lo)/4.
     - Spectral containment: the measure (lo/2, 2 hi; 1/2, 1/2) at the draw
       interval's endpoints attains Kantorovich's bound E[s]E[1/s] <= K(lo/2, 2 hi),
       the most of any measure there, so its gap K(lo, hi) - K(lo/2, 2 hi) is
@@ -850,7 +851,8 @@ def _constructed(
     elif drop == DROP_NORMALIZATION:
         candidate = (draw.hi, draw.hi, 0.5, 0)
     elif entry.inputs_kind == TUPLES:
-        candidate = (draw.lo, draw.hi, 0.0, 0) if draw.lo < draw.hi else None
+        # + 0.0, as the certificate's grid: a = (0, hi) whichever signed zero built the plan
+        candidate = (draw.lo + 0.0, draw.hi + 0.0, 0.0, 0) if draw.lo < draw.hi else None
     else:
         least, candidate = 0.0, None
         for k in range(len(plan.given)):
@@ -955,16 +957,15 @@ def _scores(
     """The scores and thresholds of a batch's first ``n`` candidates under the
     tuples ``ks``, in one sides call: candidate j is row j % per under tuple
     ks[j // per].  Each candidate's score reads only its own two atoms."""
-    with np.errstate(all="ignore"):
-        args = _sides_args(entry, _split(entry, drop, l1, l2, w), plan.constant)
-        if len(plan.index):  # the entry has function slots
-            args += (plan.values(ks),)
-        sides = entry.sides(*args)
-        favored, other = sides if plan.link is None else sides[plan.link]
-        # (len(ks), per) scores, read tuple after tuple
-        score = plan.signs[ks][:, None] * (favored - other)
-        scores = score.reshape(-1)[:n]
-        thresholds = (score - tol_ineq(favored, other)).reshape(-1)[:n]
+    args = _sides_args(entry, _split(entry, drop, l1, l2, w), plan.constant)
+    if len(plan.index):  # the entry has function slots
+        args += (plan.values(ks),)
+    sides = entry.sides(*args)
+    favored, other = sides if plan.link is None else sides[plan.link]
+    # (len(ks), per) scores, read tuple after tuple
+    score = plan.signs[ks][:, None] * (favored - other)
+    scores = score.reshape(-1)[:n]
+    thresholds = (score - tol_ineq(favored, other)).reshape(-1)[:n]
     finite = np.isfinite(scores)
     if not finite.all():
         scores = np.where(finite, scores, np.inf)
@@ -1102,6 +1103,7 @@ def _search(
     return nearest.best()
 
 
+@quiet
 def falsify(
     theorem_id: str,
     drop: Optional[str] = None,

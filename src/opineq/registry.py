@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Mapping, Optional, Union
 
-from .errors import ConfigInvalid, UnknownTheorem
+from .errors import ConfigInvalid, UnknownTheorem, quiet
 from .functions import ScalarFunction, constant, identity
 from .functionals import (
     InequalityReport,
@@ -222,13 +222,15 @@ class TheoremEntry:
             values.append(value)
         return reader(*values)
 
+    @quiet
     def run(self, parsed: dict, inputs, *, tol_factor: float = 1.0) -> InequalityReport:
         """Run one scenario or sampled trial through the check's core: ``inputs``
         as ``read`` gives them, or as a suite trial draws them, and the
         functions and forwarded keys of ``parsed``.  The report's inputs
         document holds the theorem, the inputs' body, the grid size and every
         filled slot's function (for a check that names them), and each key the
-        core read as its reader writes it; the report adds the direction."""
+        core read as its reader writes it; the report adds the direction.
+        It runs under ``quiet``, the package's numpy error policy."""
         args = self.functions(parsed.get("functions", {}))
         if self.ensemble_mode == SUM_OF_SQUARES:
             inputs = summed(inputs)

@@ -28,6 +28,7 @@ from .errors import (
     NotUnitState,
     SpectrumOutOfInterval,
     all_finite,
+    quiet,
     read_integer,
 )
 from .tolerances import (
@@ -72,7 +73,8 @@ class SpectralInterval:
     """Closed interval [lo, hi] declared to contain an operator's spectrum.
 
     Degenerate intervals (lo == hi) are allowed so scalar operators c*I can
-    declare the exact point spectrum.
+    declare the exact point spectrum; [0.0, -0.0] is not, as its endpoints'
+    signs descend.
     """
 
     lo: float
@@ -82,7 +84,7 @@ class SpectralInterval:
         lo, hi = float(self.lo), float(self.hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigInvalid(f"interval endpoints must be finite, got [{lo}, {hi}]")
-        if lo > hi:
+        if lo > hi or math.copysign(1.0, lo) > math.copysign(1.0, hi):
             raise ConfigInvalid(f"interval needs lo <= hi, got [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -105,7 +107,11 @@ class SpectralInterval:
         return self
 
     def grid(self, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
-        """Uniform grid including both endpoints."""
+        """Uniform grid including both endpoints; none where hi - lo overflows."""
+        if math.isinf(self.width):
+            raise ConfigInvalid(
+                f"the interval [{self.lo}, {self.hi}] has no grid: its width hi - lo overflows"
+            )
         return np.linspace(self.lo, self.hi, read_grid_n(grid_n))
 
     def shrunk(self, frac: float = OPEN_INTERVAL_SHRINK) -> "SpectralInterval":
@@ -182,8 +188,12 @@ def require_unit_norm(norm: float) -> None:
 
 def _require_sum_of_squares(norms: Sequence[float]) -> None:
     """sum_j ||x_j||^2 = 1 up to TOL_NORM."""
-    # numpy's square: a huge norm gives inf, where a Python float's ** raises
-    total = float(sum(np.float64(norm) ** 2 for norm in norms))
+    # numpy's square (a Python float's ** raises on an inf norm), added one by one
+    # as Python floats: numpy's additions (sum() compensates from Python 3.12),
+    # and an overflowing sum is inf without a warning
+    total = 0.0
+    for norm in norms:
+        total += float(np.float64(norm) ** 2)
     if abs(total - 1.0) > TOL_NORM:
         raise NormalizationViolation(f"sum of squared state norms is {total!r}, expected 1")
 
@@ -213,6 +223,7 @@ class StateVector:
     components: np.ndarray
     norm: float = dataclasses.field(init=False)
 
+    @quiet
     def __post_init__(self) -> None:
         comp = np.array(self.components, dtype=np.complex128)
         if comp.ndim != 1 or comp.size == 0:
@@ -224,8 +235,7 @@ class StateVector:
         # np.linalg.norm's own formula for a complex vector, without its wrapper;
         # a huge state's norm is inf, which no check accepts
         re, im = comp.real, comp.imag
-        with np.errstate(over="ignore"):
-            sqnorm = float(re.dot(re)) + float(im.dot(im))
+        sqnorm = float(re.dot(re)) + float(im.dot(im))
         object.__setattr__(self, "norm", math.sqrt(sqnorm))
 
     @property
@@ -289,7 +299,7 @@ class HermitianOperator:
             lam = lam[order]
             vec = np.ascontiguousarray(vec[:, order])
         if not standard:  # a permutation of the standard basis is exactly unitary
-            residue = float(np.max(np.abs(vec.conj().T @ vec - np.eye(d))))
+            residue = _unitarity_residue(vec)
             if not residue <= TOL_UNITARY:  # NaN entries fail too
                 raise ConfigInvalid(
                     f"eigenvector matrix is not unitary: max |U*U - I| = {residue:.3e}"
@@ -318,6 +328,13 @@ class HermitianOperator:
         return HermitianOperator(values, None, interval)
 
 
+@quiet
+def _unitarity_residue(vec: np.ndarray) -> float:
+    """max |U*U - I|, inf or NaN where the product overflows."""
+    return float(np.max(np.abs(vec.conj().T @ vec - np.eye(vec.shape[0]))))
+
+
+@quiet
 def from_dense(matrix: Sequence[Sequence[complex]], interval: SpectralInterval) -> HermitianOperator:
     """Eigendecompose a dense Hermitian matrix against a declared spectral interval."""
     m = np.asarray(matrix, dtype=np.complex128)
@@ -363,14 +380,14 @@ def expectation_product(
     return _quadratic_form(A, vals, x)
 
 
+@quiet
 def eigenbasis_weights(A: HermitianOperator, x: StateVector) -> np.ndarray:
     """|<u_k, x>|^2 for each eigenvector column u_k."""
     if x.dim != A.dim:
         raise DimensionMismatch(f"state dim {x.dim} vs operator dim {A.dim}")
     # the identity's product gives x's components, up to the sign of a zero
     y = x.components if A.standard_basis else A.eigenvectors.conj().T @ x.components
-    with np.errstate(over="ignore"):  # a huge state's weights are inf, as its norm is
-        return (y.conj() * y).real
+    return (y.conj() * y).real  # a huge state's weights are inf, as its norm is
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -68,9 +68,42 @@ HUGE_STATE_DOCS = {
 }
 
 
+# operators whose reading overflows: the unitarity residue U*U - I of an
+# eigenbasis with a 1e200 entry, and M + M* of 1e308 entries
+OVERFLOWING_OPERATORS = {
+    "eigenvectors": (
+        {**EIGEN, "eigenvectors": [[1e200, 0.0], [0.0, 1.0]]},
+        "eigenvector matrix is not unitary: max |U*U - I| = inf",
+    ),
+    "matrix": (
+        {"matrix": [[1e308, 1e308], [1e308, 1e308]], "interval": [1.0, 2.0]},
+        "eigenvalues must be finite",
+    ),
+}
+
+# [-1e308, 1e308]: hi - lo overflows, so it has no grid and no uniform draw;
+# [0, -0]: the endpoints' signs descend
+WIDE = ["--interval", "-1e308", "1e308"]
+NO_GRID = "the interval [-1e+308, 1e+308] has no grid: its width hi - lo overflows"
+SIGNED_ZEROS = ["--interval", "0", "-0"]
+DESCENDING = "interval needs lo <= hi, got [0.0, -0.0]"
+SUITE_PC_SIGN = ["suite", "--trials", "1", "--theorems", "pc-sign"]
+
+
 def _print_warning(message, category, filename, lineno, file=None, line=None):
     """Print a warning to stderr, as Python does where no test runner records it."""
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def _run_showing_warnings(argv, warning_action, capsys):
+    """main(argv) with numpy's RuntimeWarning printed ("always") or raised
+    ("error"): its exit code, stdout and stderr lines."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_action, RuntimeWarning)
+        warnings.showwarning = _print_warning
+        code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.splitlines()
 
 
 def _write(tmp_path, name, doc):
@@ -138,6 +171,34 @@ def test_negative_bound_with_an_exponent_reads_as_a_number(capsys, command, writ
     want = capsys.readouterr().out
     assert main([*command, "--interval", *written]) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("warning_action", ["always", "error"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*SUITE_PC_SIGN, *WIDE], NO_GRID),
+        ([*SUITE_PC_SIGN, *SIGNED_ZEROS], DESCENDING),
+        (["falsify", "pc-sign", "--budget", "20", *WIDE], NO_GRID),
+        (["falsify", "pc-sign", "--budget", "20", *SIGNED_ZEROS], DESCENDING),
+        (["falsify", "discrete-chebyshev", "--budget", "20", *WIDE], NO_GRID),
+        (["falsify", "discrete-chebyshev", "--drop", "synchrony", *WIDE], NO_GRID),
+    ],
+    ids=[
+        "suite-wide",
+        "suite-signed-zeros",
+        "falsify-wide",
+        "falsify-signed-zeros",
+        "falsify-tuples-wide",
+        "falsify-tuples-synchrony-wide",
+    ],
+)
+def test_interval_without_a_grid_prints_only_its_error(capsys, argv, message, warning_action):
+    # numpy can neither grid nor draw from these: each is refused by name,
+    # with numpy's RuntimeWarning neither printed nor raised
+    code, out, lines = _run_showing_warnings(argv, warning_action, capsys)
+    assert (code, out) == (2, "")
+    assert lines == [f"error: {message}"]
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +326,23 @@ class TestCheck:
     def test_huge_state_prints_only_its_error(self, tmp_path, capsys, theorem, warning_action):
         # the weights overflow as the norm does: the norm error alone reaches
         # stderr, with numpy's RuntimeWarning neither printed nor raised
-        with warnings.catch_warnings():
-            warnings.simplefilter(warning_action, RuntimeWarning)
-            warnings.showwarning = _print_warning
-            code = main(["check", _write(tmp_path, "s.json", HUGE_STATE_DOCS[theorem])])
-        captured = capsys.readouterr()
+        argv = ["check", _write(tmp_path, "s.json", HUGE_STATE_DOCS[theorem])]
+        code, out, lines = _run_showing_warnings(argv, warning_action, capsys)
         assert code == 2
-        assert captured.out == ""
-        lines = captured.err.splitlines()
+        assert out == ""
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "state norm inf" in lines[0]
+
+    @pytest.mark.parametrize("warning_action", ["always", "error"])
+    @pytest.mark.parametrize("kind", list(OVERFLOWING_OPERATORS))
+    def test_overflowing_operator_prints_only_its_error(
+        self, tmp_path, capsys, kind, warning_action
+    ):
+        operator, message = OVERFLOWING_OPERATORS[kind]
+        path = _write(tmp_path, "s.json", {**CHECK_DOC, "operator": operator})
+        code, out, lines = _run_showing_warnings(["check", path], warning_action, capsys)
+        assert (code, out) == (2, "")
+        assert lines == [f"error: {message}"]
 
     def test_oversized_grid_exits_two(self, tmp_path, capsys):
         doc = dict(CHECK_DOC, grid_n=1_000_000)
@@ -746,17 +814,26 @@ class TestClassify:
         doc = {"f": EXP, "g": {"kind": "identity"}, "h": ONE, "interval": [1.0, 800.0]}
         if mode == "monotonicity":
             doc = {"f": EXP, "h": ONE, "interval": [1.0, 800.0], "mode": mode}
-        with warnings.catch_warnings():
-            warnings.simplefilter(warning_action, RuntimeWarning)
-            warnings.showwarning = _print_warning
-            code = main(["classify", _write(tmp_path, "fns.json", doc)])
-        captured = capsys.readouterr()
+        argv = ["classify", _write(tmp_path, "fns.json", doc)]
+        code, out, lines = _run_showing_warnings(argv, warning_action, capsys)
         assert code == 2
-        assert captured.out == ""
-        lines = captured.err.splitlines()
+        assert out == ""
         assert len(lines) == 1
         assert lines[0].startswith("error:")
         assert "non-finite" in lines[0]
+
+    @pytest.mark.parametrize("warning_action", ["always", "error"])
+    @pytest.mark.parametrize("mode", ["synchrony", "monotonicity"])
+    def test_interval_without_a_grid_prints_only_its_error(
+        self, tmp_path, capsys, mode, warning_action
+    ):
+        doc = {"f": ID, "g": ID, "h": ONE, "interval": [-1e308, 1e308], "mode": mode}
+        if mode == "monotonicity":
+            del doc["g"]
+        argv = ["classify", _write(tmp_path, "fns.json", doc)]
+        code, out, lines = _run_showing_warnings(argv, warning_action, capsys)
+        assert (code, out) == (2, "")
+        assert lines == [f"error: {NO_GRID}"]
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +929,15 @@ class TestFalsifyCommand:
         args = ["falsify", "pc-sign", "--interval", "-1", "2", "--budget", "50"]
         assert main(args) == 2
         assert "no search triple on (-1.0, 2.0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("warning_action", ["always", "error"])
+    def test_overflowing_perturbation_prints_no_warning(self, capsys, warning_action):
+        # the perturbation rounds step past 1.7e308 and are clipped back to it
+        argv = ["falsify", "ensemble-pc-square", "--budget", "20", "--interval", "1", "1.7e308"]
+        code, out, lines = _run_showing_warnings(argv, warning_action, capsys)
+        assert code == 0
+        assert load_json(out)["examined"] == 20
+        assert len(lines) == 1 and lines[0].startswith("wall time:")
 
     def test_grid_below_two_exits_two(self, capsys):
         assert main(["falsify", "pc-square", "--grid", "1", "--budget", "10"]) == 2

@@ -504,8 +504,7 @@ class TestCheckSignBound:
         # exp and -exp are asynchronous; their grid products overflow on [1, 465]
         neg_exp = linear_combination((-1.0, exp_fn()))
         A = HermitianOperator.diagonal([1.0, 2.0], SpectralInterval(1.0, 465.0))
-        with np.errstate(over="ignore"):
-            r = check_sign_bound(exp_fn(), neg_exp, ONE, A, EQ2, grid_n=32)
+        r = check_sign_bound(exp_fn(), neg_exp, ONE, A, EQ2, grid_n=32)
         assert r.direction == LE
         assert r.verdict == HOLDS
 

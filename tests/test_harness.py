@@ -769,7 +769,7 @@ def _per_triple_search_functions(entry, drop, interval, grid_n):
         if free in seen:
             continue
         seen.append(free)
-        resolved = _valid_entries(list(free.values()), domain.lo, domain.hi)
+        resolved = _valid_entries(list(free.values()), domain)
         if len(resolved) != len(free):
             continue
         given = {slot: fn for slot, (_, fn) in zip(free, resolved)}
@@ -1362,6 +1362,24 @@ def test_a_zero_endpoint_of_the_other_sign_is_certified_again(monkeypatch, cold_
                 for key in ("operator", "operator_b"):
                     lo, hi = result.scenario[key]["interval"]
                     assert (np.signbit(lo), hi) == (np.signbit(iv.lo), 3.0)
+
+
+@pytest.mark.parametrize(
+    "intervals", [((-0.0, 3.0), (0.0, 3.0)), ((-3.0, -0.0), (-3.0, 0.0))], ids=["lo", "hi"]
+)
+def test_constructed_tuples_of_a_zero_endpoint_do_not_depend_on_the_memo(cold_plans, intervals):
+    # a = (lo + 0.0, hi + 0.0): either signed zero writes 0, cold or warm,
+    # whichever of the two built the plan they share
+    docs = set()
+    for order in (intervals, intervals[::-1]):
+        falsify.cache_clear()
+        for interval in (*order, *order):
+            iv = SpectralInterval(*interval)
+            result = falsify("discrete-chebyshev", DROP_SYNCHRONY, budget=1, interval=iv)
+            zeros = [x for x in result.scenario["tuples"]["a"] if x == 0.0]
+            assert zeros == [0.0] and not np.signbit(zeros[0])
+            docs.add(canonical_json(result.to_doc()))
+    assert len(docs) == 1
 
 
 @pytest.mark.parametrize(

@@ -452,7 +452,7 @@ def test_standard_basis_weights_are_the_identity_product(d):
         y = A.eigenvectors.conj().T @ x.components
         with np.errstate(over="ignore"):
             want = (y.conj() * y).real
-            got = eigenbasis_weights(A, x)
+        got = eigenbasis_weights(A, x)
         assert got.tobytes() == want.tobytes()
 
 
@@ -496,7 +496,8 @@ def test_certificate_pair_values_are_the_gather_formula(monkeypatch, n):
     given = [v.tobytes() for v in (fv, gv, hv)]
     pts = np.linspace(-1.0, 1.0, n)
     try:
-        functions_module._synchrony(pts, fv, gv, hv)
+        with np.errstate(over="ignore", invalid="ignore"):  # as its callers run it
+            functions_module._synchrony(pts, fv, gv, hv)
     except DomainViolation:  # inf - inf in a defect: a NaN pair value
         pass
     assert [v.tobytes() for v in (fv, gv, hv)] == given  # the values are left as they were

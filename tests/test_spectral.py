@@ -57,6 +57,24 @@ class TestSpectralInterval:
         with pytest.raises(ConfigInvalid):
             SpectralInterval(2.0, 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (-1.0, -0.0)])
+    def test_signed_zero_endpoints_allowed(self, lo, hi):
+        assert SpectralInterval(lo, hi).as_pair() == (lo, hi)
+
+    def test_zero_above_negative_zero_rejected(self):
+        # equal as floats, but the signs descend: numpy's uniform refuses
+        # high - low < 0 there
+        with pytest.raises(ConfigInvalid, match=r"interval needs lo <= hi, got \[0.0, -0.0\]"):
+            SpectralInterval(0.0, -0.0)
+
+    def test_a_width_that_overflows_has_no_grid(self):
+        iv = SpectralInterval(-1e308, 1e308)
+        with pytest.raises(ConfigInvalid, match=r"\[-1e\+308, 1e\+308\] has no grid"):
+            iv.grid(9)
+        half = np.finfo(np.float64).max / 2.0  # the widest symmetric interval gridded
+        pts = SpectralInterval(-half, half).grid(9)
+        assert pts[0] == -half and pts[-1] == half and np.isfinite(pts).all()
+
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigInvalid):
             SpectralInterval(0.0, np.inf)
