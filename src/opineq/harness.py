@@ -60,6 +60,7 @@ from .registry import (
     _ONE,
     _SQ,
     _SQRT,
+    CLOSED_FORM,
     DROP_CONTAINMENT,
     DROP_NORMALIZATION,
     DROP_SYNCHRONY,
@@ -68,8 +69,10 @@ from .registry import (
     REGISTRY,
     REGISTRY_ORDER,
     SINGLE,
+    SWEEP,
     TUPLES,
     TWO_OP,
+    WITNESS,
     TheoremEntry,
     lookup,
 )
@@ -245,9 +248,11 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_operator(
     rng: np.random.Generator, dim: int, interval: SpectralInterval
 ) -> HermitianOperator:
-    """Eigenvalues uniform on the interval, eigenbasis Haar-random."""
+    """Eigenvalues uniform on the interval, eigenbasis Haar-random; none on an
+    interval whose width overflows."""
     if dim < 1:
         raise ConfigInvalid(f"dim must be >= 1, got {dim}")
+    interval.require_finite_width("uniform draw")
     lam = rng.uniform(interval.lo, interval.hi, size=dim)
     return HermitianOperator(lam, _haar_unitary(rng, dim), interval)
 
@@ -753,12 +758,11 @@ class _SearchPlan(NamedTuple):
     function) items, the distinct functions of all tuples by identity (as
     constant(0.0) == constant(-0.0)), each tuple's as a column of positions in
     them with its orienting sign (both read-only), a chain's link and constant,
-    and the constructed candidate that answers the search without a search,
-    if the drop is one of the entry's ``constructed`` and it certifies, with
-    its report and the signs of the endpoints of the interval it was
-    certified on.  ``falsify`` answers from that report only on an interval
-    of the same signs and returns a copy of its scenario, so the report is
-    never written to."""
+    and the constructed candidate that answers a dropped hypothesis without a
+    search, if it certifies, with its report and the signs of the endpoints
+    of the interval it was certified on.  ``falsify`` answers from that
+    report only on an interval of the same signs and returns a copy of its
+    scenario, so the report is never written to."""
 
     given: tuple[tuple[tuple[str, ScalarFunction], ...], ...]
     functions: tuple[ScalarFunction, ...]
@@ -813,6 +817,80 @@ def _json_copy(doc):
     return doc
 
 
+def _witness(
+    entry: TheoremEntry, drop: str, plan: _SearchPlan, draw: SpectralInterval, grid_n: int
+) -> Optional[tuple[float, float, float, int]]:
+    """Synchrony, where the gap is a non-negative multiple of the defect product
+    D(s, t) = d_f(s, t) d_g(s, t), with d_f(s, t) = h(s)f(t) - h(t)f(s): each
+    tuple's certificate on the draw interval names the pair (s, t) of its most
+    negative D.  The tuple k with the most negative, the first of equals, gives
+    the two-atom measure (s, t; 1/2, 1/2), of gap D(s, t)/4, or one atom per
+    operator, of gap D(s, t); None when no grid pair makes D negative."""
+    least, candidate = 0.0, None
+    for k in range(len(plan.given)):
+        fns = [plan.functions[j] for j in plan.index[:, k]]
+        verdict = classify_synchrony(*fns, draw, grid_n)
+        if verdict.witness_neg is not None and verdict.min_product < least:
+            least, candidate = verdict.min_product, (*verdict.witness_neg, 0.5, k)
+    return candidate
+
+
+# The sweep's weights: 257 evenly spaced on [0, 1], the ends moved to the
+# perturbation rounds' bounds.
+_SWEEP_WEIGHTS = np.linspace(0.0, 1.0, 257)
+_SWEEP_WEIGHTS[[0, -1]] = 1e-9, 1.0 - 1e-9
+_SWEEP_WEIGHTS.setflags(write=False)
+
+
+def _sweep(
+    entry: TheoremEntry, drop: str, plan: _SearchPlan, draw: SpectralInterval, grid_n: int
+) -> tuple[float, float, float, int]:
+    """Synchrony, where the anchor (E[s], E[1/s]) moves with the weights, so no
+    certificate pair alone gives the measure: the two atoms (lo + 0.0, hi + 0.0)
+    at the draw interval's endpoints, with each of the ``_SWEEP_WEIGHTS`` under
+    every tuple, scored in one call.  The nearest-miss rule keeps one, the
+    first of near ties: the first candidate for a check that does not read
+    the weights (unit per-vector states)."""
+    ks = range(len(plan.given))
+    w = _SWEEP_WEIGHTS
+    per = len(w)
+    lo, hi = draw.lo + 0.0, draw.hi + 0.0
+    nearest = _NearestMiss()
+    nearest.offer(
+        *_scores(entry, drop, plan, ks, np.full(per, lo), np.full(per, hi), w, per * len(ks)),
+        lambda j: (lo, hi, float(w[j % per]), ks[j // per]),
+    )
+    return nearest.best()
+
+
+def _closed_form(
+    entry: TheoremEntry, drop: str, plan: _SearchPlan, draw: SpectralInterval, grid_n: int
+) -> Optional[tuple[float, float, float, int]]:
+    """The extremal measure where it is known in closed form.
+
+    - Spectral containment: (lo/2, 2 hi; 1/2, 1/2) at the draw interval's
+      endpoints attains Kantorovich's bound E[s]E[1/s] <= K(lo/2, 2 hi), the
+      most of any measure there, so its gap K(lo, hi) - K(lo/2, 2 hi) is the
+      most negative.
+    - Normalization: two one-atom members at hi with weights 1/2, 1/2, of
+      mean(a) mean(b) = 1/4 + w(1 - w)(l1 - l2)^2/(4 l1 l2) at its least and
+      gap -3/4.
+    - Synchrony of tuples: a = (lo + 0.0, hi + 0.0) against b = (1, 0), of gap
+      -(hi - lo)/4; + 0.0, as the certificate's grid, writes a = (0, hi)
+      whichever signed zero built the plan.  None on a degenerate interval.
+    """
+    if drop == DROP_CONTAINMENT:
+        return (draw.lo, draw.hi, 0.5, 0)
+    if drop == DROP_NORMALIZATION:
+        return (draw.hi, draw.hi, 0.5, 0)
+    return (draw.lo + 0.0, draw.hi + 0.0, 0.0, 0) if draw.lo < draw.hi else None
+
+
+# A registry row's construction of a dropped hypothesis -> the function that
+# builds its candidate (lam1, lam2, w, k) on the draw interval, or None.
+_CONSTRUCTIONS = {WITNESS: _witness, SWEEP: _sweep, CLOSED_FORM: _closed_form}
+
+
 def _constructed(
     entry: TheoremEntry,
     drop: str,
@@ -820,52 +898,22 @@ def _constructed(
     interval: SpectralInterval,
     grid_n: int,
 ) -> Optional[tuple[tuple[float, float, float, int], InequalityReport]]:
-    """The one candidate (s, t, w, k) that answers a search with ``drop`` in
-    the entry's ``constructed`` drops, with its report on ``interval``, or
-    None, and the search runs.
-
-    - Synchrony: the gap is a non-negative multiple of the defect product
-      D(s, t) = d_f(s, t) d_g(s, t), where d_f(s, t) = h(s)f(t) - h(t)f(s).
-      Each tuple's certificate on the draw interval names the pair (s, t) of
-      its most negative D.  The tuple k with the most negative, the first of
-      equals, gives the two-atom measure (s, t; 1/2, 1/2), of gap D(s, t)/4,
-      or one atom per operator, of gap D(s, t).  Tuples take
-      a = (lo + 0.0, hi + 0.0) against b = (1, 0), of gap -(hi - lo)/4.
-    - Spectral containment: the measure (lo/2, 2 hi; 1/2, 1/2) at the draw
-      interval's endpoints attains Kantorovich's bound E[s]E[1/s] <= K(lo/2, 2 hi),
-      the most of any measure there, so its gap K(lo, hi) - K(lo/2, 2 hi) is
-      the most negative.
-    - Normalization: two one-atom members at hi with weights 1/2, 1/2, of
-      mean(a) mean(b) = 1/4 + w(1 - w)(l1 - l2)^2/(4 l1 l2) at its least and
-      gap -3/4.
+    """The one candidate (s, t, w, k) that answers a search with ``drop``,
+    built as the entry's ``constructed`` names (``_witness``, ``_sweep`` or
+    ``_closed_form``), with its report on ``interval``, or None, and the
+    search runs.
 
     The candidate answers the search only when its certification, made here
-    once per plan, says "violated"; None when no grid pair makes D negative,
-    a certificate meets a NaN, or the certification raises or finds no
-    violation (its sides overflow, or its gap is within the violation
-    tolerance of 0).
+    once per plan, says "violated"; None when the construction gives none (no
+    grid pair makes D negative) or raises (a certificate meets a NaN), or the
+    certification raises or finds no violation (its sides overflow, or its
+    gap is within the violation tolerance of 0).
     """
-    draw = _draw_interval(drop, interval)
-    if drop == DROP_CONTAINMENT:
-        candidate = (draw.lo, draw.hi, 0.5, 0)
-    elif drop == DROP_NORMALIZATION:
-        candidate = (draw.hi, draw.hi, 0.5, 0)
-    elif entry.inputs_kind == TUPLES:
-        # + 0.0, as the certificate's grid: a = (0, hi) whichever signed zero built the plan
-        candidate = (draw.lo + 0.0, draw.hi + 0.0, 0.0, 0) if draw.lo < draw.hi else None
-    else:
-        least, candidate = 0.0, None
-        for k in range(len(plan.given)):
-            fns = [plan.functions[j] for j in plan.index[:, k]]
-            try:
-                verdict = classify_synchrony(*fns, draw, grid_n)
-            except DomainViolation:
-                return None
-            if verdict.witness_neg is not None and verdict.min_product < least:
-                least, candidate = verdict.min_product, (*verdict.witness_neg, 0.5, k)
-    if candidate is None:
-        return None
+    construct, draw = _CONSTRUCTIONS[entry.constructed[drop]], _draw_interval(drop, interval)
     try:
+        candidate = construct(entry, drop, plan, draw, grid_n)
+        if candidate is None:
+            return None
         report = _certify(entry, drop, plan, interval, grid_n, candidate)
     except OpineqError:
         return None
@@ -892,9 +940,7 @@ def _search_plan(
     signs.setflags(write=False)
     given = tuple(tuple(given.items()) for given, _, _ in tuples)
     plan = _SearchPlan(given, tuple(distinct.values()), index, signs, link, constant, None, None)
-    answer = None
-    if drop in entry.constructed:
-        answer = _constructed(entry, drop, plan, interval, grid_n)
+    answer = None if drop is None else _constructed(entry, drop, plan, interval, grid_n)
     if answer is not None:
         candidate, report = answer
         return plan._replace(constructed=candidate, certified=(_signs(interval), report))
@@ -956,11 +1002,25 @@ def _scores(
 ) -> tuple:
     """The scores and thresholds of a batch's first ``n`` candidates under the
     tuples ``ks``, in one sides call: candidate j is row j % per under tuple
-    ks[j // per].  Each candidate's score reads only its own two atoms."""
-    args = _sides_args(entry, _split(entry, drop, l1, l2, w), plan.constant)
-    if len(plan.index):  # the entry has function slots
-        args += (plan.values(ks),)
-    sides = entry.sides(*args)
+    ks[j // per].  Each candidate's score reads only its own two atoms.  A
+    batch that raises DomainViolation (a function's values overflow at some
+    candidate's atoms or means) is scored again one candidate at a time, and
+    a candidate that raises on its own scores +inf."""
+    try:
+        args = _sides_args(entry, _split(entry, drop, l1, l2, w), plan.constant)
+        if len(plan.index):  # the entry has function slots
+            args += (plan.values(ks),)
+        sides = entry.sides(*args)
+    except DomainViolation:
+        if n == 1:
+            return np.array([np.inf]), np.array([np.inf])
+        per = len(w)
+        rows = [slice(j % per, j % per + 1) for j in range(n)]
+        one = [
+            _scores(entry, drop, plan, [ks[j // per]], l1[row], l2[row], w[row], 1)
+            for j, row in enumerate(rows)
+        ]
+        return tuple(np.concatenate(column) for column in zip(*one))
     favored, other = sides if plan.link is None else sides[plan.link]
     # (len(ks), per) scores, read tuple after tuple
     score = plan.signs[ks][:, None] * (favored - other)
@@ -1124,7 +1184,9 @@ def falsify(
     Every check is searched one way.  A candidate is a two-atom measure
     (lam1, lam2; w, 1 - w), read as the entry's members and scored in batches
     under each function tuple by the checker's own sides function (+inf when
-    not finite).  The function tuples, their orientation and the interval's
+    not finite; a batch whose function values overflow is scored again one
+    candidate at a time, and a candidate whose own values overflow scores
+    +inf).  The function tuples, their orientation and the interval's
     constant are planned once per (check, drop, interval, grid_n) and kept in
     a process-wide memo of at most SEARCH_PLAN_MEMO_SIZE plans; a plan that
     raises is not kept, and ``falsify.cache_info()`` reports the memo's hits
@@ -1140,17 +1202,21 @@ def falsify(
     candidate moves, which keeps the results of scoring round by round;
     exactly ``budget`` candidates are examined.
 
-    A drop in the entry's ``constructed`` drops is not searched: the plan
-    holds one candidate built for it (see ``_constructed``), so one candidate
-    is examined whatever the budget and seed.  With synchrony dropped it is
-    the pair the synchrony certificates name, as the gap is a non-negative
-    multiple of the defect product D(s, t); with spectral containment
-    dropped, the measure (lo/2, 2 hi; 1/2, 1/2) that attains Kantorovich's
-    bound on the draw interval; with normalization dropped, two one-atom
-    members at hi of weight 1/2 each, of gap -3/4.  Where no grid pair makes
-    D negative (a degenerate interval), a certificate meets a NaN or that
-    candidate's certification raises or finds no violation, it is searched
-    as above.
+    A dropped hypothesis is not searched: the plan holds one candidate built
+    for it as the entry's ``constructed`` names (see ``_constructed``), so
+    one candidate is examined whatever the budget and seed.  With synchrony
+    dropped it is the pair the synchrony certificates name where the gap is a
+    non-negative multiple of the defect product D(s, t) ("witness"); where
+    the anchor (E[s], E[1/s]) moves with the weights, the best of a sweep of
+    two atoms at the interval's endpoints over 257 weights from 1e-9 to
+    1 - 1e-9 under every tuple ("sweep"); for tuples, the endpoints against
+    (1, 0).  With spectral containment dropped it is the measure
+    (lo/2, 2 hi; 1/2, 1/2) that attains Kantorovich's bound on the draw
+    interval; with normalization dropped, two one-atom members at hi of
+    weight 1/2 each, of gap -3/4 (both "closed-form").  Where no grid pair
+    makes D negative (a degenerate interval), a certificate meets a NaN or
+    the candidate's certification raises or finds no violation (on [1, 1]
+    or [1, 1 + 1e-13], say), it is searched as above.
 
     The kept candidate is certified as a suite trial is run, through the
     check's core at violation tolerance; that report's inputs document is

@@ -76,6 +76,13 @@ DROP_NORMALIZATION = "normalization"
 # every hypothesis some check may drop, in the order `opineq falsify --drop` lists them
 DROPPABLE = (DROP_SYNCHRONY, DROP_CONTAINMENT, DROP_NORMALIZATION)
 
+# How falsify constructs the one candidate that answers a dropped hypothesis:
+# from the synchrony certificate's witness pair, by a sweep of two-atom measures
+# at the draw interval's endpoints, or as the extremal measure in closed form.
+WITNESS = "witness"
+SWEEP = "sweep"
+CLOSED_FORM = "closed-form"
+
 CONVEXITY_NOTE = "stated for convex weight functions; convexity is unused and not enforced"
 
 _ID = {"kind": "identity"}
@@ -155,8 +162,10 @@ class TheoremEntry:
     # slot -> the function it is fixed to, or the name of the slot it equals
     fixed: Mapping[str, Union[ScalarFunction, str]]
     options: Mapping[str, object]
-    # hypotheses a falsify search may drop
-    drops: frozenset[str]
+    # each hypothesis a falsify search may drop -> how falsify constructs the
+    # one candidate that answers it instead of a search (WITNESS, SWEEP or
+    # CLOSED_FORM)
+    constructed: Mapping[str, str]
     # (f, g, h) descriptor triples a falsify search scores with synchrony
     # dropped: asynchronous on every positive interval, so the forced >=
     # orientation fails (a check keeps only the slots it takes)
@@ -167,12 +176,6 @@ class TheoremEntry:
     # how many members a falsify candidate, a two-atom measure, splits into:
     # 2 is one atom per operator or ensemble member, or the two tuples
     members: int
-    # the drops (a subset of drops) falsify answers with one constructed
-    # candidate instead of a search: synchrony where a candidate's gap is a
-    # non-negative multiple of the defect product D(s, t) = d_f(s, t) d_g(s, t)
-    # at its two atoms (for tuples, of (a_1 - a_2)(b_1 - b_2)), containment and
-    # normalization where the extremal measure is known in closed form
-    constructed: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         # Derived once, for run: each function slot in f, g, h order with what
@@ -187,6 +190,11 @@ class TheoremEntry:
         object.__setattr__(self, "_names_grid", _INPUTS[self.inputs_kind][2])
         if self.fixed.get("g") == "f":
             object.__setattr__(self, "options", {**self.options, "auto_hypothesis": True})
+
+    @property
+    def drops(self) -> frozenset[str]:
+        """The hypotheses a falsify search may drop: those it constructs an answer for."""
+        return frozenset(self.constructed)
 
     @property
     def hull(self) -> bool:
@@ -258,48 +266,58 @@ def _entries() -> tuple[TheoremEntry, ...]:
         forwards=("direction", "grid_n", "gate_hypothesis"),
         fixed={},
         options={},
-        drops=frozenset({DROP_SYNCHRONY}),
+        constructed={DROP_SYNCHRONY: WITNESS},
         sync_pool=((_ONE, _ID, _SQRT), (_ID, _INV, _ONE), (_ID, _INV, _SQRT)),
         sides=_sign_sides,
         members=1,
     )
-    square_case = dict(checker=_square_bound, forwards=(), drops=frozenset(), sides=_square_sides)
+    square_case = dict(checker=_square_bound, forwards=(), constructed={}, sides=_square_sides)
     square = dict(sign, **square_case)
     kantorovich = dict(
         sign,
         needs_positive=True,
         checker=_kantorovich_links,
         forwards=("bound_interval",),
-        drops=frozenset(),
+        constructed={},
         sides=_kantorovich_sides,
     )
     # mean-point bounds add the reversal note to their "<=" form
-    mean_point = dict(sign, options={"notes": ()}, sides=mean_point_sides)
-    mean_point_square = dict(mean_point, fixed={"g": "f"}, drops=frozenset())
+    mean_point = dict(
+        sign,
+        options={"notes": ()},
+        sides=mean_point_sides,
+        constructed={DROP_SYNCHRONY: SWEEP},
+    )
+    mean_point_square = dict(mean_point, fixed={"g": "f"}, constructed={})
     inverse_pair = dict(
         sign,
         needs_positive=True,
         options={"hull": True},
         sides=_inverse_pair_sides,
+        constructed={DROP_SYNCHRONY: SWEEP},
     )
     ensemble = dict(sign, inputs_kind=ENSEMBLE, ensemble_mode=SUM_OF_SQUARES, members=2)
     ensemble_square = dict(ensemble, **square_case)
-    ensemble_mean = dict(ensemble, options={"notes": ()}, sides=mean_point_sides)
-    ensemble_mean_square = dict(ensemble_mean, fixed={"g": "f"}, drops=frozenset())
+    ensemble_mean = dict(
+        ensemble,
+        options={"notes": ()},
+        sides=mean_point_sides,
+        constructed={DROP_SYNCHRONY: SWEEP},
+    )
+    ensemble_mean_square = dict(ensemble_mean, fixed={"g": "f"}, constructed={})
     chain = dict(
         ensemble,
         ensemble_mode=PER_VECTOR,
         needs_positive=True,
         checker=_chain_links,
         forwards=("per_op_intervals", "gate_hypothesis"),
-        drops=frozenset(),
+        constructed={},
         sides=_chain_sides,
     )
     rows = [
         dict(
             sign,
             theorem_id="pc-sign",
-            constructed=frozenset({DROP_SYNCHRONY}),
             summary="weighted covariance product bound under grid-certified (a)synchrony",
             slots=("f", "g", "h"),
         ),
@@ -312,7 +330,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-sign-t",
-            constructed=frozenset({DROP_SYNCHRONY}),
             summary="sign bound with the identity weight",
             slots=("f", "g"),
             fixed=identity_h,
@@ -321,7 +338,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-moment",
-            constructed=frozenset({DROP_SYNCHRONY}),
             summary="sign bound with the second factor fixed to one",
             slots=("f", "h"),
             fixed={"g": constant(1.0)},
@@ -330,7 +346,6 @@ def _entries() -> tuple[TheoremEntry, ...]:
         dict(
             sign,
             theorem_id="pc-moment-t",
-            constructed=frozenset({DROP_SYNCHRONY}),
             summary="sign bound with identity weight and second factor one",
             slots=("f",),
             fixed={"g": constant(1.0), **identity_h},
@@ -349,13 +364,11 @@ def _entries() -> tuple[TheoremEntry, ...]:
             summary="product of mean and inverse mean at most the interval constant",
             slots=(),
             options={"link": 1},
-            drops=frozenset({DROP_CONTAINMENT}),
-            constructed=frozenset({DROP_CONTAINMENT}),
+            constructed={DROP_CONTAINMENT: CLOSED_FORM},
         ),
         dict(
             sign,
             theorem_id="pc-two-op",
-            constructed=frozenset({DROP_SYNCHRONY}),
             summary="mixed bound over two operators and two states",
             inputs_kind=TWO_OP,
             slots=("f", "g", "h"),
@@ -393,12 +406,11 @@ def _entries() -> tuple[TheoremEntry, ...]:
             summary="inverse-pair bound in its always-valid square case",
             slots=("f", "h"),
             fixed={"g": "f"},
-            drops=frozenset(),
+            constructed={},
         ),
         dict(
             ensemble,
             theorem_id="ensemble-pc-sign",
-            constructed=frozenset({DROP_SYNCHRONY}),
             summary="summed covariance product bound over an operator family",
             slots=("f", "g", "h"),
         ),
@@ -441,8 +453,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
             summary="averaged mean/inverse-mean product is at least one (unit states)",
             slots=(),
             options={"link": 0},
-            drops=frozenset({DROP_NORMALIZATION}),
-            constructed=frozenset({DROP_NORMALIZATION}),
+            constructed={DROP_NORMALIZATION: CLOSED_FORM},
         ),
         dict(
             chain,
@@ -450,7 +461,7 @@ def _entries() -> tuple[TheoremEntry, ...]:
             summary="averaged pointwise products dominate the product of averages",
             slots=(),
             options={"link": 1},
-            drops=frozenset({DROP_SYNCHRONY}),
+            constructed={DROP_SYNCHRONY: SWEEP},
         ),
         dict(
             chain,
@@ -458,14 +469,13 @@ def _entries() -> tuple[TheoremEntry, ...]:
             summary="averaged interval constants dominate the averaged products",
             slots=(),
             options={"link": 2},
-            drops=frozenset({DROP_CONTAINMENT}),
-            constructed=frozenset({DROP_CONTAINMENT}),
+            constructed={DROP_CONTAINMENT: CLOSED_FORM},
             members=1,
         ),
         dict(
             sign,
             theorem_id="discrete-chebyshev",
-            constructed=frozenset({DROP_SYNCHRONY}),
+            constructed={DROP_SYNCHRONY: CLOSED_FORM},
             summary="mean of products dominates product of means for similarly ordered tuples",
             inputs_kind=TUPLES,
             slots=(),

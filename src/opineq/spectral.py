@@ -106,12 +106,18 @@ class SpectralInterval:
             raise NonPositiveSpectrum(f"inversion needs 0 < lo, interval is {self.as_pair()}")
         return self
 
-    def grid(self, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
-        """Uniform grid including both endpoints; none where hi - lo overflows."""
+    def require_finite_width(self, use: str) -> "SpectralInterval":
+        """This interval, when its width hi - lo is finite, as a ``use`` of it
+        needs (a grid, a uniform draw); refused by name where it overflows."""
         if math.isinf(self.width):
             raise ConfigInvalid(
-                f"the interval [{self.lo}, {self.hi}] has no grid: its width hi - lo overflows"
+                f"the interval [{self.lo}, {self.hi}] has no {use}: its width hi - lo overflows"
             )
+        return self
+
+    def grid(self, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
+        """Uniform grid including both endpoints; none where hi - lo overflows."""
+        self.require_finite_width("grid")
         return np.linspace(self.lo, self.hi, read_grid_n(grid_n))
 
     def shrunk(self, frac: float = OPEN_INTERVAL_SHRINK) -> "SpectralInterval":

@@ -61,9 +61,10 @@ from opineq.harness import (
     _trial_rngs,
     _valid_entries,
 )
+from opineq.errors import quiet
 from opineq.functionals import ReadPair
 from opineq.functions import ScalarFunction, constant, power, sync_product
-from opineq.registry import DROPPABLE, lookup
+from opineq.registry import CLOSED_FORM, DROPPABLE, SWEEP, WITNESS, lookup
 from opineq.tolerances import MAX_BUDGET, MAX_DIM, MAX_TRIALS, SEARCH_PLAN_MEMO_SIZE
 
 IV12 = SpectralInterval(1.0, 2.0)
@@ -208,6 +209,24 @@ class TestGenerators:
     def test_ensemble_dims_validated(self):
         with pytest.raises(ConfigInvalid):
             random_ensemble(trial_rng(1, 4, 0), 2, [2], IV12, PER_VECTOR)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda iv: random_operator(trial_rng(0, 0, 0), 2, iv),
+            lambda iv: random_ensemble(trial_rng(0, 0, 0), 2, [2, 1], iv, PER_VECTOR),
+        ],
+        ids=["operator", "ensemble"],
+    )
+    def test_an_interval_whose_width_overflows_has_no_uniform_draw(self, draw):
+        # the grid's rule: numpy's uniform would raise a raw OverflowError
+        iv = SpectralInterval(-1e308, 1e308)
+        want = "the interval [-1e+308, 1e+308] has no uniform draw: its width hi - lo overflows"
+        with pytest.raises(ConfigInvalid) as err:
+            draw(iv)
+        assert str(err.value) == want
+        with pytest.raises(ConfigInvalid, match="has no grid: its width hi - lo overflows"):
+            iv.grid(9)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,18 +1034,20 @@ def test_a_batch_evaluates_each_plan_function_once_per_values_call(monkeypatch, 
 
 
 def test_rounds_are_scored_again_each_time_the_kept_candidate_moves(monkeypatch, cold_plans):
-    plan, per_score = _values_calls(monkeypatch, "mean-point", "synchrony")
-    assert len(plan.functions) == 4
+    plan, per_score = _values_calls(monkeypatch, "mean-point-square", None)
+    assert len(plan.functions) == 10
     # the rounds left are scored again after each round that moves the candidate
-    assert len(per_score) == 1 + 7
+    assert len(per_score) == 1 + 4
     # mean-point's sides read the functions at the atoms and at the mean
     assert all(len(s) == 2 for s in per_score)
 
 
 # ---------------------------------------------------------------------------
 # searches answered by a constructed candidate: the synchrony certificate's
-# witness, or a closed-form extremal measure
+# witness, the endpoint sweep, or a closed-form extremal measure
 
+# Dropped synchrony answered from the certificate's witness pair, and, last,
+# discrete-chebyshev's tuples, whose endpoints against (1, 0) are a closed form.
 WITNESS_IDS = (
     "pc-sign",
     "pc-sign-t",
@@ -1036,6 +1057,10 @@ WITNESS_IDS = (
     "ensemble-pc-sign",
     "discrete-chebyshev",
 )
+
+# Dropped synchrony answered by the sweep of two atoms at the interval's
+# endpoints, where the anchor (E[s], E[1/s]) moves with the weights.
+SWEEP_IDS = ("mean-point", "inverse-pair", "ensemble-mean-point", "ensemble-chebyshev-link")
 
 # Dropped containment and normalization, answered by a closed-form extremal
 # candidate, and the intervals it is checked on.
@@ -1092,9 +1117,25 @@ UNCERTIFIED_DIGEST = "574d3b1e077ac9bb8f636f83a68671b88c380078bd046e8b7d9146302a
 
 
 def test_every_constructed_drop_is_one_of_its_rows_drops():
-    assert all(e.constructed <= e.drops for e in REGISTRY_ORDER)
-    pairs = {(e.theorem_id, drop) for e in REGISTRY_ORDER for drop in e.constructed}
-    assert pairs == {(tid, DROP_SYNCHRONY) for tid in WITNESS_IDS} | set(CLOSED_FORM_PAIRS)
+    kinds = {(e.theorem_id, d): kind for e in REGISTRY_ORDER for d, kind in e.constructed.items()}
+    assert kinds == {
+        **{(tid, DROP_SYNCHRONY): WITNESS for tid in WITNESS_IDS[:-1]},
+        ("discrete-chebyshev", DROP_SYNCHRONY): CLOSED_FORM,
+        **{(tid, DROP_SYNCHRONY): SWEEP for tid in SWEEP_IDS},
+        **{pair: CLOSED_FORM for pair in CLOSED_FORM_PAIRS},
+    }
+    assert all(e.drops == set(e.constructed) for e in REGISTRY_ORDER)
+
+
+def test_every_dropped_pair_is_answered_by_one_constructed_candidate(cold_plans):
+    iv = SpectralInterval(1.0, 4.0)
+    pairs = [(e, drop) for e in REGISTRY_ORDER for drop in sorted(e.drops)]
+    assert len(pairs) == 14
+    for entry, drop in pairs:
+        result = falsify(entry.theorem_id, drop, budget=1, interval=iv)
+        assert (result.examined, result.found, result.verdict) == (1, True, "violated")
+        # answered by the plan's candidate, not by a search of budget 1
+        assert harness._search_plan(entry, drop, iv, 128).constructed is not None
 
 
 @pytest.mark.parametrize(
@@ -1274,10 +1315,151 @@ def test_a_closed_form_that_raises_or_certifies_nothing_leaves_the_search_as_bef
     assert _searches_digest(CLOSED_FORM_FALLBACKS) == CLOSED_FORM_FALLBACK_DIGEST
 
 
+# On [1e-308, 1] with containment dropped, 1/s of a drawn atom near lo/2 can
+# overflow.  Such a candidate scores +inf and the search goes on (at seed 3 for
+# kantorovich-upper, 5 for its ensemble form).  Seed 0 draws no such atom, and
+# CLOSED_FORM_FALLBACK_DIGEST keeps its results as they were.
+
+
+@pytest.mark.parametrize(
+    "theorem_id, seed", [("kantorovich-upper", 3), ("ensemble-kantorovich-upper", 5)]
+)
+def test_a_candidate_whose_values_overflow_scores_inf_and_the_search_goes_on(theorem_id, seed):
+    iv = SpectralInterval(1e-308, 1.0)
+    result = falsify(theorem_id, DROP_CONTAINMENT, budget=50, seed=seed, interval=iv)
+    assert (result.examined, result.found, result.verdict) == (50, False, HOLDS)
+    doc = load_json(canonical_json(result.scenario))
+    replay = run_scenario(scenario_from_doc(doc), tol_factor=VIOLATION_FACTOR)
+    assert (replay.gap, replay.verdict) == (result.gap, result.verdict)
+
+
+@pytest.mark.parametrize("theorem_id", _CONTAINMENT_IDS)
+def test_only_the_candidates_whose_values_overflow_score_inf(theorem_id):
+    entry, iv = lookup(theorem_id), SpectralInterval(1e-308, 1.0)
+    plan = harness._search_plan(entry, DROP_CONTAINMENT, iv, 128)
+    # 1/1e-309 overflows; the other two candidates' values are finite
+    l1, l2, w = np.array([0.5, 1e-309, 0.25]), np.array([1.0, 0.5, 2.0]), np.full(3, 0.5)
+    scores_of = quiet(harness._scores)  # as falsify runs it
+    scores, thresholds = scores_of(entry, DROP_CONTAINMENT, plan, [0], l1, l2, w, 3)
+    assert np.isinf(scores[1]) and np.isinf(thresholds[1])
+    rest = [0, 2]
+    alone = scores_of(entry, DROP_CONTAINMENT, plan, [0], l1[rest], l2[rest], w[rest], 2)
+    assert scores[rest].tobytes() == alone[0].tobytes()
+    assert thresholds[rest].tobytes() == alone[1].tobytes()
+    # certifying such a candidate still raises
+    with pytest.raises(DomainViolation, match="non-finite values"):
+        quiet(harness._certify)(entry, DROP_CONTAINMENT, plan, iv, 128, (1e-309, 0.5, 0.5, 0))
+
+
+# ---------------------------------------------------------------------------
+# searches answered by the endpoint sweep
+
+# The random search the sweep replaces, before it did: the median and the
+# least gap over seeds 0-19 at budget 300 on [1, 4].
+SWEEP_SEARCHED_GAPS = {
+    "mean-point": (-0.7918103582586288, -0.8111966800787509),
+    "inverse-pair": (-14.06249999794316, -14.0625),
+    "ensemble-mean-point": (-0.7670090510612801, -0.8111974218646578),
+    "ensemble-chebyshev-link": (-0.5625, -0.5625),
+}
+
+# Searches whose sweep certifies no violation, its gap within the violation
+# tolerance of 0, so the search runs, with the digest of their results at
+# budgets 1, 50 and 300 from before the sweep.
+SWEEP_FALLBACKS = (((1.0, 1.0), SWEEP_IDS), ((1.0, 1.0 + 1e-13), SWEEP_IDS))
+SWEEP_FALLBACK_DIGEST = "5a795522211ae98642dcd61d896e3782fa1f53c48cae4e5f662ffd572c7ad984"
+
+
+@pytest.mark.parametrize("theorem_id", SWEEP_IDS)
+def test_a_sweep_is_as_strong_as_the_search_it_replaces(theorem_id):
+    median, best = SWEEP_SEARCHED_GAPS[theorem_id]
+    gap = falsify(theorem_id, DROP_SYNCHRONY, budget=1).gap
+    # at or below the median, up to the violation tolerance of the sweep's
+    # sides: inverse-pair's least is the point mass at hi, which the search's
+    # rounds reach by clipping both atoms there, and the sweep's weight 1e-9
+    # at lo comes within 5.8e-8 of it, where the tolerance is 1.9e-7
+    plan = harness._search_plan(lookup(theorem_id), DROP_SYNCHRONY, SpectralInterval(1, 4), 128)
+    report = plan.certified[1]
+    assert gap <= median + VIOLATION_FACTOR * tol_ineq(report.lhs, report.rhs)
+    # short of the least by at most 1e-3 of it
+    assert gap <= best + 1e-3 * abs(best)
+
+
+@pytest.mark.parametrize("interval", [(1.0, 4.0), (0.5, 2.0), (2.0, 100.0)])
+@pytest.mark.parametrize("theorem_id", SWEEP_IDS)
+def test_a_sweep_keeps_the_least_gap_of_its_family(theorem_id, interval):
+    """The kept candidate is two atoms at the interval's endpoints with one of
+    the sweep's weights, and no candidate of the family, certified on its own,
+    has a gap lower than its by more than the tolerance."""
+    entry, iv = lookup(theorem_id), SpectralInterval(*interval)
+    plan = harness._search_plan(entry, DROP_SYNCHRONY, iv, 128)
+    lo, hi, w, k = plan.constructed
+    weights = harness._SWEEP_WEIGHTS.tolist()
+    assert len(weights) == 257 and weights[0] == 1e-9 and weights[-1] == 1.0 - 1e-9
+    assert (lo, hi) == (iv.lo, iv.hi) and w in weights
+    if theorem_id == "ensemble-chebyshev-link":
+        # unit per-vector states do not read the weights: the first candidate stands
+        assert (w, k) == (1e-9, 0)
+    reports = [
+        harness._certify(entry, DROP_SYNCHRONY, plan, iv, 128, (lo, hi, v, j))
+        for j in range(len(plan.given))
+        for v in weights
+    ]
+    least = min(reports, key=lambda report: report.gap)
+    gap = falsify(theorem_id, DROP_SYNCHRONY, budget=1, interval=iv).gap
+    assert gap <= least.gap + 2.0 * tol_ineq(least.lhs, least.rhs)
+
+
+@pytest.mark.parametrize(
+    "theorem_id, interval",
+    [
+        *[(tid, iv) for tid in SWEEP_IDS for iv in [(1.0, 1e200), (1e-300, 1.0)]],
+        *[
+            (tid, iv)
+            for tid in ("mean-point", "ensemble-mean-point")
+            for iv in [(0.0, 3.0), (-0.0, 3.0)]
+        ],
+    ],
+)
+def test_a_sweep_answers_on_extreme_intervals(theorem_id, interval):
+    iv = SpectralInterval(*interval)
+    result = falsify(theorem_id, DROP_SYNCHRONY, budget=1, interval=iv)
+    assert (result.examined, result.found, result.verdict) == (1, True, "violated")
+    doc = load_json(canonical_json(result.scenario))
+    replay = run_scenario(scenario_from_doc(doc), tol_factor=VIOLATION_FACTOR)
+    assert (replay.gap, replay.verdict) == (result.gap, result.verdict)
+
+
+def test_a_sweep_that_certifies_no_violation_leaves_the_search_as_before():
+    for interval, theorems in SWEEP_FALLBACKS:
+        iv = SpectralInterval(*interval)
+        for theorem in theorems:
+            plan = harness._search_plan(lookup(theorem), DROP_SYNCHRONY, iv, 128)
+            assert plan.constructed is None
+    assert _searches_digest(SWEEP_FALLBACKS) == SWEEP_FALLBACK_DIGEST
+
+
+@pytest.mark.parametrize("theorem_id", ["mean-point", "ensemble-mean-point"])
+def test_a_sweep_on_a_zero_endpoint_does_not_depend_on_the_memo(cold_plans, theorem_id):
+    # the atoms are lo + 0.0 and hi + 0.0, and each result writes the interval
+    # it was given: cold or warm, in either order, one document per interval
+    docs: dict = {}
+    intervals = (SpectralInterval(-0.0, 3.0), SpectralInterval(0.0, 3.0))
+    for order in (intervals, intervals[::-1]):
+        falsify.cache_clear()
+        for iv in (*order, *order):
+            result = falsify(theorem_id, DROP_SYNCHRONY, budget=1, interval=iv)
+            assert (result.examined, result.verdict) == (1, "violated")
+            docs.setdefault(bool(np.signbit(iv.lo)), set()).add(canonical_json(result.to_doc()))
+    assert [len(d) for d in docs.values()] == [1, 1]
+
+
 # ---------------------------------------------------------------------------
 # a constructed answer is certified once per plan
 
-CONSTRUCTED_PAIRS = [(tid, DROP_SYNCHRONY) for tid in WITNESS_IDS] + list(CLOSED_FORM_PAIRS)
+CONSTRUCTED_PAIRS = (
+    [(tid, DROP_SYNCHRONY) for tid in WITNESS_IDS + SWEEP_IDS] + list(CLOSED_FORM_PAIRS)
+)
 
 
 def _counting_certify(monkeypatch) -> list:
@@ -1386,7 +1568,7 @@ def test_constructed_tuples_of_a_zero_endpoint_do_not_depend_on_the_memo(cold_pl
     "theorem_id, drop, interval",
     [
         *[(tid, DROP_CONTAINMENT, (1e-308, 1.0)) for tid in _CONTAINMENT_IDS],
-        *[(tid, DROP_SYNCHRONY, (1.0, 1.0)) for tid in WITNESS_IDS],
+        *[(tid, DROP_SYNCHRONY, (1.0, 1.0)) for tid in WITNESS_IDS + SWEEP_IDS],
     ],
 )
 def test_a_construction_that_falls_back_searches_and_certifies_every_call(
@@ -1396,9 +1578,6 @@ def test_a_construction_that_falls_back_searches_and_certifies_every_call(
     plan = harness._search_plan(lookup(theorem_id), drop, iv, 128)
     assert plan.constructed is None and plan.certified is None
     calls = _counting_certify(monkeypatch)
-    # seeds 0-2: on [1e-308, 1] the containment search itself raises
-    # DomainViolation at seed 3 (kantorovich-upper) or 5, as 1/s of a drawn atom
-    # near lo/2 overflows while it scores, before anything is certified
     for n in range(1, 4):
         result = falsify(theorem_id, drop, budget=50, seed=n - 1, interval=iv)
         assert (result.examined, result.found) == (50, False)
